@@ -9,16 +9,15 @@ result back to exact feasibility with a certified error bound.
 
 from .driver import (PRESETS, PenaltySchedule, ep4orth_solve, feasible_init,
                      onmf_preset, postprocess, projection_preset)
-from .errors import (BadLabels, BadShape, CurvatureEstimateExhausted,
-                     DimensionMismatch, EmptyColumnSupport, InfeasibleSupport,
-                     LineSearchFailure, MaxIterReached, NegativeEntry,
+from .errors import (BadLabels, BadShape, DimensionMismatch,
+                     EmptyColumnSupport, InfeasibleSupport, NegativeEntry,
                      NonFiniteObjective, NonUnitColumn, NotFeasible,
                      NotTangent, ParseError, PenorthError, SingularCurvature,
-                     SingularGram, SolverError, SubsolverFailure,
-                     ValidationError, ZeroColumn)
+                     SingularGram, SolverError, ValidationError, ZeroColumn)
 from .io import (RunManifest, read_matrix, read_report, write_manifest,
                  write_matrix, write_report)
-from .manifold import (TangentDirection, make_tangent, project_oblique_plus,
+from .manifold import (TangentDirection, make_tangent, project_delta,
+                       project_delta_cols, project_oblique_plus,
                        project_orthogonal_group, project_tangent_T,
                        riemannian_grad, riemannian_hess_apply)
 from .penalty import (PenaltyEval, PenalizedObjective, StationarityReport,
@@ -34,7 +33,6 @@ from .rounding import (FeasiblePoint, feasibility_violation, rho_q, rho_tilde,
                        round)
 from .subsolvers import (GPConfig, InnerReport, NewtonConfig,
                          gradient_projection_solve, newton_solve,
-                         project_delta, project_delta_cols,
                          solve_qp_subproblem)
 from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
                     PenaltyParams, SolveReport, SupportPattern, make_context,

@@ -26,8 +26,9 @@ from .driver import onmf_preset, projection_preset
 from .errors import SolverError, ValidationError
 from .penalty import check_stationarity_original
 from .problems import (LinearObjective, TargetDistanceObjective,
-                       clustering_metrics, gen_onmf, gen_projection,
-                       kindicators_solve, resi, solve_onmf, solve_projection)
+                       clustering_metrics, drop_zero_columns, gen_onmf,
+                       gen_projection, kindicators_solve, resi, solve_onmf,
+                       solve_projection)
 from .types import DriverConfig
 
 
@@ -206,8 +207,7 @@ def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax, seed,
 def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
                  tol_feas, sigma0, tmax, seed, save_solution):
     A = pio.read_matrix(inp)
-    from .problems import drop_degenerate
-    A = drop_degenerate(A)
+    A = drop_zero_columns(A)
     over = _config_overrides(config_path, tol_feas=tol_feas, sigma0=sigma0,
                              t_max=tmax, rng_seed=seed)
     cfg = onmf_preset(hyperspectral=hyperspectral, **over)

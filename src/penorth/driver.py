@@ -159,9 +159,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                   cfg: DriverConfig = DriverConfig(), *,
                   X0: Optional[ObliqueMatrix] = None,
                   X_feas: Optional[FeasiblePoint] = None,
-                  inner_factory: Optional[Callable] = None,
-                  gp_config: Optional[GPConfig] = None,
-                  newton_config: Optional[NewtonConfig] = None) -> SolveReport:
+                  inner_factory: Optional[Callable] = None) -> SolveReport:
     """Exact-penalty continuation for min f(X) over orthogonal nonnegative X.
 
     f supplies Euclidean derivatives of the smooth objective. inner_factory,
@@ -191,8 +189,6 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                             gamma2=cfg.gamma2, eta=cfg.eta,
                             eps_grad_min=cfg.eps_grad_min,
                             gamma2_rule=cfg.gamma2_rule)
-    gp_base = gp_config if gp_config is not None else GPConfig()
-    nw_base = newton_config if newton_config is not None else NewtonConfig()
 
     report = SolveReport()
     total_inner = 0
@@ -219,16 +215,17 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         s2_start = float(np.linalg.norm(X.data @ ctx.V) ** 2)
         solver = cfg.force_solver or (
             "gp" if s2_start - 1.0 > cfg.zeta_switch else "newton")
-        if solver in ("gp", "gp-fixed"):
-            gcfg = dataclasses.replace(
-                gp_base, step_tol=sched.eps_grad, max_iter=cfg.max_inner,
-                fixed_alpha=(cfg.fixed_alpha if solver == "gp-fixed"
-                             else gp_base.fixed_alpha))
-            Xn, irep = gradient_projection_solve(h_t, X, gcfg)
-        else:
-            ncfg = dataclasses.replace(nw_base, tol=sched.eps_grad,
-                                       max_iter=cfg.max_inner)
-            Xn, irep = newton_solve(h_t, X, ncfg)
+
+        def solve(h, start):
+            if solver == "newton":
+                return newton_solve(h, start, NewtonConfig(
+                    tol=sched.eps_grad, max_iter=cfg.max_inner))
+            fixed = cfg.fixed_alpha if solver == "gp-fixed" else None
+            return gradient_projection_solve(h, start, GPConfig(
+                step_tol=sched.eps_grad, max_iter=cfg.max_inner,
+                fixed_alpha=fixed))
+
+        Xn, irep = solve(h_t, X)
         total_inner += irep.iterations
         report.flags.extend(fl for fl in irep.flags if fl not in report.flags)
 
@@ -247,10 +244,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             if inner_factory:
                 h_t = inner_factory(Xf_ob, params_t)
                 hF = float(h_t.value(Xf_ob.data))
-            if solver in ("gp", "gp-fixed"):
-                Xa, irep2 = gradient_projection_solve(h_t, Xf_ob, gcfg)
-            else:
-                Xa, irep2 = newton_solve(h_t, Xf_ob, ncfg)
+            Xa, irep2 = solve(h_t, Xf_ob)
             total_inner += irep2.iterations
             hA = float(h_t.value(Xa.data))
             if hA <= hF:

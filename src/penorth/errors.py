@@ -1,10 +1,9 @@
 """Exception hierarchy.
 
 Two families: ValidationError for bad inputs (CLI exit code 2) and
-SolverError for numerical failures (CLI exit code 3). Solver *flags*
-that do not abort a run (line-search failure, curvature estimate
-exhausted, max iterations) exist both as exceptions, for callers that
-want hard failures, and as string flags on reports.
+SolverError for numerical failures (CLI exit code 3). Conditions that
+do not abort a run (line-search failure, curvature estimate exhausted,
+max iterations) are not exceptions: they are string flags on reports.
 """
 
 
@@ -85,18 +84,3 @@ class SingularCurvature(SolverError):
 class SingularGram(SolverError):
     pass
 
-
-class LineSearchFailure(SolverError):
-    pass
-
-
-class CurvatureEstimateExhausted(SolverError):
-    pass
-
-
-class MaxIterReached(SolverError):
-    pass
-
-
-class SubsolverFailure(SolverError):
-    pass

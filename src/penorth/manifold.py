@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import BadShape, NotTangent
+from .errors import BadShape, InfeasibleSupport, NegativeEntry, NotTangent
 from .types import ObliqueMatrix, make_oblique, oblique_data
 
 # Tangency tolerances: strict when constructing, looser when consuming.
@@ -39,16 +39,14 @@ def make_tangent(X: ObliqueMatrix, D, tol: float = TANGENT_BUILD_TOL) -> Tangent
     return TangentDirection(data=D, base=X)
 
 
-def project_oblique_plus(C) -> ObliqueMatrix:
-    """Project columnwise onto the nonnegative unit sphere.
+def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
+    """Project a float matrix columnwise onto the nonnegative unit sphere.
 
     Each column: clip negatives to zero, normalize. A column whose positive
     part vanishes projects to the coordinate vector at its largest entry
-    (smallest index on ties), which is a valid closest point.
+    (smallest index on ties), which is a valid closest point. No input
+    checks or wrapping, for hot loops.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2:
-        raise BadShape("project_oblique_plus needs a matrix")
     pos = np.maximum(C, 0.0)
     peak = pos.max(axis=0)
     out = np.empty_like(pos)
@@ -63,7 +61,67 @@ def project_oblique_plus(C) -> ObliqueMatrix:
             e = np.zeros(C.shape[0])
             e[int(np.argmax(C[:, j]))] = 1.0
             out[:, j] = e
-    return make_oblique(out, copy=False)
+    return out
+
+
+def project_oblique_plus(C) -> ObliqueMatrix:
+    """Project columnwise onto the nonnegative unit sphere (see _project_ob_plus_raw)."""
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2:
+        raise BadShape("project_oblique_plus needs a matrix")
+    return make_oblique(_project_ob_plus_raw(C), copy=False)
+
+
+def project_delta(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Project c onto the slice {z : x^T z = 1, z >= 0} for nonnegative x.
+
+    Entries where x_i = 0 decouple and project to max(c_i, 0). On the
+    support the unique multiplier comes from a descending scan over the
+    breakpoints c_i/x_i.
+
+    Raises InfeasibleSupport when x has no positive entry (empty slice),
+    NegativeEntry when x has a negative one.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if x.ndim != 1 or x.shape != c.shape:
+        raise BadShape(f"need matching vectors, got {x.shape} and {c.shape}")
+    if (x < 0).any():
+        raise NegativeEntry("slice anchor has a negative entry")
+    supp = x > 0
+    if not supp.any():
+        raise InfeasibleSupport("anchor has no positive entry")
+    z = np.zeros_like(c)
+    off = ~supp
+    z[off] = np.maximum(c[off], 0.0)
+    xs = x[supp]
+    cs = c[supp]
+    order = np.argsort(-(cs / xs), kind="stable")
+    xo = xs[order]
+    co = cs[order]
+    bo = co / xo
+    cum_xc = np.cumsum(xo * co)
+    cum_xx = np.cumsum(xo * xo)
+    lam = (cum_xc - 1.0) / cum_xx
+    lam_star = lam[-1]
+    for m in range(len(bo)):
+        if m == len(bo) - 1 or lam[m] >= bo[m + 1]:
+            lam_star = lam[m]
+            break
+    z[supp] = np.maximum(cs - lam_star * xs, 0.0)
+    return z
+
+
+def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Columnwise project_delta: z_j solves min ||z - c_j|| over x_j^T z = 1, z >= 0."""
+    X = np.asarray(X, dtype=float)
+    C = np.asarray(C, dtype=float)
+    if X.shape != C.shape or X.ndim != 2:
+        raise BadShape(f"need matching matrices, got {X.shape} and {C.shape}")
+    out = np.empty_like(C)
+    for j in range(X.shape[1]):
+        out[:, j] = project_delta(X[:, j], C[:, j])
+    return out
 
 
 def riemannian_grad(X, G) -> np.ndarray:
@@ -104,15 +162,17 @@ def project_tangent_T(X: ObliqueMatrix, D) -> TangentDirection:
     Uses the translation identity: the projection equals the projection of
     x_j + d_j onto the slice {z : x_j^T z = 1, z >= 0}, minus x_j.
     """
-    from .subsolvers import project_delta  # local import avoids a cycle
-
     D = np.asarray(D, dtype=float)
     if D.shape != X.data.shape:
         raise BadShape(f"direction shape {D.shape} != base shape {X.data.shape}")
-    out = np.empty_like(D)
-    for j in range(X.k):
-        out[:, j] = project_delta(X.data[:, j], X.data[:, j] + D[:, j]) - X.data[:, j]
-    # exact arithmetic gives x^T out_j = x^T z - 1 = 0; tiny float residue remains
+    out = project_delta_cols(X.data, X.data + D) - X.data
+    # exact arithmetic gives x^T out_j = x^T z - 1 = 0; the float residue
+    # is tiny unless the slice projection cancelled huge entries, so only
+    # then remove the radial part
+    residue = np.einsum("ij,ij->j", X.data, out)
+    bad = np.abs(residue) > TANGENT_BUILD_TOL
+    if bad.any():
+        out[:, bad] -= X.data[:, bad] * residue[bad]
     return make_tangent(X, out, tol=TANGENT_BUILD_TOL)
 
 

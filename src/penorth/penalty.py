@@ -82,14 +82,7 @@ def penalty_value(X, ctx: PenaltyContext, params: PenaltyParams,
 
     Raises NonFiniteObjective when f(X) is not finite.
     """
-    Xd = oblique_data(X)
-    fv = float(f.value(Xd))
-    if not np.isfinite(fv):
-        raise NonFiniteObjective(f"objective value {fv!r}")
-    s = float(np.linalg.norm(Xd @ ctx.V))
-    zq, base, c, cps = _penalty_scalars(s, params)
-    val = fv + params.sigma * base ** params.p
-    return PenaltyEval(value=val, f_value=fv, s=s, zeta=zq, c=c, cps=cps)
+    return PenalizedObjective(f, ctx, params).evaluate(oblique_data(X))
 
 
 def penalty_rgrad(X, ctx: PenaltyContext, params: PenaltyParams,
@@ -100,10 +93,9 @@ def penalty_rgrad(X, ctx: PenaltyContext, params: PenaltyParams,
     sigma * c * X V V^T to the Euclidean gradient before projection.
     """
     Xd = oblique_data(X)
-    s = float(np.linalg.norm(Xd @ ctx.V))
-    _, _, c, _ = _penalty_scalars(s, params)
-    G = np.asarray(G_f, dtype=float) + params.sigma * c * (Xd @ ctx.vvt)
-    return riemannian_grad(Xd, G)
+    # the penalty term alone needs no f
+    term = PenalizedObjective(None, ctx, params).term_grad(Xd)
+    return riemannian_grad(Xd, np.asarray(G_f, dtype=float) + term)
 
 
 def penalty_rhess_apply(X, ctx: PenaltyContext, params: PenaltyParams,
@@ -116,17 +108,10 @@ def penalty_rhess_apply(X, ctx: PenaltyContext, params: PenaltyParams,
     """
     Xd = oblique_data(X)
     Dd = D.data if isinstance(D, TangentDirection) else np.asarray(D, dtype=float)
-    s = float(np.linalg.norm(Xd @ ctx.V))
-    _, _, c, cps = _penalty_scalars(s, params)
-    if not np.isfinite(cps) or not np.isfinite(c):
-        raise SingularCurvature(
-            f"penalty curvature undefined at s={s!r} with p={params.p!r}")
+    h = PenalizedObjective(f, ctx, params)
+    HD = h.hess_apply(Xd, Dd)
     G_f = f.grad(Xd) if G_f is None else np.asarray(G_f, dtype=float)
-    Xv = Xd @ ctx.vvt
-    G = G_f + params.sigma * c * Xv
-    HD = f.hess_apply(Xd, Dd) + params.sigma * (
-        c * (Dd @ ctx.vvt) + cps * float(np.tensordot(Xv, Dd)) * Xv)
-    return riemannian_hess_apply(Xd, G, HD, Dd)
+    return riemannian_hess_apply(Xd, G_f + h.term_grad(Xd), HD, Dd)
 
 
 def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
@@ -142,7 +127,11 @@ def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
 
 
 class PenalizedObjective(Objective):
-    """Euclidean view of P = f + sigma*(zeta_q + eps)^p for the subsolvers."""
+    """Euclidean view of P = f + sigma*(zeta_q + eps)^p for the subsolvers.
+
+    The only implementation of the penalty term's value and derivatives;
+    penalty_value, penalty_rgrad and penalty_rhess_apply wrap it.
+    """
 
     def __init__(self, f: Objective, ctx: PenaltyContext, params: PenaltyParams):
         self.f = f
@@ -153,16 +142,25 @@ class PenalizedObjective(Objective):
         s = float(np.linalg.norm(X @ self.ctx.V))
         return (s,) + _penalty_scalars(s, self.params)
 
-    def value(self, X):
+    def evaluate(self, X) -> PenaltyEval:
+        """Value of P at X with the scalars it was assembled from."""
         fv = float(self.f.value(X))
         if not np.isfinite(fv):
             raise NonFiniteObjective(f"objective value {fv!r}")
-        s, _, base, _, _ = self._scalars(X)
-        return fv + self.params.sigma * base ** self.params.p
+        s, zq, base, c, cps = self._scalars(X)
+        return PenaltyEval(value=fv + self.params.sigma * base ** self.params.p,
+                           f_value=fv, s=s, zeta=zq, c=c, cps=cps)
+
+    def value(self, X):
+        return self.evaluate(X).value
+
+    def term_grad(self, X):
+        """Euclidean gradient of the penalty term sigma*(zeta_q + eps)^p."""
+        c = self._scalars(X)[3]
+        return self.params.sigma * c * (X @ self.ctx.vvt)
 
     def grad(self, X):
-        s, _, _, c, _ = self._scalars(X)
-        return self.f.grad(X) + self.params.sigma * c * (X @ self.ctx.vvt)
+        return self.f.grad(X) + self.term_grad(X)
 
     def hess_apply(self, X, D):
         s, _, _, c, cps = self._scalars(X)

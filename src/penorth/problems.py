@@ -19,12 +19,12 @@ from .driver import (ep4orth_solve, feasible_init, onmf_preset, postprocess,
                      projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
                      SingularGram, ZeroColumn)
-from .manifold import project_oblique_plus, project_orthogonal_group
-from .penalty import PenalizedObjective
+from .manifold import (_project_ob_plus_raw, project_oblique_plus,
+                       project_orthogonal_group)
+from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import feasibility_violation
-from .subsolvers import _project_ob_plus_raw
-from .types import (DriverConfig, Objective, PenaltyContext, SolveReport,
-                    make_context, make_oblique, oblique_data)
+from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
+                    SolveReport, make_context, oblique_data)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +307,13 @@ def gen_onmf(n: int, r: int, k: int, xi: float, seed: int) -> OnmfInstance:
     return OnmfInstance(A=A, k=k, labels=labels, B=B, xi=float(xi), seed=seed)
 
 
-def drop_degenerate(A: np.ndarray) -> np.ndarray:
-    """Remove all-zero rows and columns (data loaded from files may have them)."""
+def drop_zero_columns(A: np.ndarray) -> np.ndarray:
+    """Remove all-zero columns (data loaded from files may have them).
+
+    Rows are kept: each row is a data point whose label and solution row
+    must stay aligned with the input.
+    """
     A = np.asarray(A, dtype=float)
-    A = A[np.abs(A).sum(axis=1) > 0, :]
     A = A[:, np.abs(A).sum(axis=0) > 0]
     if A.size == 0:
         raise BadShape("matrix is entirely zero")
@@ -547,14 +550,12 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
         raise BadShape(f"U columns must be orthonormal, deviation {orth_dev!r}")
     ctx = make_context(n, k)
 
-    def h_val(X, Y, sigma):
-        XV = X @ ctx.V
-        return (-float(np.tensordot(U @ Y, X)) / sigma
-                + 0.5 * float(np.tensordot(XV, XV)))
+    def model(Y, sigma):
+        return ScaledLinearPenalty(U @ Y, ctx, sigma)
 
     X = project_oblique_plus(U).data
     Xf = rounding.round(X).data
-    Yf_cache = {}
+    Yf = project_orthogonal_group(U.T @ Xf)
     sigma = sigma0
     eg = eps_grad0
     max_dev = 0.0
@@ -565,11 +566,9 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
     zeta2 = float(np.linalg.norm(X @ ctx.V) ** 2) - 1.0
     for t in range(t_max):
         Y = project_orthogonal_group(U.T @ X)
-        if sigma not in Yf_cache:
-            Yf_cache[sigma] = project_orthogonal_group(U.T @ Xf)
         anchored = False
-        if h_val(X, Y, sigma) > h_val(Xf, Yf_cache[sigma], sigma):
-            X, Y = Xf.copy(), Yf_cache[sigma]
+        if model(Y, sigma).value(X) > model(Yf, sigma).value(Xf):
+            X, Y = Xf.copy(), Yf
             anchored = True
         Xp = Gp = None
         it = 0
@@ -577,7 +576,7 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
         while it < max_inner:
             it += 1
             Y = project_orthogonal_group(U.T @ X)
-            G = X @ ctx.vvt - (U @ Y) / sigma
+            G = model(Y, sigma).grad(X)
             if Xp is None:
                 alpha = 1.0
             else:
@@ -608,9 +607,9 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
 
     Y = project_orthogonal_group(U.T @ X)
     # two-block stationarity of the unscaled penalty at the pre-rounding pair
-    GX = 2.0 * (X - U @ Y) + 2.0 * sigma * (X @ ctx.vvt)
-    rgX = GX - X * np.einsum("ij,ij->j", X, GX)
-    res_x = float(np.linalg.norm(np.minimum(X, rgX)))
+    res_x = kkt_residual_subproblem(
+        X, ctx, PenaltyParams(sigma=sigma, p=1.0, q=2.0, eps=0.0),
+        TargetDistanceObjective(U @ Y).grad(X))
     GY = 2.0 * (Y - U.T @ X)
     res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
     XR = rounding.round(X)

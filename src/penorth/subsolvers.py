@@ -14,9 +14,9 @@ Two families:
   projected steepest-descent direction, screens trial points against a
   guaranteed model-decrease bound, and accepts by actual/predicted ratio.
 
-The per-column projection project_delta (onto {z : x^T z = 1, z >= 0}) is
-the geometric workhorse shared by the tangent-cone projection and the
-semismooth Newton solver.
+The per-column slice projection project_delta_cols (onto
+{z : x^T z = 1, z >= 0}, in manifold.py) is the geometric workhorse shared
+by the tangent-cone projection and the semismooth Newton solver.
 """
 from __future__ import annotations
 
@@ -28,9 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import (BadShape, InfeasibleSupport, NegativeEntry, SolverError,
-                     SubsolverFailure)
-from .manifold import riemannian_grad
+from .errors import SolverError
+# project_delta is re-exported for callers that import it from here
+from .manifold import (_project_ob_plus_raw, project_delta,  # noqa: F401
+                       project_delta_cols, project_tangent_T, riemannian_grad)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
 _GMRES_TOL_KW = "rtol" if "rtol" in inspect.signature(gmres).parameters else "tol"
@@ -39,75 +40,6 @@ _GMRES_TOL_KW = "rtol" if "rtol" in inspect.signature(gmres).parameters else "to
 def _gmres(op, rhs, rtol, maxiter):
     kwargs = {_GMRES_TOL_KW: rtol, "atol": 0.0, "maxiter": maxiter}
     return gmres(op, rhs, **kwargs)
-
-
-def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
-    """project_oblique_plus without the wrapping/validation, for hot loops."""
-    pos = np.maximum(C, 0.0)
-    peak = pos.max(axis=0)
-    ok = peak > 0
-    out = np.empty_like(pos)
-    if ok.any():
-        scaled = pos[:, ok] / peak[ok]  # avoids under/overflow in the norm
-        out[:, ok] = scaled / np.linalg.norm(scaled, axis=0)
-    if not ok.all():
-        for j in np.nonzero(~ok)[0]:
-            e = np.zeros(C.shape[0])
-            e[int(np.argmax(C[:, j]))] = 1.0
-            out[:, j] = e
-    return out
-
-
-def project_delta(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Project c onto the slice {z : x^T z = 1, z >= 0} for nonnegative x.
-
-    Entries where x_i = 0 decouple and project to max(c_i, 0). On the
-    support the unique multiplier comes from a descending scan over the
-    breakpoints c_i/x_i.
-
-    Raises InfeasibleSupport when x has no positive entry (empty slice),
-    NegativeEntry when x has a negative one.
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.ndim != 1 or x.shape != c.shape:
-        raise BadShape(f"need matching vectors, got {x.shape} and {c.shape}")
-    if (x < 0).any():
-        raise NegativeEntry("slice anchor has a negative entry")
-    supp = x > 0
-    if not supp.any():
-        raise InfeasibleSupport("anchor has no positive entry")
-    z = np.zeros_like(c)
-    off = ~supp
-    z[off] = np.maximum(c[off], 0.0)
-    xs = x[supp]
-    cs = c[supp]
-    order = np.argsort(-(cs / xs), kind="stable")
-    xo = xs[order]
-    co = cs[order]
-    bo = co / xo
-    cum_xc = np.cumsum(xo * co)
-    cum_xx = np.cumsum(xo * xo)
-    lam = (cum_xc - 1.0) / cum_xx
-    lam_star = lam[-1]
-    for m in range(len(bo)):
-        if m == len(bo) - 1 or lam[m] >= bo[m + 1]:
-            lam_star = lam[m]
-            break
-    z[supp] = np.maximum(cs - lam_star * xs, 0.0)
-    return z
-
-
-def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Columnwise project_delta: z_j solves min ||z - c_j|| over x_j^T z = 1, z >= 0."""
-    X = np.asarray(X, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if X.shape != C.shape or X.ndim != 2:
-        raise BadShape(f"need matching matrices, got {X.shape} and {C.shape}")
-    out = np.empty_like(C)
-    for j in range(X.shape[1]):
-        out[:, j] = project_delta(X[:, j], C[:, j])
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,8 +262,6 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     guaranteed-decrease bound it was checked against, and the accept/reject
     outcome.
     """
-    from .manifold import project_tangent_T  # deferred: manifold imports us too
-
     X = X0.data.copy()
     fX = float(h.value(X))
     tau = cfg.tau0
@@ -454,9 +384,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         tau = min(max(tau, 1e-12), 1e14)
         if accepted and cfg.step_tol is not None and step <= cfg.step_tol:
             break
-    else:
-        flags.append("MaxIterReached")
-    if not converged and it >= cfg.max_iter and "MaxIterReached" not in flags:
+    if not converged and it >= cfg.max_iter:
         flags.append("MaxIterReached")
     G = np.asarray(h.grad(X), dtype=float)
     res = float(np.linalg.norm(np.minimum(X, riemannian_grad(X, G))))

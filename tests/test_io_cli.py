@@ -7,7 +7,9 @@ the 0/2/3 contract (success / bad input / solver failure).
 """
 import json
 import os
+import shlex
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -223,6 +225,28 @@ def test_cli_onmf_with_labels_metrics(tmp_path):
     assert rep["manifest"]["command"] == "onmf"
 
 
+@pytest.mark.parametrize("command", ["onmf", "opnmf"])
+def test_cli_onmf_keeps_zero_data_rows(tmp_path, command):
+    from penorth.problems import gen_onmf
+    inst = gen_onmf(60, 10, 3, xi=0.0, seed=19)
+    A = inst.A.copy()
+    A[7] = 0.0
+    data = str(tmp_path / "A.mtx")
+    pio.write_matrix(data, A)
+    truth = str(tmp_path / "true.csv")
+    with open(truth, "w") as fh:
+        fh.write("\n".join(str(int(v)) for v in inst.labels) + "\n")
+    sol = str(tmp_path / "X.mtx")
+    rep_path = str(tmp_path / "rep.json")
+    r = invoke([command, "--in", data, "--k", "3", "--labels", truth,
+                "--save-solution", sol, "--out", rep_path])
+    assert r.exit_code == 0, r.output
+    X = pio.read_matrix(sol)
+    assert X.shape == (60, 3)
+    assert np.abs(X[7]).max() <= 1e-12
+    assert "metrics" in pio.read_report(rep_path)
+
+
 def test_cli_kindicators_labels_file(tmp_path):
     from penorth.problems import gen_kindicators
     inst = gen_kindicators(25, 3, noise=0.1, seed=17)
@@ -328,3 +352,27 @@ def test_cli_bench_table_onmf_smoke(tmp_path):
     table = pio.read_report(out)
     assert table["cells"][0]["resi_max"] <= 1e-6
     assert table["cells"][0]["feasibility_max"] <= 1e-12
+
+
+def readme_cli_lines():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(path).read()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("penorth ")]
+
+
+def test_readme_cli_lines_resolve():
+    # parse each documented command line against the click command tree
+    # (subcommand, option names, Choice values) without running it
+    lines = readme_cli_lines()
+    assert len(lines) >= 5
+    for words in lines:
+        cmd, args = main, words[1:]
+        while isinstance(cmd, click.Group):
+            assert args[0] in cmd.commands, " ".join(words)
+            cmd, args = cmd.commands[args[0]], args[1:]
+        try:
+            cmd.make_context(cmd.name, list(args))
+        except click.UsageError as exc:
+            pytest.fail(f"{' '.join(words)}: {exc.format_message()}")

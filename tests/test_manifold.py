@@ -114,6 +114,20 @@ def test_project_tangent_T_matches_oracle():
     assert np.allclose(got, want, atol=1e-10)
 
 
+def test_project_tangent_T_survives_cancellation():
+    # shifting x_j + d_j along x_j leaves the slice projection unchanged, but
+    # a shift of 1e7 cancels in max(c - lambda x, 0) and leaves a radial
+    # residue x_j^T d_j far above the build tolerance unless it is removed
+    rng = oracles.rng_for(6)
+    X = make_oblique(oracles.random_unit_columns(rng, 100, 3,
+                                                 strictly_positive=True))
+    G = rng.standard_normal((100, 3))
+    got = project_tangent_T(X, G + 1e7 * X.data).data
+    want = project_tangent_T(X, G).data
+    assert np.abs(np.einsum("ij,ij->j", X.data, got)).max() <= 1e-10
+    assert np.allclose(got, want, atol=1e-6)
+
+
 def test_polar_projection_is_orthogonal():
     rng = oracles.rng_for(6)
     M = rng.standard_normal((4, 4))

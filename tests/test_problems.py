@@ -14,8 +14,8 @@ from penorth.problems import (KindicatorsInstance, LinearObjective,
                               OnmfInstance, OnmfQuadObjective, OpnmfObjective,
                               ProjectionInstance, TargetDistanceObjective,
                               _uniqueness_hypothesis, clustering_metrics,
-                              drop_degenerate, gap, gen_kindicators, gen_onmf,
-                              gen_projection, kindicators_solve,
+                              drop_zero_columns, gap, gen_kindicators,
+                              gen_onmf, gen_projection, kindicators_solve,
                               onmf_gauss_newton_Y, resi, sad, solve_onmf,
                               solve_projection, svd_init)
 from penorth.rounding import feasibility_violation
@@ -193,12 +193,12 @@ def test_gen_onmf_planted_basis_spans_clean_data():
     assert np.array_equal(noisy.A, again.A)
 
 
-def test_drop_degenerate_removes_zero_slices():
+def test_drop_zero_columns_keeps_rows():
     A = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
-    out = drop_degenerate(A)
-    assert np.array_equal(out, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = drop_zero_columns(A)
+    assert np.array_equal(out, np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]))
     with pytest.raises(BadShape):
-        drop_degenerate(np.zeros((3, 3)))
+        drop_zero_columns(np.zeros((3, 3)))
 
 
 def test_svd_init_feasible_shape_and_guard():
@@ -220,6 +220,15 @@ def test_solve_onmf_clean_instance_reaches_planted_span():
     pred = np.argmax(rep.final, axis=1)
     m = clustering_metrics(pred, inst.labels, k=inst.k)
     assert m["purity"] == 1.0
+
+
+def test_solve_onmf_gn_survives_cancelling_tangent_projection():
+    # on this instance the tangent-cone projection sees slice inputs near
+    # 1e7; the cancellation used to stop the solve with NotTangent
+    inst = gen_onmf(100, 200, 3, 0.0, 16005)
+    rep = solve_onmf(inst.A, 3, variant="gn")
+    assert rep.feasibility <= 1e-12
+    assert rep.extra["resi"] <= resi(inst.A, inst.B) + 1e-8
 
 
 def test_solve_onmf_direct_variant_and_bad_variant():
