@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rounding
 from .errors import BadShape, EmptyColumnSupport, NonFiniteObjective
-from .manifold import project_oblique_plus
+from .manifold import inner, project_oblique_plus
 from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import FeasiblePoint, feasibility_violation
 from .subsolvers import (GPConfig, NewtonConfig, gradient_projection_solve,
@@ -134,7 +134,7 @@ def postprocess(Xr: FeasiblePoint, f: Objective, max_iter: int = 200) -> Feasibl
             for _ in range(25):
                 Xn = _normalize_on_support(out - a * G, H, out)
                 diff = Xn - out
-                sq = float(np.tensordot(diff, diff))
+                sq = inner(diff, diff)
                 fn = float(f.value(Xn))
                 if fn <= fcur - 1e-4 * sq / max(a, 1e-16):
                     moved = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -36,7 +37,7 @@ def _parse_float(tok: str, lineno: int) -> float:
         v = float(tok)
     except ValueError:
         raise ParseError(f"bad numeric value {tok!r}", lineno) from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ParseError(f"non-finite value {tok!r}", lineno)
     return v
 

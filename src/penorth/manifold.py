@@ -19,6 +19,13 @@ TANGENT_BUILD_TOL = 1e-10
 TANGENT_CHECK_TOL = 1e-8
 
 
+def inner(A, B) -> float:
+    """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean metric."""
+    # one BLAS dot over the row-major entries: the same bits as
+    # np.tensordot(A, B), without its reshaping overhead
+    return float(np.dot(np.ravel(A), np.ravel(B)))
+
+
 @dataclasses.dataclass(frozen=True)
 class TangentDirection:
     """Direction D with x_j^T d_j = 0 for every column of the base point."""
@@ -75,9 +82,7 @@ def project_oblique_plus(C) -> ObliqueMatrix:
 def project_delta(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Project c onto the slice {z : x^T z = 1, z >= 0} for nonnegative x.
 
-    Entries where x_i = 0 decouple and project to max(c_i, 0). On the
-    support the unique multiplier comes from a descending scan over the
-    breakpoints c_i/x_i.
+    The one-column case of project_delta_cols, which documents the method.
 
     Raises InfeasibleSupport when x has no positive entry (empty slice),
     NegativeEntry when x has a negative one.
@@ -86,42 +91,54 @@ def project_delta(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if x.ndim != 1 or x.shape != c.shape:
         raise BadShape(f"need matching vectors, got {x.shape} and {c.shape}")
-    if (x < 0).any():
-        raise NegativeEntry("slice anchor has a negative entry")
-    supp = x > 0
-    if not supp.any():
-        raise InfeasibleSupport("anchor has no positive entry")
-    z = np.zeros_like(c)
-    off = ~supp
-    z[off] = np.maximum(c[off], 0.0)
-    xs = x[supp]
-    cs = c[supp]
-    order = np.argsort(-(cs / xs), kind="stable")
-    xo = xs[order]
-    co = cs[order]
-    bo = co / xo
-    cum_xc = np.cumsum(xo * co)
-    cum_xx = np.cumsum(xo * xo)
-    lam = (cum_xc - 1.0) / cum_xx
-    lam_star = lam[-1]
-    for m in range(len(bo)):
-        if m == len(bo) - 1 or lam[m] >= bo[m + 1]:
-            lam_star = lam[m]
-            break
-    z[supp] = np.maximum(cs - lam_star * xs, 0.0)
-    return z
+    return project_delta_cols(x[:, None], c[:, None])[:, 0]
 
 
 def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Columnwise project_delta: z_j solves min ||z - c_j|| over x_j^T z = 1, z >= 0."""
+    """Columnwise slice projection: z_j solves min ||z - c_j|| over
+    x_j^T z = 1, z >= 0, for nonnegative anchors x_j.
+
+    Entries where x_ij = 0 decouple and project to max(c_ij, 0). On the
+    support z_ij = max(c_ij - lam_j x_ij, 0), and the multiplier lam_j
+    comes from a descending scan over the breakpoints c_ij/x_ij: with the
+    support sorted by breakpoint, lam after the first m + 1 entries is
+    (sum x c - 1) / (sum x x), and the scan stops at the first m whose lam
+    reaches the next breakpoint (or at the last support entry). All
+    columns are scanned at once; each column's arithmetic is the same as
+    a scan of that column alone.
+
+    Raises NegativeEntry when an anchor has a negative entry,
+    InfeasibleSupport when an anchor has no positive entry (empty slice).
+    """
     X = np.asarray(X, dtype=float)
     C = np.asarray(C, dtype=float)
     if X.shape != C.shape or X.ndim != 2:
         raise BadShape(f"need matching matrices, got {X.shape} and {C.shape}")
-    out = np.empty_like(C)
-    for j in range(X.shape[1]):
-        out[:, j] = project_delta(X[:, j], C[:, j])
-    return out
+    if (X < 0).any():
+        raise NegativeEntry("slice anchor has a negative entry")
+    supp = X > 0
+    has_supp = supp.any(axis=0)
+    if not has_supp.all():
+        raise InfeasibleSupport(
+            f"anchor column {int(np.argmin(has_supp))} has no positive entry")
+    n, k = X.shape
+    cols = np.arange(k)
+    # stable sort by descending breakpoint; the NaN keys off the support
+    # sort last, so each column starts with its support in the order a
+    # scan of that column alone would visit it
+    key = -(np.where(supp, C, np.nan) / X)
+    order = np.argsort(key, axis=0, kind="stable")
+    xo = X[order, cols]
+    co = C[order, cols]
+    lam = (np.cumsum(xo * co, axis=0) - 1.0) / np.cumsum(xo * xo, axis=0)
+    # no comparison with a NaN key holds, and past the support both sums
+    # add exact zeros (finite targets), so a column that does not stop on
+    # its support keeps its last support lam down to the last row, which
+    # always stops
+    stop = np.ones((n, k), dtype=bool)
+    np.greater_equal(lam[:-1], -key[order[1:], cols], out=stop[:-1])
+    lam_star = lam[np.argmax(stop, axis=0), cols]
+    return np.where(supp, np.maximum(C - lam_star * X, 0.0), np.maximum(C, 0.0))
 
 
 def riemannian_grad(X, G) -> np.ndarray:

@@ -18,7 +18,8 @@ import dataclasses
 import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
-from .manifold import riemannian_grad, riemannian_hess_apply, TangentDirection
+from .manifold import (inner, riemannian_grad, riemannian_hess_apply,
+                       TangentDirection)
 from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
                     oblique_data, support_pattern, SUPPORT_ZERO_TOL)
 
@@ -169,7 +170,7 @@ class PenalizedObjective(Objective):
                 f"penalty curvature undefined at s={s!r} with p={self.params.p!r}")
         Xv = X @ self.ctx.vvt
         return self.f.hess_apply(X, D) + self.params.sigma * (
-            c * (D @ self.ctx.vvt) + cps * float(np.tensordot(Xv, D)) * Xv)
+            c * (D @ self.ctx.vvt) + cps * inner(Xv, D) * Xv)
 
 
 @dataclasses.dataclass(frozen=True)

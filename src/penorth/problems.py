@@ -19,7 +19,7 @@ from .driver import (ep4orth_solve, feasible_init, onmf_preset, postprocess,
                      projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
                      SingularGram, ZeroColumn)
-from .manifold import (_project_ob_plus_raw, project_oblique_plus,
+from .manifold import (_project_ob_plus_raw, inner, project_oblique_plus,
                        project_orthogonal_group)
 from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import feasibility_violation
@@ -40,7 +40,7 @@ class LinearObjective(Objective):
         self.C = np.asarray(C, dtype=float)
 
     def value(self, X):
-        return float(np.tensordot(self.C, X))
+        return inner(self.C, X)
 
     def grad(self, X):
         return self.C
@@ -63,7 +63,7 @@ class TargetDistanceObjective(Objective):
 
     def value(self, X):
         R = X - self.C
-        return float(np.tensordot(R, R))
+        return inner(R, R)
 
     def grad(self, X):
         return 2.0 * (X - self.C)
@@ -91,8 +91,8 @@ class ScaledLinearPenalty(Objective):
 
     def value(self, X):
         XV = X @ self.ctx.V
-        return (-float(np.tensordot(self.C, X)) / self.sigma
-                + 0.5 * float(np.tensordot(XV, XV)))
+        return (-inner(self.C, X) / self.sigma
+                + 0.5 * inner(XV, XV))
 
     def grad(self, X):
         return X @ self.ctx.vvt - self.C / self.sigma
@@ -114,11 +114,11 @@ class OnmfQuadObjective(Objective):
                 f"A has {self.A.shape[1]} columns but Y has {self.Y.shape[0]} rows")
         self._yty = self.Y.T @ self.Y
         self._ay = self.A @ self.Y
-        self._a_sq = float(np.tensordot(self.A, self.A))
+        self._a_sq = inner(self.A, self.A)
 
     def value(self, X):
-        return (self._a_sq - 2.0 * float(np.tensordot(self._ay, X))
-                + float(np.tensordot(X @ self._yty, X)))
+        return (self._a_sq - 2.0 * inner(self._ay, X)
+                + inner(X @ self._yty, X))
 
     def grad(self, X):
         return 2.0 * (X @ self._yty - self._ay)
@@ -148,7 +148,7 @@ class OpnmfObjective(Objective):
 
     def value(self, X):
         R = self.A - X @ (X.T @ self.A)
-        return float(np.tensordot(R, R))
+        return inner(R, R)
 
     def grad(self, X):
         WX = self._wx(X)
@@ -582,8 +582,8 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
             else:
                 S = X - Xp
                 Z = G - Gp
-                den = abs(float(np.tensordot(S, Z)))
-                alpha = float(np.tensordot(S, S)) / den if den > 0 else alpha_cap
+                den = abs(inner(S, Z))
+                alpha = inner(S, S) / den if den > 0 else alpha_cap
             alpha = min(max(alpha, 1e-10), alpha_cap)
             Xn = _project_ob_plus_raw(X - alpha * G)
             dev = float(np.abs(np.linalg.norm(Xn, axis=0) - 1.0).max())

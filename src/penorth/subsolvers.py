@@ -16,7 +16,13 @@ Two families:
 
 The per-column slice projection project_delta_cols (onto
 {z : x^T z = 1, z >= 0}, in manifold.py) is the geometric workhorse shared
-by the tangent-cone projection and the semismooth Newton solver.
+by the tangent-cone projection and the semismooth Newton solver. It
+projects all columns in one batched pass, with no Python loop over
+columns or breakpoints. Each evaluation of the semismooth Newton
+fixed-point map costs one such projection and one Hessian product, so
+solve_qp_subproblem evaluates the map once per point: the image of an
+accepted line-search trial, or of the fixed-point fallback step, is
+carried into the next iteration instead of being computed again.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
 # project_delta is re-exported for callers that import it from here
-from .manifold import (_project_ob_plus_raw, project_delta,  # noqa: F401
+from .manifold import (_project_ob_plus_raw, inner, project_delta,  # noqa: F401
                        project_delta_cols, project_tangent_T, riemannian_grad)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
@@ -137,8 +143,8 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
             else:
                 S = X - Xp
                 Z = G - Gp
-                den = abs(float(np.tensordot(S, Z)))
-                alpha = float(np.tensordot(S, S)) / den if den > 0 else cfg.bb_cap
+                den = abs(inner(S, Z))
+                alpha = inner(S, S) / den if den > 0 else cfg.bb_cap
             alpha = min(max(alpha, cfg.bb_floor), cfg.bb_cap)
             if cfg.alpha_cap is not None:
                 alpha = min(alpha, cfg.alpha_cap)
@@ -148,7 +154,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
                 Xn = _project_ob_plus_raw(X - alpha * G)
                 diff = Xn - X
                 fn = float(h.value(Xn))
-                if fn <= fmax - cfg.armijo * float(np.tensordot(diff, diff)):
+                if fn <= fmax - cfg.armijo * inner(diff, diff):
                     ok = True
                     break
                 alpha *= cfg.backtrack
@@ -201,13 +207,14 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
         return project_delta_cols(Xd, Z - alpha * Gm)
 
     Z = fixed_point(Xd)  # one projected-gradient step from D = 0
+    PC = fixed_point(Z)  # kept equal to fixed_point(Z) as Z moves
     flags = []
     info = {"converged": False, "residual": np.inf, "iterations": 0, "flags": flags}
     for it in range(1, max_iter + 1):
-        PC = fixed_point(Z)
         # convergence is certified at the projected point, which lies in the
         # slices exactly and is what we return
-        resP = float(np.linalg.norm(PC - fixed_point(PC)))
+        PPC = fixed_point(PC)
+        resP = float(np.linalg.norm(PC - PPC))
         if resP <= tol:
             info.update(converged=True, residual=resP, iterations=it)
             return PC - Xd, info
@@ -235,15 +242,15 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
             t = 1.0
             for _ in range(11):
                 Zt = Z + t * H
-                nFt = float(np.linalg.norm(Zt - fixed_point(Zt)))
+                PZt = fixed_point(Zt)
+                nFt = float(np.linalg.norm(Zt - PZt))
                 if nFt <= 0.9 * nF:
-                    Z = Zt
+                    Z, PC = Zt, PZt
                     stepped = True
                     break
                 t *= 0.5
         if not stepped:
-            Z = PC  # fixed-point fallback step
-    PC = fixed_point(Z)
+            Z, PC = PC, PPC  # fixed-point fallback step
     flags.append("MaxIterReached")
     info.update(converged=False,
                 residual=float(np.linalg.norm(PC - fixed_point(PC))),
@@ -309,7 +316,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
                 Dc = None
             if Dc is not None:
                 nD = float(np.linalg.norm(Dc))
-                if nD > 0 and float(np.tensordot(rg, Dc)) <= -cfg.c1 * npg * nD:
+                if nD > 0 and inner(rg, Dc) <= -cfg.c1 * npg * nD:
                     D = Dc
                     break
             kappa *= 2.0
@@ -324,9 +331,9 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         # -- trial point screened against the model-decrease bound ----------
         def m_val(Y):
             Dm = Y - X
-            return (float(np.tensordot(G, Dm))
-                    + 0.5 * float(np.tensordot(Dm, h.hess_apply(X, Dm)))
-                    + 0.5 * tau * float(np.tensordot(Dm, Dm)))
+            return (inner(G, Dm)
+                    + 0.5 * inner(Dm, h.hess_apply(X, Dm))
+                    + 0.5 * tau * inner(Dm, Dm))
 
         a_eff = 2.0 * c1_eff ** 2 * cfg.c2 * (1.0 - cfg.c2)
         nD = float(np.linalg.norm(D))

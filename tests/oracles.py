@@ -167,6 +167,35 @@ def slice_projection_oracle(x, c):
     return (x + D).ravel()
 
 
+def slice_projection_scan(X, C):
+    """Columnwise projection onto {z : x_j^T z = 1, z >= 0}, one column at
+    a time, by a Python scan over the descending breakpoints c_i/x_i.
+
+    The per-column loop the batched penorth.manifold.project_delta_cols
+    replaced. Its arithmetic is the same entry for entry, so the two must
+    agree bit for bit; it assumes valid anchors (nonnegative, each with a
+    positive entry).
+    """
+    X = np.asarray(X, dtype=float)
+    C = np.asarray(C, dtype=float)
+    out = np.empty_like(C)
+    for j in range(X.shape[1]):
+        x, c = X[:, j], C[:, j]
+        supp = x > 0
+        z = np.maximum(c, 0.0)  # entries off the support decouple
+        xs, cs = x[supp], c[supp]
+        order = np.argsort(-(cs / xs), kind="stable")
+        xo, co = xs[order], cs[order]
+        bo = co / xo
+        lam = (np.cumsum(xo * co) - 1.0) / np.cumsum(xo * xo)
+        for m in range(len(bo)):
+            if m == len(bo) - 1 or lam[m] >= bo[m + 1]:
+                break
+        z[supp] = np.maximum(cs - lam[m] * xs, 0.0)
+        out[:, j] = z
+    return out
+
+
 # --------------------------------------------------------------------------
 # exhaustive linear maximization over the feasible set (small n, k)
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from penorth import make_oblique
 from penorth.errors import NotTangent
-from penorth.manifold import (make_tangent, project_oblique_plus,
+from penorth.manifold import (inner, make_tangent, project_oblique_plus,
                               project_orthogonal_group, project_tangent_T,
                               riemannian_grad, riemannian_hess_apply)
 
@@ -164,3 +164,13 @@ def test_polar_projection_nearest_orthogonal():
     for _ in range(200):
         R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         assert d0 <= np.linalg.norm(R - M) + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(100, 3), (5000, 20), (1, 1)])
+def test_inner_matches_tensordot_bit_for_bit(shape):
+    rng = oracles.rng_for(60)
+    for order_a, order_b in [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C")]:
+        A = np.asarray(rng.standard_normal(shape) * 1e3, order=order_a)
+        B = np.asarray(rng.standard_normal(shape), order=order_b)
+        assert inner(A, B) == float(np.tensordot(A, B))
+        assert inner(A, A) == float(np.tensordot(A, A))

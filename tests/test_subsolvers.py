@@ -12,6 +12,7 @@ from penorth import make_context, make_oblique
 from penorth.errors import InfeasibleSupport, NegativeEntry
 from penorth.penalty import PenalizedObjective
 from penorth.problems import TargetDistanceObjective
+from penorth import subsolvers
 from penorth.subsolvers import (GPConfig, NewtonConfig,
                                 gradient_projection_solve, newton_solve,
                                 project_delta, project_delta_cols,
@@ -81,6 +82,50 @@ def test_project_delta_cols_is_columnwise():
     for j in range(3):
         assert np.allclose(Z[:, j], project_delta(X[:, j], C[:, j]),
                            atol=1e-14)
+
+
+def slice_projection_cases():
+    """(X, C) pairs with nonnegative anchors, each column with support."""
+    rng = oracles.rng_for(33)
+    for n, k in [(1, 1), (1, 3), (4, 1), (5, 3), (30, 4), (100, 3)]:
+        for scale in (1e-3, 1.0, 1e3, 1e7):
+            X = oracles.random_unit_columns(rng, n, k)
+            yield X, scale * rng.standard_normal((n, k))
+            # sparse supports: most entries of the anchor are zero
+            Xs = X * (rng.random((n, k)) < 0.3)
+            Xs[rng.integers(0, n, size=k), np.arange(k)] = 1.0
+            yield Xs, scale * rng.standard_normal((n, k))
+            # ties: rounded anchors and targets repeat breakpoints
+            Xt = np.round(X, 1)
+            Xt[0] += 0.5
+            yield Xt, np.round(scale * rng.standard_normal((n, k)), 1)
+        # single-entry supports: each anchor a coordinate vector
+        E = np.zeros((n, k))
+        E[rng.integers(0, n, size=k), np.arange(k)] = 1.0
+        yield E, rng.standard_normal((n, k))
+
+
+def test_project_delta_cols_matches_scan_bit_for_bit():
+    count = 0
+    for X, C in slice_projection_cases():
+        got = project_delta_cols(X, C)
+        want = oracles.slice_projection_scan(X, C)
+        assert got.tobytes() == want.tobytes(), (X, C)
+        count += 1
+    assert count == 78
+
+
+def test_project_delta_cols_rejects_bad_anchor_column():
+    X = np.array([[1.0, 0.6, 1.0], [0.0, 0.8, 0.0]])
+    C = np.ones_like(X)
+    Xn = X.copy()
+    Xn[1, 2] = -0.1
+    with pytest.raises(NegativeEntry):
+        project_delta_cols(Xn, C)
+    Xz = X.copy()
+    Xz[:, 1] = 0.0
+    with pytest.raises(InfeasibleSupport):
+        project_delta_cols(Xz, C)
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +260,33 @@ def test_qp_residual_certificate():
                                       1.0 / (np.linalg.eigvalsh(M)[-1] + 1),
                                       tol=1e-9)
         assert info["converged"] and info["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("max_iter, converged", [(50, True), (1, False)])
+def test_qp_residual_is_of_returned_point(monkeypatch, max_iter, converged):
+    # the solver carries fixed-point values across iterations; the residual
+    # it reports must still be that of the point it returns
+    rng = oracles.rng_for(40)
+    X = oracles.random_unit_columns(rng, 6, 3)
+    M, g = random_spd_model(rng, 6, 3, mu=1.0)
+    hess = lambda W: (M @ W.ravel()).reshape(6, 3)
+    alpha = 1.0 / (np.linalg.eigvalsh(M)[-1] + 1)
+    images = []
+
+    def recording(Xd, C):
+        out = project_delta_cols(Xd, C)
+        images.append(out)
+        return out
+
+    monkeypatch.setattr(subsolvers, "project_delta_cols", recording)
+    D, info = solve_qp_subproblem(make_oblique(X), g, hess, alpha,
+                                  tol=1e-12, max_iter=max_iter)
+    assert info["converged"] is converged
+    assert ("MaxIterReached" in info["flags"]) is not converged
+    # the returned D is P - X for the projected point P the solver kept
+    P = [Y for Y in images if np.array_equal(Y - X, D)][-1]
+    fixed = project_delta_cols(X, P - alpha * (g + hess(P - X)))
+    assert float(np.linalg.norm(P - fixed)) == info["residual"]
 
 
 # --------------------------------------------------------------------------
