@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Print a hash of every solve's outputs, one line per instance.
+
+Generates the instance sets of the four benchmark workloads
+(perfbench/workloads.py) for seeds 1 and 2, round-trips each input through
+penorth.io with the benchmark's own round trip (perfbench/run.py), solves
+it with one BLAS thread, and hashes what the solve returned: final,
+objective, zeta, kkt_residual, feasibility, the outer and inner counts,
+termination, flags, history and extra (everything but the timing). A
+change meant to leave iterates bit-identical must print the same lines
+before and after; compare two runs with diff:
+
+    python3 scripts/bit_identity.py > after.txt
+    python3 scripts/bit_identity.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+Each line ends with a short hash per field, so a diff shows which output
+moved. --tiny solves the benchmark's smoke-test instance sets instead.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import struct
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import run  # noqa: E402
+
+# iterates depend on the BLAS thread count; fix it before numpy loads
+for _var in run.BLAS_ENV:
+    os.environ[_var] = str(run.BLAS_THREADS)
+
+import numpy as np  # noqa: E402
+
+SEEDS = (1, 2)
+WORKLOADS = ("onmf-gn", "onmf-direct", "projection", "kindicators")
+FIELDS = ("final", "objective", "zeta", "kkt_residual", "feasibility",
+          "outer_iterations", "inner_iterations", "termination", "flags",
+          "history", "extra")
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tiny", action="store_true",
+                    help="solve the smoke-test instance sets")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="source tree to import penorth from "
+                         "(default: this checkout's src)")
+    return ap.parse_args(argv)
+
+
+def encode(obj, out: list) -> None:
+    """Append an unambiguous byte encoding of obj (exact float bits)."""
+    if isinstance(obj, dict):
+        out.append(b"{%d" % len(obj))
+        for key in sorted(obj):
+            encode(str(key), out)
+            encode(obj[key], out)
+    elif isinstance(obj, (list, tuple)):
+        out.append(b"[%d" % len(obj))
+        for item in obj:
+            encode(item, out)
+    elif isinstance(obj, np.ndarray):
+        out.append(f"a{obj.dtype.str}{obj.shape}".encode())
+        out.append(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append(b"b1" if obj else b"b0")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(b"i%d" % int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(b"f" + struct.pack("<d", float(obj)))
+    elif isinstance(obj, str):
+        out.append(b"s%d:" % len(obj) + obj.encode())
+    elif obj is None:
+        out.append(b"n")
+    else:
+        raise TypeError(f"cannot hash {type(obj).__name__}")
+
+
+def digest(obj) -> str:
+    parts: list = []
+    encode(obj, parts)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import penorth
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in WORKLOADS:
+            wl = workloads.WORKLOADS[name]
+            for seed in SEEDS:
+                instances = workloads.generate(penorth, wl, seed, tiny=args.tiny)
+                run.round_trip(penorth, np, instances, tmp, {})
+                for i, inst in enumerate(instances):
+                    rep = wl.solve(penorth, inst)
+                    fields = {f: getattr(rep, f) for f in FIELDS}
+                    fields["final"] = np.asarray(rep.final)
+                    per_field = " ".join(digest(fields[f])[:8] for f in FIELDS)
+                    print(f"{name} seed={seed} i={i} {digest(fields)[:16]} "
+                          f"outer={rep.outer_iterations} "
+                          f"inner={rep.inner_iterations} {per_field}",
+                          flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

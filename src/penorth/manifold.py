@@ -19,6 +19,16 @@ TANGENT_BUILD_TOL = 1e-10
 TANGENT_CHECK_TOL = 1e-8
 
 
+def norm(A) -> float:
+    """Frobenius norm sqrt(<A, A>), the same bits as np.linalg.norm(A).
+
+    numpy's own path for an axis-free 2-norm (ravel in memory order, one
+    dot, sqrt), without the generic wrapper's argument handling.
+    """
+    a = np.ravel(A, "K")
+    return float(np.sqrt(np.dot(a, a)))
+
+
 def inner(A, B) -> float:
     """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean metric."""
     # one BLAS dot over the row-major entries: the same bits as
@@ -50,25 +60,54 @@ def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
     """Project a float matrix columnwise onto the nonnegative unit sphere.
 
     Each column: clip negatives to zero, normalize. A column whose positive
-    part vanishes projects to the coordinate vector at its largest entry
-    (smallest index on ties), which is a valid closest point. No input
-    checks or wrapping, for hot loops.
+    part vanishes (peak not > 0, NaN included) projects to the coordinate
+    vector at its largest entry (smallest index on ties), which is a valid
+    closest point. No input checks or wrapping, for hot loops.
+
+    All the work runs in place on one fresh Fortran-ordered buffer
+    max(C, 0). The hot loops pass C-ordered n x k matrices with n >> k:
+    there every column pass (peak, scaling, column sums, normalization)
+    would run k-long inner loops, and every further full-size temporary
+    costs a page-faulted allocation. Dead columns are divided by 1 along
+    with the rest and then overwritten. Because the squares are
+    Fortran-ordered, each column norm is numpy's pairwise sum over one
+    contiguous column: the same bits as np.linalg.norm(., axis=0) on a
+    column-gathered copy, where C-ordered squares would be summed row by
+    row and round differently. The result is copied back into the memory
+    layout of C, since callers' later reductions depend on it.
     """
-    pos = np.maximum(C, 0.0)
+    pos = np.maximum(C, 0.0, order="F")
     peak = pos.max(axis=0)
-    out = np.empty_like(pos)
-    ok = peak > 0
-    if ok.any():
-        # peak-scale first: squaring tiny or huge entries directly would
-        # underflow or overflow and denormalize the column
-        scaled = pos[:, ok] / peak[ok]
-        out[:, ok] = scaled / np.linalg.norm(scaled, axis=0)
-    if not ok.all():
-        for j in np.nonzero(~ok)[0]:
-            e = np.zeros(C.shape[0])
-            e[int(np.argmax(C[:, j]))] = 1.0
-            out[:, j] = e
+    dead = ~(peak > 0)
+    # peak-scale first: squaring tiny or huge entries directly would
+    # underflow or overflow and denormalize the column
+    peak[dead] = 1.0
+    pos /= peak
+    nrm = np.sqrt(np.add.reduce(pos * pos, axis=0))
+    nrm[dead] = 1.0
+    pos /= nrm
+    for j in np.flatnonzero(dead):
+        pos[:, j] = 0.0
+        pos[int(np.argmax(C[:, j])), j] = 1.0
+    out = np.empty_like(C, dtype=pos.dtype)
+    out[...] = pos
     return out
+
+
+def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
+    """_project_ob_plus_raw(X - alpha * G), with X - alpha * G built in one
+    temporary.
+
+    The temporary gets the memory layout numpy gives X - alpha * G:
+    Fortran-like only when both X and G are, C order otherwise. The
+    projection keeps that layout, and later reductions over the iterate
+    ravel in memory order, so another layout would change their bits.
+    """
+    # a row-major X makes numpy's result row-major whatever G's layout
+    x_cols = abs(X.strides[0]) < abs(X.strides[1])
+    T = np.multiply(alpha, G, order="K" if x_cols else "C")
+    np.subtract(X, T, out=T)
+    return _project_ob_plus_raw(T)
 
 
 def project_oblique_plus(C) -> ObliqueMatrix:
@@ -76,6 +115,8 @@ def project_oblique_plus(C) -> ObliqueMatrix:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise BadShape("project_oblique_plus needs a matrix")
+    if not np.isfinite(C).all():
+        raise BadShape("matrix contains non-finite entries")
     return make_oblique(_project_ob_plus_raw(C), copy=False)
 
 

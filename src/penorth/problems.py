@@ -19,8 +19,8 @@ from .driver import (ep4orth_solve, feasible_init, onmf_preset, postprocess,
                      projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
                      SingularGram, ZeroColumn)
-from .manifold import (_project_ob_plus_raw, inner, project_oblique_plus,
-                       project_orthogonal_group)
+from .manifold import (inner, norm, project_oblique_plus,
+                       project_orthogonal_group, projected_step)
 from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import feasibility_violation
 from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
@@ -82,12 +82,16 @@ class ScaledLinearPenalty(Objective):
     An affine rescaling of the exact penalty for objectives that are linear
     on the manifold; its gradient is 1-Lipschitz, so a fixed projected
     step below 1 descends without a line search.
+
+    The target is stored C-ordered, like the iterates, and the gradient's
+    constant term C / sigma is computed once.
     """
 
     def __init__(self, C, ctx: PenaltyContext, sigma: float):
-        self.C = np.asarray(C, dtype=float)
+        self.C = np.ascontiguousarray(C, dtype=float)
         self.ctx = ctx
         self.sigma = float(sigma)
+        self._c_sigma = self.C / self.sigma
 
     def value(self, X):
         XV = X @ self.ctx.V
@@ -95,7 +99,9 @@ class ScaledLinearPenalty(Objective):
                 + 0.5 * inner(XV, XV))
 
     def grad(self, X):
-        return X @ self.ctx.vvt - self.C / self.sigma
+        G = X @ self.ctx.vvt
+        G -= self._c_sigma
+        return G
 
     def hess_apply(self, X, D):
         return np.asarray(D, dtype=float) @ self.ctx.vvt
@@ -259,6 +265,8 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise BadShape("C must be a matrix")
+    if not np.isfinite(C).all():
+        raise BadShape("C contains non-finite entries")
     n, k = C.shape
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else projection_preset()
@@ -375,6 +383,10 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
     if variant not in ("gn", "direct"):
         raise BadShape(f"unknown variant {variant!r}")
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise BadShape("A must be a matrix")
+    if not np.isfinite(A).all():
+        raise BadShape("A contains non-finite entries")
     n = A.shape[0]
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else onmf_preset(hyperspectral=hyperspectral)
@@ -585,17 +597,17 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
                 den = abs(inner(S, Z))
                 alpha = inner(S, S) / den if den > 0 else alpha_cap
             alpha = min(max(alpha, 1e-10), alpha_cap)
-            Xn = _project_ob_plus_raw(X - alpha * G)
+            Xn = projected_step(X, alpha, G)
             dev = float(np.abs(np.linalg.norm(Xn, axis=0) - 1.0).max())
-            devY = float(np.linalg.norm(Y.T @ Y - np.eye(k)))
+            devY = norm(Y.T @ Y - np.eye(k))
             max_dev = max(max_dev, dev, devY)
-            step = float(np.linalg.norm(Xn - X))
+            step = norm(Xn - X)
             Xp, Gp = X, G
             X = Xn
             if step <= eg:
                 break
         total_inner += it
-        zeta2 = float(np.linalg.norm(X @ ctx.V) ** 2) - 1.0
+        zeta2 = norm(X @ ctx.V) ** 2 - 1.0
         report.history.append({"t": t, "sigma": sigma, "eps_grad": eg,
                                "inner_iterations": it, "zeta2": zeta2,
                                "anchored": anchored, "step": step})

@@ -36,8 +36,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
 # project_delta is re-exported for callers that import it from here
-from .manifold import (_project_ob_plus_raw, inner, project_delta,  # noqa: F401
-                       project_delta_cols, project_tangent_T, riemannian_grad)
+from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
+                       project_delta, project_delta_cols, project_tangent_T,
+                       projected_step, riemannian_grad)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
 _GMRES_TOL_KW = "rtol" if "rtol" in inspect.signature(gmres).parameters else "tol"
@@ -135,11 +136,11 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
         it += 1
         if cfg.fixed_alpha is not None:
             alpha = cfg.fixed_alpha
-            Xn = _project_ob_plus_raw(X - alpha * G)
+            Xn = projected_step(X, alpha, G)
             fn = float(h.value(Xn))
         else:
             if Xp is None:
-                alpha = 1.0 / (np.linalg.norm(G) + 1e-16)
+                alpha = 1.0 / (norm(G) + 1e-16)
             else:
                 S = X - Xp
                 Z = G - Gp
@@ -151,7 +152,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
             fmax = max(hist)
             ok = False
             for _ in range(cfg.max_backtracks + 1):
-                Xn = _project_ob_plus_raw(X - alpha * G)
+                Xn = projected_step(X, alpha, G)
                 diff = Xn - X
                 fn = float(h.value(Xn))
                 if fn <= fmax - cfg.armijo * inner(diff, diff):
@@ -161,7 +162,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
             if not ok:
                 flags.append("LineSearchFailure")
                 break
-        step = float(np.linalg.norm(Xn - X))
+        step = norm(Xn - X)
         Xp, Gp = X, G
         X, fX = Xn, fn
         G = np.asarray(h.grad(X), dtype=float)
@@ -174,7 +175,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     if fX > best_f:
         X, fX = best_X, best_f
         G = np.asarray(h.grad(X), dtype=float)
-    kkt = float(np.linalg.norm(np.minimum(X, riemannian_grad(X, G))))
+    kkt = norm(np.minimum(X, riemannian_grad(X, G)))
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=kkt, converged=converged, flags=flags)
     return make_oblique(X), rep
@@ -214,12 +215,12 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
         # convergence is certified at the projected point, which lies in the
         # slices exactly and is what we return
         PPC = fixed_point(PC)
-        resP = float(np.linalg.norm(PC - PPC))
+        resP = norm(PC - PPC)
         if resP <= tol:
             info.update(converged=True, residual=resP, iterations=it)
             return PC - Xd, info
         F = Z - PC
-        nF = float(np.linalg.norm(F))
+        nF = norm(F)
         active = PC > zero_tol
         xa = Xd * active
         den = np.einsum("ij,ij->j", Xd, xa)
@@ -243,7 +244,7 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
             for _ in range(11):
                 Zt = Z + t * H
                 PZt = fixed_point(Zt)
-                nFt = float(np.linalg.norm(Zt - PZt))
+                nFt = norm(Zt - PZt)
                 if nFt <= 0.9 * nF:
                     Z, PC = Zt, PZt
                     stepped = True
@@ -253,7 +254,7 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
             Z, PC = PC, PPC  # fixed-point fallback step
     flags.append("MaxIterReached")
     info.update(converged=False,
-                residual=float(np.linalg.norm(PC - fixed_point(PC))),
+                residual=norm(PC - fixed_point(PC)),
                 iterations=max_iter)
     return PC - Xd, info
 
@@ -284,13 +285,13 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         G = np.asarray(h.grad(X), dtype=float)
         radial = np.einsum("ij,ij->j", X, G)
         rg = G - X * radial
-        res = float(np.linalg.norm(np.minimum(X, rg)))
+        res = norm(np.minimum(X, rg))
         if res <= cfg.tol:
             converged = True
             break
         Xob = make_oblique(X)
         pg = project_tangent_T(Xob, -rg).data
-        npg = float(np.linalg.norm(pg))
+        npg = norm(pg)
         if npg <= 1e-14:
             converged = True  # no feasible first-order descent direction left
             break
@@ -315,7 +316,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
             except SolverError:
                 Dc = None
             if Dc is not None:
-                nD = float(np.linalg.norm(Dc))
+                nD = norm(Dc)
                 if nD > 0 and inner(rg, Dc) <= -cfg.c1 * npg * nD:
                     D = Dc
                     break
@@ -336,7 +337,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
                     + 0.5 * tau * inner(Dm, Dm))
 
         a_eff = 2.0 * c1_eff ** 2 * cfg.c2 * (1.0 - cfg.c2)
-        nD = float(np.linalg.norm(D))
+        nD = norm(D)
         # achievable decreases smaller than rounding error in h itself are
         # not evidence of a bad curvature estimate; stop instead of
         # escalating kappa forever on noise
@@ -380,7 +381,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
                        "direction": used, "rho": rho, "accepted": accepted,
                        "satisfied": True, "tau": tau, "kappa": kappa})
         if accepted:
-            step = float(np.linalg.norm(Y - X))
+            step = norm(Y - X)
             X, fX = Y, fY
         if rho >= cfg.eta2:
             tau = cfg.beta0 * tau
@@ -394,7 +395,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     if not converged and it >= cfg.max_iter:
         flags.append("MaxIterReached")
     G = np.asarray(h.grad(X), dtype=float)
-    res = float(np.linalg.norm(np.minimum(X, riemannian_grad(X, G))))
+    res = norm(np.minimum(X, riemannian_grad(X, G)))
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=res, converged=converged or res <= cfg.tol,
                       flags=flags, trials=trials)

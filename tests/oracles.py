@@ -196,6 +196,30 @@ def slice_projection_scan(X, C):
     return out
 
 
+def oblique_projection_gather(C):
+    """Columnwise projection onto the nonnegative unit sphere by gathering
+    the live columns (positive part with a positive peak) into a copy.
+
+    The body penorth.manifold._project_ob_plus_raw had before it became an
+    in-place pass. Live columns are peak-scaled and divided by
+    np.linalg.norm of the gathered copy; every other column becomes the
+    coordinate vector at its largest entry. The two must agree bit for bit.
+    """
+    C = np.asarray(C, dtype=float)
+    pos = np.maximum(C, 0.0)
+    peak = pos.max(axis=0)
+    out = np.empty_like(pos)
+    ok = peak > 0
+    if ok.any():
+        scaled = pos[:, ok] / peak[ok]
+        out[:, ok] = scaled / np.linalg.norm(scaled, axis=0)
+    for j in np.nonzero(~ok)[0]:
+        e = np.zeros(C.shape[0])
+        e[int(np.argmax(C[:, j]))] = 1.0
+        out[:, j] = e
+    return out
+
+
 # --------------------------------------------------------------------------
 # exhaustive linear maximization over the feasible set (small n, k)
 

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from penorth import make_oblique
-from penorth.errors import NotTangent
-from penorth.manifold import (inner, make_tangent, project_oblique_plus,
-                              project_orthogonal_group, project_tangent_T,
+from penorth.errors import BadShape, NotTangent
+from penorth.manifold import (_project_ob_plus_raw, inner, make_tangent, norm,
+                              project_oblique_plus, project_orthogonal_group,
+                              project_tangent_T, projected_step,
                               riemannian_grad, riemannian_hess_apply)
 
 import oracles
@@ -46,6 +47,80 @@ def test_project_oblique_plus_tie_breaks_smallest_index():
     C = np.array([[-2.0], [-2.0], [-5.0]])
     M = project_oblique_plus(C)
     assert M.data[0, 0] == 1.0 and M.data[1, 0] == 0.0
+
+
+def oblique_projection_cases():
+    """Matrices in C, Fortran and strided layouts: generic, with dead
+    (nonpositive, zero or NaN) and tied columns, at extreme scales."""
+    rng = oracles.rng_for(70)
+    for n, k in [(1, 1), (1, 4), (7, 1), (6, 3), (100, 3), (5000, 20)]:
+        for scale in (1e-300, 1.0, 1e300):
+            C = scale * rng.standard_normal((n, k))
+            yield C
+            yield np.asfortranarray(C)
+            yield (scale * rng.standard_normal((2 * n, 3 * k)))[::2, ::3]
+        dead = rng.standard_normal((n, k))
+        dead[:, 0] = -np.abs(dead[:, 0])
+        dead[:, -1] = 0.0
+        yield dead
+        yield np.asfortranarray(dead)
+        ties = np.round(rng.standard_normal((n, k)))
+        ties[:, 0] = -1.0  # a dead column tied all the way down
+        yield ties
+    with_nan = rng.standard_normal((6, 3))
+    with_nan[2, 1] = np.nan
+    yield with_nan
+
+
+def test_project_ob_plus_raw_matches_gather_bit_for_bit():
+    count = 0
+    for C in oblique_projection_cases():
+        before = C.copy()
+        got = _project_ob_plus_raw(C)
+        want = oracles.oblique_projection_gather(C)
+        assert got.tobytes() == want.tobytes(), C
+        assert got.strides == want.strides  # same memory layout
+        assert np.array_equal(C, before, equal_nan=True)
+        count += 1
+    assert count == 73
+
+
+def test_project_oblique_plus_leaves_argument_unchanged():
+    rng = oracles.rng_for(71)
+    for C in (rng.standard_normal((50, 4)),
+              np.asfortranarray(rng.standard_normal((50, 4))),
+              -np.ones((5, 2))):
+        before = C.copy()
+        project_oblique_plus(C)
+        assert C.tobytes() == before.tobytes()
+
+
+def test_projected_step_matches_expression_bit_for_bit():
+    """Values and memory layout of _project_ob_plus_raw(X - alpha * G) for
+    every pairing of C-ordered, Fortran-ordered, strided and reversed X and
+    G (a Fortran-ordered gradient must not make the iterate Fortran-ordered
+    when X is C-ordered)."""
+    rng = oracles.rng_for(72)
+    for n, k in [(1, 1), (1, 4), (7, 1), (6, 3), (5000, 20)]:
+        def layouts():
+            A = rng.standard_normal((n, k))
+            big = rng.standard_normal((2 * n, 3 * k))
+            return [A, np.asfortranarray(A), big[::2, ::3],
+                    np.asfortranarray(big)[::2, ::3], A[::-1]]
+        for X in layouts():
+            for G in layouts():
+                want = _project_ob_plus_raw(X - 0.7 * G)
+                got = projected_step(X, 0.7, G)
+                assert got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_oblique_plus_rejects_non_finite(bad):
+    C = np.array([[1.0, 1.0], [1.0, 2.0]])
+    C[0, 0] = bad
+    with pytest.raises(BadShape):
+        project_oblique_plus(C)
 
 
 def test_riemannian_grad_is_tangent():
@@ -174,3 +249,16 @@ def test_inner_matches_tensordot_bit_for_bit(shape):
         B = np.asarray(rng.standard_normal(shape), order=order_b)
         assert inner(A, B) == float(np.tensordot(A, B))
         assert inner(A, A) == float(np.tensordot(A, A))
+
+
+@pytest.mark.parametrize("shape", [(100, 3), (5000, 20), (1, 1), (7,)])
+def test_norm_matches_linalg_norm_bit_for_bit(shape):
+    rng = oracles.rng_for(61)
+    for _ in range(20):
+        A = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6)
+        views = [A, np.asfortranarray(A), A[::-1], A[::2]]
+        if A.ndim == 2:
+            big = rng.standard_normal((2 * shape[0], 3 * shape[1]))
+            views += [A.T, big[::2, ::3]]
+        for V in views:
+            assert norm(V) == float(np.linalg.norm(V))

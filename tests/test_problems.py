@@ -12,7 +12,8 @@ from penorth import make_context, make_oblique
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
 from penorth.problems import (KindicatorsInstance, LinearObjective,
                               OnmfInstance, OnmfQuadObjective, OpnmfObjective,
-                              ProjectionInstance, TargetDistanceObjective,
+                              ProjectionInstance, ScaledLinearPenalty,
+                              TargetDistanceObjective,
                               _uniqueness_hypothesis, clustering_metrics,
                               drop_zero_columns, gap, gen_kindicators,
                               gen_onmf, gen_projection, kindicators_solve,
@@ -85,6 +86,28 @@ def test_solve_projection_on_generated_instance():
     assert rep.termination == "feasibility-tol"
     assert rep.extra["gap"] <= 1e-6
     assert rep.feasibility <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_projection_rejects_non_finite_target(bad):
+    C = gen_projection(12, 3, xi=0.5, seed=21).C
+    C[4, 1] = bad
+    with pytest.raises(BadShape):
+        solve_projection(C)
+
+
+def test_scaled_linear_penalty_grad():
+    rng = oracles.rng_for(34)
+    ctx = make_context(40, 4)
+    C = np.asfortranarray(rng.standard_normal((40, 4)))
+    X = oracles.random_unit_columns(rng, 40, 4)
+    h = ScaledLinearPenalty(C, ctx, 7.0)
+    G = h.grad(X)
+    # the cached C / sigma gives the bits of the formula
+    assert G.tobytes() == (X @ ctx.vvt - C / 7.0).tobytes()
+    # the caller owns the returned array: mutating it changes nothing
+    G[:] = 0.0
+    assert h.grad(X).tobytes() == (X @ ctx.vvt - C / 7.0).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -238,6 +261,16 @@ def test_solve_onmf_direct_variant_and_bad_variant():
     assert rep.extra["resi"] <= 1e-6
     with pytest.raises(BadShape):
         solve_onmf(inst.A, 2, variant="nope")
+
+
+@pytest.mark.parametrize("variant", ["gn", "direct"])
+def test_solve_onmf_rejects_non_matrix_or_non_finite_data(variant):
+    A = gen_onmf(18, 8, 2, xi=0.0, seed=54).A
+    with pytest.raises(BadShape):
+        solve_onmf(A[0], 2, variant=variant)
+    A[3, 5] = np.nan
+    with pytest.raises(BadShape):
+        solve_onmf(A, 2, variant=variant)
 
 
 # --------------------------------------------------------------------------
