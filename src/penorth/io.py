@@ -5,6 +5,14 @@ The MatrixMarket support is deliberately local: parse errors carry
 round trip reproduces every IEEE double bit-for-bit. Array files are
 column-major per the format definition. All writes go through a
 temp-file-plus-rename so readers never observe a partial file.
+
+Files are read as UTF-8; a byte that is not UTF-8 is a ParseError at its
+line. Array files are the inputs of every solver command, so their io is
+done in bulk rather than per entry: the writer formats all values with one
+%-operation, and the reader converts all data tokens in one pass with
+Python's float(). Only when that pass fails (a bad or non-finite token, or
+a % comment line between the values) does the reader rescan the data line
+by line, which skips the comments or raises the ParseError with its line.
 """
 from __future__ import annotations
 
@@ -32,6 +40,24 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _read_lines(path: str) -> list:
+    """The lines of a UTF-8 text file, newlines translated as open() does."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        pass
+    # read again with each undecodable byte b turned into the lone surrogate
+    # U+DC00 + b, which valid UTF-8 never yields, to find its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = next((ch for ch in line if "\udc80" <= ch <= "\udcff"), None)
+            if bad is not None:
+                raise ParseError(
+                    f"not UTF-8 text (byte 0x{ord(bad) - 0xdc00:02x})", lineno)
+    raise ParseError("not UTF-8 text")
+
+
 def _parse_float(tok: str, lineno: int) -> float:
     try:
         v = float(tok)
@@ -43,8 +69,7 @@ def _parse_float(tok: str, lineno: int) -> float:
 
 
 def _read_mm(path: str) -> np.ndarray:
-    with open(path, "r") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty file", 1)
     banner = lines[0].split()
@@ -78,13 +103,19 @@ def _read_mm(path: str) -> np.ndarray:
                              size_line) from None
         if n < 1 or k < 1:
             raise ParseError(f"bad dimensions {n} x {k}", size_line)
-        vals = []
-        for off, raw in enumerate(lines[idx + 1:], start=size_line + 1):
-            s = raw.strip()
-            if not s or s.startswith("%"):
-                continue
-            for tok in s.split():
-                vals.append(_parse_float(tok, off))
+        tokens = "".join(lines[idx + 1:]).split()
+        try:
+            vals = np.fromiter(map(float, tokens), float, count=len(tokens))
+        except ValueError:  # a bad token, or a '%' comment among the values
+            vals = None
+        if vals is None or not np.isfinite(vals).all():
+            vals = []
+            for off, raw in enumerate(lines[idx + 1:], start=size_line + 1):
+                s = raw.strip()
+                if not s or s.startswith("%"):
+                    continue
+                for tok in s.split():
+                    vals.append(_parse_float(tok, off))
         if len(vals) != n * k:
             raise DimensionMismatch(
                 f"expected {n * k} entries for {n} x {k}, found {len(vals)}")
@@ -124,19 +155,18 @@ def _read_mm(path: str) -> np.ndarray:
 def _read_csv(path: str) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            toks = [t for t in s.split(",")]
-            row = [_parse_float(t.strip(), lineno) for t in toks]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    f"row has {len(row)} fields, expected {width}", lineno)
-            rows.append(row)
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        s = raw.strip()
+        if not s or s.startswith("#"):
+            continue
+        toks = [t for t in s.split(",")]
+        row = [_parse_float(t.strip(), lineno) for t in toks]
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(
+                f"row has {len(row)} fields, expected {width}", lineno)
+        rows.append(row)
     if not rows:
         raise ParseError("no data rows", 1)
     return np.array(rows)
@@ -169,10 +199,10 @@ def write_matrix(path: str, M, fmt: str = None) -> None:
     fmt = _infer_format(path, fmt)
     if fmt == "mm":
         n, k = M.shape
-        parts = ["%%MatrixMarket matrix array real general\n", f"{n} {k}\n"]
         flat = M.T.ravel()  # column-major
-        parts.extend("%.17g\n" % v for v in flat)
-        _atomic_write_text(path, "".join(parts))
+        body = ("%.17g\n" * flat.size) % tuple(flat.tolist())
+        _atomic_write_text(path, "%%MatrixMarket matrix array real general\n"
+                           f"{n} {k}\n" + body)
     else:
         lines = (",".join("%.17g" % v for v in row) for row in M)
         _atomic_write_text(path, "\n".join(lines) + "\n")

@@ -27,12 +27,12 @@ carried into the next iteration instead of being computed again.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 from collections import deque
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
 # project_delta is re-exported for callers that import it from here
@@ -41,12 +41,25 @@ from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
                        projected_step, riemannian_grad)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
-_GMRES_TOL_KW = "rtol" if "rtol" in inspect.signature(gmres).parameters else "tol"
+
+@functools.cache
+def _krylov():
+    """scipy.sparse.linalg and the name of its gmres's relative-tolerance
+    keyword ("tol" before scipy 1.12).
+
+    Imported on the first semismooth-Newton solve, not with the package:
+    the module takes about 0.35 s to import and only the Newton path uses it.
+    """
+    from scipy.sparse import linalg
+    params = inspect.signature(linalg.gmres).parameters
+    return linalg, "rtol" if "rtol" in params else "tol"
 
 
-def _gmres(op, rhs, rtol, maxiter):
-    kwargs = {_GMRES_TOL_KW: rtol, "atol": 0.0, "maxiter": maxiter}
-    return gmres(op, rhs, **kwargs)
+def gmres(op, rhs, rtol, maxiter):
+    """scipy's GMRES on the operator op: relative tolerance rtol, no
+    absolute tolerance. Returns (solution, info) as scipy does."""
+    linalg, tol_kw = _krylov()
+    return linalg.gmres(op, rhs, **{tol_kw: rtol, "atol": 0.0, "maxiter": maxiter})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,9 +247,10 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
                              np.einsum("ij,ij->j", Xd, Wa) / safe_den, 0.0)
             return (H - (Wa - xa * scale)).ravel()
 
-        op = LinearOperator((n * k, n * k), matvec=jac_apply)
-        sol, code = _gmres(op, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
-                           maxiter=200)
+        linalg, _ = _krylov()
+        op = linalg.LinearOperator((n * k, n * k), matvec=jac_apply)
+        sol, code = gmres(op, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
+                          maxiter=200)
         stepped = False
         if code == 0 and np.isfinite(sol).all():
             H = sol.reshape(n, k)

@@ -7,6 +7,7 @@ the 0/2/3 contract (success / bad input / solver failure).
 """
 import json
 import os
+import pathlib
 import shlex
 
 import click
@@ -44,15 +45,47 @@ def test_matrix_round_trip_bit_identical(tmp_path, ext):
     pio.write_matrix(p, M)
     back = pio.read_matrix(p)
     assert back.shape == M.shape
-    # bit-for-bit, not approx: %.17g must reproduce every double
-    assert np.array_equal(back, M)
+    # bit-for-bit, not approx: %.17g must reproduce every double, and the
+    # sign of the planted -0.0, which np.array_equal would not see
+    assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+    if ext != ".csv":
+        # the array file is column-major: a Fortran-ordered view
+        assert back.strides == (8, 8 * M.shape[0])
+        assert back.flags.f_contiguous
 
 
 def test_write_matrix_array_is_column_major(tmp_path):
-    p = str(tmp_path / "m.mtx")
-    pio.write_matrix(p, np.array([[1.0, 3.0], [2.0, 4.0]]))
-    body = [s for s in open(p).read().splitlines()[2:] if s]
+    p = tmp_path / "m.mtx"
+    pio.write_matrix(str(p), np.array([[1.0, 3.0], [2.0, 4.0]]))
+    body = [s for s in p.read_text().splitlines()[2:] if s]
     assert [float(s) for s in body] == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_write_matrix_array_golden_bytes(tmp_path):
+    M = awkward_matrix()
+    p = tmp_path / "m.mtx"
+    pio.write_matrix(str(p), M)
+    expected = ("%%MatrixMarket matrix array real general\n6 4\n"
+                + "".join("%.17g\n" % v for v in M.T.ravel()))
+    assert p.read_bytes() == expected.encode()
+
+
+BANNER = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize("text", [
+    BANNER + "3 2\n1\n2\n% interior comment\n\n3\n4\n\n%\n5\n6\n",
+    BANNER + "3 2\n1 2 3\n4   5\t6\n",
+    (BANNER + "3 2\n1\n2\n% c\n3\n4\n5\n6\n").replace("\n", "\r\n"),
+    BANNER + "3 2\n1\n2\n3\n4\n5\n6",
+], ids=["comments-and-blanks", "several-per-line", "crlf",
+        "no-final-newline"])
+def test_read_matrix_array_layouts(tmp_path, text):
+    p = tmp_path / "m.mtx"
+    p.write_bytes(text.encode())
+    M = pio.read_matrix(str(p))
+    assert np.array_equal(M, np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]))
+    assert M.strides == (8, 24)
 
 
 def test_read_matrix_coordinate_sums_duplicates(tmp_path):
@@ -77,6 +110,11 @@ def test_read_matrix_parse_errors_carry_line_numbers(tmp_path):
         ("bad index", "%%MatrixMarket matrix coordinate real general\n"
                       "2 2 1\n5 1 1.0\n", 3),
         ("non-finite", "%%MatrixMarket matrix array real general\n1 1\nnan\n", 3),
+        ("bad value after comment", BANNER + "2 2\n1\n% note\n\n2\n3 xyz\n", 7),
+        ("inf", BANNER + "2 1\n1\ninf\n", 4),
+        ("-inf among comments", BANNER + "% a\n2 2\n%\n1 2 -inf\n4\n", 5),
+        ("bad value, crlf", BANNER.replace("\n", "\r\n") + "2 1\r\n1\r\n2,\r\n", 4),
+        ("bad value, no final newline", BANNER + "2 1\n1\n2x", 4),
     ]
     for name, text, lineno in cases:
         p = str(tmp_path / "bad.mtx")
@@ -137,7 +175,7 @@ def test_report_round_trip_and_sanitization(tmp_path):
     # deterministic bytes: same payload, same file
     q = str(tmp_path / "r2.json")
     pio.write_report(q, payload)
-    assert open(p, "rb").read() == open(q, "rb").read()
+    assert pathlib.Path(p).read_bytes() == pathlib.Path(q).read_bytes()
 
 
 def test_manifest_round_trip(tmp_path):
@@ -203,9 +241,9 @@ def test_cli_gen_is_deterministic(tmp_path):
         r = invoke(["gen-onmf", "--n", "15", "--r", "8", "--k", "3",
                     "--xi", "0.1", "--seed", "9", "--out", out])
         assert r.exit_code == 0, r.output
-    assert open(a, "rb").read() == open(b, "rb").read()
-    la = open(str(tmp_path / "a_labels.csv"), "rb").read()
-    lb = open(str(tmp_path / "b_labels.csv"), "rb").read()
+    assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+    la = (tmp_path / "a_labels.csv").read_bytes()
+    lb = (tmp_path / "b_labels.csv").read_bytes()
     assert la == lb
 
 
@@ -262,7 +300,7 @@ def test_cli_kindicators_labels_file(tmp_path):
     assert r.exit_code == 0, r.output
     rep = pio.read_report(rep_path)
     assert rep["metrics"]["purity"] == 1.0
-    pred = [int(s) for s in open(pred_path).read().split()]
+    pred = [int(s) for s in pathlib.Path(pred_path).read_text().split()]
     assert len(pred) == 25
 
 
@@ -314,6 +352,20 @@ def test_cli_exit_codes(tmp_path):
     assert "solver failure" in r.output
 
 
+@pytest.mark.parametrize("ext", [".mtx", ".csv"])
+def test_cli_non_utf8_input_is_a_parse_error(tmp_path, ext):
+    p = tmp_path / f"f{ext}"
+    p.write_bytes(b"\xff\xfe%%MatrixMarket matrix array real general\n")
+    r = invoke(["project", "--in", str(p)])
+    assert r.exit_code == 2
+    assert "error: line 1: not UTF-8 text (byte 0xff)" in r.output
+    # the line is that of the first undecodable byte, CRLF counted once
+    p.write_bytes(b"1,2\r\n3,4\r\n5,\xe96\r\n")
+    r = invoke(["project", "--in", str(p)])
+    assert r.exit_code == 2
+    assert "error: line 3: not UTF-8 text (byte 0xe9)" in r.output
+
+
 def test_cli_config_file_overrides(tmp_path):
     inst = str(tmp_path / "c.mtx")
     r = invoke(["gen-projection", "--n", "8", "--k", "2", "--xi", "0.3",
@@ -356,7 +408,7 @@ def test_cli_bench_table_onmf_smoke(tmp_path):
 
 def readme_cli_lines():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    text = open(path).read()
+    text = pathlib.Path(path).read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines()
             if line.startswith("penorth ")]

@@ -5,6 +5,11 @@ exhaustive active-set enumeration, which is exact for positive-definite
 models, so agreement here certifies the fixed-point machinery end to end.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -362,3 +367,31 @@ def test_newton_budget_flag():
     X, rep = newton_solve(h, X0, NewtonConfig(max_iter=1, tol=1e-14))
     assert not rep.converged
     assert "MaxIterReached" in rep.flags
+
+
+# --------------------------------------------------------------------------
+# start-up cost
+
+
+def test_krylov_module_loads_on_first_newton_solve():
+    # scipy.sparse.linalg (about 0.35 s to import) is needed by the GMRES
+    # step of the semismooth-Newton solver only; a fresh process checks
+    # that importing penorth and a first-order solve leave it unloaded
+    code = textwrap.dedent("""
+        import sys
+        import penorth
+        from penorth import subsolvers
+        from penorth.problems import (gen_onmf, gen_projection, solve_onmf,
+                                      solve_projection)
+        assert callable(vars(subsolvers)["gmres"])
+        solve_projection(gen_projection(30, 3, 0.5, seed=1).C)
+        print("scipy.sparse.linalg" in sys.modules)
+        solve_onmf(gen_onmf(20, 10, 3, xi=0.0, seed=13).A, 3, variant="gn")
+        print("scipy.sparse.linalg" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subsolvers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "True"]
