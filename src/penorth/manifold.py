@@ -8,6 +8,7 @@ nonnegativity constraint is handled by the projections, not the metric.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
@@ -19,21 +20,21 @@ TANGENT_BUILD_TOL = 1e-10
 TANGENT_CHECK_TOL = 1e-8
 
 
-def norm(A) -> float:
+def norm(A: np.ndarray) -> float:
     """Frobenius norm sqrt(<A, A>), the same bits as np.linalg.norm(A).
 
     numpy's own path for an axis-free 2-norm (ravel in memory order, one
     dot, sqrt), without the generic wrapper's argument handling.
     """
-    a = np.ravel(A, "K")
-    return float(np.sqrt(np.dot(a, a)))
+    a = A.ravel("K")
+    return float(np.sqrt(a.dot(a)))
 
 
-def inner(A, B) -> float:
+def inner(A: np.ndarray, B: np.ndarray) -> float:
     """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean metric."""
     # one BLAS dot over the row-major entries: the same bits as
     # np.tensordot(A, B), without its reshaping overhead
-    return float(np.dot(np.ravel(A), np.ravel(B)))
+    return float(A.ravel().dot(B.ravel()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,6 +140,21 @@ def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Columnwise slice projection: z_j solves min ||z - c_j|| over
     x_j^T z = 1, z >= 0, for nonnegative anchors x_j.
 
+    slice_projector(X)(C) after shape checks; see slice_projector for the
+    method. Raises NegativeEntry when an anchor has a negative entry,
+    InfeasibleSupport when an anchor has no positive entry (empty slice).
+    """
+    X = np.asarray(X, dtype=float)
+    C = np.asarray(C, dtype=float)
+    if X.shape != C.shape or X.ndim != 2:
+        raise BadShape(f"need matching matrices, got {X.shape} and {C.shape}")
+    return slice_projector(X)(C)
+
+
+def slice_projector(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The columnwise slice projection onto {z : x_j^T z = 1, z >= 0} for
+    the fixed anchors X, as a function of the target C.
+
     Entries where x_ij = 0 decouple and project to max(c_ij, 0). On the
     support z_ij = max(c_ij - lam_j x_ij, 0), and the multiplier lam_j
     comes from a descending scan over the breakpoints c_ij/x_ij: with the
@@ -148,13 +164,17 @@ def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     columns are scanned at once; each column's arithmetic is the same as
     a scan of that column alone.
 
+    The anchors are checked, and everything that depends on them alone is
+    formed, once, when the projector is built: a solver that projects many
+    targets onto the slices of one point pays for it once. The projector
+    takes float arrays of X's shape and does not check them.
+
     Raises NegativeEntry when an anchor has a negative entry,
     InfeasibleSupport when an anchor has no positive entry (empty slice).
     """
     X = np.asarray(X, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if X.shape != C.shape or X.ndim != 2:
-        raise BadShape(f"need matching matrices, got {X.shape} and {C.shape}")
+    if X.ndim != 2:
+        raise BadShape(f"slice anchors must form a matrix, got shape {X.shape}")
     if (X < 0).any():
         raise NegativeEntry("slice anchor has a negative entry")
     supp = X > 0
@@ -164,22 +184,38 @@ def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
             f"anchor column {int(np.argmin(has_supp))} has no positive entry")
     n, k = X.shape
     cols = np.arange(k)
-    # stable sort by descending breakpoint; the NaN keys off the support
-    # sort last, so each column starts with its support in the order a
-    # scan of that column alone would visit it
-    key = -(np.where(supp, C, np.nan) / X)
-    order = np.argsort(key, axis=0, kind="stable")
-    xo = X[order, cols]
-    co = C[order, cols]
-    lam = (np.cumsum(xo * co, axis=0) - 1.0) / np.cumsum(xo * xo, axis=0)
-    # no comparison with a NaN key holds, and past the support both sums
-    # add exact zeros (finite targets), so a column that does not stop on
-    # its support keeps its last support lam down to the last row, which
-    # always stops
-    stop = np.ones((n, k), dtype=bool)
-    np.greater_equal(lam[:-1], -key[order[1:], cols], out=stop[:-1])
-    lam_star = lam[np.argmax(stop, axis=0), cols]
-    return np.where(supp, np.maximum(C - lam_star * X, 0.0), np.maximum(C, 0.0))
+    # the sort key is the negated breakpoint -(c/x), computed as c/(-x):
+    # rounding is symmetric in sign, so the bits are the same; the NaN
+    # marks entries off the support
+    neg_x = np.where(supp, -X, np.nan)
+    xx = X * X
+
+    def project(C: np.ndarray) -> np.ndarray:
+        # stable sort by descending breakpoint; the NaN keys off the support
+        # sort last, so each column starts with its support in the order a
+        # scan of that column alone would visit it
+        key = C / neg_x
+        # flat indices of the sorted entries into the row-major order take
+        # gathers in
+        flat = key.argsort(axis=0, kind="stable")
+        flat *= k
+        flat += cols
+        xo = X.take(flat)
+        lam = (xo * C.take(flat)).cumsum(axis=0)
+        lam -= 1.0
+        lam /= xx.take(flat).cumsum(axis=0)
+        # no comparison with a NaN key holds, and past the support both sums
+        # add exact zeros (finite targets), so a column that does not stop on
+        # its support keeps its last support lam down to the last row, which
+        # always stops
+        stop = np.empty((n, k), dtype=bool)
+        stop[-1] = True
+        np.greater_equal(lam[:-1], -key.take(flat[1:]), out=stop[:-1])
+        lam_star = lam.take(stop.argmax(axis=0) * k + cols)
+        return np.where(supp, np.maximum(C - lam_star * X, 0.0),
+                        np.maximum(C, 0.0))
+
+    return project
 
 
 def riemannian_grad(X, G) -> np.ndarray:

@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
-from .manifold import (inner, riemannian_grad, riemannian_hess_apply,
+from .manifold import (inner, norm, riemannian_grad, riemannian_hess_apply,
                        TangentDirection)
 from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
                     oblique_data, support_pattern, SUPPORT_ZERO_TOL)
@@ -140,7 +140,7 @@ class PenalizedObjective(Objective):
         self.params = params
 
     def _scalars(self, X):
-        s = float(np.linalg.norm(X @ self.ctx.V))
+        s = norm(X @ self.ctx.V)
         return (s,) + _penalty_scalars(s, self.params)
 
     def evaluate(self, X) -> PenaltyEval:
@@ -163,14 +163,30 @@ class PenalizedObjective(Objective):
     def grad(self, X):
         return self.f.grad(X) + self.term_grad(X)
 
-    def hess_apply(self, X, D):
+    def hess_at(self, X):
+        """The Hessian at X as an operator D -> H[D]: the scalars, X V V^T
+        and f's Hessian operator are formed once, here.
+
+        Where the curvature is undefined the operator raises
+        SingularCurvature when applied, not when built.
+        """
         s, _, _, c, cps = self._scalars(X)
-        if not np.isfinite(cps) or not np.isfinite(c):
-            raise SingularCurvature(
-                f"penalty curvature undefined at s={s!r} with p={self.params.p!r}")
-        Xv = X @ self.ctx.vvt
-        return self.f.hess_apply(X, D) + self.params.sigma * (
-            c * (D @ self.ctx.vvt) + cps * inner(Xv, D) * Xv)
+        singular = not np.isfinite(cps) or not np.isfinite(c)
+        sigma = self.params.sigma
+        vvt = self.ctx.vvt
+        Xv = X @ vvt
+        f_hess = self.f.hess_at(X)
+
+        def apply(D):
+            if singular:
+                raise SingularCurvature(
+                    f"penalty curvature undefined at s={s!r} with p={self.params.p!r}")
+            return f_hess(D) + sigma * (c * (D @ vvt) + cps * inner(Xv, D) * Xv)
+
+        return apply
+
+    def hess_apply(self, X, D):
+        return self.hess_at(X)(D)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -160,14 +160,23 @@ class OpnmfObjective(Objective):
         WX = self._wx(X)
         return 2.0 * (-2.0 * WX + WX @ (X.T @ X) + X @ (X.T @ WX))
 
-    def hess_apply(self, X, D):
-        D = np.asarray(D, dtype=float)
+    def hess_at(self, X):
+        # the products of X with itself and the data are formed once
         WX = self._wx(X)
-        WD = self._wx(D)
         XtX = X.T @ X
-        cross = D.T @ X
-        return 2.0 * (-2.0 * WD + WD @ XtX + WX @ (cross + cross.T)
-                      + D @ (X.T @ WX) + X @ (D.T @ WX + X.T @ WD))
+        XtWX = X.T @ WX
+
+        def apply(D):
+            D = np.asarray(D, dtype=float)
+            WD = self._wx(D)
+            cross = D.T @ X
+            return 2.0 * (-2.0 * WD + WD @ XtX + WX @ (cross + cross.T)
+                          + D @ XtWX + X @ (D.T @ WX + X.T @ WD))
+
+        return apply
+
+    def hess_apply(self, X, D):
+        return self.hess_at(X)(D)
 
     def refine_quadratic_submatrix(self, idx):
         As = self.A[idx, :]

@@ -14,15 +14,25 @@ Two families:
   projected steepest-descent direction, screens trial points against a
   guaranteed model-decrease bound, and accepts by actual/predicted ratio.
 
-The per-column slice projection project_delta_cols (onto
-{z : x^T z = 1, z >= 0}, in manifold.py) is the geometric workhorse shared
-by the tangent-cone projection and the semismooth Newton solver. It
-projects all columns in one batched pass, with no Python loop over
-columns or breakpoints. Each evaluation of the semismooth Newton
-fixed-point map costs one such projection and one Hessian product, so
-solve_qp_subproblem evaluates the map once per point: the image of an
-accepted line-search trial, or of the fixed-point fallback step, is
-carried into the next iteration instead of being computed again.
+The per-column slice projection (onto {z : x^T z = 1, z >= 0}, in
+manifold.py) is the geometric workhorse shared by the tangent-cone
+projection and the semismooth Newton solver. It projects all columns in
+one batched pass, with no Python loop over columns or breakpoints. Each
+evaluation of the semismooth Newton fixed-point map costs one such
+projection and one Hessian product, so solve_qp_subproblem evaluates the
+map once per point: the image of an accepted line-search trial, or of the
+fixed-point fallback step, is carried into the next iteration instead of
+being computed again.
+
+What depends on the point alone is formed once per point. Every
+projection of one QP solve is onto the slices of the same anchor, so the
+solve builds one slice_projector, which checks the anchor and keeps its
+support once. The Hessian stays fixed for a whole Newton iteration, so
+newton_solve builds the objective's operator hess_at(X) once per
+iteration and applies it in every QP and model evaluation. GMRES gets
+its Jacobian operator with an explicit float dtype: without one, scipy
+infers the dtype by applying the operator to a zero vector, one full
+Hessian product per GMRES call that is thrown away.
 """
 from __future__ import annotations
 
@@ -35,10 +45,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SolverError
-# project_delta is re-exported for callers that import it from here
+# project_delta and project_delta_cols are re-exported for callers that
+# import them from here
 from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
                        project_delta, project_delta_cols, project_tangent_T,
-                       projected_step, riemannian_grad)
+                       projected_step, riemannian_grad, slice_projector)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
 
@@ -215,10 +226,11 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
     Xd = X.data
     n, k = Xd.shape
     grad_m = np.asarray(grad_m, dtype=float)
+    project = slice_projector(Xd)
 
     def fixed_point(Z):
         Gm = grad_m + hess_m_apply(Z - Xd)
-        return project_delta_cols(Xd, Z - alpha * Gm)
+        return project(Z - alpha * Gm)
 
     Z = fixed_point(Xd)  # one projected-gradient step from D = 0
     PC = fixed_point(Z)  # kept equal to fixed_point(Z) as Z moves
@@ -248,7 +260,8 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
             return (H - (Wa - xa * scale)).ravel()
 
         linalg, _ = _krylov()
-        op = linalg.LinearOperator((n * k, n * k), matvec=jac_apply)
+        op = linalg.LinearOperator((n * k, n * k), matvec=jac_apply,
+                                   dtype=float)
         sol, code = gmres(op, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
                           maxiter=200)
         stepped = False
@@ -310,11 +323,13 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
             converged = True  # no feasible first-order descent direction left
             break
 
+        hess = h.hess_at(X)
+
         def hess_r(W):
             # Riemannian Hessian formula extended linearly off the tangent
             # space; the semismooth solver needs a linear operator on all
             # of R^{n x k}
-            return np.asarray(h.hess_apply(X, W), dtype=float) - W * radial
+            return np.asarray(hess(W), dtype=float) - W * radial
 
         # -- direction: semismooth Newton, angle-validated ------------------
         D = None
@@ -347,7 +362,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         def m_val(Y):
             Dm = Y - X
             return (inner(G, Dm)
-                    + 0.5 * inner(Dm, h.hess_apply(X, Dm))
+                    + 0.5 * inner(Dm, np.asarray(hess(Dm), dtype=float))
                     + 0.5 * tau * inner(Dm, Dm))
 
         a_eff = 2.0 * c1_eff ** 2 * cfg.c2 * (1.0 - cfg.c2)

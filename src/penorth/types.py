@@ -46,9 +46,6 @@ class ObliqueMatrix:
     n: int
     k: int
 
-    def copy_data(self) -> np.ndarray:
-        return self.data.copy()
-
 
 def make_oblique(data, *, copy: bool = True) -> ObliqueMatrix:
     """Validate and wrap a matrix as a point on the nonnegative oblique manifold.
@@ -161,9 +158,6 @@ class PenaltyParams:
         if self.p >= 1 and self.eps != 0:
             raise BadShape("eps must be 0 when p >= 1")
 
-    def with_sigma(self, sigma: float) -> "PenaltyParams":
-        return dataclasses.replace(self, sigma=sigma)
-
 
 @dataclasses.dataclass(frozen=True)
 class SupportPattern:
@@ -205,8 +199,12 @@ class Objective:
     """Smooth objective f on n-by-k matrices.
 
     Subclasses implement value/grad (Euclidean) and, if a second-order
-    subsolver is to be used, hess_apply. The refine_* hooks describe the
-    structure the support-restricted postprocessing step can exploit:
+    subsolver is to be used, hess_apply. The optional hess_at(X) returns
+    the Hessian at X as an operator D -> hess_apply(X, D); the Newton
+    solver builds it once per iterate and applies it many times, so an
+    objective may override it to form what depends on X alone only once.
+    The refine_* hooks describe the structure the support-restricted
+    postprocessing step can exploit:
 
         refine_kind == "linear":          f decreases with <refine_linear_C(), X>
                                           increasing (f = const - <C, X> on the
@@ -227,6 +225,9 @@ class Objective:
 
     def hess_apply(self, X: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def hess_at(self, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda D: self.hess_apply(X, D)
 
     def refine_linear_C(self) -> np.ndarray:
         raise NotImplementedError

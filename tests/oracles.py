@@ -196,6 +196,53 @@ def slice_projection_scan(X, C):
     return out
 
 
+def penalized_hess_apply(f_hess, V, params, X, D):
+    """Euclidean Hessian of f + sigma * (||X V||_F^q - 1 + eps)^p applied
+    to D, everything recomputed from X on the call.
+
+    The body penorth.penalty.PenalizedObjective.hess_apply had before its
+    point-dependent part moved into hess_at; f_hess(D) is f's Hessian at X
+    applied to D. Its arithmetic is the same operation for operation, so
+    the two must agree bit for bit. Returns None where the curvature is
+    undefined (p < 1 at zero residual).
+    """
+    p, q, eps, sigma = params.p, params.q, params.eps, params.sigma
+    vvt = V @ V.T
+    s = float(np.linalg.norm(X @ V))
+    base = max(s ** q - 1.0 + eps, 0.0)
+    if p == 1.0:
+        fac = 1.0
+    elif base > 0:
+        fac = base ** (p - 1.0)
+    else:
+        fac = np.inf if p < 1 else 0.0
+    c = p * q * fac * s ** (q - 2.0)
+    tail = 0.0
+    if p != 1.0:
+        if base > 0:
+            tail += (p - 1.0) * q * s ** (q - 2.0) / base
+        elif p < 1:
+            return None
+    if q != 2.0:
+        tail += (q - 2.0) / (s * s)
+    cps = c * tail
+    Xv = X @ vvt
+    return f_hess(D) + sigma * (
+        c * (D @ vvt) + cps * float(np.tensordot(Xv, D)) * Xv)
+
+
+def opnmf_hess_apply(A, X, D):
+    """Euclidean Hessian of ||A - X X^T A||_F^2 at X applied to D, every
+    product formed on the call: the body
+    penorth.problems.OpnmfObjective.hess_apply had before hess_at."""
+    WX = A @ (A.T @ X)
+    WD = A @ (A.T @ D)
+    XtX = X.T @ X
+    cross = D.T @ X
+    return 2.0 * (-2.0 * WD + WD @ XtX + WX @ (cross + cross.T)
+                  + D @ (X.T @ WX) + X @ (D.T @ WX + X.T @ WD))
+
+
 def oblique_projection_gather(C):
     """Columnwise projection onto the nonnegative unit sphere by gathering
     the live columns (positive part with a positive peak) into a copy.

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from penorth import make_context, make_oblique
-from penorth.errors import NotFeasible
+from penorth.errors import NotFeasible, SingularCurvature
 from penorth.penalty import (PenalizedObjective, check_stationarity_original,
                              kkt_residual_subproblem, penalty_rgrad,
                              penalty_rhess_apply, penalty_value, zeta)
-from penorth.problems import LinearObjective
+from penorth.problems import (LinearObjective, OnmfQuadObjective,
+                              OpnmfObjective)
 from penorth.types import PenaltyParams
 
 import oracles
@@ -187,3 +188,52 @@ def test_stationarity_check_requires_feasible_input():
     X = np.full((4, 2), 0.5)  # unit columns but far from orthogonal
     with pytest.raises(NotFeasible):
         check_stationarity_original(X, LinearObjective(np.zeros((4, 2))))
+
+
+# --------------------------------------------------------------------------
+# Hessian operator built once per point
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p,eps", [(1.0, 0.0), (2.0, 0.0), (0.5, 0.1)])
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_hess_at_matches_per_call_body_bit_for_bit(p, q, eps):
+    rng = oracles.rng_for(70)
+    n, k = 30, 3
+    A = rng.random((n, 12))
+    X = oracles.random_unit_columns(rng, n, k)
+    ctx = make_context(n, k)
+    params = PenaltyParams(sigma=0.7, p=p, q=q, eps=eps)
+    quad = OnmfQuadObjective(A, rng.random((12, k)))
+    cases = [(quad, lambda D: quad.hess_apply(X, D)),
+             (OpnmfObjective(A), lambda D: oracles.opnmf_hess_apply(A, X, D))]
+    for f, f_hess in cases:
+        h = PenalizedObjective(f, ctx, params)
+        hess = h.hess_at(X)
+        for order in ("C", "F"):
+            for _ in range(3):
+                D = np.asarray(rng.standard_normal((n, k)), order=order)
+                want = oracles.penalized_hess_apply(f_hess, ctx.V, params, X, D)
+                assert same_bits(hess(D), want)
+                assert same_bits(h.hess_apply(X, D), want)
+
+
+def test_hess_at_raises_singular_curvature_on_apply_not_build():
+    # p < 1 without smoothing: the curvature blows up at zero residual,
+    # which every feasible point has
+    X = oracles.random_feasible(oracles.rng_for(71), 6, 2)
+    ctx = make_context(6, 2)
+    h = PenalizedObjective(LinearObjective(np.ones((6, 2))), ctx,
+                           PenaltyParams(sigma=1.0, p=0.5, q=2.0, eps=0.0))
+    hess = h.hess_at(X)
+    D = np.ones((6, 2))
+    # the per-call reference finds the curvature undefined here too
+    assert oracles.penalized_hess_apply(lambda D: 0.0 * D, ctx.V, h.params,
+                                        X, D) is None
+    with pytest.raises(SingularCurvature):
+        hess(D)
+    with pytest.raises(SingularCurvature):
+        h.hess_apply(X, D)

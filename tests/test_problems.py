@@ -148,6 +148,21 @@ def test_opnmf_objective_fd():
         assert np.allclose(f.hess_apply(X, D), hd, atol=1e-5)
 
 
+def test_opnmf_hess_at_matches_per_call_body_bit_for_bit():
+    rng = oracles.rng_for(34)
+    A = rng.random((40, 15))
+    f = OpnmfObjective(A)
+    X = oracles.random_unit_columns(rng, 40, 3)
+    hess = f.hess_at(X)
+    for order in ("C", "F"):
+        for _ in range(3):
+            D = np.asarray(rng.standard_normal((40, 3)), order=order)
+            want = oracles.opnmf_hess_apply(A, X, D)
+            for got in (hess(D), f.hess_apply(X, D)):
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+
+
 def test_refine_submatrix_is_data_gram():
     rng = oracles.rng_for(33)
     A = rng.random((9, 4))
@@ -261,6 +276,22 @@ def test_solve_onmf_direct_variant_and_bad_variant():
     assert rep.extra["resi"] <= 1e-6
     with pytest.raises(BadShape):
         solve_onmf(inst.A, 2, variant="nope")
+
+
+@pytest.mark.parametrize("variant", ["gn", "direct"])
+@pytest.mark.parametrize("n, k", [(12, 1), (3, 3)])
+def test_solve_onmf_edge_shapes_on_newton_path(variant, n, k):
+    # k = 1 has no orthogonality to enforce; with n = k every column of
+    # the answer is supported on a single row
+    inst = gen_onmf(n, 8, k, xi=0.1, seed=1)
+    rep = solve_onmf(inst.A, k, variant=variant)
+    assert any(h["solver"] == "newton" for h in rep.history)
+    assert rep.feasibility <= 1e-12
+    assert feasibility_violation(rep.final) <= 1e-12
+    if n == k:  # a permutation matrix
+        assert np.isin(rep.final, (0.0, 1.0)).all()
+        assert (rep.final.sum(axis=0) == 1.0).all()
+        assert (rep.final.sum(axis=1) == 1.0).all()
 
 
 @pytest.mark.parametrize("variant", ["gn", "direct"])

@@ -15,6 +15,7 @@ import pytest
 
 from penorth import make_context, make_oblique
 from penorth.errors import InfeasibleSupport, NegativeEntry
+from penorth.manifold import slice_projector
 from penorth.penalty import PenalizedObjective
 from penorth.problems import TargetDistanceObjective
 from penorth import subsolvers
@@ -118,6 +119,32 @@ def test_project_delta_cols_matches_scan_bit_for_bit():
         assert got.tobytes() == want.tobytes(), (X, C)
         count += 1
     assert count == 78
+
+
+def test_slice_projector_reused_matches_scan_bit_for_bit():
+    # one projector per anchor, applied to several targets in turn: what
+    # it keeps from the anchor must not change between calls
+    count = 0
+    for X, C in slice_projection_cases():
+        project = slice_projector(X)
+        for T in (C, -C, 3.0 * C, C):
+            got = project(T)
+            want = oracles.slice_projection_scan(X, T)
+            assert got.tobytes() == want.tobytes(), (X, T)
+        count += 1
+    assert count == 78
+
+
+def test_slice_projector_checks_anchor_when_built():
+    X = np.array([[1.0, 0.6, 1.0], [0.0, 0.8, 0.0]])
+    Xn = X.copy()
+    Xn[1, 2] = -0.1
+    with pytest.raises(NegativeEntry):
+        slice_projector(Xn)
+    Xz = X.copy()
+    Xz[:, 1] = 0.0
+    with pytest.raises(InfeasibleSupport):
+        slice_projector(Xz)
 
 
 def test_project_delta_cols_rejects_bad_anchor_column():
@@ -278,12 +305,17 @@ def test_qp_residual_is_of_returned_point(monkeypatch, max_iter, converged):
     alpha = 1.0 / (np.linalg.eigvalsh(M)[-1] + 1)
     images = []
 
-    def recording(Xd, C):
-        out = project_delta_cols(Xd, C)
-        images.append(out)
-        return out
+    def recording_projector(Xd):
+        project = slice_projector(Xd)
 
-    monkeypatch.setattr(subsolvers, "project_delta_cols", recording)
+        def recording(C):
+            out = project(C)
+            images.append(out)
+            return out
+
+        return recording
+
+    monkeypatch.setattr(subsolvers, "slice_projector", recording_projector)
     D, info = solve_qp_subproblem(make_oblique(X), g, hess, alpha,
                                   tol=1e-12, max_iter=max_iter)
     assert info["converged"] is converged
@@ -292,6 +324,26 @@ def test_qp_residual_is_of_returned_point(monkeypatch, max_iter, converged):
     P = [Y for Y in images if np.array_equal(Y - X, D)][-1]
     fixed = project_delta_cols(X, P - alpha * (g + hess(P - X)))
     assert float(np.linalg.norm(P - fixed)) == info["residual"]
+
+
+def test_qp_hessian_only_sees_float_arrays():
+    # scipy infers a LinearOperator's dtype by applying it to an int8 zero
+    # vector unless given one; that probe was a wasted Hessian product per
+    # GMRES call
+    rng = oracles.rng_for(41)
+    X = oracles.random_unit_columns(rng, 6, 3)
+    M, g = random_spd_model(rng, 6, 3, mu=1.0)
+    dtypes = []
+
+    def hess(W):
+        dtypes.append(W.dtype)
+        return (M @ W.ravel()).reshape(6, 3)
+
+    D, info = solve_qp_subproblem(make_oblique(X), g, hess,
+                                  1.0 / (np.linalg.eigvalsh(M)[-1] + 1),
+                                  tol=1e-12)
+    assert info["converged"]
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 # --------------------------------------------------------------------------

@@ -67,12 +67,6 @@ def test_penalty_params_guards():
         PenaltyParams(sigma=1.0, p=2.0, q=2.0, eps=0.1)
 
 
-def test_penalty_params_with_sigma():
-    params = PenaltyParams(sigma=1.0, p=1.0, q=2.0, eps=0.0)
-    assert params.with_sigma(5.0).sigma == 5.0
-    assert params.sigma == 1.0
-
-
 def test_support_pattern_partitions():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     pat = support_pattern(X)
