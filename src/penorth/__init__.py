@@ -8,7 +8,8 @@ result back to exact feasibility with a certified error bound.
 """
 
 from .driver import (PRESETS, PenaltySchedule, ep4orth_solve, feasible_init,
-                     onmf_preset, postprocess, projection_preset)
+                     kindicators_preset, onmf_preset, postprocess,
+                     projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch,
                      EmptyColumnSupport, InfeasibleSupport, NegativeEntry,
                      NonFiniteObjective, NonUnitColumn, NotFeasible,
@@ -23,7 +24,8 @@ from .manifold import (TangentDirection, make_tangent, project_delta,
 from .penalty import (PenaltyEval, PenalizedObjective, StationarityReport,
                       check_stationarity_original, kkt_residual_subproblem,
                       penalty_rgrad, penalty_rhess_apply, penalty_value, zeta)
-from .problems import (KindicatorsInstance, LinearObjective, OnmfInstance,
+from .problems import (KindicatorsInstance, KindicatorsModel,
+                       KindicatorsObjective, LinearObjective, OnmfInstance,
                        OnmfQuadObjective, OpnmfObjective, ProjectionInstance,
                        ScaledLinearPenalty, TargetDistanceObjective,
                        clustering_metrics, gap, gen_kindicators, gen_onmf,

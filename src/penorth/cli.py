@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import io as pio
-from .driver import onmf_preset, projection_preset
+from .driver import kindicators_preset, onmf_preset, projection_preset
 from .errors import SolverError, ValidationError
 from .penalty import check_stationarity_original
 from .problems import (LinearObjective, TargetDistanceObjective,
@@ -268,7 +268,7 @@ def opnmf_cmd(inp, k, labels_path, hyperspectral, out, config_path, tol_feas,
 def kindicators_cmd(inp, labels_path, out, save_solution, save_labels, tmax):
     """Cluster rows of an orthonormal feature matrix."""
     U = pio.read_matrix(inp)
-    report = kindicators_solve(U, t_max=tmax)
+    report = kindicators_solve(U, kindicators_preset(t_max=tmax))
     pred = report.extra["labels"]
     if labels_path:
         report.extra["metrics"] = clustering_metrics(pred, _read_labels(labels_path))
@@ -277,11 +277,7 @@ def kindicators_cmd(inp, labels_path, out, save_solution, save_labels, tmax):
     manifest = pio.RunManifest(
         command="kindicators",
         params={"in": os.path.basename(inp), "t_max": tmax}, seeds=())
-    if save_solution:
-        pio.write_matrix(save_solution, report.final)
-    payload = {"manifest": manifest.to_dict()}
-    payload.update(report.to_dict())
-    _emit(payload, out)
+    _finish(report, manifest, out, save_solution)
 
 
 @main.command("check-kkt")

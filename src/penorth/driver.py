@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rounding
 from .errors import BadShape, EmptyColumnSupport, NonFiniteObjective
-from .manifold import inner, project_oblique_plus
+from .manifold import project_oblique_plus
 from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import FeasiblePoint, feasibility_violation
 from .subsolvers import (GPConfig, NewtonConfig, gradient_projection_solve,
@@ -71,26 +71,15 @@ def feasible_init(ctx: PenaltyContext, hint=None, rng=None) -> FeasiblePoint:
     return rounding.round(Xob.data)
 
 
-def _normalize_on_support(C: np.ndarray, mask: np.ndarray,
-                          keep: np.ndarray) -> np.ndarray:
-    """Columnwise clip-to-support-and-normalize; dead columns fall back to keep."""
-    pos = np.where(mask, np.maximum(C, 0.0), 0.0)
-    norms = np.linalg.norm(pos, axis=0)
-    out = np.empty_like(pos)
-    for j in range(C.shape[1]):
-        out[:, j] = pos[:, j] / norms[j] if norms[j] > 0 else keep[:, j]
-    return out
-
-
-def postprocess(Xr: FeasiblePoint, f: Objective, max_iter: int = 200) -> FeasiblePoint:
+def postprocess(Xr: FeasiblePoint, f: Objective) -> FeasiblePoint:
     """Refine a rounded point over its own support pattern, never increasing f.
 
     Column supports stay inside the rounded ones, so the result is exactly
     feasible. Linear objectives (f decreasing in <C, X>) and nonnegative
     quadratic forms (f = const - tr(X^T M X), M entrywise nonnegative PSD)
-    have closed-form columnwise solutions; anything else gets a monotone
-    projected descent restricted to the support. If the refinement fails
-    to improve f, the rounded point is returned unchanged.
+    have closed-form columnwise solutions. An objective without either
+    structure gets the rounded point back, and so does one whose
+    refinement fails to improve f.
 
     Raises EmptyColumnSupport when a rounded column has no support at all.
     """
@@ -99,7 +88,6 @@ def postprocess(Xr: FeasiblePoint, f: Objective, max_iter: int = 200) -> Feasibl
         j = int(np.argmin(H.any(axis=0)))
         raise EmptyColumnSupport(f"rounded column {j} has empty support")
     n, k = Xr.n, Xr.k
-    fR = float(f.value(Xr.data))
     kind = getattr(f, "refine_kind", "generic")
     if kind == "linear":
         C = np.asarray(f.refine_linear_C(), dtype=float)
@@ -124,31 +112,9 @@ def postprocess(Xr: FeasiblePoint, f: Objective, max_iter: int = 200) -> Feasibl
             nv = np.linalg.norm(v)
             out[idx, j] = v / nv if nv > 0 else Xr.data[idx, j]
     else:
-        out = Xr.data.copy()
-        fcur = fR
-        alpha = 1.0
-        for _ in range(max_iter):
-            G = np.where(H, np.asarray(f.grad(out), dtype=float), 0.0)
-            a = alpha
-            moved = False
-            for _ in range(25):
-                Xn = _normalize_on_support(out - a * G, H, out)
-                diff = Xn - out
-                sq = inner(diff, diff)
-                fn = float(f.value(Xn))
-                if fn <= fcur - 1e-4 * sq / max(a, 1e-16):
-                    moved = True
-                    break
-                a *= 0.5
-            if not moved:
-                break
-            out, fcur = Xn, fn
-            alpha = min(2.0 * a, 1e6)
-            if np.sqrt(sq) <= 1e-12:
-                break
-    if float(f.value(out)) > fR:
         return Xr
-    out = out.copy()
+    if float(f.value(out)) > float(f.value(Xr.data)):
+        return Xr
     out.setflags(write=False)
     mask = out > 0
     mask.setflags(write=False)
@@ -201,8 +167,9 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                                  eps=sched.eps)
         h_t = (inner_factory(X, params_t) if inner_factory
                else PenalizedObjective(f, ctx, params_t))
-        hX = float(h_t.value(X.data))
+        # X last: an inner objective that keeps its last point starts there
         hF = float(h_t.value(Xf_ob.data))
+        hX = float(h_t.value(X.data))
         anchored = False
         if cfg.anchor == "start" and hX > hF:
             X = Xf_ob
@@ -221,9 +188,11 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                 return newton_solve(h, start, NewtonConfig(
                     tol=sched.eps_grad, max_iter=cfg.max_inner))
             fixed = cfg.fixed_alpha if solver == "gp-fixed" else None
+            bare_bb = solver == "gp-bb"
             return gradient_projection_solve(h, start, GPConfig(
                 step_tol=sched.eps_grad, max_iter=cfg.max_inner,
-                fixed_alpha=fixed))
+                fixed_alpha=fixed, line_search=not bare_bb,
+                alpha_cap=10.0 * ctx.k if bare_bb else None))
 
         Xn, irep = solve(h_t, X)
         total_inner += irep.iterations
@@ -311,6 +280,16 @@ def projection_preset(**overrides) -> DriverConfig:
     return DriverConfig(**base)
 
 
+def kindicators_preset(**overrides) -> DriverConfig:
+    """Driver settings for K-indicators: fast penalty growth, BB steps
+    without a line search, the anchor policy "start"."""
+    base = dict(sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
+                eps_grad0=1e-3, eps_grad_min=1e-7, t_max=60, max_inner=500,
+                force_solver="gp-bb", anchor="start")
+    base.update(overrides)
+    return DriverConfig(**base)
+
+
 def onmf_preset(hyperspectral: bool = False, **overrides) -> DriverConfig:
     """Driver settings for the matrix-factorization problems.
 
@@ -335,6 +314,7 @@ def onmf_preset(hyperspectral: bool = False, **overrides) -> DriverConfig:
 
 PRESETS = {
     "projection": projection_preset,
+    "kindicators": kindicators_preset,
     "onmf": onmf_preset,
     "onmf-hyperspectral": lambda **ov: onmf_preset(hyperspectral=True, **ov),
 }

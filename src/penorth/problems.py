@@ -5,6 +5,10 @@ an instance generator with a known ground truth where one exists, the
 quality metrics used in the experiments, and a solve_* entry point that
 wires the objective into the exact-penalty driver with the problem's
 preset.
+
+K-indicators is one more objective: a projected-gradient step on its inner
+model -||U^T X||_* / sigma + (1/2) ||X V||_F^2 is one alternating step of
+the classical scheme, so the driver runs it like any other.
 """
 from __future__ import annotations
 
@@ -15,16 +19,16 @@ from typing import Optional
 import numpy as np
 
 from . import rounding
-from .driver import (ep4orth_solve, feasible_init, onmf_preset, postprocess,
-                     projection_preset)
+from .driver import (ep4orth_solve, feasible_init, kindicators_preset,
+                     onmf_preset, postprocess, projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
                      SingularGram, ZeroColumn)
 from .manifold import (inner, norm, project_oblique_plus,
-                       project_orthogonal_group, projected_step)
-from .penalty import PenalizedObjective, kkt_residual_subproblem
-from .rounding import feasibility_violation
-from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
-                    SolveReport, make_context, oblique_data)
+                       project_orthogonal_group)
+from .penalty import PenalizedObjective
+from .rounding import FeasiblePoint, feasibility_violation
+from .types import (DriverConfig, Objective, PenaltyContext, SolveReport,
+                    make_context, oblique_data)
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +551,74 @@ def gen_kindicators(n: int, k: int, noise: float, seed: int) -> KindicatorsInsta
                                seed=seed)
 
 
-def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
-                      gamma2: float = 10.0, eta: float = 0.5,
-                      tol_feas: float = 0.1, eps_grad0: float = 1e-3,
-                      eps_grad_min: float = 1e-7, t_max: int = 60,
-                      max_inner: int = 500,
-                      do_postprocess: bool = True) -> SolveReport:
-    """Cluster by alternating exactly-feasible updates of (X, Y).
+class KindicatorsObjective(Objective):
+    """K-indicators objective f(X) = min over orthogonal Y of ||U Y - X||_F^2.
 
-    Y is the orthogonal Procrustes factor of U^T X; X takes a projected
-    gradient step on the rescaled linear model with a Barzilai-Borwein
-    step capped at 10k. Both blocks stay exactly on their constraint sets
-    at every iteration (tracked in extra["max_iterate_dev"]). Labels come
-    from the row-argmax of the rounded final point.
+    U has orthonormal columns, so the minimizing Y is the Procrustes
+    factor polar(U^T X), and the gradient is 2 (X - U polar(U^T X)).
+    The target U Y is kept for the last array passed (compared by
+    identity), which the driver's residual and the inner models share.
+    """
+
+    def __init__(self, U):
+        self.U = np.asarray(U, dtype=float)
+        self._X = self._target = None
+
+    def target(self, X):
+        """U Y for the Procrustes factor Y = polar(U^T X)."""
+        if X is not self._X:
+            self._X = X
+            self._target = self.U @ project_orthogonal_group(self.U.T @ X)
+            self._target.setflags(write=False)  # handed to every caller
+        return self._target
+
+    def value(self, X):
+        R = X - self.target(X)
+        return inner(R, R)
+
+    def grad(self, X):
+        return 2.0 * (X - self.target(X))
+
+
+class KindicatorsModel(Objective):
+    """Inner model h(X) = -||U^T X||_* / sigma + (1/2) ||X V||_F^2.
+
+    At each X, h and its gradient are those of the ScaledLinearPenalty at
+    the target f.target(X), so a projected-gradient step on h is one
+    alternating step of K-indicators: Procrustes refit, then a step in X.
+    That model is kept for the last array evaluated (compared by
+    identity), so value and then grad at an iterate build it once.
+    """
+
+    def __init__(self, f: KindicatorsObjective, ctx: PenaltyContext,
+                 sigma: float):
+        self.f, self.ctx, self.sigma = f, ctx, sigma
+        self._X = self._model = None
+
+    def _at(self, X):
+        if X is not self._X:
+            self._X = X
+            self._model = ScaledLinearPenalty(self.f.target(X), self.ctx,
+                                              self.sigma)
+        return self._model
+
+    def value(self, X):
+        return self._at(X).value(X)
+
+    def grad(self, X):
+        return self._at(X).grad(X)
+
+
+def kindicators_solve(U: np.ndarray,
+                      cfg: Optional[DriverConfig] = None) -> SolveReport:
+    """Cluster the rows of an orthonormal U by K-indicators.
+
+    The driver minimizes KindicatorsObjective (default: kindicators_preset)
+    from project(U), anchored at round(project(U)). The rounded point is
+    refined against U Y, Y = polar(U^T X) at the pre-rounding iterate X;
+    labels are its row argmax. kkt_residual covers both blocks (X, Y), and
+    extra["max_iterate_dev"] is the larger of X's column-norm and Y's
+    orthogonality deviations.
     """
     t0 = time.perf_counter()
     U = np.asarray(U, dtype=float)
@@ -570,85 +629,32 @@ def kindicators_solve(U: np.ndarray, *, sigma0: float = 10.0,
     if orth_dev > 1e-8:
         raise BadShape(f"U columns must be orthonormal, deviation {orth_dev!r}")
     ctx = make_context(n, k)
+    cfg = cfg if cfg is not None else kindicators_preset()
+    f = KindicatorsObjective(U)
+    X0 = project_oblique_plus(U)
 
-    def model(Y, sigma):
-        return ScaledLinearPenalty(U @ Y, ctx, sigma)
+    def factory(X, params):
+        return KindicatorsModel(f, ctx, params.sigma)
 
-    X = project_oblique_plus(U).data
-    Xf = rounding.round(X).data
-    Yf = project_orthogonal_group(U.T @ Xf)
-    sigma = sigma0
-    eg = eps_grad0
-    max_dev = 0.0
-    total_inner = 0
-    term = "max-outer"
-    report = SolveReport()
-    alpha_cap = 10.0 * k
-    zeta2 = float(np.linalg.norm(X @ ctx.V) ** 2) - 1.0
-    for t in range(t_max):
-        Y = project_orthogonal_group(U.T @ X)
-        anchored = False
-        if model(Y, sigma).value(X) > model(Yf, sigma).value(Xf):
-            X, Y = Xf.copy(), Yf
-            anchored = True
-        Xp = Gp = None
-        it = 0
-        step = np.inf
-        while it < max_inner:
-            it += 1
-            Y = project_orthogonal_group(U.T @ X)
-            G = model(Y, sigma).grad(X)
-            if Xp is None:
-                alpha = 1.0
-            else:
-                S = X - Xp
-                Z = G - Gp
-                den = abs(inner(S, Z))
-                alpha = inner(S, S) / den if den > 0 else alpha_cap
-            alpha = min(max(alpha, 1e-10), alpha_cap)
-            Xn = projected_step(X, alpha, G)
-            dev = float(np.abs(np.linalg.norm(Xn, axis=0) - 1.0).max())
-            devY = norm(Y.T @ Y - np.eye(k))
-            max_dev = max(max_dev, dev, devY)
-            step = norm(Xn - X)
-            Xp, Gp = X, G
-            X = Xn
-            if step <= eg:
-                break
-        total_inner += it
-        zeta2 = norm(X @ ctx.V) ** 2 - 1.0
-        report.history.append({"t": t, "sigma": sigma, "eps_grad": eg,
-                               "inner_iterations": it, "zeta2": zeta2,
-                               "anchored": anchored, "step": step})
-        if zeta2 <= tol_feas:
-            term = "feasibility-tol"
-            break
-        sigma *= gamma2
-        eg = max(eta * eg, eps_grad_min)
-
+    report = ep4orth_solve(f, ctx, cfg, X0=X0, X_feas=rounding.round(X0.data),
+                           inner_factory=factory)
+    X = report.extra["X_preround"]
+    XR = report.extra["X_rounded"]
     Y = project_orthogonal_group(U.T @ X)
-    # two-block stationarity of the unscaled penalty at the pre-rounding pair
-    res_x = kkt_residual_subproblem(
-        X, ctx, PenaltyParams(sigma=sigma, p=1.0, q=2.0, eps=0.0),
-        TargetDistanceObjective(U @ Y).grad(X))
+    UY = U @ Y
     GY = 2.0 * (Y - U.T @ X)
     res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
-    XR = rounding.round(X)
-    labels = np.argmax(XR.data, axis=1)
-    Xfinal = XR
-    if do_postprocess:
-        Xfinal = postprocess(XR, TargetDistanceObjective(U @ Y))
-    report.final = Xfinal.data
-    report.objective = float(np.linalg.norm(U @ Y - Xfinal.data) ** 2)
-    report.zeta = zeta2
-    report.kkt_residual = max(res_x, res_y)
-    report.feasibility = feasibility_violation(Xfinal.data)
-    report.outer_iterations = len(report.history)
-    report.inner_iterations = total_inner
-    report.termination = term
+    if cfg.do_postprocess:
+        # f has no refine structure, so the driver returned XR as it was
+        report.final = postprocess(FeasiblePoint(data=XR, mask=XR > 0),
+                                   TargetDistanceObjective(UY)).data
+    report.objective = float(np.linalg.norm(UY - report.final) ** 2)
+    report.kkt_residual = max(report.kkt_residual, res_y)
+    report.feasibility = feasibility_violation(report.final)
     report.seconds = time.perf_counter() - t0
-    report.extra["labels"] = labels
+    report.extra["labels"] = np.argmax(XR, axis=1)
     report.extra["Y"] = Y
-    report.extra["max_iterate_dev"] = max_dev
-    report.extra["X_preround"] = X
+    report.extra["max_iterate_dev"] = max(
+        float(np.abs(np.linalg.norm(X, axis=0) - 1.0).max()),
+        norm(Y.T @ Y - np.eye(k)))
     return report

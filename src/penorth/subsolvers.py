@@ -3,9 +3,10 @@
 Two families:
 
 * gradient_projection_solve: projected gradient on the nonnegative oblique
-  manifold, either with a Barzilai-Borwein step and a nonmonotone
-  (max-window) line search, or with a fixed step for objectives whose
-  gradient is 1-Lipschitz.
+  manifold, with one of three step rules: a Barzilai-Borwein (BB) step and
+  a nonmonotone (max-window) line search; a BB step with no line search
+  (K-indicators, where the line search only adds trial points); or a
+  fixed step for objectives whose gradient is 1-Lipschitz.
 
 * newton_solve: trust-region-like second-order method. Each iteration
   builds a quadratic model with proximal weight tau, obtains a direction
@@ -73,26 +74,33 @@ def gmres(op, rhs, rtol, maxiter):
     return linalg.gmres(op, rhs, **{tol_kw: rtol, "atol": 0.0, "maxiter": maxiter})
 
 
+# BB steps lie in [BB_FLOOR, BB_CAP]. The line search wants a value at most
+# max(last WINDOW values) - ARMIJO ||trial - X||^2 and shrinks the step by
+# BACKTRACK at most MAX_BACKTRACKS times.
+BB_FLOOR = 1e-10
+BB_CAP = 1e10
+WINDOW = 10
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 20
+
+
 @dataclasses.dataclass(frozen=True)
 class GPConfig:
     """Projected-gradient solver knobs.
 
     fixed_alpha set => constant step, no line search (valid when the
-    objective gradient is L-Lipschitz with L*alpha < 1). Otherwise BB step
-    clipped to [bb_floor, bb_cap] (and alpha_cap when given) with a
-    nonmonotone Armijo test against the max of the last `window` values.
+    objective gradient is L-Lipschitz with L*alpha < 1). Otherwise a BB
+    step clipped to [BB_FLOOR, BB_CAP] and to alpha_cap when given; with
+    line_search it starts at 1/||G|| and passes the nonmonotone Armijo
+    test, without it it starts at 1 and every trial is taken.
     """
 
     max_iter: int = 1000
     step_tol: float = 1e-8
     fixed_alpha: Optional[float] = None
-    bb_floor: float = 1e-10
-    bb_cap: float = 1e10
     alpha_cap: Optional[float] = None
-    window: int = 10
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 20
+    line_search: bool = True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,12 +152,13 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     Stops when the projected step norm drops to cfg.step_tol. Returns
     (ObliqueMatrix, InnerReport); the final value never exceeds h(X0)
     (best-iterate safeguard). A failed nonmonotone line search sets the
-    "LineSearchFailure" flag and returns the best iterate seen.
+    "LineSearchFailure" flag and returns the best iterate seen. Each new
+    iterate gets h.value, then h.grad, on the same array object.
     """
-    X = X0.data.copy()
+    X = X0.data  # iterates are new arrays, never written in place
     fX = float(h.value(X))
     G = np.asarray(h.grad(X), dtype=float)
-    hist = deque([fX], maxlen=cfg.window)
+    hist = deque([fX], maxlen=WINDOW)
     best_X, best_f = X, fX
     flags = []
     Xp = Gp = None
@@ -160,32 +169,34 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
         it += 1
         if cfg.fixed_alpha is not None:
             alpha = cfg.fixed_alpha
-            Xn = projected_step(X, alpha, G)
-            fn = float(h.value(Xn))
         else:
             if Xp is None:
-                alpha = 1.0 / (norm(G) + 1e-16)
+                alpha = 1.0 / (norm(G) + 1e-16) if cfg.line_search else 1.0
             else:
                 S = X - Xp
                 Z = G - Gp
                 den = abs(inner(S, Z))
-                alpha = inner(S, S) / den if den > 0 else cfg.bb_cap
-            alpha = min(max(alpha, cfg.bb_floor), cfg.bb_cap)
+                alpha = inner(S, S) / den if den > 0 else BB_CAP
+            alpha = min(max(alpha, BB_FLOOR), BB_CAP)
             if cfg.alpha_cap is not None:
                 alpha = min(alpha, cfg.alpha_cap)
+        if cfg.line_search and cfg.fixed_alpha is None:
             fmax = max(hist)
             ok = False
-            for _ in range(cfg.max_backtracks + 1):
+            for _ in range(MAX_BACKTRACKS + 1):
                 Xn = projected_step(X, alpha, G)
                 diff = Xn - X
                 fn = float(h.value(Xn))
-                if fn <= fmax - cfg.armijo * inner(diff, diff):
+                if fn <= fmax - ARMIJO * inner(diff, diff):
                     ok = True
                     break
-                alpha *= cfg.backtrack
+                alpha *= BACKTRACK
             if not ok:
                 flags.append("LineSearchFailure")
                 break
+        else:
+            Xn = projected_step(X, alpha, G)
+            fn = float(h.value(Xn))
         step = norm(Xn - X)
         Xp, Gp = X, G
         X, fX = Xn, fn
@@ -202,7 +213,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     kkt = norm(np.minimum(X, riemannian_grad(X, G)))
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=kkt, converged=converged, flags=flags)
-    return make_oblique(X), rep
+    return make_oblique(X, copy=False), rep
 
 
 def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,

@@ -212,7 +212,7 @@ class Objective:
         refine_kind == "quadratic-form":  f = const - tr(X^T M X) on the feasible
                                           set, M PSD, accessed through principal
                                           submatrices refine_quadratic_submatrix(idx).
-        refine_kind == "generic":         no structure; projected descent is used.
+        refine_kind == "generic":         no structure; the rounded point is kept.
     """
 
     refine_kind: str = "generic"
@@ -254,7 +254,8 @@ class DriverConfig:
         t_max: maximum outer iterations.
         zeta_switch: subsolver switch threshold; first-order steps while
             ||X V||_F^2 - 1 exceeds it, second-order once at or below.
-        force_solver: override the switch with "gp", "gp-fixed" or "newton".
+        force_solver: override the switch with "gp" (BB step, line search),
+            "gp-bb" (BB step capped at 10 k, no line search), "gp-fixed" or "newton".
         fixed_alpha: step size for the "gp-fixed" solver.
         p, q: penalty exponents.
         max_inner: per-outer-iteration inner iteration cap.
@@ -297,7 +298,7 @@ class DriverConfig:
             raise BadShape("sigma0, eps_grad0 and tol_feas must be positive")
         if self.t_max < 1 or self.max_inner < 1:
             raise BadShape("t_max and max_inner must be at least 1")
-        if self.force_solver not in (None, "gp", "gp-fixed", "newton"):
+        if self.force_solver not in (None, "gp", "gp-fixed", "gp-bb", "newton"):
             raise BadShape(f"unknown force_solver {self.force_solver!r}")
         if self.anchor not in ("result", "start"):
             raise BadShape(f"unknown anchor policy {self.anchor!r}")

@@ -327,3 +327,101 @@ def normal_equations_Y(A, X):
     W, *_ = np.linalg.lstsq(np.asarray(X, dtype=float),
                             np.asarray(A, dtype=float), rcond=None)
     return np.maximum(W.T, 0.0)
+
+
+# --------------------------------------------------------------------------
+# K-indicators by its own alternating loop
+
+
+def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
+                          eps_grad0=1e-3, eps_grad_min=1e-7, t_max=60,
+                          max_inner=500):
+    """K-indicators by alternating exactly-feasible updates of (X, Y).
+
+    The loop penorth.problems.kindicators_solve ran before K-indicators
+    became an objective of the exact-penalty driver. Y is the orthogonal
+    Procrustes factor of U^T X; X takes a projected-gradient step on the
+    rescaled linear model with a Barzilai-Borwein step capped at 10k and
+    no line search. Each outer iteration starts from the rounded
+    projection of U when its model value is lower. The package's
+    primitives (projections, Procrustes factor, rounding, refinement) are
+    called as they are; only the loop is the reference, and the driver
+    must reproduce it bit for bit.
+    """
+    from penorth import rounding
+    from penorth.driver import postprocess
+    from penorth.manifold import (inner, norm, project_oblique_plus,
+                                  project_orthogonal_group, projected_step)
+    from penorth.penalty import kkt_residual_subproblem
+    from penorth.problems import ScaledLinearPenalty, TargetDistanceObjective
+    from penorth.types import PenaltyParams, make_context
+
+    U = np.asarray(U, dtype=float)
+    n, k = U.shape
+    ctx = make_context(n, k)
+
+    def model(Y, sigma):
+        return ScaledLinearPenalty(U @ Y, ctx, sigma)
+
+    X = project_oblique_plus(U).data
+    Xf = rounding.round(X).data
+    Yf = project_orthogonal_group(U.T @ Xf)
+    sigma = sigma0
+    eg = eps_grad0
+    total_inner = 0
+    term = "max-outer"
+    history = []
+    alpha_cap = 10.0 * k
+    zeta2 = float(np.linalg.norm(X @ ctx.V) ** 2) - 1.0
+    for t in range(t_max):
+        Y = project_orthogonal_group(U.T @ X)
+        anchored = False
+        if model(Y, sigma).value(X) > model(Yf, sigma).value(Xf):
+            X, Y = Xf.copy(), Yf
+            anchored = True
+        Xp = Gp = None
+        it = 0
+        while it < max_inner:
+            it += 1
+            Y = project_orthogonal_group(U.T @ X)
+            G = model(Y, sigma).grad(X)
+            if Xp is None:
+                alpha = 1.0
+            else:
+                S = X - Xp
+                Z = G - Gp
+                den = abs(inner(S, Z))
+                alpha = inner(S, S) / den if den > 0 else alpha_cap
+            alpha = min(max(alpha, 1e-10), alpha_cap)
+            Xn = projected_step(X, alpha, G)
+            step = norm(Xn - X)
+            Xp, Gp = X, G
+            X = Xn
+            if step <= eg:
+                break
+        total_inner += it
+        zeta2 = norm(X @ ctx.V) ** 2 - 1.0
+        history.append({"sigma": sigma, "inner_iterations": it,
+                        "zeta2": zeta2, "anchored": anchored})
+        if zeta2 <= tol_feas:
+            term = "feasibility-tol"
+            break
+        sigma *= gamma2
+        eg = max(eta * eg, eps_grad_min)
+
+    Y = project_orthogonal_group(U.T @ X)
+    # two-block stationarity of the unscaled penalty at the pre-rounding pair
+    res_x = kkt_residual_subproblem(
+        X, ctx, PenaltyParams(sigma=sigma, p=1.0, q=2.0, eps=0.0),
+        TargetDistanceObjective(U @ Y).grad(X))
+    GY = 2.0 * (Y - U.T @ X)
+    res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
+    XR = rounding.round(X)
+    Xfinal = postprocess(XR, TargetDistanceObjective(U @ Y))
+    return {"final": Xfinal.data,
+            "objective": float(np.linalg.norm(U @ Y - Xfinal.data) ** 2),
+            "zeta": zeta2, "kkt_residual": max(res_x, res_y),
+            "outer_iterations": len(history),
+            "inner_iterations": total_inner, "termination": term,
+            "history": history, "labels": np.argmax(XR.data, axis=1),
+            "Y": Y, "X_preround": X}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from penorth import make_context, make_oblique
-from penorth.driver import (PenaltySchedule, ep4orth_solve, feasible_init,
-                            onmf_preset, postprocess, projection_preset)
+from penorth.driver import (PRESETS, PenaltySchedule, ep4orth_solve,
+                            feasible_init, kindicators_preset, onmf_preset,
+                            postprocess, projection_preset)
 from penorth.errors import EmptyColumnSupport, ValidationError
 from penorth.penalty import zeta
 from penorth.problems import (LinearObjective, ScaledLinearPenalty,
@@ -126,7 +127,7 @@ def test_postprocess_generic_never_worsens():
     T = oracles.random_feasible(rng, 6, 2)
 
     f = TargetDistanceObjective(T)
-    f.refine_kind = "generic"  # force the descent fallback
+    f.refine_kind = "generic"  # no refine structure: rounded point returned
     Xr = round_point(oracles.random_unit_columns(rng, 6, 2))
     out = postprocess(Xr, f)
     assert f.value(out.data) <= f.value(Xr.data) + 1e-12
@@ -352,3 +353,15 @@ def test_onmf_preset_frozen_values():
     assert hyper.gamma2_rule(2.5) == pytest.approx(1.155)
     assert hyper.gamma2_rule(1.5) == pytest.approx(1.133)
     assert hyper.zeta_switch == 0.6
+
+
+def test_kindicators_preset_frozen_values():
+    cfg = kindicators_preset()
+    assert (cfg.sigma0, cfg.gamma2, cfg.eta, cfg.tol_feas) == (10.0, 10.0,
+                                                              0.5, 0.1)
+    assert (cfg.eps_grad0, cfg.eps_grad_min) == (1e-3, 1e-7)
+    assert (cfg.t_max, cfg.max_inner) == (60, 500)
+    assert cfg.force_solver == "gp-bb"
+    assert cfg.anchor == "start"
+    assert kindicators_preset(t_max=5).t_max == 5
+    assert PRESETS["kindicators"] is kindicators_preset

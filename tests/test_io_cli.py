@@ -295,13 +295,18 @@ def test_cli_kindicators_labels_file(tmp_path):
         fh.write("\n".join(str(int(v)) for v in inst.labels) + "\n")
     pred_path = str(tmp_path / "pred.csv")
     rep_path = str(tmp_path / "rep.json")
+    sol = str(tmp_path / "X.csv")
     r = invoke(["kindicators", "--in", upath, "--labels", truth,
-                "--save-labels", pred_path, "--out", rep_path])
+                "--save-labels", pred_path, "--out", rep_path,
+                "--save-solution", sol])
     assert r.exit_code == 0, r.output
     rep = pio.read_report(rep_path)
     assert rep["metrics"]["purity"] == 1.0
+    assert rep["manifest"]["params"]["t_max"] == 60
     pred = [int(s) for s in pathlib.Path(pred_path).read_text().split()]
     assert len(pred) == 25
+    X = pio.read_matrix(sol)
+    assert np.array_equal(np.argmax(X, axis=1), pred)
 
 
 def test_cli_check_kkt(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 
 from penorth import make_context, make_oblique
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
-from penorth.problems import (KindicatorsInstance, LinearObjective,
+from penorth.problems import (KindicatorsInstance, KindicatorsModel,
+                              KindicatorsObjective, LinearObjective,
                               OnmfInstance, OnmfQuadObjective, OpnmfObjective,
                               ProjectionInstance, ScaledLinearPenalty,
                               TargetDistanceObjective,
@@ -381,6 +382,70 @@ def test_kindicators_solve_recovers_planted_clusters():
     assert rep.extra["max_iterate_dev"] <= 1e-12
     assert rep.feasibility <= 1e-12
     assert rep.termination == "feasibility-tol"
+
+
+# the three instances other tests solve, then four noisier small ones
+KINDICATORS_CASES = [(40, 3, 0.1, 62), (500, 10, 0.1, 0), (25, 3, 0.1, 17),
+                     (200, 5, 0.3, 101), (250, 6, 0.5, 102),
+                     (300, 4, 0.7, 103), (220, 8, 0.9, 104)]
+
+
+@pytest.mark.parametrize("n,k,noise,seed", KINDICATORS_CASES)
+def test_kindicators_solve_matches_alternating_reference(n, k, noise, seed):
+    U = gen_kindicators(n, k, noise, seed).U
+    ref = oracles.kindicators_reference(U)
+    rep = kindicators_solve(U)
+    assert np.array_equal(rep.final, ref["final"])
+    assert np.array_equal(rep.extra["labels"], ref["labels"])
+    assert np.array_equal(rep.extra["X_preround"], ref["X_preround"])
+    assert np.array_equal(rep.extra["Y"], ref["Y"])
+    assert rep.objective == ref["objective"]
+    assert rep.zeta == ref["zeta"]
+    assert rep.kkt_residual == ref["kkt_residual"]
+    assert rep.outer_iterations == ref["outer_iterations"]
+    assert rep.inner_iterations == ref["inner_iterations"]
+    assert rep.termination == ref["termination"]
+    assert ([h["anchored"] for h in rep.history]
+            == [h["anchored"] for h in ref["history"]])
+    assert ([h["inner_iterations"] for h in rep.history]
+            == [h["inner_iterations"] for h in ref["history"]])
+
+
+def kindicators_point(seed, n=8, k=3):
+    U = gen_kindicators(n, k, 0.5, seed).U
+    X = oracles.random_unit_columns(oracles.rng_for(seed), n, k,
+                                    strictly_positive=True)
+    # the nuclear norm is differentiable where U^T X is nonsingular
+    assert np.linalg.svd(U.T @ X, compute_uv=False).min() > 1e-3
+    return U, X
+
+
+def test_kindicators_derivatives_match_finite_differences():
+    U, X = kindicators_point(64)
+    f = KindicatorsObjective(U)
+    h = KindicatorsModel(f, make_context(*X.shape), sigma=3.0)
+    for obj in (f, h):
+        G = oracles.fd_euclidean_grad(obj.value, X)
+        assert np.allclose(obj.grad(X), G, atol=1e-7), type(obj).__name__
+
+
+def test_kindicators_kept_targets_match_fresh_objects():
+    U, X1 = kindicators_point(65)
+    _, X2 = kindicators_point(66)
+    ctx = make_context(*X1.shape)
+    f = KindicatorsObjective(U)
+    h = KindicatorsModel(f, ctx, sigma=3.0)
+    for X in (X1, X2, X1):
+        fresh_f = KindicatorsObjective(U)
+        fresh_h = KindicatorsModel(KindicatorsObjective(U), ctx, sigma=3.0)
+        assert h.value(X) == fresh_h.value(X)
+        assert np.array_equal(h.grad(X), fresh_h.grad(X))
+        assert f.value(X) == fresh_f.value(X)
+        assert np.array_equal(f.grad(X), fresh_f.grad(X))
+    # the model at a point is the scaled linear penalty at its target
+    lin = ScaledLinearPenalty(f.target(X2), ctx, 3.0)
+    assert h.value(X2) == lin.value(X2)
+    assert np.array_equal(h.grad(X2), lin.grad(X2))
 
 
 def test_kindicators_solve_rejects_nonorthonormal():

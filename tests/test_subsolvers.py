@@ -244,6 +244,41 @@ def test_gp_alpha_cap_respected():
     assert rep.final_value <= Quadratic(T).value(X0.data) + 1e-15
 
 
+def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
+    # gentle curvature: the BB step 1/curvature is far above the cap
+    rng = oracles.rng_for(38)
+    T = np.abs(rng.standard_normal((6, 3))) + 0.1
+    X0 = make_oblique(oracles.random_unit_columns(rng, 6, 3))
+
+    class Gentle(Quadratic):
+        def value(self, X):
+            return 1e-3 * super().value(X)
+
+        def grad(self, X):
+            return 1e-3 * super().grad(X)
+
+    h = Gentle(T)
+    trials = []
+    step = subsolvers.projected_step
+
+    def recording_step(X, alpha, G):
+        Xn = step(X, alpha, G)
+        trials.append((alpha, Xn))
+        return Xn
+
+    monkeypatch.setattr(subsolvers, "projected_step", recording_step)
+    cap = 5.0
+    X, rep = gradient_projection_solve(
+        h, X0, GPConfig(line_search=False, alpha_cap=cap, max_iter=30))
+    first = step(X0.data, 1.0, h.grad(X0.data))
+    assert trials[0][0] == 1.0
+    assert np.array_equal(trials[0][1], first)
+    # no line search: one trial per iteration, each one taken
+    assert len(trials) == rep.iterations
+    assert max(a for a, _ in trials) == cap
+    assert rep.final_value <= h.value(X0.data)
+
+
 # --------------------------------------------------------------------------
 # semismooth Newton for the tangent-cone QP
 
