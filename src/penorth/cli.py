@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as pio
 from .driver import kindicators_preset, onmf_preset, projection_preset
-from .errors import SolverError, ValidationError
+from .errors import ParseError, SolverError, ValidationError
 from .penalty import check_stationarity_original
 from .problems import (LinearObjective, TargetDistanceObjective,
                        clustering_metrics, drop_zero_columns, gen_onmf,
@@ -58,11 +58,10 @@ def _manifest_path(path: str) -> str:
 def _config_overrides(config_path, **flags) -> dict:
     over = {}
     if config_path:
-        with open(config_path) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"--config file: {exc}") from None
+        try:
+            loaded = json.loads("".join(pio._read_lines(config_path)))
+        except (ParseError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"--config file: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValidationError("--config file must hold a JSON object")
         over.update(loaded)
@@ -89,11 +88,10 @@ def _write_labels(path: str, labels) -> None:
 
 
 def _read_labels(path: str) -> np.ndarray:
-    with open(path) as fh:
-        vals = [s.strip() for s in fh if s.strip()]
     try:
+        vals = [v for v in map(str.strip, pio._read_lines(path)) if v]
         return np.array([int(v) for v in vals])
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         raise ValidationError(f"labels file {path!r}: {exc}") from None
 
 

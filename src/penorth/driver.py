@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rounding
 from .errors import BadShape, EmptyColumnSupport, NonFiniteObjective
-from .manifold import project_oblique_plus
+from .manifold import norm, project_oblique_plus
 from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import FeasiblePoint, feasibility_violation
 from .subsolvers import (GPConfig, NewtonConfig, gradient_projection_solve,
@@ -160,7 +160,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     total_inner = 0
     term = "max-outer"
     kkt_penalty = np.nan
-    zeta2 = float(np.linalg.norm(X.data @ ctx.V) ** 2) - 1.0
+    zeta2 = norm(X.data @ ctx.V) ** 2 - 1.0
     outer_done = 0
     for t in range(cfg.t_max):
         params_t = PenaltyParams(sigma=sched.sigma, p=cfg.p, q=cfg.q,
@@ -179,7 +179,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                 hF = float(h_t.value(Xf_ob.data))
             hX = float(h_t.value(X.data))
 
-        s2_start = float(np.linalg.norm(X.data @ ctx.V) ** 2)
+        s2_start = norm(X.data @ ctx.V) ** 2
         solver = cfg.force_solver or (
             "gp" if s2_start - 1.0 > cfg.zeta_switch else "newton")
 
@@ -223,7 +223,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 
         kkt_penalty = kkt_residual_subproblem(Xn.data, ctx, params_t,
                                               f.grad(Xn.data))
-        s2 = float(np.linalg.norm(Xn.data @ ctx.V) ** 2)
+        s2 = norm(Xn.data @ ctx.V) ** 2
         zeta2 = s2 - 1.0
         report.history.append({
             "t": t, "sigma": sched.sigma, "eps_grad": sched.eps_grad,

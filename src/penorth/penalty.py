@@ -124,7 +124,7 @@ def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
     """
     Xd = oblique_data(X)
     rg = penalty_rgrad(Xd, ctx, params, G_f)
-    return float(np.linalg.norm(np.minimum(Xd, rg)))
+    return norm(np.minimum(Xd, rg))
 
 
 class PenalizedObjective(Objective):

@@ -30,16 +30,19 @@ projection of one QP solve is onto the slices of the same anchor, so the
 solve builds one slice_projector, which checks the anchor and keeps its
 support once. The Hessian stays fixed for a whole Newton iteration, so
 newton_solve builds the objective's operator hess_at(X) once per
-iteration and applies it in every QP and model evaluation. GMRES gets
-its Jacobian operator with an explicit float dtype: without one, scipy
-infers the dtype by applying the operator to a zero vector, one full
-Hessian product per GMRES call that is thrown away.
+iteration and applies it in every QP and model evaluation.
+
+Each semismooth Newton step solves its Jacobian system with penorth's own
+restarted GMRES (gmres below). The systems are small (n*k unknowns, a few
+products per solve), so a general-purpose Krylov wrapper's per-call
+set-up would cost more than the arithmetic; this one performs the
+floating-point operations of scipy 1.17's gmres in the same order, and
+its Givens rotations are LAPACK's dlartg (_lartg).
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
-import inspect
+import math
 from collections import deque
 from typing import Callable, Optional
 
@@ -54,24 +57,127 @@ from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
 
-@functools.cache
-def _krylov():
-    """scipy.sparse.linalg and the name of its gmres's relative-tolerance
-    keyword ("tol" before scipy 1.12).
+# LAPACK's dsafmin = radix**max(minexponent - 1, 1 - maxexponent) for
+# doubles, its reciprocal, and the bounds dlartg squares without scaling
+_SAFMIN = 2.0 ** -1022
+_SAFMAX = 2.0 ** 1022
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(_SAFMAX / 2)
+_EPS = float(np.finfo(float).eps)
+GMRES_RESTART = 20
 
-    Imported on the first semismooth-Newton solve, not with the package:
-    the module takes about 0.35 s to import and only the Newton path uses it.
+
+def _lartg(f: float, g: float) -> tuple:
+    """Givens rotation (c, s, r) with [c s; -s c] [f; g] = [r; 0].
+
+    LAPACK's dlartg (3.10 and later), branch for branch: the same bits
+    as scipy.linalg.lapack.dlartg.
     """
-    from scipy.sparse import linalg
-    params = inspect.signature(linalg.gmres).parameters
-    return linalg, "rtol" if "rtol" in params else "tol"
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    f1 = abs(f)
+    g1 = abs(g)
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
+    fs = f / u
+    gs = g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
 
 
-def gmres(op, rhs, rtol, maxiter):
-    """scipy's GMRES on the operator op: relative tolerance rtol, no
-    absolute tolerance. Returns (solution, info) as scipy does."""
-    linalg, tol_kw = _krylov()
-    return linalg.gmres(op, rhs, **{tol_kw: rtol, "atol": 0.0, "maxiter": maxiter})
+def gmres(A, b: np.ndarray, rtol: float, maxiter: int) -> tuple:
+    """Solve A x = b by restarted GMRES(20) (Saad and Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 1986) from x = 0 to ||b - A x|| <= rtol ||b||,
+    with at most maxiter (>= 1) restart cycles.
+
+    A is any object whose _matvec maps a 1-D float array to a new one; it
+    is looked up at every product. Returns (x, 0) on convergence and
+    (x, maxiter) otherwise, (b, 0) when b = 0. This is scipy 1.17's
+    scipy.sparse.linalg.gmres(A, b, rtol=rtol, atol=0, maxiter=maxiter)
+    with no preconditioner, operation for operation, so x has the same
+    bits: modified Gram-Schmidt, the h1 <= eps * h0 breakdown test,
+    Givens rotations by dlartg, back substitution in place, and the
+    inner tolerance ptol adapted after each cycle from the true residual.
+    """
+    n = len(b)
+    bnrm2 = norm(b)
+    atol = max(0.0, float(rtol) * bnrm2)
+    if bnrm2 == 0:
+        return b, 0
+    x = np.zeros(n)
+    if bnrm2 < atol:
+        return x, 0
+    restart = min(GMRES_RESTART, n)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    presid = 0.0
+    v = np.empty((restart + 1, n))
+    r = b
+    for _ in range(maxiter):
+        v[0] = r
+        beta = norm(v[0])
+        v[0] *= 1 / beta
+        S = [beta]  # right-hand side of the rotated Hessenberg system
+        hcols = []  # column j of the Hessenberg matrix, rotated
+        rots = []
+        breakdown = False
+        for col in range(restart):
+            w = A._matvec(v[col])
+            h0 = norm(w)
+            hc = []
+            for k in range(col + 1):
+                tmp = float(v[k].dot(w))
+                hc.append(tmp)
+                w -= tmp * v[k]
+            h1 = norm(w)
+            v[col + 1] = w
+            if h1 <= _EPS * h0:  # the Krylov space is invariant: exact solve
+                h1 = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            hc.append(h1)
+            for k, (c, s) in enumerate(rots):
+                n0, n1 = hc[k], hc[k + 1]
+                hc[k], hc[k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, hc[col] = _lartg(hc[col], h1)
+            rots.append((c, s))
+            hcols.append(hc)
+            tmp = -s * S[col]
+            S[col] = c * S[col]
+            S.append(tmp)
+            presid = abs(tmp)
+            if presid <= ptol or breakdown:
+                break
+        if hcols[col][col] == 0:
+            S[col] = 0.0
+        y = S[:col + 1]
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= hcols[k][k]
+                tmp = y[k]
+                hk = hcols[k]
+                for i in range(k):
+                    y[i] -= tmp * hk[i]
+        if y[0] != 0:
+            y[0] /= hcols[0][0]
+        x += np.array(y) @ v[:col + 1]
+        r = b - A._matvec(x)
+        rnorm = norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the inner test passed but the true one failed
+            ptol_max_factor = max(_EPS, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
 
 
 # BB steps lie in [BB_FLOOR, BB_CAP]. The line search wants a value at most
@@ -216,6 +322,36 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     return make_oblique(X, copy=False), rep
 
 
+class _SSNJacobian:
+    """Generalized Jacobian of the SSN residual Z - proj(Z - alpha * grad)
+    at one point, as an operator on the flattened n x k matrices.
+
+    The projection's Jacobian keeps the active entries (active mask) and
+    removes, per column j, the component along x_j restricted to them.
+    gmres applies it through _matvec, looked up on the instance at every
+    product, so a caller may shadow _matvec on one instance to watch it.
+    """
+
+    def __init__(self, Xd, hess_apply, alpha, active):
+        self.shape = Xd.shape
+        self.Xd = Xd
+        self.hess_apply = hess_apply
+        self.alpha = alpha
+        self.active = active
+        self.xa = Xd * active
+        den = np.einsum("ij,ij->j", Xd, self.xa)
+        self.live = den > 1e-16
+        self.safe_den = np.where(self.live, den, 1.0)
+
+    def _matvec(self, hvec):
+        H = hvec.reshape(self.shape)
+        W = H - self.alpha * self.hess_apply(H)
+        Wa = W * self.active
+        scale = np.where(self.live,
+                         np.einsum("ij,ij->j", self.Xd, Wa) / self.safe_den, 0.0)
+        return (H - (Wa - self.xa * scale)).ravel()
+
+
 def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
                         hess_m_apply: Callable[[np.ndarray], np.ndarray],
                         alpha: float, tol: float = 1e-8, max_iter: int = 50,
@@ -258,22 +394,8 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
         F = Z - PC
         nF = norm(F)
         active = PC > zero_tol
-        xa = Xd * active
-        den = np.einsum("ij,ij->j", Xd, xa)
-        safe_den = np.where(den > 1e-16, den, 1.0)
-
-        def jac_apply(hvec):
-            H = hvec.reshape(n, k)
-            W = H - alpha * hess_m_apply(H)
-            Wa = W * active
-            scale = np.where(den > 1e-16,
-                             np.einsum("ij,ij->j", Xd, Wa) / safe_den, 0.0)
-            return (H - (Wa - xa * scale)).ravel()
-
-        linalg, _ = _krylov()
-        op = linalg.LinearOperator((n * k, n * k), matvec=jac_apply,
-                                   dtype=float)
-        sol, code = gmres(op, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
+        jac = _SSNJacobian(Xd, hess_m_apply, alpha, active)
+        sol, code = gmres(jac, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
                           maxiter=200)
         stepped = False
         if code == 0 and np.isfinite(sol).all():

@@ -12,6 +12,8 @@ back is bit-identical to the one you passed in.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -288,6 +290,20 @@ class DriverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # annotations are strings here (postponed evaluation)
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if f.type == "int":
+                ok, want = isinstance(val, numbers.Integral), "an int"
+            elif f.type == "float":
+                ok = isinstance(val, numbers.Real) and math.isfinite(val)
+                want = "a finite number"
+            else:
+                continue
+            if not ok or isinstance(val, bool):
+                raise BadShape(f"{f.name} must be {want}, got {val!r}")
+        if self.gamma2_rule is not None and not callable(self.gamma2_rule):
+            raise BadShape(f"gamma2_rule must be callable, got {self.gamma2_rule!r}")
         if self.gamma2 <= 1:
             raise BadShape(f"gamma2 must exceed 1, got {self.gamma2!r}")
         if not (0 < self.eta <= 1):

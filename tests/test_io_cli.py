@@ -371,6 +371,35 @@ def test_cli_non_utf8_input_is_a_parse_error(tmp_path, ext):
     assert "error: line 3: not UTF-8 text (byte 0xe9)" in r.output
 
 
+def test_cli_non_utf8_labels_and_config_are_input_errors(tmp_path):
+    data = str(tmp_path / "A.mtx")
+    pio.write_matrix(data, np.abs(oracles.rng_for(72).standard_normal((9, 6))))
+    labels = tmp_path / "L.csv"
+    labels.write_bytes(b"\xff\xfe1\n2\n")
+    r = invoke(["onmf", "--in", data, "--k", "3", "--labels", str(labels)])
+    assert r.exit_code == 2, r.output
+    assert "not UTF-8 text (byte 0xff)" in r.output
+    assert "L.csv" in r.output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"sigma0": 1\xff}')
+    r = invoke(["onmf", "--in", data, "--k", "3", "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
+    assert "error: --config file: line 1: not UTF-8 text (byte 0xff)" in r.output
+
+
+@pytest.mark.parametrize("bad", [{"sigma0": "abc"}, {"max_inner": 2.5},
+                                 {"t_max": True}, {"tol_feas": 1e999}])
+def test_cli_config_value_of_wrong_type_is_an_input_error(tmp_path, bad):
+    # 1e999 is JSON for a float that overflows to inf
+    tpath = str(tmp_path / "t.csv")
+    pio.write_matrix(tpath, np.eye(3)[:, :2])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad).replace("Infinity", "1e999"))
+    r = invoke(["project", "--in", tpath, "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
+    assert f"error: {next(iter(bad))} must be" in r.output
+
+
 def test_cli_config_file_overrides(tmp_path):
     inst = str(tmp_path / "c.mtx")
     r = invoke(["gen-projection", "--n", "8", "--k", "2", "--xi", "0.3",

@@ -362,9 +362,8 @@ def test_qp_residual_is_of_returned_point(monkeypatch, max_iter, converged):
 
 
 def test_qp_hessian_only_sees_float_arrays():
-    # scipy infers a LinearOperator's dtype by applying it to an int8 zero
-    # vector unless given one; that probe was a wasted Hessian product per
-    # GMRES call
+    # every Hessian product of the QP solve, GMRES's included, is on a
+    # float array: no product is spent probing the operator's dtype
     rng = oracles.rng_for(41)
     X = oracles.random_unit_columns(rng, 6, 3)
     M, g = random_spd_model(rng, 6, 3, mu=1.0)
@@ -460,25 +459,34 @@ def test_newton_budget_flag():
 # start-up cost
 
 
-def test_krylov_module_loads_on_first_newton_solve():
-    # scipy.sparse.linalg (about 0.35 s to import) is needed by the GMRES
-    # step of the semismooth-Newton solver only; a fresh process checks
-    # that importing penorth and a first-order solve leave it unloaded
+def test_no_runtime_path_imports_scipy(tmp_path):
+    # GMRES is penorth's own, so no solver needs scipy: in a fresh process
+    # where every scipy import fails, each application and the CLI run
     code = textwrap.dedent("""
         import sys
-        import penorth
-        from penorth import subsolvers
-        from penorth.problems import (gen_onmf, gen_projection, solve_onmf,
-                                      solve_projection)
-        assert callable(vars(subsolvers)["gmres"])
+        sys.modules["scipy"] = None  # any "import scipy..." raises
+        import numpy as np
+        from penorth import io as pio
+        from penorth.cli import main
+        from penorth.problems import (gen_kindicators, gen_onmf,
+                                      gen_projection, kindicators_solve,
+                                      solve_onmf, solve_projection)
         solve_projection(gen_projection(30, 3, 0.5, seed=1).C)
-        print("scipy.sparse.linalg" in sys.modules)
-        solve_onmf(gen_onmf(20, 10, 3, xi=0.0, seed=13).A, 3, variant="gn")
-        print("scipy.sparse.linalg" in sys.modules)
+        A = gen_onmf(20, 10, 3, xi=0.0, seed=13).A
+        for variant in ("gn", "direct"):
+            solve_onmf(A, 3, variant=variant)
+        kindicators_solve(gen_kindicators(40, 3, 0.3, seed=2).U)
+        data, out = sys.argv[1] + "/A.mtx", sys.argv[1] + "/rep.json"
+        pio.write_matrix(data, A)
+        main(["onmf", "--in", data, "--k", "3", "--out", out],
+             standalone_mode=False)
+        assert pio.read_report(out)["termination"]
+        print(sorted(m for m in sys.modules if m.startswith("scipy.")))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(subsolvers.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["False", "True"]
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

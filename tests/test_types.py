@@ -91,6 +91,22 @@ def test_driver_config_validation():
         DriverConfig(force_solver="simplex")
 
 
+@pytest.mark.parametrize("bad", [
+    {"sigma0": "abc"}, {"gamma2": True}, {"eta": np.nan}, {"eps0": np.inf},
+    {"tol_feas": None}, {"t_max": 3.0}, {"max_inner": 2.5}, {"rng_seed": "1"},
+    {"max_inner": False}, {"gamma2_rule": 3.0},
+])
+def test_driver_config_rejects_values_of_the_wrong_type(bad):
+    with pytest.raises(BadShape, match=next(iter(bad))):
+        DriverConfig(**bad)
+
+
+def test_driver_config_accepts_numpy_numbers():
+    cfg = DriverConfig(sigma0=np.float64(0.5), t_max=np.int64(3), p=1,
+                       gamma2_rule=lambda s2: 2.0)
+    assert cfg.t_max == 3 and cfg.p == 1
+
+
 def test_solve_report_to_dict_drops_arrays():
     rep = SolveReport(final=np.eye(2), objective=1.0, zeta=0.0,
                       kkt_residual=0.0, feasibility=0.0,
