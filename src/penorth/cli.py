@@ -158,7 +158,6 @@ _common_solver_options = [
     click.option("--tol-feas", type=float, default=None),
     click.option("--sigma0", type=float, default=None),
     click.option("--tmax", type=int, default=None),
-    click.option("--seed", type=int, default=None),
     click.option("--save-solution", default=None,
                  help="write the final matrix to this file"),
 ]
@@ -184,7 +183,7 @@ def _finish(report, manifest, out, save_solution):
               help="known solution (default: <stem>_xstar<ext> if present)")
 @_with_solver_options
 @_guarded
-def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax, seed,
+def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax,
                 save_solution):
     """Nearest point with orthogonal nonnegative columns."""
     C = pio.read_matrix(inp)
@@ -192,25 +191,23 @@ def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax, seed,
         xstar = _sibling(inp, "xstar")
     Xs = pio.read_matrix(xstar) if xstar else None
     over = _config_overrides(config_path, tol_feas=tol_feas, sigma0=sigma0,
-                             t_max=tmax, rng_seed=seed)
+                             t_max=tmax)
     cfg = projection_preset(**over)
     report = solve_projection(C, cfg, X_star=Xs)
     manifest = pio.RunManifest(
         command="project",
-        params={"in": os.path.basename(inp), "overrides": over},
-        seeds=(cfg.rng_seed,))
+        params={"in": os.path.basename(inp), "overrides": over}, seeds=())
     _finish(report, manifest, out, save_solution)
 
 
 def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
-                 tol_feas, sigma0, tmax, seed, save_solution):
+                 tol_feas, sigma0, tmax, save_solution):
     A = pio.read_matrix(inp)
     A = drop_zero_columns(A)
     over = _config_overrides(config_path, tol_feas=tol_feas, sigma0=sigma0,
-                             t_max=tmax, rng_seed=seed)
+                             t_max=tmax)
     cfg = onmf_preset(hyperspectral=hyperspectral, **over)
-    report = solve_onmf(A, k, cfg, variant=variant,
-                        hyperspectral=hyperspectral)
+    report = solve_onmf(A, k, cfg, variant=variant)
     if labels_path:
         true = _read_labels(labels_path)
         pred = np.argmax(report.final, axis=1)
@@ -219,7 +216,7 @@ def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
         command="onmf" if variant == "gn" else "opnmf",
         params={"in": os.path.basename(inp), "k": k,
                 "hyperspectral": hyperspectral, "overrides": over},
-        seeds=(cfg.rng_seed,))
+        seeds=())
     _finish(report, manifest, out, save_solution)
 
 
@@ -232,10 +229,10 @@ def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
 @_with_solver_options
 @_guarded
 def onmf_cmd(inp, k, labels_path, hyperspectral, out, config_path, tol_feas,
-             sigma0, tmax, seed, save_solution):
+             sigma0, tmax, save_solution):
     """Orthogonal NMF (per-iteration refit of the second factor)."""
     _onmf_common(inp, k, labels_path, hyperspectral, "gn", out, config_path,
-                 tol_feas, sigma0, tmax, seed, save_solution)
+                 tol_feas, sigma0, tmax, save_solution)
 
 
 @main.command("opnmf")
@@ -247,10 +244,10 @@ def onmf_cmd(inp, k, labels_path, hyperspectral, out, config_path, tol_feas,
 @_with_solver_options
 @_guarded
 def opnmf_cmd(inp, k, labels_path, hyperspectral, out, config_path, tol_feas,
-              sigma0, tmax, seed, save_solution):
+              sigma0, tmax, save_solution):
     """Projective orthogonal NMF (direct quartic objective)."""
     _onmf_common(inp, k, labels_path, hyperspectral, "direct", out, config_path,
-                 tol_feas, sigma0, tmax, seed, save_solution)
+                 tol_feas, sigma0, tmax, save_solution)
 
 
 @main.command("kindicators")

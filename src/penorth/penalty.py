@@ -20,8 +20,9 @@ import numpy as np
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
 from .manifold import (inner, norm, riemannian_grad, riemannian_hess_apply,
                        TangentDirection)
+from .rounding import feasibility_violation
 from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
-                    oblique_data, support_pattern, SUPPORT_ZERO_TOL)
+                    oblique_data, support_pattern)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,8 +200,8 @@ class StationarityReport:
     pattern: SupportPattern
 
 
-def check_stationarity_original(X, f: Objective, tol: float = 1e-8,
-                                zero_tol: float = SUPPORT_ZERO_TOL) -> StationarityReport:
+def check_stationarity_original(X, f: Objective,
+                                tol: float = 1e-8) -> StationarityReport:
     """Classify a feasible point of the original orthogonal+nonnegative problem.
 
     Stationary: the Riemannian gradient vanishes on the support AND the
@@ -214,11 +215,10 @@ def check_stationarity_original(X, f: Objective, tol: float = 1e-8,
     Xd = oblique_data(X)
     if Xd.ndim != 2:
         raise BadShape("check_stationarity_original needs a matrix")
-    k = Xd.shape[1]
-    viol = np.linalg.norm(Xd.T @ Xd - np.eye(k)) + np.linalg.norm(np.minimum(Xd, 0.0))
+    viol = feasibility_violation(Xd)
     if viol > 1e-10:
         raise NotFeasible(f"feasibility violation {viol!r} exceeds 1e-10")
-    pat = support_pattern(Xd, tol=zero_tol)
+    pat = support_pattern(Xd)
     G = np.asarray(f.grad(Xd), dtype=float)
     rg = riemannian_grad(Xd, G)
     grad_violation = float(np.abs(rg[pat.supp]).max()) if pat.supp.any() else 0.0

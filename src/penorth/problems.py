@@ -191,15 +191,20 @@ class OpnmfObjective(Objective):
 # shared generator piece
 
 
-def _random_feasible(n: int, k: int, rng) -> np.ndarray:
-    """Random exactly-feasible matrix: rows assigned to columns uniformly
-    (resampled until no column is empty), positive magnitudes, unit columns."""
+def _random_labels(n: int, k: int, rng) -> np.ndarray:
+    """n labels drawn uniformly from range(k), redrawn until all k occur."""
     if n < k or k < 1:
         raise BadShape(f"need n >= k >= 1, got n={n}, k={k}")
     while True:
-        assign = rng.integers(0, k, size=n)
-        if np.unique(assign).size == k:
-            break
+        labels = rng.integers(0, k, size=n)
+        if np.unique(labels).size == k:
+            return labels
+
+
+def _random_feasible(n: int, k: int, rng) -> np.ndarray:
+    """Random exactly-feasible matrix: rows assigned to columns uniformly
+    (resampled until no column is empty), positive magnitudes, unit columns."""
+    assign = _random_labels(n, k, rng)
     B = np.zeros((n, k))
     B[np.arange(n), assign] = 1.0 - rng.random(n)  # uniform on (0, 1]
     return B / np.linalg.norm(B, axis=0)
@@ -384,14 +389,15 @@ def resi(A: np.ndarray, X) -> float:
 
 
 def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
-               variant: str = "gn", hyperspectral: bool = False) -> SolveReport:
+               variant: str = "gn") -> SolveReport:
     """Orthogonal NMF through the exact-penalty driver.
 
     variant "gn": each outer iteration refits Y by the clipped normal
     equations and minimizes the resulting quadratic-in-X penalty.
     variant "direct": minimizes the quartic projective objective itself.
     Reported objective and resi refer to the projective residual at the
-    final feasible point.
+    final feasible point. cfg defaults to onmf_preset(); hyperspectral
+    data take onmf_preset(hyperspectral=True).
     """
     if variant not in ("gn", "direct"):
         raise BadShape(f"unknown variant {variant!r}")
@@ -402,7 +408,7 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
         raise BadShape("A contains non-finite entries")
     n = A.shape[0]
     ctx = make_context(n, k)
-    cfg = cfg if cfg is not None else onmf_preset(hyperspectral=hyperspectral)
+    cfg = cfg if cfg is not None else onmf_preset()
     f_true = OpnmfObjective(A)
     X0 = svd_init(A, k)
     X_feas = rounding.round(X0.data)
@@ -536,10 +542,7 @@ def gen_kindicators(n: int, k: int, noise: float, seed: int) -> KindicatorsInsta
     noise = 0.1 every row still points clearly at its planted column.
     """
     rng = np.random.default_rng(np.random.Philox(seed))
-    while True:
-        labels = rng.integers(0, k, size=n)
-        if np.unique(labels).size == k:
-            break
+    labels = _random_labels(n, k, rng)
     F = np.zeros((n, k))
     F[np.arange(n), labels] = 1.0
     M = F + noise * rng.standard_normal((n, k))

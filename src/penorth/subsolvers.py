@@ -14,6 +14,11 @@ Two families:
   the per-column affine slices, validates an angle condition against the
   projected steepest-descent direction, screens trial points against a
   guaranteed model-decrease bound, and accepts by actual/predicted ratio.
+  Its safeguards are the paper's fixed constants: a ratio >= ETA1 accepts;
+  tau starts at TAU0 and is scaled by BETA0 (ratio >= ETA2), BETA1 (>= ETA1)
+  or BETA2 (below); C1 and C2 are the angle and model-decrease constants;
+  the curvature estimate starts at KAPPA_HAT0, doubles on each failed check
+  and is capped at KAPPA_CAP. NewtonConfig sets only the stopping rule.
 
 The per-column slice projection (onto {z : x^T z = 1, z >= 0}, in
 manifold.py) is the geometric workhorse shared by the tangent-cone
@@ -209,33 +214,26 @@ class GPConfig:
     line_search: bool = True
 
 
+# newton_solve's safeguards (roles in the module docstring)
+TAU0 = 1.0
+ETA1 = 0.01
+ETA2 = 0.9
+BETA0 = 0.98
+BETA1 = 1.0
+BETA2 = 1.3
+C1 = 0.1
+C2 = 0.5
+KAPPA_HAT0 = 10.0
+KAPPA_CAP = 1e12
+
+
 @dataclasses.dataclass(frozen=True)
 class NewtonConfig:
-    """Second-order solver knobs.
-
-    eta1/eta2 are the accept/expand thresholds on the actual-to-predicted
-    ratio; beta0 < beta1 <= beta2 scale the proximal weight tau down/keep/up.
-    c1 is the angle-condition constant for semismooth-Newton directions
-    (the projected-gradient fallback has c1 = 1 by construction), c2 the
-    model-decrease constant. kappa_hat0 seeds the running curvature
-    estimate, doubled whenever a direction or trial check fails.
-    """
+    """newton_solve's stopping rule: residual tol, max_iter, step_tol."""
 
     max_iter: int = 200
     tol: float = 1e-8
     step_tol: Optional[float] = None
-    tau0: float = 1.0
-    eta1: float = 0.01
-    eta2: float = 0.9
-    beta0: float = 0.98
-    beta1: float = 1.0
-    beta2: float = 1.3
-    c1: float = 0.1
-    c2: float = 0.5
-    kappa_hat0: float = 10.0
-    kappa_cap: float = 1e12
-    qp_tol: float = 1e-8
-    qp_max_iter: int = 50
 
 
 @dataclasses.dataclass
@@ -354,8 +352,8 @@ class _SSNJacobian:
 
 def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
                         hess_m_apply: Callable[[np.ndarray], np.ndarray],
-                        alpha: float, tol: float = 1e-8, max_iter: int = 50,
-                        zero_tol: float = SUPPORT_ZERO_TOL) -> tuple:
+                        alpha: float, tol: float = 1e-8,
+                        max_iter: int = 50) -> tuple:
     """Solve min <grad_m, D> + (1/2) <D, hess_m[D]> over the tangent cone
     T(X) = {D : x_j^T d_j = 0, x_j + d_j >= 0} by semismooth Newton.
 
@@ -393,7 +391,7 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
             return PC - Xd, info
         F = Z - PC
         nF = norm(F)
-        active = PC > zero_tol
+        active = PC > SUPPORT_ZERO_TOL
         jac = _SSNJacobian(Xd, hess_m_apply, alpha, active)
         sol, code = gmres(jac, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
                           maxiter=200)
@@ -428,12 +426,14 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     accepted, so the final value never exceeds h(X0). The report's
     `trials` list records, for every screened trial, the model value, the
     guaranteed-decrease bound it was checked against, and the accept/reject
-    outcome.
+    outcome. X0 and each accepted trial are checked once.
     """
-    X = X0.data.copy()
+    # a C-ordered copy, as every trial is: reductions ravel in memory order
+    Xob = make_oblique(X0.data)
+    X = Xob.data
     fX = float(h.value(X))
-    tau = cfg.tau0
-    kappa = cfg.kappa_hat0
+    tau = TAU0
+    kappa = KAPPA_HAT0
     flags = []
     trials = []
     res = np.inf
@@ -449,7 +449,6 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         if res <= cfg.tol:
             converged = True
             break
-        Xob = make_oblique(X)
         pg = project_tangent_T(Xob, -rg).data
         npg = norm(pg)
         if npg <= 1e-14:
@@ -466,25 +465,24 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
 
         # -- direction: semismooth Newton, angle-validated ------------------
         D = None
-        c1_eff = cfg.c1
+        c1_eff = C1
         used = "ssn"
         while True:
             alpha_qp = 1.0 / (kappa + tau)
             tau_now = tau
             try:
                 Dc, _ = solve_qp_subproblem(
-                    Xob, rg, lambda W: hess_r(W) + tau_now * W, alpha_qp,
-                    tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+                    Xob, rg, lambda W: hess_r(W) + tau_now * W, alpha_qp)
             except SolverError:
                 Dc = None
             if Dc is not None:
                 nD = norm(Dc)
-                if nD > 0 and inner(rg, Dc) <= -cfg.c1 * npg * nD:
+                if nD > 0 and inner(rg, Dc) <= -C1 * npg * nD:
                     D = Dc
                     break
             kappa *= 2.0
-            tau *= cfg.beta2
-            if kappa > cfg.kappa_cap:
+            tau *= BETA2
+            if kappa > KAPPA_CAP:
                 flags.append("CurvatureEstimateExhausted")
                 D = pg
                 c1_eff = 1.0
@@ -498,7 +496,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
                     + 0.5 * inner(Dm, np.asarray(hess(Dm), dtype=float))
                     + 0.5 * tau * inner(Dm, Dm))
 
-        a_eff = 2.0 * c1_eff ** 2 * cfg.c2 * (1.0 - cfg.c2)
+        a_eff = 2.0 * c1_eff ** 2 * C2 * (1.0 - C2)
         nD = norm(D)
         # achievable decreases smaller than rounding error in h itself are
         # not evidence of a bad curvature estimate; stop instead of
@@ -510,7 +508,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         at_noise_floor = False
         while True:
             bound = -a_eff / (kappa + tau) * npg * npg
-            alpha_l = 2.0 * c1_eff * (1.0 - cfg.c2) * npg / ((kappa + tau) * nD)
+            alpha_l = 2.0 * c1_eff * (1.0 - C2) * npg / ((kappa + tau) * nD)
             cands = [_project_ob_plus_raw(X + D),
                      _project_ob_plus_raw(X + alpha_l * D)]
             mvals = [m_val(Yc) for Yc in cands]
@@ -524,13 +522,13 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
                 Y, mY = Yc, mc
                 break
             kappa *= 2.0
-            if kappa > cfg.kappa_cap:
+            if kappa > KAPPA_CAP:
                 flags.append("CurvatureEstimateExhausted")
                 break
         if at_noise_floor:
             break
         if Y is None:
-            tau *= cfg.beta2  # no certified trial; tighten the model and retry
+            tau *= BETA2  # no certified trial; tighten the model and retry
             trials.append({"iter": it, "model": None, "bound": bound,
                            "direction": used, "rho": None, "accepted": False,
                            "satisfied": False, "tau": tau, "kappa": kappa})
@@ -538,19 +536,20 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
 
         fY = float(h.value(Y))
         rho = (fY - fX) / mY
-        accepted = rho >= cfg.eta1
+        accepted = rho >= ETA1
         trials.append({"iter": it, "model": mY, "bound": bound,
                        "direction": used, "rho": rho, "accepted": accepted,
                        "satisfied": True, "tau": tau, "kappa": kappa})
         if accepted:
             step = norm(Y - X)
+            Xob = make_oblique(Y, copy=False)  # Y is a fresh array
             X, fX = Y, fY
-        if rho >= cfg.eta2:
-            tau = cfg.beta0 * tau
-        elif rho >= cfg.eta1:
-            tau = cfg.beta1 * tau
+        if rho >= ETA2:
+            tau = BETA0 * tau
+        elif rho >= ETA1:
+            tau = BETA1 * tau
         else:
-            tau = cfg.beta2 * tau
+            tau = BETA2 * tau
         tau = min(max(tau, 1e-12), 1e14)
         if accepted and cfg.step_tol is not None and step <= cfg.step_tol:
             break
@@ -561,4 +560,4 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=res, converged=converged or res <= cfg.tol,
                       flags=flags, trials=trials)
-    return make_oblique(X), rep
+    return Xob, rep

@@ -417,6 +417,25 @@ def test_cli_config_file_overrides(tmp_path):
     assert rep["manifest"]["params"]["overrides"] == {"t_max": 4}
 
 
+@pytest.mark.parametrize("command", ["project", "onmf", "opnmf"])
+def test_cli_solvers_take_no_seed(tmp_path, command):
+    # every application supplies a feasible fallback, so the driver's seed
+    # never draws anything: the solver commands neither take nor record one
+    data = str(tmp_path / "A.mtx")
+    r = invoke(["gen-onmf", "--n", "12", "--r", "6", "--k", "2",
+                "--xi", "0.0", "--seed", "4", "--out", data])
+    assert r.exit_code == 0, r.output
+    args = [command, "--in", data] + ([] if command == "project" else
+                                      ["--k", "2"])
+    r = invoke(args + ["--seed", "1"])
+    assert r.exit_code == 2
+    assert "--seed" in r.output
+    rep_path = str(tmp_path / "rep.json")
+    r = invoke(args + ["--out", rep_path])
+    assert r.exit_code == 0, r.output
+    assert pio.read_report(rep_path)["manifest"]["seeds"] == []
+
+
 def test_cli_bench_table_proj_smoke(tmp_path):
     out = str(tmp_path / "table.json")
     r = invoke(["bench", "table-proj", "--n", "10", "--k", "2",
@@ -440,9 +459,11 @@ def test_cli_bench_table_onmf_smoke(tmp_path):
     assert table["cells"][0]["feasibility_max"] <= 1e-12
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def readme_cli_lines():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    text = pathlib.Path(path).read_text()
+    text = pathlib.Path(README).read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines()
             if line.startswith("penorth ")]
@@ -462,3 +483,15 @@ def test_readme_cli_lines_resolve():
             cmd.make_context(cmd.name, list(args))
         except click.UsageError as exc:
             pytest.fail(f"{' '.join(words)}: {exc.format_message()}")
+
+
+def test_readme_python_blocks_run():
+    # the library examples run as written: every ```python block of the
+    # README, in order, in one namespace
+    text = pathlib.Path(README).read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    ns = {}
+    for i, code in enumerate(blocks, 1):
+        exec(compile(code, f"README.md python block {i}", "exec"), ns)
+    assert ns["rep"].termination == "feasibility-tol"

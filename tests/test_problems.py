@@ -372,6 +372,14 @@ def test_gen_kindicators_orthonormal_and_recoverable():
     assert np.array_equal(U, again.U)
 
 
+@pytest.mark.parametrize("n, k", [(3, 5), (4, 0), (4, -1)])
+def test_gen_kindicators_rejects_impossible_shapes(n, k):
+    # with n < k no draw of n labels covers all k clusters; the label loop
+    # would never stop
+    with pytest.raises(BadShape, match="n >= k >= 1"):
+        gen_kindicators(n, k, noise=0.1, seed=0)
+
+
 def test_kindicators_solve_recovers_planted_clusters():
     inst = gen_kindicators(40, 3, noise=0.1, seed=62)
     rep = kindicators_solve(inst.U)

@@ -5,6 +5,7 @@ exhaustive active-set enumeration, which is exact for positive-definite
 models, so agreement here certifies the fixed-point machinery end to end.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from penorth.subsolvers import (GPConfig, NewtonConfig,
                                 gradient_projection_solve, newton_solve,
                                 project_delta, project_delta_cols,
                                 solve_qp_subproblem)
-from penorth.types import Objective, PenaltyParams
+from penorth.types import Objective, ObliqueMatrix, PenaltyParams
 
 import oracles
 
@@ -453,6 +454,30 @@ def test_newton_budget_flag():
     X, rep = newton_solve(h, X0, NewtonConfig(max_iter=1, tol=1e-14))
     assert not rep.converged
     assert "MaxIterReached" in rep.flags
+
+
+def test_newton_checks_start_and_ignores_its_layout():
+    h, rng = small_penalized(44)
+    A = oracles.random_unit_columns(rng, 6, 2)
+    X, rep = newton_solve(h, make_oblique(A), NewtonConfig(tol=1e-9))
+    # the start is copied to C order on entry, so a Fortran-ordered start
+    # gives the same bits
+    Xf, repf = newton_solve(h, make_oblique(np.asfortranarray(A), copy=False),
+                            NewtonConfig(tol=1e-9))
+    assert np.array_equal(X.data, Xf.data)
+    assert X.data.flags.c_contiguous and not X.data.flags.writeable
+    assert rep.trials == repf.trials
+    # a start that bypassed make_oblique is checked where it enters
+    bad = A.copy()
+    bad[0, 0] = -bad[0, 0] - 0.1
+    with pytest.raises(NegativeEntry):
+        newton_solve(h, ObliqueMatrix(data=bad, n=6, k=2))
+
+
+def test_solver_configs_hold_only_settings_callers_set():
+    # the Newton safeguards are the paper's fixed constants, not options
+    names = [f.name for f in dataclasses.fields(NewtonConfig)]
+    assert names == ["max_iter", "tol", "step_tol"]
 
 
 # --------------------------------------------------------------------------
