@@ -319,8 +319,10 @@ def _onmf_job(args):
     inst = gen_onmf(n, r, k, xi, seed)
     rep = solve_onmf(inst.A, k)
     ref = resi(inst.A, inst.B)
+    pred = np.argmax(rep.final, axis=1)
     return {"n": n, "r": r, "k": k, "xi": xi, "seed": seed,
             "resi": rep.extra["resi"], "resi_reference": ref,
+            "nmi": clustering_metrics(pred, inst.labels)["nmi"],
             "feasibility": rep.feasibility, "seconds": rep.seconds,
             "termination": rep.termination,
             "outer_iterations": rep.outer_iterations}
@@ -419,6 +421,9 @@ def table_onmf_cmd(ns, rs_, ks, xis, seeds, workers, out):
                             np.mean([x["resi_reference"] for x in sel])),
                         "feasibility_max": float(
                             np.max([x["feasibility"] for x in sel])),
+                        "nmi_mean": float(np.mean([x["nmi"] for x in sel])),
+                        "settled": sum(x["termination"] == "settled"
+                                       for x in sel),
                         "seconds_total": float(
                             np.sum([x["seconds"] for x in sel])),
                     })
@@ -426,6 +431,8 @@ def table_onmf_cmd(ns, rs_, ks, xis, seeds, workers, out):
         click.echo(f"n={c['n']:5d} r={c['r']:5d} k={c['k']:3d} "
                    f"xi={c['xi']:<6g} resi_max={c['resi_max']:.2e} "
                    f"feasi_max={c['feasibility_max']:.2e} "
+                   f"nmi_mean={c['nmi_mean']:.4f} "
+                   f"settled={c['settled']}/{c['runs']} "
                    f"time={c['seconds_total']:.1f}s")
     payload = {"cells": cells, "runs": results}
     if out:

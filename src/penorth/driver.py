@@ -7,6 +7,16 @@ feasible anchor point guards every outer iteration: when the incumbent's
 penalty value exceeds the anchor's, the inner solve restarts from the
 anchor. The final iterate is rounded onto the feasible set and, by
 default, refined over the rounded support without ever increasing f.
+
+When f has a closed-form refinement (refine_kind "linear" or
+"quadratic-form") and postprocessing is on, the refined point depends only
+on the rounded support and the data, and the continuation often fixes
+that support long before the defect reaches tol_feas. The driver then
+also stops ("settled") once the row argmax has stayed the same for
+SETTLE_WINDOW outer iterations in a row while every column is some row's
+argmax and every row's largest entry leads its second by at least
+SETTLE_MARGIN of itself; the margin keeps noisy runs, whose supports
+still move late, from stopping early.
 """
 from __future__ import annotations
 
@@ -25,6 +35,32 @@ from .subsolvers import (GPConfig, NewtonConfig, gradient_projection_solve,
                          newton_solve)
 from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
                     PenaltyParams, SolveReport, make_oblique)
+
+# outer iterations in a row the row argmax must hold, and the smallest
+# relative row margin (top - second) / top, for a settled stop
+SETTLE_WINDOW = 5
+SETTLE_MARGIN = 0.5
+
+
+def row_support(X: np.ndarray) -> tuple:
+    """Rounded support of X and how far it is from changing.
+
+    Returns the row argmax as labels (-1 for a row with no positive entry,
+    which rounding leaves empty) and the smallest (top - second) / top over
+    the other rows: 1 when k = 1, and 0 when some column is no row's argmax,
+    since rounding then resets the point to I_{n,k}.
+    """
+    n, k = X.shape
+    arg = np.argmax(X, axis=1)
+    top = X[np.arange(n), arg]
+    live = top > 0
+    labels = np.where(live, arg, -1)
+    if not np.bincount(arg[live], minlength=k).all():
+        return labels, 0.0
+    if k == 1:
+        return labels, 1.0
+    second = np.partition(X[live], -2, axis=1)[:, -2]
+    return labels, float(np.min((top[live] - second) / top[live]))
 
 
 @dataclasses.dataclass
@@ -162,6 +198,11 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     kkt_penalty = np.nan
     zeta2 = norm(X.data @ ctx.V) ** 2 - 1.0
     outer_done = 0
+    # the settled stop needs a final point that depends on the support only
+    settle = (cfg.do_postprocess
+              and getattr(f, "refine_kind", "generic") != "generic")
+    support = None  # row labels of the last iterate (settle on)
+    unchanged = 0  # outer iterations in a row that kept those labels
     for t in range(cfg.t_max):
         params_t = PenaltyParams(sigma=sched.sigma, p=cfg.p, q=cfg.q,
                                  eps=sched.eps)
@@ -238,6 +279,16 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         if zeta2 <= cfg.tol_feas:
             term = "feasibility-tol"
             break
+        if settle:
+            labels, margin = row_support(X.data)
+            same = support is not None and np.array_equal(labels, support)
+            unchanged = unchanged + 1 if same else 0
+            support = labels
+            report.history[-1].update(support_unchanged=unchanged,
+                                      support_margin=margin)
+            if unchanged >= SETTLE_WINDOW and margin >= SETTLE_MARGIN:
+                term = "settled"
+                break
         if sched.sigma > 1e16:
             term = "stalled"
             break

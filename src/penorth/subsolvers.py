@@ -439,6 +439,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     res = np.inf
     step = np.inf
     converged = False
+    G_at_X = False  # G and res were evaluated at the current X
     it = 0
     while it < cfg.max_iter:
         it += 1
@@ -446,6 +447,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         radial = np.einsum("ij,ij->j", X, G)
         rg = G - X * radial
         res = norm(np.minimum(X, rg))
+        G_at_X = True
         if res <= cfg.tol:
             converged = True
             break
@@ -544,6 +546,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
             step = norm(Y - X)
             Xob = make_oblique(Y, copy=False)  # Y is a fresh array
             X, fX = Y, fY
+            G_at_X = False
         if rho >= ETA2:
             tau = BETA0 * tau
         elif rho >= ETA1:
@@ -555,8 +558,9 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
             break
     if not converged and it >= cfg.max_iter:
         flags.append("MaxIterReached")
-    G = np.asarray(h.grad(X), dtype=float)
-    res = norm(np.minimum(X, riemannian_grad(X, G)))
+    if not G_at_X:
+        G = np.asarray(h.grad(X), dtype=float)
+        res = norm(np.minimum(X, riemannian_grad(X, G)))
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=res, converged=converged or res <= cfg.tol,
                       flags=flags, trials=trials)

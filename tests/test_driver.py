@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from penorth import make_context, make_oblique
-from penorth.driver import (PRESETS, PenaltySchedule, ep4orth_solve,
-                            feasible_init, kindicators_preset, onmf_preset,
-                            postprocess, projection_preset)
+from penorth.driver import (PRESETS, SETTLE_MARGIN, SETTLE_WINDOW,
+                            PenaltySchedule, ep4orth_solve, feasible_init,
+                            kindicators_preset, onmf_preset, postprocess,
+                            projection_preset, row_support)
 from penorth.errors import EmptyColumnSupport, ValidationError
 from penorth.penalty import zeta
-from penorth.problems import (LinearObjective, ScaledLinearPenalty,
-                              TargetDistanceObjective)
+from penorth.problems import (LinearObjective, OpnmfObjective,
+                              ScaledLinearPenalty, TargetDistanceObjective,
+                              gen_onmf, solve_onmf, svd_init)
 from penorth.rounding import FeasiblePoint, feasibility_violation
 from penorth.rounding import round as round_point
 from penorth.types import DriverConfig
@@ -222,6 +224,87 @@ def test_driver_stalled_when_sigma_explodes():
     assert rep.termination == "stalled"
     assert rep.outer_iterations < 300  # the guard, not the budget, stopped it
     assert rep.feasibility <= 1e-12
+
+
+# keys every history entry has; the settled stop adds the support_* pair
+HISTORY_KEYS = {"t", "sigma", "eps_grad", "solver", "inner_iterations",
+                "kkt_inner", "kkt_penalty", "zeta2", "h_start", "h_end",
+                "descent_ok", "anchored", "trials", "inner_flags"}
+SUPPORT_KEYS = {"support_unchanged", "support_margin"}
+
+
+def test_settle_constants_frozen_values():
+    assert (SETTLE_WINDOW, SETTLE_MARGIN) == (5, 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_driver_settles_on_small_onmf(seed):
+    inst = gen_onmf(30, 60, 3, 0.0, seed=seed)
+    # unrefined, the final point round(X_T) depends on more than the
+    # support: the continuation runs on to tol_feas
+    full = solve_onmf(inst.A, 3, onmf_preset(do_postprocess=False))
+    rep = solve_onmf(inst.A, 3)
+    assert full.termination == "feasibility-tol"
+    assert all(set(h) == HISTORY_KEYS for h in full.history)
+    assert rep.termination == "settled"
+    assert rep.outer_iterations < full.outer_iterations
+    assert np.array_equal(np.argmax(rep.final, axis=1),
+                          np.argmax(full.final, axis=1))
+    assert rep.extra["resi"] <= 1e-8
+    assert rep.feasibility <= 1e-12
+    last = rep.history[-1]
+    assert last["support_unchanged"] == SETTLE_WINDOW
+    assert last["support_margin"] >= SETTLE_MARGIN
+    # the report describes the last iterate before rounding
+    assert rep.zeta == last["zeta2"] > 1e-8
+
+
+class GenericOpnmf(OpnmfObjective):
+    """The projective ONMF objective without its closed-form refinement."""
+
+    refine_kind = "generic"
+
+
+def test_driver_settles_only_with_a_closed_form_refinement():
+    # a generic f gets round(X_T) back, so its run never stops early
+    inst = gen_onmf(40, 80, 4, 0.0, seed=0)
+    ctx = make_context(40, 4)
+    X0 = svd_init(inst.A, 4)
+    cfg = onmf_preset()
+    reps = [ep4orth_solve(f(inst.A), ctx, cfg, X0=X0,
+                          X_feas=round_point(X0.data))
+            for f in (OpnmfObjective, GenericOpnmf)]
+    assert reps[0].termination == "settled"
+    assert all(set(h) == HISTORY_KEYS | SUPPORT_KEYS
+               for h in reps[0].history)
+    assert reps[1].termination == "feasibility-tol"
+    assert reps[1].outer_iterations > reps[0].outer_iterations
+    assert all(set(h) == HISTORY_KEYS for h in reps[1].history)
+
+
+def test_driver_never_settles_on_coincident_columns():
+    # the iterate keeps its two columns identical, so its support never
+    # moves but every row is a tie: the margin gate holds the stop back
+    f, X0 = anti_anchor_objective(5, 2, scale=1e18)
+    ctx = make_context(5, 2)
+    cfg = DriverConfig(sigma0=1.0, gamma2=50.0, tol_feas=1e-30, t_max=300,
+                       force_solver="gp", max_inner=5)
+    rep = ep4orth_solve(f, ctx, cfg, X0=X0)
+    assert rep.termination == "stalled"
+    assert max(h["support_unchanged"] for h in rep.history) >= SETTLE_WINDOW
+    assert all(h["support_margin"] == 0.0 for h in rep.history)
+
+
+def test_row_support_labels_live_rows_and_sees_ties():
+    X = np.array([[0.8, 0.2], [0.0, 0.0], [0.3, 0.6]])
+    labels, margin = row_support(X)
+    assert labels.tolist() == [0, -1, 1]  # the empty row has no label
+    assert margin == pytest.approx(0.5)  # row 3: (0.6 - 0.3) / 0.6
+    assert row_support(np.array([[0.5, 0.5], [0.0, 1.0]]))[1] == 0.0  # tie
+    assert row_support(np.ones((3, 1)))[1] == 1.0  # k = 1
+    # column 1 is no row's argmax, so rounding would reset the point
+    assert row_support(np.array([[0.9, 0.1], [0.8, 0.2]]))[1] == 0.0
+    assert row_support(np.zeros((3, 2)))[1] == 0.0  # no live row
 
 
 def fallback_rewarding_setup(n=6, k=2):

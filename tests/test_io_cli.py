@@ -455,8 +455,15 @@ def test_cli_bench_table_onmf_smoke(tmp_path):
                 "--xi", "0.0", "--seeds", "2", "--out", out])
     assert r.exit_code == 0, r.output
     table = pio.read_report(out)
-    assert table["cells"][0]["resi_max"] <= 1e-6
-    assert table["cells"][0]["feasibility_max"] <= 1e-12
+    cell = table["cells"][0]
+    assert cell["resi_max"] <= 1e-6
+    assert cell["feasibility_max"] <= 1e-12
+    # planted labels recovered, read off the row argmax of each run
+    assert [run["nmi"] for run in table["runs"]] == pytest.approx([1.0, 1.0])
+    assert cell["nmi_mean"] == pytest.approx(1.0)
+    assert cell["settled"] == sum(run["termination"] == "settled"
+                                  for run in table["runs"])
+    assert f"nmi_mean=1.0000 settled={cell['settled']}/2" in r.output
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -16,7 +16,7 @@ import pytest
 
 from penorth import make_context, make_oblique
 from penorth.errors import InfeasibleSupport, NegativeEntry
-from penorth.manifold import slice_projector
+from penorth.manifold import riemannian_grad, slice_projector
 from penorth.penalty import PenalizedObjective
 from penorth.problems import TargetDistanceObjective
 from penorth import subsolvers
@@ -472,6 +472,47 @@ def test_newton_checks_start_and_ignores_its_layout():
     bad[0, 0] = -bad[0, 0] - 0.1
     with pytest.raises(NegativeEntry):
         newton_solve(h, ObliqueMatrix(data=bad, n=6, k=2))
+
+
+class CountingGrad(Objective):
+    """h with its gradient evaluations counted."""
+
+    def __init__(self, h):
+        self.h = h
+        self.grads = 0
+
+    def value(self, X):
+        return self.h.value(X)
+
+    def grad(self, X):
+        self.grads += 1
+        return self.h.grad(X)
+
+    def hess_at(self, X):
+        return self.h.hess_at(X)
+
+
+@pytest.mark.parametrize("max_iter", [1, 200])
+def test_newton_reuses_the_gradient_at_its_final_point(max_iter):
+    # the interior optimum of test_newton_converges_on_interior_optimum
+    rng = oracles.rng_for(40)
+    h = Quadratic(np.abs(rng.standard_normal((6, 2))) + 0.2)
+    X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2,
+                                                  strictly_positive=True))
+    counted = CountingGrad(h)
+    X, rep = newton_solve(counted, X0, NewtonConfig(tol=1e-7,
+                                                    max_iter=max_iter))
+    res = np.linalg.norm(np.minimum(X.data, riemannian_grad(X, h.grad(X.data))))
+    assert rep.kkt_residual == res
+    if max_iter == 1:
+        # the one iteration moved X: its residual is evaluated afresh
+        assert rep.trials[-1]["accepted"] and not rep.converged
+        assert counted.grads == 2
+    else:
+        # stopped (converged or at the noise floor) at the point it last
+        # differentiated: no second gradient there
+        assert rep.iterations < max_iter
+        assert counted.grads == rep.iterations
 
 
 def test_solver_configs_hold_only_settings_callers_set():
