@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as pio
 from .driver import kindicators_preset, onmf_preset, projection_preset
-from .errors import ParseError, SolverError, ValidationError
+from .errors import BadShape, ParseError, SolverError, ValidationError
 from .penalty import check_stationarity_original
 from .problems import (LinearObjective, TargetDistanceObjective,
                        clustering_metrics, drop_zero_columns, gen_onmf,
@@ -84,7 +84,7 @@ def _emit(payload: dict, out) -> None:
 
 
 def _write_labels(path: str, labels) -> None:
-    pio._atomic_write_text(path, "\n".join(str(int(v)) for v in labels) + "\n")
+    pio._atomic_write(path, ("\n".join(str(int(v)) for v in labels) + "\n",))
 
 
 def _read_labels(path: str) -> np.ndarray:
@@ -203,7 +203,12 @@ def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax,
 def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
                  tol_feas, sigma0, tmax, save_solution):
     A = pio.read_matrix(inp)
+    dropped = A.shape[1]
     A = drop_zero_columns(A)
+    dropped -= A.shape[1]
+    if dropped and k > A.shape[1]:
+        raise BadShape(f"k={k} exceeds the {A.shape[1]} column(s) of A left "
+                       f"after dropping {dropped} all-zero column(s)")
     over = _config_overrides(config_path, tol_feas=tol_feas, sigma0=sigma0,
                              t_max=tmax)
     cfg = onmf_preset(hyperspectral=hyperspectral, **over)

@@ -179,7 +179,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     rng = np.random.default_rng(np.random.Philox(cfg.rng_seed))
     if X_feas is None:
         X_feas = feasible_init(ctx, rng=rng)
-    Xf_ob = make_oblique(X_feas.data)
+    # round() freezes its output, so that array is wrapped, not copied
+    Xf_ob = make_oblique(X_feas.data, copy=X_feas.data.flags.writeable)
     X = X0 if X0 is not None else Xf_ob
     if not isinstance(X, ObliqueMatrix):
         X = make_oblique(X)

@@ -337,10 +337,13 @@ def drop_zero_columns(A: np.ndarray) -> np.ndarray:
     """Remove all-zero columns (data loaded from files may have them).
 
     Rows are kept: each row is a data point whose label and solution row
-    must stay aligned with the input.
+    must stay aligned with the input. A without a zero column comes back
+    as is, not copied.
     """
     A = np.asarray(A, dtype=float)
-    A = A[:, np.abs(A).sum(axis=0) > 0]
+    keep = (A != 0).any(axis=0)
+    if not keep.all():
+        A = A[:, keep]
     if A.size == 0:
         raise BadShape("matrix is entirely zero")
     return A
@@ -570,9 +573,10 @@ class KindicatorsObjective(Objective):
     def target(self, X):
         """U Y for the Procrustes factor Y = polar(U^T X)."""
         if X is not self._X:
-            self._X = X
-            self._target = self.U @ project_orthogonal_group(self.U.T @ X)
-            self._target.setflags(write=False)  # handed to every caller
+            self._X = self._target = None  # free the old target first
+            target = self.U @ project_orthogonal_group(self.U.T @ X)
+            target.setflags(write=False)  # handed to every caller
+            self._X, self._target = X, target
         return self._target
 
     def value(self, X):
@@ -600,9 +604,10 @@ class KindicatorsModel(Objective):
 
     def _at(self, X):
         if X is not self._X:
-            self._X = X
+            self._X = self._model = None  # free the old model first
             self._model = ScaledLinearPenalty(self.f.target(X), self.ctx,
                                               self.sigma)
+            self._X = X
         return self._model
 
     def value(self, X):

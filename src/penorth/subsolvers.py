@@ -281,6 +281,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
                 Z = G - Gp
                 den = abs(inner(S, Z))
                 alpha = inner(S, S) / den if den > 0 else BB_CAP
+                del S, Z  # not held through the line search
             alpha = min(max(alpha, BB_FLOOR), BB_CAP)
             if cfg.alpha_cap is not None:
                 alpha = min(alpha, cfg.alpha_cap)

@@ -157,6 +157,151 @@ def test_writes_are_atomic_no_temp_litter(tmp_path):
     assert names == {"m.csv", "r.json"}
 
 
+# array files are streamed a block of about pio._BLOCK values at a time: the
+# files below span several blocks and put each fault past the first one
+
+
+def long_column(rows):
+    """A rows x 1 matrix of values of every magnitude."""
+    rng = oracles.rng_for(73)
+    return rng.standard_normal((rows, 1)) * 10.0 ** rng.integers(-30, 30, (rows, 1))
+
+
+def array_file_lines(rows):
+    """The lines of a rows x 1 array file, one 25-character value per line."""
+    vals = ["%.17e\n" % v for v in long_column(rows)[:, 0].tolist()]
+    return [BANNER, f"{rows} 1\n"] + vals
+
+
+@pytest.mark.parametrize("op", ["read", "write"])
+def test_array_io_memory_is_bounded_by_the_matrix(tmp_path, op):
+    import tracemalloc
+    M = oracles.rng_for(74).standard_normal((5000, 40))
+    p = str(tmp_path / "m.mtx")
+    pio.write_matrix(p, M)
+    tracemalloc.start()
+    try:
+        if op == "read":
+            back = pio.read_matrix(p)
+        else:
+            pio.write_matrix(p, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if op == "read":
+        # the returned array itself plus one block of strings
+        assert np.array_equal(back, M)
+        assert peak < 1.5 * M.nbytes
+    else:
+        assert peak < 1.2 * M.nbytes
+
+
+@pytest.mark.parametrize("shape,order", [
+    ((3 * pio._BLOCK + 7, 2), "C"), ((3 * pio._BLOCK + 7, 2), "F"),
+    ((5, pio._BLOCK), "C"), ((700, 9), "F"), ((1, 3 * pio._BLOCK + 1), "C"),
+])
+def test_write_matrix_array_golden_bytes_over_blocks(tmp_path, shape, order):
+    rng = oracles.rng_for(75)
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    M.flat[::97] = -0.0
+    M = np.asarray(M, order=order)
+    p = tmp_path / "m.mtx"
+    pio.write_matrix(str(p), M)
+    expected = (f"%%MatrixMarket matrix array real general\n{shape[0]} {shape[1]}\n"
+                + "".join("%.17g\n" % v for v in M.T.ravel()))
+    assert p.read_bytes() == expected.encode()
+    back = pio.read_matrix(str(p))
+    assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+    assert back.flags.f_contiguous
+    # a strided view writes the same bytes as its copy
+    pio.write_matrix(str(p), np.repeat(M, 2, axis=1)[:, ::2])
+    assert p.read_bytes() == expected.encode()
+
+
+def test_read_matrix_array_comments_past_the_first_block(tmp_path):
+    lines = array_file_lines(4 * pio._BLOCK)
+    lines.insert(3 * pio._BLOCK, "% a comment between the values\n")
+    lines.insert(2 * pio._BLOCK, "\n")
+    p = tmp_path / "m.mtx"
+    p.write_text("".join(lines))
+    back = pio.read_matrix(str(p))
+    col = long_column(4 * pio._BLOCK)
+    assert np.array_equal(back.view(np.uint64), col.view(np.uint64))
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("xyz", "bad numeric value 'xyz'"),
+    ("1.5e", "bad numeric value '1.5e'"),
+    ("nan", "non-finite value 'nan'"),
+    ("-inf", "non-finite value '-inf'"),
+    ("comment then bad", "bad numeric value '2x'"),
+    ("crlf", "bad numeric value '2,'"),
+    ("no final newline", "bad numeric value '7q'"),
+    ("not utf-8", "not UTF-8 text (byte 0xe9)"),
+])
+def test_read_matrix_errors_past_the_first_block(tmp_path, fault, message):
+    lines = array_file_lines(4 * pio._BLOCK)
+    lineno = 3 * pio._BLOCK + 17  # 1-based line of the fault
+    if fault == "comment then bad":
+        lines.insert(lineno - 1, "% note\n")
+        lineno += 1
+        lines[lineno - 1] = "2x\n"
+    elif fault == "crlf":
+        lines[lineno - 1] = "2,\n"
+        lines = [ln.replace("\n", "\r\n") for ln in lines]
+    elif fault == "no final newline":
+        lines[-1] = "7q"
+        lineno = len(lines)
+    elif fault == "not utf-8":
+        lines[lineno - 1] = "5\udce96\n"
+    else:
+        lines[lineno - 1] = fault + "\n"
+    # well past the first block of 25-character lines
+    assert len("".join(lines[:lineno])) > 2 * 25 * pio._BLOCK
+    p = tmp_path / "m.mtx"
+    p.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as ei:
+        pio.read_matrix(str(p))
+    assert ei.value.line == lineno
+    assert message in str(ei.value)
+
+
+def test_read_matrix_reports_a_late_undecodable_byte_first(tmp_path):
+    # as when the whole file was decoded before parsing: a byte that is not
+    # UTF-8 is the error reported even past an earlier bad value
+    lines = array_file_lines(4 * pio._BLOCK)
+    lines[5] = "bad\n"
+    lines[3 * pio._BLOCK] = "\udcff\n"
+    p = tmp_path / "m.mtx"
+    p.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as ei:
+        pio.read_matrix(str(p))
+    assert ei.value.line == 3 * pio._BLOCK + 1
+    assert "not UTF-8 text (byte 0xff)" in str(ei.value)
+
+
+@pytest.mark.parametrize("count", [4 * pio._BLOCK - 1, 4 * pio._BLOCK + 1])
+def test_read_matrix_counts_every_value_of_a_mismatched_file(tmp_path, count):
+    lines = array_file_lines(count)
+    lines[1] = f"{pio._BLOCK} 4\n"
+    p = tmp_path / "m.mtx"
+    p.write_text("".join(lines))
+    n = 4 * pio._BLOCK
+    with pytest.raises(DimensionMismatch) as ei:
+        pio.read_matrix(str(p))
+    assert str(ei.value) == f"expected {n} entries for {pio._BLOCK} x 4, found {count}"
+
+
+def test_read_matrix_size_line_larger_than_the_file(tmp_path):
+    # no array of the claimed size is allocated: the file cannot fill it
+    p = tmp_path / "m.mtx"
+    p.write_text(BANNER + "1000000 1000000\n1\n2\n3\n")
+    with pytest.raises(DimensionMismatch) as ei:
+        pio.read_matrix(str(p))
+    assert str(ei.value) == ("expected 1000000000000 entries for "
+                             "1000000 x 1000000, found 3")
+
+
 # --------------------------------------------------------------------------
 # reports and manifests
 
@@ -464,6 +609,75 @@ def test_cli_bench_table_onmf_smoke(tmp_path):
     assert cell["settled"] == sum(run["termination"] == "settled"
                                   for run in table["runs"])
     assert f"nmi_mean=1.0000 settled={cell['settled']}/2" in r.output
+
+
+def degenerate_inputs():
+    """The degenerate data files of the CLI tests, by name."""
+    rng = oracles.rng_for(76)
+    u = rng.random((20, 1)) + 0.1
+    Z = rng.random((10, 3)) + 0.1
+    Z[:, 1] = 0.0
+    return {
+        "20x1": u / np.linalg.norm(u),  # k = 1, and orthonormal for K-indicators
+        "4x4": np.linalg.qr(rng.standard_normal((4, 4)))[0],  # n = k, orthogonal
+        "negative-30x3": -rng.random((30, 3)) - 0.1,
+        "zero-column-10x3": Z,
+    }
+
+
+DEGENERATE_COMMANDS = {
+    "project": ["project"], "onmf-k1": ["onmf", "--k", "1"],
+    "onmf-k3": ["onmf", "--k", "3"], "opnmf-k3": ["opnmf", "--k", "3"],
+    "kindicators": ["kindicators"],
+}
+# (file, command) pairs that exit 2; every other pair solves
+DEGENERATE_REJECTED = {
+    ("20x1", "onmf-k3"), ("20x1", "opnmf-k3"),
+    ("negative-30x3", "kindicators"), ("zero-column-10x3", "onmf-k3"),
+    ("zero-column-10x3", "opnmf-k3"), ("zero-column-10x3", "kindicators"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEGENERATE_COMMANDS))
+@pytest.mark.parametrize("name", sorted(degenerate_inputs()))
+def test_cli_degenerate_inputs_solve_or_exit_2(tmp_path, name, command):
+    from penorth.rounding import feasibility_violation
+    M = degenerate_inputs()[name]
+    data = str(tmp_path / "A.mtx")
+    pio.write_matrix(data, M)
+    sol = str(tmp_path / "X.mtx")
+    args = DEGENERATE_COMMANDS[command] + [
+        "--in", data, "--save-solution", sol, "--out", str(tmp_path / "rep.json")]
+    if command != "kindicators":
+        # inner solves bounded to 5 iterations: with the default 100, opnmf
+        # spends about 70 s in its first Newton solve on the 30 x 3 file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_inner": 5}))
+        args += ["--config", str(cfg)]
+    r = invoke(args)
+    if (name, command) in DEGENERATE_REJECTED:
+        assert r.exit_code == 2, r.output
+        assert r.output.startswith("error: ")
+        assert not os.path.exists(sol)
+        return
+    assert r.exit_code == 0, r.output
+    X = pio.read_matrix(sol)
+    k = int(args[2]) if command.startswith(("onmf", "opnmf")) else M.shape[1]
+    assert X.shape == (M.shape[0], k)  # one solution row per data row
+    assert feasibility_violation(X) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["onmf", "opnmf"])
+def test_cli_onmf_names_dropped_zero_columns(tmp_path, command):
+    data = str(tmp_path / "A.mtx")
+    pio.write_matrix(data, degenerate_inputs()["zero-column-10x3"])
+    r = invoke([command, "--in", data, "--k", "3"])
+    assert r.exit_code == 2
+    assert r.output == ("error: k=3 exceeds the 2 column(s) of A left after "
+                        "dropping 1 all-zero column(s)\n")
+    # k within the columns left: the zero column is dropped and A solved
+    r = invoke([command, "--in", data, "--k", "2"])
+    assert r.exit_code == 0, r.output
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

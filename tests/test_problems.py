@@ -8,6 +8,7 @@ examples where the answer is computable by inspection.
 import numpy as np
 import pytest
 
+from penorth import io as pio
 from penorth import make_context, make_oblique
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
 from penorth.problems import (KindicatorsInstance, KindicatorsModel,
@@ -95,6 +96,26 @@ def test_solve_projection_rejects_non_finite_target(bad):
     C[4, 1] = bad
     with pytest.raises(BadShape):
         solve_projection(C)
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.7, 0.95])
+def test_solve_projection_metamorphic(xi):
+    # ||X||_F^2 = k on the feasible set, so the projection of C is that of
+    # any positive multiple of C; relabelling rows or columns of C relabels
+    # those of its projection
+    for seed in range(8):
+        C = gen_projection(200, 5, xi=xi, seed=seed).C
+        base = solve_projection(C).final
+        for scale in (10.0, 0.01):
+            X = solve_projection(scale * C).final
+            assert np.array_equal(X.argmax(axis=1), base.argmax(axis=1))
+            assert np.abs(X - base).max() <= 1e-12
+        rng = oracles.rng_for(100 + seed)
+        rows, cols = rng.permutation(200), rng.permutation(5)
+        want = base[rows][:, cols]
+        X = solve_projection(C[rows][:, cols]).final
+        assert np.array_equal(X.argmax(axis=1), want.argmax(axis=1))
+        assert np.abs(X - want).max() <= 1e-12
 
 
 def test_scaled_linear_penalty_grad():
@@ -240,6 +261,19 @@ def test_drop_zero_columns_keeps_rows():
         drop_zero_columns(np.zeros((3, 3)))
 
 
+def test_drop_zero_columns_returns_its_input_when_nothing_is_dropped():
+    A = np.asfortranarray(oracles.rng_for(55).random((6, 4)))
+    assert drop_zero_columns(A) is A
+    A[:, 2] = 0.0
+    A[0, 2] = -0.0
+    out = drop_zero_columns(A)
+    assert out.shape == (6, 3) and out.flags.f_contiguous
+    assert np.array_equal(out, A[:, [0, 1, 3]])
+    # a NaN column is not a zero column: solve_onmf rejects it later
+    A[1, 2] = np.nan
+    assert drop_zero_columns(A).shape == (6, 4)
+
+
 def test_svd_init_feasible_shape_and_guard():
     rng = oracles.rng_for(52)
     A = rng.random((15, 8))
@@ -293,6 +327,22 @@ def test_solve_onmf_edge_shapes_on_newton_path(variant, n, k):
         assert np.isin(rep.final, (0.0, 1.0)).all()
         assert (rep.final.sum(axis=0) == 1.0).all()
         assert (rep.final.sum(axis=1) == 1.0).all()
+
+
+@pytest.mark.parametrize("seed", [1002, 1008, 2005])
+def test_solve_onmf_final_bits_do_not_depend_on_memory_order(tmp_path, seed):
+    # exactly recoverable instances whose refined and rounded points once
+    # compared equal up to summation order, so that the memory order of A
+    # chose the returned point; penorth.io hands back Fortran-ordered arrays
+    A = np.ascontiguousarray(gen_onmf(100, 200, 3, xi=0.0, seed=seed).A)
+    path = str(tmp_path / "A.mtx")
+    pio.write_matrix(path, A)
+    A_read = pio.read_matrix(path)
+    assert A_read.flags.f_contiguous and not A_read.flags.c_contiguous
+    assert np.array_equal(A_read, A)
+    final_c = solve_onmf(A, 3).final
+    final_f = solve_onmf(A_read, 3).final
+    assert final_c.tobytes() == final_f.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["gn", "direct"])
