@@ -182,6 +182,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     # round() freezes its output, so that array is wrapped, not copied
     Xf_ob = make_oblique(X_feas.data, copy=X_feas.data.flags.writeable)
     X = X0 if X0 is not None else Xf_ob
+    X0 = None  # a start the caller handed over is freed once X moves off it
     if not isinstance(X, ObliqueMatrix):
         X = make_oblique(X)
     if X.data.shape != (ctx.n, ctx.k):
@@ -240,7 +241,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         total_inner += irep.iterations
         report.flags.extend(fl for fl in irep.flags if fl not in report.flags)
 
-        hN = float(h_t.value(Xn.data))
+        # both subsolvers report h at the point they return
+        hN = irep.final_value
         descent_ok = hN <= hX + 1e-12 * max(1.0, abs(hX))
         if not descent_ok:
             Xn, hN = X, hX  # keep the incumbent; subsolvers should not ascend
@@ -257,7 +259,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                 hF = float(h_t.value(Xf_ob.data))
             Xa, irep2 = solve(h_t, Xf_ob)
             total_inner += irep2.iterations
-            hA = float(h_t.value(Xa.data))
+            hA = irep2.final_value
             if hA <= hF:
                 Xn, hN = Xa, hA
             else:

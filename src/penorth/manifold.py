@@ -57,7 +57,7 @@ def make_tangent(X: ObliqueMatrix, D, tol: float = TANGENT_BUILD_TOL) -> Tangent
     return TangentDirection(data=D, base=X)
 
 
-def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
+def _project_ob_plus_raw(C: np.ndarray, *, _out=None, _pos=None) -> np.ndarray:
     """Project a float matrix columnwise onto the nonnegative unit sphere.
 
     Each column: clip negatives to zero, normalize. A column whose positive
@@ -65,50 +65,64 @@ def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
     vector at its largest entry (smallest index on ties), which is a valid
     closest point. No input checks or wrapping, for hot loops.
 
-    All the work runs in place on one fresh Fortran-ordered buffer
-    max(C, 0). The hot loops pass C-ordered n x k matrices with n >> k:
-    there every column pass (peak, scaling, column sums, normalization)
-    would run k-long inner loops, and every further full-size temporary
-    costs a page-faulted allocation. Dead columns are divided by 1 along
-    with the rest and then overwritten. Because the squares are
-    Fortran-ordered, each column norm is numpy's pairwise sum over one
-    contiguous column: the same bits as np.linalg.norm(., axis=0) on a
-    column-gathered copy, where C-ordered squares would be summed row by
-    row and round differently. The result is copied back into the memory
-    layout of C, since callers' later reductions depend on it.
+    The work runs on a Fortran-ordered buffer max(C, 0) and on the result
+    array, laid out like C. The hot loops pass C-ordered n x k matrices
+    with n >> k: there every column pass (peak, scaling, column sums,
+    normalization) would run k-long inner loops, and every further
+    full-size temporary costs a page-faulted allocation. The result array
+    first holds the column squares, viewed Fortran-ordered, so each column
+    norm is numpy's pairwise sum over one contiguous column: the same bits
+    as np.linalg.norm(., axis=0) on a column-gathered copy, where C-ordered
+    squares would be summed row by row and round differently. The final
+    division then writes into it in C's layout, which callers' later
+    reductions depend on. Dead columns are divided by 1 along with the rest
+    and then overwritten; their argmax is read before C may be.
+
+    _out and _pos are projected_step's: its own contiguous temporary C as
+    the result array, and a Fortran-ordered buffer of C's shape that it
+    allocated first, so that on the heap the scratch lies below the result
+    and freeing it leaves a hole the next iterate reuses.
     """
-    pos = np.maximum(C, 0.0, order="F")
+    if _pos is None:
+        pos = np.maximum(C, 0.0, order="F")
+    else:
+        pos = np.maximum(C, 0.0, out=_pos)
     peak = pos.max(axis=0)
     dead = ~(peak > 0)
+    resets = [(j, int(np.argmax(C[:, j]))) for j in np.flatnonzero(dead)]
     # peak-scale first: squaring tiny or huge entries directly would
     # underflow or overflow and denormalize the column
     peak[dead] = 1.0
     pos /= peak
-    nrm = np.sqrt(np.add.reduce(pos * pos, axis=0))
+    out = np.empty_like(C, dtype=pos.dtype) if _out is None else _out
+    # a view: out is contiguous, fresh or projected_step's temporary
+    squares = out.ravel("K").reshape(out.shape, order="F")
+    np.multiply(pos, pos, out=squares)
+    nrm = np.sqrt(np.add.reduce(squares, axis=0))
+    del squares
     nrm[dead] = 1.0
-    pos /= nrm
-    for j in np.flatnonzero(dead):
-        pos[:, j] = 0.0
-        pos[int(np.argmax(C[:, j])), j] = 1.0
-    out = np.empty_like(C, dtype=pos.dtype)
-    out[...] = pos
+    np.divide(pos, nrm, out=out)
+    for j, i in resets:
+        out[:, j] = 0.0
+        out[i, j] = 1.0
     return out
 
 
 def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
     """_project_ob_plus_raw(X - alpha * G), with X - alpha * G built in one
-    temporary.
+    temporary that the projection then overwrites with its result.
 
     The temporary gets the memory layout numpy gives X - alpha * G:
     Fortran-like only when both X and G are, C order otherwise. The
     projection keeps that layout, and later reductions over the iterate
     ravel in memory order, so another layout would change their bits.
     """
+    pos = np.empty(X.shape, order="F")  # first: see _project_ob_plus_raw
     # a row-major X makes numpy's result row-major whatever G's layout
     x_cols = abs(X.strides[0]) < abs(X.strides[1])
     T = np.multiply(alpha, G, order="K" if x_cols else "C")
     np.subtract(X, T, out=T)
-    return _project_ob_plus_raw(T)
+    return _project_ob_plus_raw(T, _out=T, _pos=pos)
 
 
 def project_oblique_plus(C) -> ObliqueMatrix:
@@ -229,6 +243,22 @@ def riemannian_grad(X, G) -> np.ndarray:
         raise BadShape(f"gradient shape {G.shape} != point shape {Xd.shape}")
     radial = np.einsum("ij,ij->j", Xd, G)
     return G - Xd * radial
+
+
+def stationarity_residual(X: np.ndarray, G: np.ndarray) -> float:
+    """norm(np.minimum(X, riemannian_grad(X, G))), formed in one buffer.
+
+    The buffer gets the memory layout numpy gives that expression:
+    Fortran order only when both X and G are column-major, C order
+    otherwise. norm sums in memory order, so another layout would change
+    its bits.
+    """
+    cols = (abs(X.strides[0]) < abs(X.strides[1])
+            and abs(G.strides[0]) < abs(G.strides[1]))
+    R = np.multiply(X, np.einsum("ij,ij->j", X, G), order="F" if cols else "C")
+    np.subtract(G, R, out=R)
+    np.minimum(X, R, out=R)
+    return norm(R)
 
 
 def riemannian_hess_apply(X, G, HD, D) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
 from .manifold import (inner, norm, riemannian_grad, riemannian_hess_apply,
-                       TangentDirection)
+                       stationarity_residual, TangentDirection)
 from .rounding import feasibility_violation
 from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
                     oblique_data, support_pattern)
@@ -124,8 +124,9 @@ def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
     vanishes exactly at points satisfying the first-order conditions.
     """
     Xd = oblique_data(X)
-    rg = penalty_rgrad(Xd, ctx, params, G_f)
-    return norm(np.minimum(Xd, rg))
+    # penalty_rgrad's Euclidean gradient, projected in one buffer
+    term = PenalizedObjective(None, ctx, params).term_grad(Xd)
+    return stationarity_residual(Xd, np.asarray(G_f, dtype=float) + term)
 
 
 class PenalizedObjective(Objective):

@@ -87,15 +87,16 @@ class ScaledLinearPenalty(Objective):
     on the manifold; its gradient is 1-Lipschitz, so a fixed projected
     step below 1 descends without a line search.
 
-    The target is stored C-ordered, like the iterates, and the gradient's
-    constant term C / sigma is computed once.
+    The target is stored C-ordered, like the iterates. The gradient's
+    constant term C / sigma is formed at the first gradient and kept for
+    the next ones; a model used for one gradient holds it no longer.
     """
 
     def __init__(self, C, ctx: PenaltyContext, sigma: float):
         self.C = np.ascontiguousarray(C, dtype=float)
         self.ctx = ctx
         self.sigma = float(sigma)
-        self._c_sigma = self.C / self.sigma
+        self._c_sigma = None
 
     def value(self, X):
         XV = X @ self.ctx.V
@@ -103,6 +104,8 @@ class ScaledLinearPenalty(Objective):
                 + 0.5 * inner(XV, XV))
 
     def grad(self, X):
+        if self._c_sigma is None:
+            self._c_sigma = self.C / self.sigma
         G = X @ self.ctx.vvt
         G -= self._c_sigma
         return G
@@ -593,22 +596,17 @@ class KindicatorsModel(Objective):
     At each X, h and its gradient are those of the ScaledLinearPenalty at
     the target f.target(X), so a projected-gradient step on h is one
     alternating step of K-indicators: Procrustes refit, then a step in X.
-    That model is kept for the last array evaluated (compared by
-    identity), so value and then grad at an iterate build it once.
+    The model holds no array of its own: its target is f's, which f keeps
+    for the last array evaluated, so value and then grad at an iterate
+    build it once.
     """
 
     def __init__(self, f: KindicatorsObjective, ctx: PenaltyContext,
                  sigma: float):
         self.f, self.ctx, self.sigma = f, ctx, sigma
-        self._X = self._model = None
 
     def _at(self, X):
-        if X is not self._X:
-            self._X = self._model = None  # free the old model first
-            self._model = ScaledLinearPenalty(self.f.target(X), self.ctx,
-                                              self.sigma)
-            self._X = X
-        return self._model
+        return ScaledLinearPenalty(self.f.target(X), self.ctx, self.sigma)
 
     def value(self, X):
         return self._at(X).value(X)
@@ -639,12 +637,16 @@ def kindicators_solve(U: np.ndarray,
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else kindicators_preset()
     f = KindicatorsObjective(U)
-    X0 = project_oblique_plus(U)
+    # the list hands the start over: once the driver has moved off it,
+    # nothing keeps it alive (on CPython 3.11 and later, whose calls take
+    # over their arguments' references)
+    start = [project_oblique_plus(U)]
+    X_feas = rounding.round(start[0].data)
 
     def factory(X, params):
         return KindicatorsModel(f, ctx, params.sigma)
 
-    report = ep4orth_solve(f, ctx, cfg, X0=X0, X_feas=rounding.round(X0.data),
+    report = ep4orth_solve(f, ctx, cfg, X0=start.pop(), X_feas=X_feas,
                            inner_factory=factory)
     X = report.extra["X_preround"]
     XR = report.extra["X_rounded"]

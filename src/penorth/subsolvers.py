@@ -58,7 +58,8 @@ from .errors import SolverError
 # import them from here
 from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
                        project_delta, project_delta_cols, project_tangent_T,
-                       projected_step, riemannian_grad, slice_projector)
+                       projected_step, slice_projector,
+                       stationarity_residual)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
 
@@ -257,7 +258,16 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     (ObliqueMatrix, InnerReport); the final value never exceeds h(X0)
     (best-iterate safeguard). A failed nonmonotone line search sets the
     "LineSearchFailure" flag and returns the best iterate seen. Each new
-    iterate gets h.value, then h.grad, on the same array object.
+    iterate gets h.value, then h.grad, on the same array object, and no
+    array h has seen is written afterwards.
+
+    Few n x k arrays are live at once: the step S = X_new - X is formed
+    once, for the step norm, the Armijo test and the BB step, and of the
+    BB differences S and Z = G_new - G only the scalars <S, S> and
+    |<S, Z>| are carried to the next step, so the previous iterate and
+    gradient are dropped as soon as the new gradient exists. The
+    fixed-step rule drops the old gradient once the step is taken, before
+    it asks for the new one.
     """
     X = X0.data  # iterates are new arrays, never written in place
     fX = float(h.value(X))
@@ -265,47 +275,56 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     hist = deque([fX], maxlen=WINDOW)
     best_X, best_f = X, fX
     flags = []
-    Xp = Gp = None
+    ss = sz = None  # <S, S> and |<S, Z>| of the last step, for BB
+    bb = cfg.fixed_alpha is None
     step = np.inf
     converged = False
     it = 0
     while it < cfg.max_iter:
         it += 1
-        if cfg.fixed_alpha is not None:
+        if not bb:
             alpha = cfg.fixed_alpha
         else:
-            if Xp is None:
+            if ss is None:
                 alpha = 1.0 / (norm(G) + 1e-16) if cfg.line_search else 1.0
             else:
-                S = X - Xp
-                Z = G - Gp
-                den = abs(inner(S, Z))
-                alpha = inner(S, S) / den if den > 0 else BB_CAP
-                del S, Z  # not held through the line search
+                alpha = ss / sz if sz > 0 else BB_CAP
             alpha = min(max(alpha, BB_FLOOR), BB_CAP)
             if cfg.alpha_cap is not None:
                 alpha = min(alpha, cfg.alpha_cap)
-        if cfg.line_search and cfg.fixed_alpha is None:
+        if cfg.line_search and bb:
             fmax = max(hist)
             ok = False
             for _ in range(MAX_BACKTRACKS + 1):
                 Xn = projected_step(X, alpha, G)
-                diff = Xn - X
+                S = Xn - X
+                ss = inner(S, S)
                 fn = float(h.value(Xn))
-                if fn <= fmax - ARMIJO * inner(diff, diff):
+                if fn <= fmax - ARMIJO * ss:
                     ok = True
                     break
+                del Xn, S  # not held through the next trial
                 alpha *= BACKTRACK
             if not ok:
                 flags.append("LineSearchFailure")
                 break
         else:
             Xn = projected_step(X, alpha, G)
+            if not bb:
+                del G  # the fixed step needs no gradient difference
+            S = Xn - X
             fn = float(h.value(Xn))
-        step = norm(Xn - X)
-        Xp, Gp = X, G
+            if bb:
+                ss = inner(S, S)
+        step = norm(S)
         X, fX = Xn, fn
-        G = np.asarray(h.grad(X), dtype=float)
+        if bb:
+            Gn = np.asarray(h.grad(X), dtype=float)
+            sz = abs(inner(S, Gn - G))  # Z = Gn - G lives for this product
+            G = Gn
+        else:
+            G = np.asarray(h.grad(X), dtype=float)
+        del S  # not held through the next step
         hist.append(fX)
         if fX < best_f:
             best_X, best_f = X, fX
@@ -315,7 +334,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     if fX > best_f:
         X, fX = best_X, best_f
         G = np.asarray(h.grad(X), dtype=float)
-    kkt = norm(np.minimum(X, riemannian_grad(X, G)))
+    kkt = stationarity_residual(X, G)
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=kkt, converged=converged, flags=flags)
     return make_oblique(X, copy=False), rep
@@ -560,8 +579,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     if not converged and it >= cfg.max_iter:
         flags.append("MaxIterReached")
     if not G_at_X:
-        G = np.asarray(h.grad(X), dtype=float)
-        res = norm(np.minimum(X, riemannian_grad(X, G)))
+        res = stationarity_residual(X, np.asarray(h.grad(X), dtype=float))
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=res, converged=converged or res <= cfg.tol,
                       flags=flags, trials=trials)

@@ -330,6 +330,90 @@ def normal_equations_Y(A, X):
 
 
 # --------------------------------------------------------------------------
+# projected gradient with the previous iterate and gradient held
+
+
+def gradient_projection_reference(h, X0, cfg):
+    """penorth.subsolvers.gradient_projection_solve as it was before it
+    stopped holding the previous iterate and gradient.
+
+    Each step keeps X_prev and G_prev alive until the next BB step forms
+    S = X - X_prev and Z = G - G_prev from them, and the line search forms
+    its own difference Xn - X. The package's primitives (the projected
+    step, norms, the Riemannian gradient) are called as they are; only
+    the loop is the reference, and the solver must reproduce it bit for
+    bit.
+    """
+    from collections import deque
+
+    from penorth.manifold import inner, norm, projected_step, riemannian_grad
+    from penorth.subsolvers import (ARMIJO, BACKTRACK, BB_CAP, BB_FLOOR,
+                                    MAX_BACKTRACKS, WINDOW, InnerReport)
+    from penorth.types import make_oblique
+
+    X = X0.data  # iterates are new arrays, never written in place
+    fX = float(h.value(X))
+    G = np.asarray(h.grad(X), dtype=float)
+    hist = deque([fX], maxlen=WINDOW)
+    best_X, best_f = X, fX
+    flags = []
+    Xp = Gp = None
+    step = np.inf
+    converged = False
+    it = 0
+    while it < cfg.max_iter:
+        it += 1
+        if cfg.fixed_alpha is not None:
+            alpha = cfg.fixed_alpha
+        else:
+            if Xp is None:
+                alpha = 1.0 / (norm(G) + 1e-16) if cfg.line_search else 1.0
+            else:
+                S = X - Xp
+                Z = G - Gp
+                den = abs(inner(S, Z))
+                alpha = inner(S, S) / den if den > 0 else BB_CAP
+                del S, Z  # not held through the line search
+            alpha = min(max(alpha, BB_FLOOR), BB_CAP)
+            if cfg.alpha_cap is not None:
+                alpha = min(alpha, cfg.alpha_cap)
+        if cfg.line_search and cfg.fixed_alpha is None:
+            fmax = max(hist)
+            ok = False
+            for _ in range(MAX_BACKTRACKS + 1):
+                Xn = projected_step(X, alpha, G)
+                diff = Xn - X
+                fn = float(h.value(Xn))
+                if fn <= fmax - ARMIJO * inner(diff, diff):
+                    ok = True
+                    break
+                alpha *= BACKTRACK
+            if not ok:
+                flags.append("LineSearchFailure")
+                break
+        else:
+            Xn = projected_step(X, alpha, G)
+            fn = float(h.value(Xn))
+        step = norm(Xn - X)
+        Xp, Gp = X, G
+        X, fX = Xn, fn
+        G = np.asarray(h.grad(X), dtype=float)
+        hist.append(fX)
+        if fX < best_f:
+            best_X, best_f = X, fX
+        if step <= cfg.step_tol:
+            converged = True
+            break
+    if fX > best_f:
+        X, fX = best_X, best_f
+        G = np.asarray(h.grad(X), dtype=float)
+    kkt = norm(np.minimum(X, riemannian_grad(X, G)))
+    rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
+                      kkt_residual=kkt, converged=converged, flags=flags)
+    return make_oblique(X, copy=False), rep
+
+
+# --------------------------------------------------------------------------
 # K-indicators by its own alternating loop
 
 

@@ -9,7 +9,8 @@ from penorth.errors import BadShape, NotTangent
 from penorth.manifold import (_project_ob_plus_raw, inner, make_tangent, norm,
                               project_oblique_plus, project_orthogonal_group,
                               project_tangent_T, projected_step,
-                              riemannian_grad, riemannian_hess_apply)
+                              riemannian_grad, riemannian_hess_apply,
+                              stationarity_residual)
 
 import oracles
 
@@ -95,24 +96,71 @@ def test_project_oblique_plus_leaves_argument_unchanged():
         assert C.tobytes() == before.tobytes()
 
 
+def layouts(A):
+    """A in C, Fortran, strided, Fortran-strided and reversed layouts."""
+    n, k = A.shape
+    big = np.zeros((2 * n, 3 * k))
+    big[::2, ::3] = A
+    return [A, np.asfortranarray(A), big[::2, ::3],
+            np.asfortranarray(big)[::2, ::3], A[::-1]]
+
+
+def step_cases(rng, n, k):
+    """(X, G) pairs: generic; with a dead, an all-zero and a NaN column of
+    X - 0.7 G; and with rounded ties, one dead column tied all the way
+    down."""
+    yield rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    X, G = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    G[:, 0] = (np.abs(X[:, 0]) + 1.0) * 2.0  # X - 0.7 G < 0
+    X[:, -1] = G[:, -1] = 0.0
+    if k >= 3:
+        G[n // 2, 1] = np.nan
+    yield X, G
+    X, G = np.round(rng.standard_normal((n, k))), np.round(rng.standard_normal((n, k)))
+    X[:, 0], G[:, 0] = -1.0, 0.0
+    yield X, G
+
+
 def test_projected_step_matches_expression_bit_for_bit():
     """Values and memory layout of _project_ob_plus_raw(X - alpha * G) for
     every pairing of C-ordered, Fortran-ordered, strided and reversed X and
     G (a Fortran-ordered gradient must not make the iterate Fortran-ordered
-    when X is C-ordered)."""
+    when X is C-ordered), with dead, zero, NaN and tied columns. The step
+    projects its own temporary in place; X and G stay as they were."""
     rng = oracles.rng_for(72)
+    count = 0
     for n, k in [(1, 1), (1, 4), (7, 1), (6, 3), (5000, 20)]:
-        def layouts():
-            A = rng.standard_normal((n, k))
-            big = rng.standard_normal((2 * n, 3 * k))
-            return [A, np.asfortranarray(A), big[::2, ::3],
-                    np.asfortranarray(big)[::2, ::3], A[::-1]]
-        for X in layouts():
-            for G in layouts():
-                want = _project_ob_plus_raw(X - 0.7 * G)
-                got = projected_step(X, 0.7, G)
-                assert got.tobytes() == want.tobytes()
-                assert got.strides == want.strides
+        for X_base, G_base in step_cases(rng, n, k):
+            for X in layouts(X_base):
+                for G in layouts(G_base):
+                    X_before, G_before = X.tobytes(), G.tobytes()
+                    want = _project_ob_plus_raw(X - 0.7 * G)
+                    got = projected_step(X, 0.7, G)
+                    assert got.tobytes() == want.tobytes()
+                    assert got.strides == want.strides
+                    assert X.tobytes() == X_before and G.tobytes() == G_before
+                    count += 1
+    assert count == 5 * 3 * 25
+
+
+def test_stationarity_residual_matches_expression_bit_for_bit():
+    """norm(min(X, riemannian_grad(X, G))) in one buffer sums in the
+    memory order the expression's result has, for every layout pairing."""
+    rng = oracles.rng_for(74)
+    for n, k in [(1, 1), (1, 4), (7, 1), (6, 3), (5000, 20)]:
+        X_base = oracles.random_unit_columns(rng, n, k)
+        X_base[rng.random((n, k)) < 0.3] = 0.0
+        G_base = rng.standard_normal((n, k))
+        if n * k > 1000:
+            # these data tell the two summation orders apart
+            R = np.minimum(X_base, riemannian_grad(X_base, G_base))
+            assert norm(R) != norm(np.asfortranarray(R))
+        for X in layouts(X_base):
+            for G in layouts(G_base):
+                X_before, G_before = X.tobytes(), G.tobytes()
+                want = norm(np.minimum(X, riemannian_grad(X, G)))
+                assert stationarity_residual(X, G) == want
+                assert X.tobytes() == X_before and G.tobytes() == G_before
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

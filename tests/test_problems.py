@@ -512,3 +512,38 @@ def test_kindicators_solve_rejects_nonorthonormal():
         kindicators_solve(rng.random((10, 3)))
     with pytest.raises(BadShape):
         kindicators_solve(np.eye(3)[:, :2][:1])  # n < k
+
+
+# --------------------------------------------------------------------------
+# memory of the projected-gradient solves
+
+
+# the seeded input, the solve, and the bound on its traced peak in n x k
+# doubles. Measured 8.16 (K-indicators) and 9.42 (projection); each bound
+# leaves about 0.8 of one n x k array of room, and both lie below the
+# 12.17 and 11.22 of the loop that held the previous iterate and gradient,
+# the projection's separate squares and output arrays, each iterate's
+# C / sigma, and a stationarity residual built from three n x k
+# temporaries
+SOLVE_MEMORY = {
+    "kindicators": (lambda n, k: gen_kindicators(n, k, 0.5, seed=1).U,
+                    kindicators_solve, 9.0),
+    "projection": (lambda n, k: gen_projection(n, k, 0.7, seed=1).C,
+                   solve_projection, 10.2),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(SOLVE_MEMORY))
+def test_projected_gradient_solve_memory_is_bounded(problem):
+    import tracemalloc
+    make, solve, bound = SOLVE_MEMORY[problem]
+    n, k = 2000, 20
+    M = np.asfortranarray(make(n, k))  # the layout penorth.io reads into
+    tracemalloc.start()
+    try:
+        rep = solve(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feasibility_violation(rep.final) <= 1e-8
+    assert peak < bound * n * k * 8

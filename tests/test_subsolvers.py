@@ -18,7 +18,9 @@ from penorth import make_context, make_oblique
 from penorth.errors import InfeasibleSupport, NegativeEntry
 from penorth.manifold import riemannian_grad, slice_projector
 from penorth.penalty import PenalizedObjective
-from penorth.problems import TargetDistanceObjective
+from penorth.problems import (KindicatorsModel, KindicatorsObjective,
+                              ScaledLinearPenalty, TargetDistanceObjective,
+                              gen_kindicators)
 from penorth import subsolvers
 from penorth.subsolvers import (GPConfig, NewtonConfig,
                                 gradient_projection_solve, newton_solve,
@@ -278,6 +280,128 @@ def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
     assert len(trials) == rep.iterations
     assert max(a for a, _ in trials) == cap
     assert rep.final_value <= h.value(X0.data)
+
+
+class Recording(Objective):
+    """Delegates to h and records each call as (method, index of the array
+    by first appearance), keeping a copy of every array it is shown."""
+
+    def __init__(self, h):
+        self.h = h
+        self.calls = []
+        self.seen = []
+        self.copies = []
+
+    def _index(self, X):
+        for i, A in enumerate(self.seen):
+            if A is X:
+                return i
+        self.seen.append(X)
+        self.copies.append(X.copy())
+        return len(self.seen) - 1
+
+    def value(self, X):
+        self.calls.append(("value", self._index(X)))
+        return self.h.value(X)
+
+    def grad(self, X):
+        self.calls.append(("grad", self._index(X)))
+        return self.h.grad(X)
+
+
+def _linear_model(n, k, seed):
+    C = oracles.rng_for(seed).random((n, k))
+    return lambda: ScaledLinearPenalty(C, make_context(n, k), 1.0)
+
+
+def _kindicators_model(n, k, seed, sigma):
+    U = gen_kindicators(n, k, 0.5, seed).U
+    return lambda: KindicatorsModel(KindicatorsObjective(U), make_context(n, k),
+                                    sigma)
+
+
+def _lying(n, k, seed):
+    T = np.abs(oracles.rng_for(seed).standard_normal((n, k))) + 0.1
+    return lambda: LyingGradient(T)
+
+
+BARE = dict(line_search=False, max_iter=60, step_tol=1e-9)
+
+# objective factory, config, and the branches the run must take: whether
+# it converges, backtracks in the line search, ends on a worse iterate
+# than its best (and falls back to it), or fails the line search
+GP_CASES = {
+    "fixed": (_linear_model(60, 4, 1),
+              GPConfig(fixed_alpha=0.99, step_tol=1e-10, max_iter=300),
+              {"converges"}),
+    "fixed-fallback": (_linear_model(60, 4, 0),
+                       GPConfig(fixed_alpha=0.99, step_tol=1e-10,
+                                max_iter=300), {"converges", "falls back"}),
+    "bb-bare": (_kindicators_model(60, 4, 5, 10.0),
+                GPConfig(alpha_cap=16.0, **BARE), {"converges"}),
+    "bb-bare-fallback": (_kindicators_model(60, 4, 0, 10.0), GPConfig(**BARE),
+                         {"converges", "falls back"}),
+    "bb-bare-budget": (_kindicators_model(60, 4, 7, 100.0), GPConfig(**BARE),
+                       {"falls back"}),
+    "bb-line-search": (_kindicators_model(60, 4, 4, 10.0),
+                       GPConfig(max_iter=60, step_tol=1e-9),
+                       {"converges", "backtracks"}),
+    "bb-line-search-fallback": (_kindicators_model(60, 4, 1, 10.0),
+                                GPConfig(max_iter=60, step_tol=1e-9),
+                                {"converges", "backtracks", "falls back"}),
+    "bb-line-search-linear": (_linear_model(60, 4, 2),
+                              GPConfig(step_tol=1e-10, max_iter=300),
+                              {"converges"}),
+    "line-search-failure": (_lying(60, 4, 43), GPConfig(max_iter=50),
+                            {"backtracks", "fails"}),
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("case", sorted(GP_CASES))
+def test_gp_matches_reference_bit_for_bit(case, order):
+    """The loop against its earlier form (oracles), which held the
+    previous iterate and gradient: the same final bits and layout, the
+    same report, and the same calls on the same array objects."""
+    make_h, cfg, exercises = GP_CASES[case]
+    n, k = 60, 4
+    U = gen_kindicators(n, k, 0.3, 44).U
+    start = np.abs(U) / np.linalg.norm(U, axis=0)
+    X0 = make_oblique(np.asarray(start, order=order), copy=False)
+    runs = []
+    for solve in (gradient_projection_solve, oracles.gradient_projection_reference):
+        h = Recording(make_h())
+        X, rep = solve(h, X0, cfg)
+        runs.append((X.data, rep, h))
+    (X, rep, h), (X_ref, rep_ref, h_ref) = runs
+    assert X.tobytes() == X_ref.tobytes() and X.strides == X_ref.strides
+    for field in ("iterations", "final_value", "step_norm", "kkt_residual",
+                  "converged", "flags"):
+        got, want = getattr(rep, field), getattr(rep_ref, field)
+        assert np.array_equal(got, want), field
+    assert h.calls == h_ref.calls
+    # the contract the identity caches rely on: every array is first
+    # evaluated, a gradient always follows the value at the same array,
+    # and nothing h was shown is written afterwards
+    first = {}
+    for j, (method, i) in enumerate(h.calls):
+        first.setdefault(i, method)
+        if method == "grad" and j + 1 < len(h.calls):
+            assert h.calls[j - 1] == ("value", i)
+    assert set(first.values()) == {"value"}
+    for A, copy in zip(h.seen, h.copies):
+        assert A.tobytes() == copy.tobytes()
+    # each case takes the branches it is meant to cover
+    taken = set()
+    if rep.converged:
+        taken.add("converges")
+    if [m for m, _ in h.calls].count("value") > rep.iterations + 1:
+        taken.add("backtracks")
+    if "LineSearchFailure" in rep.flags:
+        taken.add("fails")
+    elif h.calls[-1] != ("grad", len(h.seen) - 1):
+        taken.add("falls back")  # the last gradient is at an earlier point
+    assert taken == exercises
 
 
 # --------------------------------------------------------------------------
