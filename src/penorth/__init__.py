@@ -7,9 +7,8 @@ subproblems with first- or second-order manifold solvers, and rounds the
 result back to exact feasibility with a certified error bound.
 """
 
-from .driver import (PRESETS, PenaltySchedule, ep4orth_solve, feasible_init,
-                     kindicators_preset, onmf_preset, postprocess,
-                     projection_preset)
+from .driver import (ep4orth_solve, feasible_init, kindicators_preset,
+                     onmf_preset, postprocess, projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch,
                      EmptyColumnSupport, InfeasibleSupport, NegativeEntry,
                      NonFiniteObjective, NonUnitColumn, NotFeasible,

@@ -20,7 +20,6 @@ still move late, from stopping early.
 """
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Callable, Optional
 
@@ -40,6 +39,9 @@ from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
 # relative row margin (top - second) / top, for a settled stop
 SETTLE_WINDOW = 5
 SETTLE_MARGIN = 0.5
+# floor of the inner stationarity tolerance, which decays by eta each outer
+# iteration
+EPS_GRAD_MIN = 1e-7
 
 
 def row_support(X: np.ndarray) -> tuple:
@@ -61,32 +63,6 @@ def row_support(X: np.ndarray) -> tuple:
         return labels, 1.0
     second = np.partition(X[live], -2, axis=1)[:, -2]
     return labels, float(np.min((top[live] - second) / top[live]))
-
-
-@dataclasses.dataclass
-class PenaltySchedule:
-    """Mutable state of the penalty continuation.
-
-    advance() grows sigma (strictly, factor > 1), decays the smoothing
-    offset by gamma1 and the inner tolerance by eta down to its floor.
-    """
-
-    sigma: float
-    eps: float
-    eps_grad: float
-    gamma1: float
-    gamma2: float
-    eta: float
-    eps_grad_min: float
-    gamma2_rule: Optional[Callable[[float], float]] = None
-
-    def advance(self, xv_sq: float) -> None:
-        factor = self.gamma2_rule(xv_sq) if self.gamma2_rule else self.gamma2
-        if factor <= 1:
-            raise BadShape(f"penalty growth factor must exceed 1, got {factor!r}")
-        self.sigma *= factor
-        self.eps *= self.gamma1
-        self.eps_grad = max(self.eta * self.eps_grad, self.eps_grad_min)
 
 
 def feasible_init(ctx: PenaltyContext, hint=None, rng=None) -> FeasiblePoint:
@@ -176,9 +152,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     pre-rounding iterate and the rounded point for diagnostics.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(np.random.Philox(cfg.rng_seed))
     if X_feas is None:
-        X_feas = feasible_init(ctx, rng=rng)
+        X_feas = feasible_init(ctx)
     # round() freezes its output, so that array is wrapped, not copied
     Xf_ob = make_oblique(X_feas.data, copy=X_feas.data.flags.writeable)
     X = X0 if X0 is not None else Xf_ob
@@ -188,12 +163,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     if X.data.shape != (ctx.n, ctx.k):
         raise BadShape(f"start point shape {X.data.shape} != ({ctx.n}, {ctx.k})")
 
-    sched = PenaltySchedule(sigma=cfg.sigma0, eps=cfg.eps0,
-                            eps_grad=cfg.eps_grad0, gamma1=cfg.gamma1,
-                            gamma2=cfg.gamma2, eta=cfg.eta,
-                            eps_grad_min=cfg.eps_grad_min,
-                            gamma2_rule=cfg.gamma2_rule)
-
+    sigma, eps_grad = cfg.sigma0, cfg.eps_grad0
     report = SolveReport()
     total_inner = 0
     term = "max-outer"
@@ -206,8 +176,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     support = None  # row labels of the last iterate (settle on)
     unchanged = 0  # outer iterations in a row that kept those labels
     for t in range(cfg.t_max):
-        params_t = PenaltyParams(sigma=sched.sigma, p=cfg.p, q=cfg.q,
-                                 eps=sched.eps)
+        params_t = PenaltyParams(sigma=sigma)
         h_t = (inner_factory(X, params_t) if inner_factory
                else PenalizedObjective(f, ctx, params_t))
         # X last: an inner objective that keeps its last point starts there
@@ -229,11 +198,11 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         def solve(h, start):
             if solver == "newton":
                 return newton_solve(h, start, NewtonConfig(
-                    tol=sched.eps_grad, max_iter=cfg.max_inner))
+                    tol=eps_grad, max_iter=cfg.max_inner))
             fixed = cfg.fixed_alpha if solver == "gp-fixed" else None
             bare_bb = solver == "gp-bb"
             return gradient_projection_solve(h, start, GPConfig(
-                step_tol=sched.eps_grad, max_iter=cfg.max_inner,
+                step_tol=eps_grad, max_iter=cfg.max_inner,
                 fixed_alpha=fixed, line_search=not bare_bb,
                 alpha_cap=10.0 * ctx.k if bare_bb else None))
 
@@ -270,7 +239,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         s2 = norm(Xn.data @ ctx.V) ** 2
         zeta2 = s2 - 1.0
         report.history.append({
-            "t": t, "sigma": sched.sigma, "eps_grad": sched.eps_grad,
+            "t": t, "sigma": sigma, "eps_grad": eps_grad,
             "solver": solver, "inner_iterations": irep.iterations,
             "kkt_inner": irep.kkt_residual, "kkt_penalty": kkt_penalty,
             "zeta2": zeta2, "h_start": hX, "h_end": hN,
@@ -292,10 +261,14 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             if unchanged >= SETTLE_WINDOW and margin >= SETTLE_MARGIN:
                 term = "settled"
                 break
-        if sched.sigma > 1e16:
+        if sigma > 1e16:
             term = "stalled"
             break
-        sched.advance(s2)
+        factor = cfg.gamma2_rule(s2) if cfg.gamma2_rule else cfg.gamma2
+        if factor <= 1:
+            raise BadShape(f"penalty growth factor must exceed 1, got {factor!r}")
+        sigma *= factor
+        eps_grad = max(cfg.eta * eps_grad, EPS_GRAD_MIN)
 
     XR = rounding.round(X.data)
     Xfinal = XR
@@ -327,9 +300,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 def projection_preset(**overrides) -> DriverConfig:
     """Driver settings for nearest-point problems with a 1-Lipschitz scaled model."""
     base = dict(sigma0=1e-2, gamma2=5.0, eta=0.8, tol_feas=1e-8,
-                eps_grad0=1e-4, eps_grad_min=1e-7, t_max=300,
-                zeta_switch=0.0, force_solver="gp-fixed", fixed_alpha=0.99,
-                max_inner=2000)
+                eps_grad0=1e-4, t_max=300, force_solver="gp-fixed",
+                fixed_alpha=0.99, max_inner=2000)
     base.update(overrides)
     return DriverConfig(**base)
 
@@ -338,7 +310,7 @@ def kindicators_preset(**overrides) -> DriverConfig:
     """Driver settings for K-indicators: fast penalty growth, BB steps
     without a line search, the anchor policy "start"."""
     base = dict(sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
-                eps_grad0=1e-3, eps_grad_min=1e-7, t_max=60, max_inner=500,
+                eps_grad0=1e-3, t_max=60, max_inner=500,
                 force_solver="gp-bb", anchor="start")
     base.update(overrides)
     return DriverConfig(**base)
@@ -347,9 +319,12 @@ def kindicators_preset(**overrides) -> DriverConfig:
 def onmf_preset(hyperspectral: bool = False, **overrides) -> DriverConfig:
     """Driver settings for the matrix-factorization problems.
 
-    Slow penalty growth (data-dependent factor), second-order inner solver
-    throughout (the switch threshold exceeds the largest possible defect in
-    the standard variant).
+    Slow penalty growth (data-dependent factor). The inner solver is
+    first-order while the defect ||X V||_F^2 - 1 exceeds zeta_switch and
+    second-order below it. The defect on the manifold is at most k - 1, so
+    the standard variant's threshold of 5 keeps the second-order solver
+    throughout only for k <= 6; a larger k may start first-order (an SVD
+    start of a planted k = 10 instance has defect about 6).
     """
     if hyperspectral:
         def rule(s2):
@@ -360,15 +335,7 @@ def onmf_preset(hyperspectral: bool = False, **overrides) -> DriverConfig:
             return 1.05 if s2 > 2.0 else 1.03
         extra = dict(tol_feas=1e-8, zeta_switch=5.0)
     base = dict(sigma0=1e-3, gamma2=1.03, gamma2_rule=rule, eta=0.98,
-                eps_grad0=1e-3, eps_grad_min=1e-7, t_max=300, max_inner=100)
+                eps_grad0=1e-3, t_max=300, max_inner=100)
     base.update(extra)
     base.update(overrides)
     return DriverConfig(**base)
-
-
-PRESETS = {
-    "projection": projection_preset,
-    "kindicators": kindicators_preset,
-    "onmf": onmf_preset,
-    "onmf-hyperspectral": lambda **ov: onmf_preset(hyperspectral=True, **ov),
-}

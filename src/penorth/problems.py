@@ -293,9 +293,12 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     cfg = cfg if cfg is not None else projection_preset()
     f = TargetDistanceObjective(C)
     X_feas = feasible_init(ctx, hint=C)
+    # one C-ordered copy for every outer model; f keeps C as given, since
+    # its value sums X - C in C's memory order
+    C_rows = np.ascontiguousarray(C)
 
     def factory(X, params):
-        return ScaledLinearPenalty(C, ctx, params.sigma)
+        return ScaledLinearPenalty(C_rows, ctx, params.sigma)
 
     report = ep4orth_solve(f, ctx, cfg, X_feas=X_feas,
                            inner_factory=factory)

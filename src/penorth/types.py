@@ -95,7 +95,7 @@ class PenaltyContext:
         n, k: problem dimensions.
         V: (k, r) coupling matrix, read-only.
         vvt: cached V @ V.T, read-only.
-        omega_min, omega_max: min/max entry of vvt.
+        omega_min: smallest entry of vvt.
     """
 
     n: int
@@ -103,7 +103,6 @@ class PenaltyContext:
     V: np.ndarray
     vvt: np.ndarray
     omega_min: float
-    omega_max: float
 
 
 def make_context(n: int, k: int, V=None) -> PenaltyContext:
@@ -125,14 +124,12 @@ def make_context(n: int, k: int, V=None) -> PenaltyContext:
         raise BadShape(f"V must have unit Frobenius norm, got {fro!r}")
     vvt = V @ V.T
     omega_min = float(vvt.min())
-    omega_max = float(vvt.max())
     if omega_min <= 0:
         raise ZeroColumn("V V^T must be entrywise positive")
     V = V.copy()
     V.setflags(write=False)
     vvt.setflags(write=False)
-    return PenaltyContext(n=n, k=k, V=V, vvt=vvt,
-                          omega_min=omega_min, omega_max=omega_max)
+    return PenaltyContext(n=n, k=k, V=V, vvt=vvt, omega_min=omega_min)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,16 +239,19 @@ class Objective:
 class DriverConfig:
     """Outer-loop configuration for the exact-penalty driver.
 
+    Every outer iteration minimizes the penalty model with p = 1, q = 2 and
+    no smoothing offset (PenaltyParams(sigma)); the (p, q, eps) family
+    lives in PenaltyParams and PenalizedObjective. The inner tolerance
+    decays by eta down to driver.EPS_GRAD_MIN. A call given no feasible
+    fallback starts from feasible_init's fixed random stream.
+
     Fields:
         sigma0: initial penalty weight.
         gamma2: penalty growth factor (> 1), used when gamma2_rule is None.
         gamma2_rule: optional callable mapping ||X V||_F^2 of the current
             iterate to a growth factor (> 1); overrides gamma2.
-        gamma1: smoothing decay factor; with eps0 = 0 the offset stays 0.
         eta: inner-tolerance decay factor in (0, 1].
-        eps0: initial smoothing offset (only for p < 1).
         eps_grad0: initial inner stationarity tolerance.
-        eps_grad_min: floor for the inner tolerance.
         tol_feas: outer stop on ||X V||_F^2 - 1.
         t_max: maximum outer iterations.
         zeta_switch: subsolver switch threshold; first-order steps while
@@ -259,35 +259,27 @@ class DriverConfig:
         force_solver: override the switch with "gp" (BB step, line search),
             "gp-bb" (BB step capped at 10 k, no line search), "gp-fixed" or "newton".
         fixed_alpha: step size for the "gp-fixed" solver.
-        p, q: penalty exponents.
         max_inner: per-outer-iteration inner iteration cap.
         do_postprocess: run rounding refinement on the final point.
         anchor: feasible-fallback policy. "result" reruns the inner solve
             from the fallback whenever the warm-started run ends worse than
             the fallback, and accepts the rerun; "start" resets the warm
             start before solving whenever the start compares worse.
-        rng_seed: seed for any randomness the driver itself introduces.
     """
 
     sigma0: float = 1e-2
     gamma2: float = 5.0
     gamma2_rule: Optional[Callable[[float], float]] = None
-    gamma1: float = 0.0
     eta: float = 0.8
-    eps0: float = 0.0
     eps_grad0: float = 1e-3
-    eps_grad_min: float = 1e-7
     tol_feas: float = 1e-8
     t_max: int = 300
     zeta_switch: float = 0.0
     force_solver: Optional[str] = None
     fixed_alpha: float = 0.99
-    p: float = 1.0
-    q: float = 2.0
     max_inner: int = 1000
     do_postprocess: bool = True
     anchor: str = "result"
-    rng_seed: int = 0
 
     def __post_init__(self):
         # annotations are strings here (postponed evaluation)
@@ -308,8 +300,6 @@ class DriverConfig:
             raise BadShape(f"gamma2 must exceed 1, got {self.gamma2!r}")
         if not (0 < self.eta <= 1):
             raise BadShape(f"eta must lie in (0, 1], got {self.eta!r}")
-        if self.gamma1 < 0:
-            raise BadShape("gamma1 must be nonnegative")
         if self.sigma0 <= 0 or self.eps_grad0 <= 0 or self.tol_feas <= 0:
             raise BadShape("sigma0, eps_grad0 and tol_feas must be positive")
         if self.t_max < 1 or self.max_inner < 1:

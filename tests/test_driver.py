@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from penorth import make_context, make_oblique
-from penorth.driver import (PRESETS, SETTLE_MARGIN, SETTLE_WINDOW,
-                            PenaltySchedule, ep4orth_solve, feasible_init,
-                            kindicators_preset, onmf_preset, postprocess,
-                            projection_preset, row_support)
-from penorth.errors import EmptyColumnSupport, ValidationError
+from penorth.driver import (EPS_GRAD_MIN, SETTLE_MARGIN, SETTLE_WINDOW,
+                            ep4orth_solve, feasible_init, kindicators_preset,
+                            onmf_preset, postprocess, projection_preset,
+                            row_support)
+from penorth.errors import BadShape, EmptyColumnSupport, ValidationError
 from penorth.penalty import zeta
 from penorth.problems import (LinearObjective, OpnmfObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
@@ -19,43 +19,50 @@ import oracles
 
 
 # --------------------------------------------------------------------------
-# schedule
+# penalty schedule
+
+
+def schedule_run(**cfg):
+    """ep4orth_solve on a small projection target with one inner step per
+    outer iteration; only an exactly feasible iterate stops it before t_max."""
+    C = oracles.rng_for(55).standard_normal((8, 3))
+    base = dict(tol_feas=1e-300, max_inner=1, do_postprocess=False)
+    base.update(cfg)
+    return ep4orth_solve(TargetDistanceObjective(C), make_context(8, 3),
+                         DriverConfig(**base))
 
 
 def test_schedule_advance_grows_sigma_and_decays_eps_grad():
-    s = PenaltySchedule(sigma=1e-2, eps=0.0, eps_grad=1e-3, gamma1=0.0,
-                        gamma2=5.0, eta=0.8, eps_grad_min=1e-7)
-    s.advance(1.5)
-    assert s.sigma == pytest.approx(5e-2)
-    assert s.eps_grad == pytest.approx(8e-4)
-    for _ in range(100):
-        s.advance(1.5)
-    assert s.eps_grad == 1e-7  # floor holds
+    rep = schedule_run(sigma0=1e-2, gamma2=2.0, eta=0.1, eps_grad0=1e-3,
+                       t_max=7, force_solver="gp-fixed")
+    sigma = [h["sigma"] for h in rep.history]
+    eps_grad = [h["eps_grad"] for h in rep.history]
+    assert len(sigma) == 7 and sigma[0] == 1e-2 and eps_grad[0] == 1e-3
+    for t in range(6):
+        assert sigma[t + 1] == sigma[t] * 2.0
+        assert eps_grad[t + 1] == max(0.1 * eps_grad[t], EPS_GRAD_MIN)
+    assert eps_grad[-1] == eps_grad[-2] == EPS_GRAD_MIN  # floor holds
 
 
 def test_schedule_rule_overrides_factor():
-    s = PenaltySchedule(sigma=1.0, eps=0.0, eps_grad=1e-3, gamma1=0.0,
-                        gamma2=5.0, eta=0.9, eps_grad_min=1e-7,
-                        gamma2_rule=lambda s2: 1.05 if s2 > 2 else 1.03)
-    s.advance(3.0)
-    assert s.sigma == pytest.approx(1.05)
-    s.advance(1.0)
-    assert s.sigma == pytest.approx(1.05 * 1.03)
+    seen = []
+
+    def rule(s2):
+        seen.append(s2)
+        return 1.0 + s2
+
+    rep = schedule_run(sigma0=1.0, gamma2=5.0, gamma2_rule=rule, eta=0.9,
+                       t_max=5, force_solver="gp")
+    # the rule sees ||X V||_F^2 of the iterate each outer step returned
+    assert [s2 - 1.0 for s2 in seen] == [h["zeta2"] for h in rep.history]
+    for t in range(4):
+        assert (rep.history[t + 1]["sigma"]
+                == rep.history[t]["sigma"] * (1.0 + seen[t]))
 
 
 def test_schedule_rejects_non_growth():
-    s = PenaltySchedule(sigma=1.0, eps=0.0, eps_grad=1e-3, gamma1=0.0,
-                        gamma2=5.0, eta=0.9, eps_grad_min=1e-7,
-                        gamma2_rule=lambda s2: 1.0)
-    with pytest.raises(ValidationError):
-        s.advance(1.0)
-
-
-def test_schedule_eps_contracts_by_gamma1():
-    s = PenaltySchedule(sigma=1.0, eps=0.5, eps_grad=1e-3, gamma1=0.25,
-                        gamma2=2.0, eta=0.9, eps_grad_min=1e-7)
-    s.advance(1.0)
-    assert s.eps == pytest.approx(0.125)
+    with pytest.raises(BadShape, match="growth factor must exceed 1"):
+        schedule_run(gamma2_rule=lambda s2: 1.0, t_max=3)
 
 
 # --------------------------------------------------------------------------
@@ -438,13 +445,25 @@ def test_onmf_preset_frozen_values():
     assert hyper.zeta_switch == 0.6
 
 
+@pytest.mark.parametrize("k, solver", [(3, "newton"), (10, "gp")])
+def test_onmf_preset_starts_first_order_above_the_switch(k, solver):
+    # the defect is at most k - 1, so zeta_switch = 5 keeps k = 3 on the
+    # second-order solver, while the SVD start at k = 10 has defect about 6
+    A = gen_onmf(200, 600, k, 0.0, seed=1).A
+    start = svd_init(A, k).data
+    defect = np.linalg.norm(start @ make_context(200, k).V) ** 2 - 1.0
+    assert onmf_preset().zeta_switch == 5.0
+    assert (defect > 5.0) == (solver == "gp")
+    rep = solve_onmf(A, k, onmf_preset(t_max=1))
+    assert rep.history[0]["solver"] == solver
+
+
 def test_kindicators_preset_frozen_values():
     cfg = kindicators_preset()
     assert (cfg.sigma0, cfg.gamma2, cfg.eta, cfg.tol_feas) == (10.0, 10.0,
                                                               0.5, 0.1)
-    assert (cfg.eps_grad0, cfg.eps_grad_min) == (1e-3, 1e-7)
+    assert (cfg.eps_grad0, EPS_GRAD_MIN) == (1e-3, 1e-7)
     assert (cfg.t_max, cfg.max_inner) == (60, 500)
     assert cfg.force_solver == "gp-bb"
     assert cfg.anchor == "start"
     assert kindicators_preset(t_max=5).t_max == 5
-    assert PRESETS["kindicators"] is kindicators_preset

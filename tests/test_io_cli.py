@@ -545,6 +545,21 @@ def test_cli_config_value_of_wrong_type_is_an_input_error(tmp_path, bad):
     assert f"error: {next(iter(bad))} must be" in r.output
 
 
+@pytest.mark.parametrize("key", ["p", "q", "eps0", "gamma1", "eps_grad_min",
+                                 "rng_seed"])
+def test_cli_config_rejects_settings_the_driver_does_not_have(tmp_path, key):
+    # the driver's penalty is p = 1, q = 2 without smoothing, its inner
+    # tolerance floor is a constant and every solver command supplies the
+    # feasible fallback, so none of these is a setting
+    tpath = str(tmp_path / "t.csv")
+    pio.write_matrix(tpath, np.eye(3)[:, :2])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0.5 if key == "p" else 1}))
+    r = invoke(["project", "--in", tpath, "--config", str(cfg)])
+    assert r.exit_code == 2, r.output
+    assert f"unknown config keys: ['{key}']" in r.output
+
+
 def test_cli_config_file_overrides(tmp_path):
     inst = str(tmp_path / "c.mtx")
     r = invoke(["gen-projection", "--n", "8", "--k", "2", "--xi", "0.3",

@@ -90,6 +90,25 @@ def test_solve_projection_on_generated_instance():
     assert rep.feasibility <= 1e-12
 
 
+def test_solve_projection_copies_a_fortran_target_once(monkeypatch):
+    # penorth.io reads Fortran-ordered matrices; every outer model shares
+    # one C-ordered copy of the target instead of making its own
+    from penorth import problems
+    targets = []
+
+    class Recording(problems.ScaledLinearPenalty):
+        def __init__(self, *args):
+            super().__init__(*args)
+            targets.append(self.C)
+
+    monkeypatch.setattr(problems, "ScaledLinearPenalty", Recording)
+    C = np.asfortranarray(gen_projection(12, 3, xi=0.5, seed=21).C)
+    rep = solve_projection(C)
+    assert len(targets) >= rep.outer_iterations > 1
+    assert all(T is targets[0] for T in targets)
+    assert targets[0].flags.c_contiguous and np.array_equal(targets[0], C)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_projection_rejects_non_finite_target(bad):
     C = gen_projection(12, 3, xi=0.5, seed=21).C

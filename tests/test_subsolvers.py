@@ -26,7 +26,8 @@ from penorth.subsolvers import (GPConfig, NewtonConfig,
                                 gradient_projection_solve, newton_solve,
                                 project_delta, project_delta_cols,
                                 solve_qp_subproblem)
-from penorth.types import Objective, ObliqueMatrix, PenaltyParams
+from penorth.types import (DriverConfig, Objective, ObliqueMatrix,
+                           PenaltyParams)
 
 import oracles
 
@@ -643,6 +644,12 @@ def test_solver_configs_hold_only_settings_callers_set():
     # the Newton safeguards are the paper's fixed constants, not options
     names = [f.name for f in dataclasses.fields(NewtonConfig)]
     assert names == ["max_iter", "tol", "step_tol"]
+    # the driver always minimizes the p = 1, q = 2 model without smoothing,
+    # floors the inner tolerance at EPS_GRAD_MIN and is handed its fallback
+    names = [f.name for f in dataclasses.fields(DriverConfig)]
+    assert names == ["sigma0", "gamma2", "gamma2_rule", "eta", "eps_grad0",
+                     "tol_feas", "t_max", "zeta_switch", "force_solver",
+                     "fixed_alpha", "max_inner", "do_postprocess", "anchor"]
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,6 @@ def test_make_context_default_direction():
     assert abs(np.linalg.norm(ctx.V) - 1.0) < 1e-15
     assert np.all(ctx.vvt > 0)
     assert ctx.omega_min == pytest.approx(0.25)
-    assert ctx.omega_max == pytest.approx(0.25)
 
 
 def test_make_context_rejects_unnormalized_or_signed_v():
@@ -92,8 +91,9 @@ def test_driver_config_validation():
 
 
 @pytest.mark.parametrize("bad", [
-    {"sigma0": "abc"}, {"gamma2": True}, {"eta": np.nan}, {"eps0": np.inf},
-    {"tol_feas": None}, {"t_max": 3.0}, {"max_inner": 2.5}, {"rng_seed": "1"},
+    {"sigma0": "abc"}, {"gamma2": True}, {"eta": np.nan},
+    {"eps_grad0": np.inf}, {"tol_feas": None}, {"t_max": 3.0},
+    {"max_inner": 2.5}, {"t_max": "1"},
     {"max_inner": False}, {"gamma2_rule": 3.0},
 ])
 def test_driver_config_rejects_values_of_the_wrong_type(bad):
@@ -102,9 +102,10 @@ def test_driver_config_rejects_values_of_the_wrong_type(bad):
 
 
 def test_driver_config_accepts_numpy_numbers():
-    cfg = DriverConfig(sigma0=np.float64(0.5), t_max=np.int64(3), p=1,
+    cfg = DriverConfig(sigma0=np.float64(0.5), t_max=np.int64(3),
+                       max_inner=np.int32(7), zeta_switch=1,
                        gamma2_rule=lambda s2: 2.0)
-    assert cfg.t_max == 3 and cfg.p == 1
+    assert cfg.t_max == 3 and cfg.max_inner == 7 and cfg.zeta_switch == 1
 
 
 def test_solve_report_to_dict_drops_arrays():
