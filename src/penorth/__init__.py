@@ -16,10 +16,10 @@ from .errors import (BadLabels, BadShape, DimensionMismatch,
                      SingularGram, SolverError, ValidationError, ZeroColumn)
 from .io import (RunManifest, read_matrix, read_report, write_manifest,
                  write_matrix, write_report)
-from .manifold import (TangentDirection, make_tangent, project_delta,
-                       project_delta_cols, project_oblique_plus,
-                       project_orthogonal_group, project_tangent_T,
-                       riemannian_grad, riemannian_hess_apply)
+from .manifold import (make_tangent, project_delta, project_delta_cols,
+                       project_oblique_plus, project_orthogonal_group,
+                       project_tangent_T, riemannian_grad,
+                       riemannian_hess_apply)
 from .penalty import (PenaltyEval, PenalizedObjective, StationarityReport,
                       check_stationarity_original, kkt_residual_subproblem,
                       penalty_rgrad, penalty_rhess_apply, penalty_value, zeta)
@@ -30,10 +30,8 @@ from .problems import (KindicatorsInstance, KindicatorsModel,
                        clustering_metrics, gap, gen_kindicators, gen_onmf,
                        gen_projection, kindicators_solve, onmf_gauss_newton_Y,
                        resi, sad, solve_onmf, solve_projection, svd_init)
-from .rounding import (FeasiblePoint, feasibility_violation, rho_q, rho_tilde,
-                       round)
-from .subsolvers import (GPConfig, InnerReport, NewtonConfig,
-                         gradient_projection_solve, newton_solve,
+from .rounding import feasibility_violation, rho_q, rho_tilde, round
+from .subsolvers import (InnerReport, gradient_projection_solve, newton_solve,
                          solve_qp_subproblem)
 from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
                     PenaltyParams, SolveReport, SupportPattern, make_context,

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import io as pio
 from .driver import kindicators_preset, onmf_preset, projection_preset
-from .errors import BadShape, ParseError, SolverError, ValidationError
+from .errors import (BadShape, DimensionMismatch, ParseError, SolverError,
+                     ValidationError)
 from .penalty import check_stationarity_original
 from .problems import (LinearObjective, TargetDistanceObjective,
                        clustering_metrics, drop_zero_columns, gen_onmf,
@@ -295,6 +296,8 @@ def check_kkt_cmd(inp, obj_kind, c_path, tol, out):
     """
     X = pio.read_matrix(inp)
     C = pio.read_matrix(c_path)
+    if C.shape != X.shape:
+        raise DimensionMismatch(f"C shape {C.shape} != X shape {X.shape}")
     f = LinearObjective(C) if obj_kind == "linear" else TargetDistanceObjective(C)
     rep = check_stationarity_original(X, f, tol=tol)
     payload = {"classification": rep.classification,

@@ -26,12 +26,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rounding
-from .errors import BadShape, EmptyColumnSupport, NonFiniteObjective
+from .errors import (BadShape, EmptyColumnSupport, NonFiniteObjective,
+                     NotFeasible)
 from .manifold import norm, project_oblique_plus
 from .penalty import PenalizedObjective, kkt_residual_subproblem
-from .rounding import FeasiblePoint, feasibility_violation
-from .subsolvers import (GPConfig, NewtonConfig, gradient_projection_solve,
-                         newton_solve)
+from .rounding import feasibility_violation
+from .subsolvers import gradient_projection_solve, newton_solve
 from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
                     PenaltyParams, SolveReport, make_oblique)
 
@@ -42,6 +42,8 @@ SETTLE_MARGIN = 0.5
 # floor of the inner stationarity tolerance, which decays by eta each outer
 # iteration
 EPS_GRAD_MIN = 1e-7
+# largest feasibility_violation a caller's feasible fallback may have
+FEAS_TOL = 1e-10
 
 
 def row_support(X: np.ndarray) -> tuple:
@@ -65,11 +67,12 @@ def row_support(X: np.ndarray) -> tuple:
     return labels, float(np.min((top[live] - second) / top[live]))
 
 
-def feasible_init(ctx: PenaltyContext, hint=None, rng=None) -> FeasiblePoint:
-    """Produce an exactly feasible starting point.
+def feasible_init(ctx: PenaltyContext, hint=None) -> np.ndarray:
+    """Produce an exactly feasible starting point, as round() returns it.
 
     With a hint matrix: project it onto the nonnegative oblique manifold
-    and round. Without: same from a uniform random nonnegative matrix.
+    and round. Without: same from a uniform random nonnegative matrix
+    drawn from the fixed Philox(0) stream, so the result is deterministic.
     """
     if hint is not None:
         hint = np.asarray(hint, dtype=float)
@@ -77,29 +80,31 @@ def feasible_init(ctx: PenaltyContext, hint=None, rng=None) -> FeasiblePoint:
             raise BadShape(f"hint shape {hint.shape} != ({ctx.n}, {ctx.k})")
         Xob = project_oblique_plus(hint)
     else:
-        if rng is None:
-            rng = np.random.default_rng(np.random.Philox(0))
+        rng = np.random.default_rng(np.random.Philox(0))
         Xob = project_oblique_plus(rng.random((ctx.n, ctx.k)))
     return rounding.round(Xob.data)
 
 
-def postprocess(Xr: FeasiblePoint, f: Objective) -> FeasiblePoint:
+def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
     """Refine a rounded point over its own support pattern, never increasing f.
 
-    Column supports stay inside the rounded ones, so the result is exactly
-    feasible. Linear objectives (f decreasing in <C, X>) and nonnegative
-    quadratic forms (f = const - tr(X^T M X), M entrywise nonnegative PSD)
-    have closed-form columnwise solutions. An objective without either
+    Xr is an exactly feasible (n, k) array, such as round() returns; its
+    support is Xr > 0. Returns a read-only array: the refined point, or Xr
+    itself when there is nothing to refine. Column supports stay inside
+    the rounded ones, so the result is exactly feasible. Linear objectives
+    (f decreasing in <C, X>) and nonnegative quadratic forms
+    (f = const - tr(X^T M X), M entrywise nonnegative PSD) have
+    closed-form columnwise solutions. An objective without either
     structure gets the rounded point back, and so does one whose
     refinement fails to improve f.
 
     Raises EmptyColumnSupport when a rounded column has no support at all.
     """
-    H = Xr.mask
+    H = Xr > 0
     if not H.any(axis=0).all():
         j = int(np.argmin(H.any(axis=0)))
         raise EmptyColumnSupport(f"rounded column {j} has empty support")
-    n, k = Xr.n, Xr.k
+    n, k = Xr.shape
     kind = getattr(f, "refine_kind", "generic")
     if kind == "linear":
         C = np.asarray(f.refine_linear_C(), dtype=float)
@@ -122,21 +127,19 @@ def postprocess(Xr: FeasiblePoint, f: Objective) -> FeasiblePoint:
             w, vecs = np.linalg.eigh(M)
             v = np.abs(vecs[:, -1])
             nv = np.linalg.norm(v)
-            out[idx, j] = v / nv if nv > 0 else Xr.data[idx, j]
+            out[idx, j] = v / nv if nv > 0 else Xr[idx, j]
     else:
         return Xr
-    if float(f.value(out)) > float(f.value(Xr.data)):
+    if float(f.value(out)) > float(f.value(Xr)):
         return Xr
     out.setflags(write=False)
-    mask = out > 0
-    mask.setflags(write=False)
-    return FeasiblePoint(data=out, mask=mask)
+    return out
 
 
 def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                   cfg: DriverConfig = DriverConfig(), *,
                   X0: Optional[ObliqueMatrix] = None,
-                  X_feas: Optional[FeasiblePoint] = None,
+                  X_feas: Optional[np.ndarray] = None,
                   inner_factory: Optional[Callable] = None) -> SolveReport:
     """Exact-penalty continuation for min f(X) over orthogonal nonnegative X.
 
@@ -147,15 +150,31 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     itself. All anchor and descent comparisons run on the inner objective,
     while the logged KKT residual always refers to the unscaled penalty of f.
 
+    X0 is the start (default: X_feas). X_feas is the feasible fallback,
+    an exactly feasible (n, k) array such as round() returns (default:
+    feasible_init(ctx)).
+
     Returns a SolveReport whose final matrix is exactly feasible (rounded,
     then refined unless cfg.do_postprocess is off). extra carries the
     pre-rounding iterate and the rounded point for diagnostics.
+
+    Raises BadShape when X_feas or X0 is not (n, k), NotFeasible when
+    X_feas is off the feasible set by more than FEAS_TOL.
     """
     t0 = time.perf_counter()
     if X_feas is None:
         X_feas = feasible_init(ctx)
+    else:
+        X_feas = np.asarray(X_feas, dtype=float)
+        if X_feas.shape != (ctx.n, ctx.k):
+            raise BadShape(f"feasible fallback shape {X_feas.shape} "
+                           f"!= ({ctx.n}, {ctx.k})")
+        viol = feasibility_violation(X_feas)
+        if not viol <= FEAS_TOL:
+            raise NotFeasible(f"feasible fallback violates feasibility by "
+                              f"{viol!r}, more than {FEAS_TOL!r}")
     # round() freezes its output, so that array is wrapped, not copied
-    Xf_ob = make_oblique(X_feas.data, copy=X_feas.data.flags.writeable)
+    Xf_ob = make_oblique(X_feas, copy=X_feas.flags.writeable)
     X = X0 if X0 is not None else Xf_ob
     X0 = None  # a start the caller handed over is freed once X moves off it
     if not isinstance(X, ObliqueMatrix):
@@ -197,14 +216,11 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 
         def solve(h, start):
             if solver == "newton":
-                return newton_solve(h, start, NewtonConfig(
-                    tol=eps_grad, max_iter=cfg.max_inner))
+                return newton_solve(h, start, eps_grad, cfg.max_inner)
             fixed = cfg.fixed_alpha if solver == "gp-fixed" else None
-            bare_bb = solver == "gp-bb"
-            return gradient_projection_solve(h, start, GPConfig(
-                step_tol=eps_grad, max_iter=cfg.max_inner,
-                fixed_alpha=fixed, line_search=not bare_bb,
-                alpha_cap=10.0 * ctx.k if bare_bb else None))
+            return gradient_projection_solve(
+                h, start, eps_grad, cfg.max_inner, fixed,
+                line_search=solver != "gp-bb")
 
         Xn, irep = solve(h_t, X)
         total_inner += irep.iterations
@@ -279,21 +295,21 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             report.flags.append("EmptyColumnSupport")
             Xfinal = XR
 
-    report.final = Xfinal.data
-    report.objective = float(f.value(Xfinal.data))
+    report.final = Xfinal
+    report.objective = float(f.value(Xfinal))
     if not np.isfinite(report.objective):
         raise NonFiniteObjective(
             f"objective at the final point is {report.objective!r}")
     report.zeta = zeta2
     report.kkt_residual = kkt_penalty
-    report.feasibility = feasibility_violation(Xfinal.data)
+    report.feasibility = feasibility_violation(Xfinal)
     report.outer_iterations = outer_done
     report.inner_iterations = total_inner
     report.termination = term
     report.seconds = time.perf_counter() - t0
     report.extra["X_preround"] = X.data
-    report.extra["X_rounded"] = XR.data
-    report.extra["f_rounded"] = float(f.value(XR.data))
+    report.extra["X_rounded"] = XR
+    report.extra["f_rounded"] = float(f.value(XR))
     return report
 
 

@@ -7,7 +7,6 @@ nonnegativity constraint is handled by the projections, not the metric.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -37,15 +36,14 @@ def inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(A.ravel().dot(B.ravel()))
 
 
-@dataclasses.dataclass(frozen=True)
-class TangentDirection:
-    """Direction D with x_j^T d_j = 0 for every column of the base point."""
+def make_tangent(X: ObliqueMatrix, D,
+                 tol: float = TANGENT_BUILD_TOL) -> np.ndarray:
+    """Check that D is tangent at X (|x_j^T d_j| <= tol for every column)
+    and return a read-only copy of it.
 
-    data: np.ndarray
-    base: ObliqueMatrix
-
-
-def make_tangent(X: ObliqueMatrix, D, tol: float = TANGENT_BUILD_TOL) -> TangentDirection:
+    Raises BadShape when D and X differ in shape, NotTangent when some
+    column is off the tangent space by more than tol.
+    """
     D = np.asarray(D, dtype=float)
     if D.shape != X.data.shape:
         raise BadShape(f"direction shape {D.shape} != base shape {X.data.shape}")
@@ -54,7 +52,7 @@ def make_tangent(X: ObliqueMatrix, D, tol: float = TANGENT_BUILD_TOL) -> Tangent
         raise NotTangent(f"max |x_j^T d_j| = {err!r} exceeds {tol!r}")
     D = D.copy()
     D.setflags(write=False)
-    return TangentDirection(data=D, base=X)
+    return D
 
 
 def _project_ob_plus_raw(C: np.ndarray, *, _out=None, _pos=None) -> np.ndarray:
@@ -270,7 +268,7 @@ def riemannian_hess_apply(X, G, HD, D) -> np.ndarray:
     Raises NotTangent when D is not tangent at X (tolerance 1e-8).
     """
     Xd = oblique_data(X)
-    Dd = D.data if isinstance(D, TangentDirection) else np.asarray(D, dtype=float)
+    Dd = np.asarray(D, dtype=float)
     if Dd.shape != Xd.shape:
         raise BadShape(f"direction shape {Dd.shape} != point shape {Xd.shape}")
     err = np.abs(np.einsum("ij,ij->j", Xd, Dd)).max()
@@ -280,11 +278,12 @@ def riemannian_hess_apply(X, G, HD, D) -> np.ndarray:
     return np.asarray(HD, dtype=float) - Dd * radial
 
 
-def project_tangent_T(X: ObliqueMatrix, D) -> TangentDirection:
+def project_tangent_T(X: ObliqueMatrix, D) -> np.ndarray:
     """Project D onto T(X) = {D : x_j^T d_j = 0, x_j + d_j >= 0 columnwise}.
 
     Uses the translation identity: the projection equals the projection of
-    x_j + d_j onto the slice {z : x_j^T z = 1, z >= 0}, minus x_j.
+    x_j + d_j onto the slice {z : x_j^T z = 1, z >= 0}, minus x_j. Returns
+    a read-only array that make_tangent has checked.
     """
     D = np.asarray(D, dtype=float)
     if D.shape != X.data.shape:

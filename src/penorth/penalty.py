@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
 from .manifold import (inner, norm, riemannian_grad, riemannian_hess_apply,
-                       stationarity_residual, TangentDirection)
+                       stationarity_residual)
 from .rounding import feasibility_violation
 from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
                     oblique_data, support_pattern)
@@ -109,7 +109,7 @@ def penalty_rhess_apply(X, ctx: PenaltyContext, params: PenaltyParams,
     tangent at X within 1e-8.
     """
     Xd = oblique_data(X)
-    Dd = D.data if isinstance(D, TangentDirection) else np.asarray(D, dtype=float)
+    Dd = np.asarray(D, dtype=float)
     h = PenalizedObjective(f, ctx, params)
     HD = h.hess_apply(Xd, Dd)
     G_f = f.grad(Xd) if G_f is None else np.asarray(G_f, dtype=float)

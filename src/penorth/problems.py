@@ -26,7 +26,7 @@ from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
 from .manifold import (inner, norm, project_oblique_plus,
                        project_orthogonal_group)
 from .penalty import PenalizedObjective
-from .rounding import FeasiblePoint, feasibility_violation
+from .rounding import feasibility_violation
 from .types import (DriverConfig, Objective, PenaltyContext, SolveReport,
                     make_context, oblique_data)
 
@@ -268,12 +268,20 @@ def gen_projection(n: int, k: int, xi: float, seed: int) -> ProjectionInstance:
 
 
 def gap(X, X_star, C) -> float:
-    """Relative optimality gap ||X - C|| / ||X_star - C|| - 1 (0 at optimum)."""
+    """Relative optimality gap ||X - C|| / ||X_star - C|| - 1 (0 at optimum).
+
+    Raises DimensionMismatch unless X, X_star and C have one shape.
+    """
     X = oblique_data(X)
-    den = float(np.linalg.norm(np.asarray(X_star, float) - np.asarray(C, float)))
+    X_star = np.asarray(X_star, float)
+    C = np.asarray(C, float)
+    if not X.shape == X_star.shape == C.shape:
+        raise DimensionMismatch(f"gap needs one shape, got X {X.shape}, "
+                                f"X_star {X_star.shape} and C {C.shape}")
+    den = float(np.linalg.norm(X_star - C))
     if den == 0:
         raise ZeroColumn("reference solution coincides with the target")
-    return float(np.linalg.norm(X - np.asarray(C, float))) / den - 1.0
+    return float(np.linalg.norm(X - C)) / den - 1.0
 
 
 def solve_projection(C, cfg: Optional[DriverConfig] = None,
@@ -281,13 +289,18 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     """Nearest feasible point to C via the exact-penalty driver.
 
     Uses the projection preset: fixed-step projected gradient on the
-    rescaled linear model, start and anchor at round(project(C)).
+    rescaled linear model, start and anchor at round(project(C)). With
+    X_star, extra["gap"] is gap(final, X_star, C); an X_star of another
+    shape than C raises DimensionMismatch before the solve.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise BadShape("C must be a matrix")
     if not np.isfinite(C).all():
         raise BadShape("C contains non-finite entries")
+    if X_star is not None and np.shape(X_star) != C.shape:
+        raise DimensionMismatch(f"X_star shape {np.shape(X_star)} != "
+                                f"C shape {C.shape}")
     n, k = C.shape
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else projection_preset()
@@ -659,8 +672,7 @@ def kindicators_solve(U: np.ndarray,
     res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
     if cfg.do_postprocess:
         # f has no refine structure, so the driver returned XR as it was
-        report.final = postprocess(FeasiblePoint(data=XR, mask=XR > 0),
-                                   TargetDistanceObjective(UY)).data
+        report.final = postprocess(XR, TargetDistanceObjective(UY))
     report.objective = float(np.linalg.norm(UY - report.final) ** 2)
     report.kkt_residual = max(report.kkt_residual, res_y)
     report.feasibility = feasibility_violation(report.final)

@@ -3,7 +3,8 @@
 The rounding keeps, in every row, only the largest entry (smallest column
 index on ties), then renormalizes the surviving columns. The resulting
 supports are pairwise disjoint, so the point is exactly feasible. If a
-column dies in the process the degenerate reset I_{n,k} is returned.
+column dies in the process the degenerate reset I_{n,k} is returned. The
+result is a read-only ndarray.
 
 The distance moved is controlled by the orthogonality defect:
 ||X^R - X||_F <= rho_q * sqrt(zeta_q(X)) with rho_q computable from
@@ -11,32 +12,10 @@ The distance moved is controlled by the orthogonality defect:
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import BadShape
-from .types import ObliqueMatrix, PenaltyContext, oblique_data
-
-
-@dataclasses.dataclass(frozen=True)
-class FeasiblePoint:
-    """Exactly feasible point: nonnegative, unit columns, disjoint supports.
-
-    mask is the boolean support (one True per nonzero entry); rows may be
-    entirely False.
-    """
-
-    data: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[1]
+from .types import PenaltyContext, oblique_data
 
 
 def feasibility_violation(X) -> float:
@@ -49,18 +28,14 @@ def feasibility_violation(X) -> float:
                  + np.linalg.norm(np.minimum(Xd, 0.0)))
 
 
-def _freeze(arr):
-    arr.setflags(write=False)
-    return arr
-
-
-def round(X) -> FeasiblePoint:  # noqa: A001 - deliberate, mirrors numpy's naming
+def round(X) -> np.ndarray:  # noqa: A001 - deliberate, mirrors numpy's naming
     """Round a (near-)oblique point onto the feasible set.
 
     Per row, keep only the entry in the column argmax (smallest index on
     ties), then normalize each column by the norm of its survivors. When a
     column loses all mass, or the result fails feasibility (possible only
     for inputs off the nonnegative manifold), return the reset I_{n,k}.
+    Returns a new read-only (n, k) array.
     """
     Xd = oblique_data(X)
     if Xd.ndim != 2:
@@ -82,7 +57,8 @@ def round(X) -> FeasiblePoint:  # noqa: A001 - deliberate, mirrors numpy's namin
         out = masked / norms
         if feasibility_violation(out) > 1e-10:
             out = np.eye(n, k)
-    return FeasiblePoint(data=_freeze(out), mask=_freeze(out > 0))
+    out.setflags(write=False)
+    return out
 
 
 def rho_tilde(k: int, q: float) -> float:

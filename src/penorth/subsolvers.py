@@ -18,7 +18,8 @@ Two families:
   tau starts at TAU0 and is scaled by BETA0 (ratio >= ETA2), BETA1 (>= ETA1)
   or BETA2 (below); C1 and C2 are the angle and model-decrease constants;
   the curvature estimate starts at KAPPA_HAT0, doubles on each failed check
-  and is capped at KAPPA_CAP. NewtonConfig sets only the stopping rule.
+  and is capped at KAPPA_CAP. The caller sets only the stopping rule:
+  the residual tolerance and the iteration budget.
 
 The per-column slice projection (onto {z : x^T z = 1, z >= 0}, in
 manifold.py) is the geometric workhorse shared by the tangent-cone
@@ -54,12 +55,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SolverError
-# project_delta and project_delta_cols are re-exported for callers that
-# import them from here
+# project_delta_cols is unused here but stays importable from this module:
+# perfbench/spans.py looks it up on subsolvers to trace the slice projection
 from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
-                       project_delta, project_delta_cols, project_tangent_T,
-                       projected_step, slice_projector,
-                       stationarity_residual)
+                       project_delta_cols, project_tangent_T, projected_step,
+                       slice_projector, stationarity_residual)
 from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
 
 
@@ -186,33 +186,17 @@ def gmres(A, b: np.ndarray, rtol: float, maxiter: int) -> tuple:
     return x, 0 if rnorm <= atol else maxiter
 
 
-# BB steps lie in [BB_FLOOR, BB_CAP]. The line search wants a value at most
+# BB steps lie in [BB_FLOOR, BB_CAP], and without the line search also at
+# most BB_CAP_PER_COL * k. The line search wants a value at most
 # max(last WINDOW values) - ARMIJO ||trial - X||^2 and shrinks the step by
 # BACKTRACK at most MAX_BACKTRACKS times.
 BB_FLOOR = 1e-10
 BB_CAP = 1e10
+BB_CAP_PER_COL = 10.0
 WINDOW = 10
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 20
-
-
-@dataclasses.dataclass(frozen=True)
-class GPConfig:
-    """Projected-gradient solver knobs.
-
-    fixed_alpha set => constant step, no line search (valid when the
-    objective gradient is L-Lipschitz with L*alpha < 1). Otherwise a BB
-    step clipped to [BB_FLOOR, BB_CAP] and to alpha_cap when given; with
-    line_search it starts at 1/||G|| and passes the nonmonotone Armijo
-    test, without it it starts at 1 and every trial is taken.
-    """
-
-    max_iter: int = 1000
-    step_tol: float = 1e-8
-    fixed_alpha: Optional[float] = None
-    alpha_cap: Optional[float] = None
-    line_search: bool = True
 
 
 # newton_solve's safeguards (roles in the module docstring)
@@ -228,15 +212,6 @@ KAPPA_HAT0 = 10.0
 KAPPA_CAP = 1e12
 
 
-@dataclasses.dataclass(frozen=True)
-class NewtonConfig:
-    """newton_solve's stopping rule: residual tol, max_iter, step_tol."""
-
-    max_iter: int = 200
-    tol: float = 1e-8
-    step_tol: Optional[float] = None
-
-
 @dataclasses.dataclass
 class InnerReport:
     """What a subsolver did: iterations, final value, residuals, flags."""
@@ -250,13 +225,22 @@ class InnerReport:
     trials: list = dataclasses.field(default_factory=list)
 
 
-def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
-                              cfg: GPConfig = GPConfig()) -> tuple:
+def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
+                              max_iter: int,
+                              fixed_alpha: Optional[float] = None,
+                              line_search: bool = True) -> tuple:
     """Minimize h over the nonnegative oblique manifold by projected gradient.
 
-    Stops when the projected step norm drops to cfg.step_tol. Returns
-    (ObliqueMatrix, InnerReport); the final value never exceeds h(X0)
-    (best-iterate safeguard). A failed nonmonotone line search sets the
+    The step rule: with fixed_alpha, that constant step and no line search
+    (valid when the gradient of h is L-Lipschitz with L * fixed_alpha < 1).
+    Otherwise a BB step clipped to [BB_FLOOR, BB_CAP]; with line_search it
+    starts at 1/||G|| and passes the nonmonotone Armijo test, without it
+    it starts at 1, is also capped at BB_CAP_PER_COL * k and every trial
+    is taken.
+
+    Stops when the projected step norm drops to tol, or after max_iter
+    iterations. Returns (ObliqueMatrix, InnerReport); the final value
+    never exceeds h(X0) (best-iterate safeguard). A failed nonmonotone line search sets the
     "LineSearchFailure" flag and returns the best iterate seen. Each new
     iterate gets h.value, then h.grad, on the same array object, and no
     array h has seen is written afterwards.
@@ -276,23 +260,22 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
     best_X, best_f = X, fX
     flags = []
     ss = sz = None  # <S, S> and |<S, Z>| of the last step, for BB
-    bb = cfg.fixed_alpha is None
+    bb = fixed_alpha is None
+    alpha_cap = BB_CAP if line_search else min(BB_CAP, BB_CAP_PER_COL * X0.k)
     step = np.inf
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < max_iter:
         it += 1
         if not bb:
-            alpha = cfg.fixed_alpha
+            alpha = fixed_alpha
         else:
             if ss is None:
-                alpha = 1.0 / (norm(G) + 1e-16) if cfg.line_search else 1.0
+                alpha = 1.0 / (norm(G) + 1e-16) if line_search else 1.0
             else:
                 alpha = ss / sz if sz > 0 else BB_CAP
-            alpha = min(max(alpha, BB_FLOOR), BB_CAP)
-            if cfg.alpha_cap is not None:
-                alpha = min(alpha, cfg.alpha_cap)
-        if cfg.line_search and bb:
+            alpha = min(max(alpha, BB_FLOOR), alpha_cap)
+        if line_search and bb:
             fmax = max(hist)
             ok = False
             for _ in range(MAX_BACKTRACKS + 1):
@@ -328,7 +311,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix,
         hist.append(fX)
         if fX < best_f:
             best_X, best_f = X, fX
-        if step <= cfg.step_tol:
+        if step <= tol:
             converged = True
             break
     if fX > best_f:
@@ -437,13 +420,14 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
     return PC - Xd, info
 
 
-def newton_solve(h: Objective, X0: ObliqueMatrix,
-                 cfg: NewtonConfig = NewtonConfig()) -> tuple:
+def newton_solve(h: Objective, X0: ObliqueMatrix, tol: float,
+                 max_iter: int) -> tuple:
     """Second-order solve of min h over the nonnegative oblique manifold.
 
     Iterates until the stationarity residual ||min(X, rgrad h)||_F falls to
-    cfg.tol. Monotone: only trials with sufficient actual decrease are
-    accepted, so the final value never exceeds h(X0). The report's
+    tol, for at most max_iter iterations. Monotone: only trials with
+    sufficient actual decrease are accepted, so the final value never
+    exceeds h(X0). The report's
     `trials` list records, for every screened trial, the model value, the
     guaranteed-decrease bound it was checked against, and the accept/reject
     outcome. X0 and each accepted trial are checked once.
@@ -461,17 +445,17 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
     converged = False
     G_at_X = False  # G and res were evaluated at the current X
     it = 0
-    while it < cfg.max_iter:
+    while it < max_iter:
         it += 1
         G = np.asarray(h.grad(X), dtype=float)
         radial = np.einsum("ij,ij->j", X, G)
         rg = G - X * radial
         res = norm(np.minimum(X, rg))
         G_at_X = True
-        if res <= cfg.tol:
+        if res <= tol:
             converged = True
             break
-        pg = project_tangent_T(Xob, -rg).data
+        pg = project_tangent_T(Xob, -rg)
         npg = norm(pg)
         if npg <= 1e-14:
             converged = True  # no feasible first-order descent direction left
@@ -574,13 +558,11 @@ def newton_solve(h: Objective, X0: ObliqueMatrix,
         else:
             tau = BETA2 * tau
         tau = min(max(tau, 1e-12), 1e14)
-        if accepted and cfg.step_tol is not None and step <= cfg.step_tol:
-            break
-    if not converged and it >= cfg.max_iter:
+    if not converged and it >= max_iter:
         flags.append("MaxIterReached")
     if not G_at_X:
         res = stationarity_residual(X, np.asarray(h.grad(X), dtype=float))
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
-                      kkt_residual=res, converged=converged or res <= cfg.tol,
+                      kkt_residual=res, converged=converged or res <= tol,
                       flags=flags, trials=trials)
     return Xob, rep

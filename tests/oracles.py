@@ -333,7 +333,8 @@ def normal_equations_Y(A, X):
 # projected gradient with the previous iterate and gradient held
 
 
-def gradient_projection_reference(h, X0, cfg):
+def gradient_projection_reference(h, X0, tol, max_iter, fixed_alpha=None,
+                                  line_search=True):
     """penorth.subsolvers.gradient_projection_solve as it was before it
     stopped holding the previous iterate and gradient.
 
@@ -361,13 +362,14 @@ def gradient_projection_reference(h, X0, cfg):
     step = np.inf
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    alpha_cap = None if line_search else 10.0 * X0.k
+    while it < max_iter:
         it += 1
-        if cfg.fixed_alpha is not None:
-            alpha = cfg.fixed_alpha
+        if fixed_alpha is not None:
+            alpha = fixed_alpha
         else:
             if Xp is None:
-                alpha = 1.0 / (norm(G) + 1e-16) if cfg.line_search else 1.0
+                alpha = 1.0 / (norm(G) + 1e-16) if line_search else 1.0
             else:
                 S = X - Xp
                 Z = G - Gp
@@ -375,9 +377,9 @@ def gradient_projection_reference(h, X0, cfg):
                 alpha = inner(S, S) / den if den > 0 else BB_CAP
                 del S, Z  # not held through the line search
             alpha = min(max(alpha, BB_FLOOR), BB_CAP)
-            if cfg.alpha_cap is not None:
-                alpha = min(alpha, cfg.alpha_cap)
-        if cfg.line_search and cfg.fixed_alpha is None:
+            if alpha_cap is not None:
+                alpha = min(alpha, alpha_cap)
+        if line_search and fixed_alpha is None:
             fmax = max(hist)
             ok = False
             for _ in range(MAX_BACKTRACKS + 1):
@@ -401,7 +403,7 @@ def gradient_projection_reference(h, X0, cfg):
         hist.append(fX)
         if fX < best_f:
             best_X, best_f = X, fX
-        if step <= cfg.step_tol:
+        if step <= tol:
             converged = True
             break
     if fX > best_f:
@@ -448,7 +450,7 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
         return ScaledLinearPenalty(U @ Y, ctx, sigma)
 
     X = project_oblique_plus(U).data
-    Xf = rounding.round(X).data
+    Xf = rounding.round(X)
     Yf = project_orthogonal_group(U.T @ Xf)
     sigma = sigma0
     eg = eps_grad0
@@ -502,10 +504,10 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
     res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
     XR = rounding.round(X)
     Xfinal = postprocess(XR, TargetDistanceObjective(U @ Y))
-    return {"final": Xfinal.data,
-            "objective": float(np.linalg.norm(U @ Y - Xfinal.data) ** 2),
+    return {"final": Xfinal,
+            "objective": float(np.linalg.norm(U @ Y - Xfinal) ** 2),
             "zeta": zeta2, "kkt_residual": max(res_x, res_y),
             "outer_iterations": len(history),
             "inner_iterations": total_inner, "termination": term,
-            "history": history, "labels": np.argmax(XR.data, axis=1),
+            "history": history, "labels": np.argmax(XR, axis=1),
             "Y": Y, "X_preround": X}

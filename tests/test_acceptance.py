@@ -24,7 +24,7 @@ from penorth.problems import (LinearObjective, TargetDistanceObjective,
                               solve_onmf, solve_projection)
 from penorth.rounding import rho_q
 from penorth.rounding import round as round_point
-from penorth.subsolvers import NewtonConfig, newton_solve, solve_qp_subproblem
+from penorth.subsolvers import newton_solve, solve_qp_subproblem
 from penorth.types import DriverConfig, PenaltyParams
 
 import oracles
@@ -122,7 +122,7 @@ def test_rounding_error_bound():
     corpus = draw_corpus()
     for X, q, n, k in corpus:
         ctx = make_context(n, k)
-        lhs = float(np.linalg.norm(round_point(X).data - X))
+        lhs = float(np.linalg.norm(round_point(X) - X))
         rhs = rho_q(ctx, q) * np.sqrt(max(zeta(X, ctx, q=q), 0.0))
         if lhs > rhs + 1e-12:
             violations += 1
@@ -278,7 +278,7 @@ def test_subsolver_contracts():
                                ctx, PenaltyParams(sigma=1.0, p=1.0, q=2.0,
                                                   eps=0.0))
         X0 = make_oblique(oracles.random_unit_columns(rng, n, k))
-        _, irep = newton_solve(h, X0, NewtonConfig(max_iter=60, tol=1e-8))
+        _, irep = newton_solve(h, X0, 1e-8, 60)
         all_trials.extend(irep.trials)
 
     bad_trials = sum(1 for t in all_trials if t["accepted"]
@@ -397,7 +397,7 @@ def test_sharpness_order_witness():
         ratio = dist / np.sqrt(zeta(X, ctx))
         ratios.append(ratio)
         ok = ok and 0.3 <= ratio <= 3.5
-        ok = ok and np.allclose(round_point(X).data, closest(eps),
+        ok = ok and np.allclose(round_point(X), closest(eps),
                                 atol=1e-12)
     assert verdict(ok, "sharpness-witness",
                    "dist/sqrt(defect) = "

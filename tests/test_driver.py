@@ -6,12 +6,14 @@ from penorth.driver import (EPS_GRAD_MIN, SETTLE_MARGIN, SETTLE_WINDOW,
                             ep4orth_solve, feasible_init, kindicators_preset,
                             onmf_preset, postprocess, projection_preset,
                             row_support)
-from penorth.errors import BadShape, EmptyColumnSupport, ValidationError
+from penorth.errors import (BadShape, EmptyColumnSupport, NotFeasible,
+                            ValidationError)
+from penorth.manifold import project_oblique_plus
 from penorth.penalty import zeta
 from penorth.problems import (LinearObjective, OpnmfObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
                               gen_onmf, solve_onmf, svd_init)
-from penorth.rounding import FeasiblePoint, feasibility_violation
+from penorth.rounding import feasibility_violation
 from penorth.rounding import round as round_point
 from penorth.types import DriverConfig
 
@@ -74,14 +76,18 @@ def test_feasible_init_from_hint():
     rng = oracles.rng_for(50)
     hint = rng.standard_normal((6, 3))
     F = feasible_init(ctx, hint=hint)
-    assert feasibility_violation(F.data) <= 1e-14
+    assert feasibility_violation(F) <= 1e-14
 
 
 def test_feasible_init_random_deterministic():
+    # without a hint the point comes from the fixed Philox(0) stream
     ctx = make_context(6, 3)
-    a = feasible_init(ctx, rng=oracles.rng_for(51))
-    b = feasible_init(ctx, rng=oracles.rng_for(51))
-    assert np.array_equal(a.data, b.data)
+    a = feasible_init(ctx)
+    b = feasible_init(ctx)
+    assert np.array_equal(a, b)
+    rng = np.random.default_rng(np.random.Philox(0))
+    want = round_point(project_oblique_plus(rng.random((6, 3))).data)
+    assert np.array_equal(a, want)
 
 
 # --------------------------------------------------------------------------
@@ -108,11 +114,11 @@ def test_postprocess_linear_reaches_support_optimum():
     f = LinearObjective(C)
     Xr = round_point(oracles.random_feasible(rng, 7, 3))
     out = postprocess(Xr, f)
-    want = linear_support_optimum(np.asarray(f.refine_linear_C()), Xr.mask)
+    want = linear_support_optimum(np.asarray(f.refine_linear_C()), Xr > 0)
     # never worse than the support optimum; equal unless the guard kept Xr
-    assert f.value(out.data) <= f.value(want) + 1e-12
-    assert f.value(out.data) <= f.value(Xr.data) + 1e-12
-    assert feasibility_violation(out.data) <= 1e-14
+    assert f.value(out) <= f.value(want) + 1e-12
+    assert f.value(out) <= f.value(Xr) + 1e-12
+    assert feasibility_violation(out) <= 1e-14
 
 
 def test_postprocess_quadratic_form_improves_or_keeps():
@@ -124,11 +130,11 @@ def test_postprocess_quadratic_form_improves_or_keeps():
 
     from penorth.problems import OnmfQuadObjective, onmf_gauss_newton_Y
     Xr = round_point(oracles.random_feasible(rng, 8, 3))
-    Y = onmf_gauss_newton_Y(A, Xr.data)
+    Y = onmf_gauss_newton_Y(A, Xr)
     f = OnmfQuadObjective(A, Y)
     out = postprocess(Xr, f)
-    assert f.value(out.data) <= f.value(Xr.data) + 1e-12
-    assert feasibility_violation(out.data) <= 1e-14
+    assert f.value(out) <= f.value(Xr) + 1e-12
+    assert feasibility_violation(out) <= 1e-14
 
 
 def test_postprocess_generic_never_worsens():
@@ -139,15 +145,14 @@ def test_postprocess_generic_never_worsens():
     f.refine_kind = "generic"  # no refine structure: rounded point returned
     Xr = round_point(oracles.random_unit_columns(rng, 6, 2))
     out = postprocess(Xr, f)
-    assert f.value(out.data) <= f.value(Xr.data) + 1e-12
-    assert feasibility_violation(out.data) <= 1e-14
+    assert out is Xr
+    assert f.value(out) <= f.value(Xr) + 1e-12
+    assert feasibility_violation(out) <= 1e-14
 
 
 def test_postprocess_rejects_empty_column_support():
-    data = np.zeros((3, 2))
-    data[0, 0] = 1.0
-    mask = data > 0
-    bad = FeasiblePoint(data=data, mask=mask)  # column 1 empty
+    bad = np.zeros((3, 2))
+    bad[0, 0] = 1.0  # column 1 empty
     with pytest.raises(EmptyColumnSupport):
         postprocess(bad, LinearObjective(np.zeros((3, 2))))
 
@@ -170,7 +175,7 @@ def test_driver_solves_tiny_projection():
     cfg = projection_preset(t_max=100)
     factory = lambda X, params: ScaledLinearPenalty(C, ctx, params.sigma)
     rep = ep4orth_solve(TargetDistanceObjective(C), ctx, cfg,
-                        X0=make_oblique(feasible_init(ctx, hint=C).data),
+                        X0=make_oblique(feasible_init(ctx, hint=C)),
                         inner_factory=factory)
     assert rep.termination == "feasibility-tol"
     assert rep.feasibility <= 1e-12
@@ -321,8 +326,7 @@ def fallback_rewarding_setup(n=6, k=2):
     data = np.zeros((n, k))
     for j in range(k):
         data[j, j] = 1.0
-    Xf = FeasiblePoint(data=data, mask=data > 0)
-    return LinearObjective(-5.0 * data), Xf, overlap_start(n, k)
+    return LinearObjective(-5.0 * data), data, overlap_start(n, k)
 
 
 def test_driver_result_anchor_rescues_starved_run():
@@ -336,7 +340,7 @@ def test_driver_result_anchor_rescues_starved_run():
     # the accepted value never exceeds the fallback's, even on rescue
     assert fired["h_end"] <= fired["h_start"] + 1e-12
     assert rep.termination == "feasibility-tol"
-    assert rep.objective <= f.value(Xf.data) + 1e-12
+    assert rep.objective <= f.value(Xf) + 1e-12
 
 
 def test_driver_start_anchor_resets_before_solving():
@@ -348,13 +352,31 @@ def test_driver_start_anchor_resets_before_solving():
     first = rep.history[0]
     assert first["anchored"]
     # reset happens before the solve: the recorded start is the fallback's
-    assert first["h_start"] == pytest.approx(f.value(Xf.data), abs=1e-12)
+    assert first["h_start"] == pytest.approx(f.value(Xf), abs=1e-12)
     assert rep.termination == "feasibility-tol"
 
 
 def test_driver_rejects_unknown_anchor_policy():
     with pytest.raises(ValidationError):
         DriverConfig(anchor="sometimes")
+
+
+@pytest.mark.parametrize("with_start", [True, False])
+def test_driver_checks_the_fallback_shape_at_entry(with_start):
+    C = oracles.rng_for(57).standard_normal((20, 3))
+    ctx = make_context(20, 3)
+    X_feas = feasible_init(make_context(21, 3), hint=np.vstack([C, C[:1]]))
+    X0 = make_oblique(feasible_init(ctx, hint=C)) if with_start else None
+    with pytest.raises(BadShape, match=r"feasible fallback shape \(21, 3\)"):
+        ep4orth_solve(TargetDistanceObjective(C), ctx, X0=X0, X_feas=X_feas)
+
+
+def test_driver_rejects_an_infeasible_fallback():
+    C = oracles.rng_for(58).standard_normal((6, 2))
+    ctx = make_context(6, 2)
+    X_feas = overlap_start(6, 2).data  # unit columns, not orthogonal
+    with pytest.raises(NotFeasible, match="feasible fallback"):
+        ep4orth_solve(TargetDistanceObjective(C), ctx, X_feas=X_feas)
 
 
 def test_driver_force_solver_paths():

@@ -470,6 +470,34 @@ def test_cli_check_kkt(tmp_path):
     assert rep["classification"] == "stationary"
 
 
+@pytest.mark.parametrize("objective", ["linear", "target"])
+def test_cli_check_kkt_rejects_a_c_of_another_shape(tmp_path, objective):
+    # a 30 x 1 C would broadcast against a 30 x 3 X in the target objective
+    xp = str(tmp_path / "x.csv")
+    cp = str(tmp_path / "c.csv")
+    pio.write_matrix(xp, np.eye(30)[:, :3])
+    pio.write_matrix(cp, np.ones((30, 1)))
+    r = invoke(["check-kkt", "--in", xp, "--objective", objective,
+                "--c", cp])
+    assert r.exit_code == 2, r.output
+    assert "C shape (30, 1) != X shape (30, 3)" in r.output
+
+
+@pytest.mark.parametrize("shape", [(30, 1), (29, 3)])
+def test_cli_project_rejects_an_xstar_of_another_shape(tmp_path, shape):
+    # a 30 x 1 file used to broadcast into a gap; a 29 x 3 one failed in
+    # numpy after the solve
+    cpath = str(tmp_path / "C.mtx")
+    xpath = str(tmp_path / "xs.mtx")
+    pio.write_matrix(cpath, oracles.rng_for(73).standard_normal((30, 3)))
+    pio.write_matrix(xpath, np.ones(shape))
+    r = invoke(["project", "--in", cpath, "--xstar", xpath,
+                "--out", str(tmp_path / "rep.json")])
+    assert r.exit_code == 2, r.output
+    assert f"X_star shape {shape} != C shape (30, 3)" in r.output
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # 2: validation (k > n is impossible)
     r = invoke(["gen-projection", "--n", "2", "--k", "5",

@@ -218,7 +218,7 @@ def test_make_tangent_validates():
     X = make_oblique(oracles.random_unit_columns(rng, 5, 2))
     D = oracles.random_tangent(rng, X.data)
     t = make_tangent(X, D)
-    assert np.array_equal(t.data, D)
+    assert np.array_equal(t, D) and not t.flags.writeable
     with pytest.raises(NotTangent):
         make_tangent(X, D + 0.1)
 
@@ -228,7 +228,7 @@ def test_project_tangent_T_matches_oracle():
     rng = oracles.rng_for(5)
     X = make_oblique(oracles.random_feasible(rng, 4, 2))
     D = rng.standard_normal((4, 2))
-    got = project_tangent_T(X, D).data
+    got = project_tangent_T(X, D)
     want = np.column_stack([
         oracles.slice_projection_oracle(X.data[:, j], X.data[:, j] + D[:, j])
         - X.data[:, j]
@@ -245,8 +245,8 @@ def test_project_tangent_T_survives_cancellation():
     X = make_oblique(oracles.random_unit_columns(rng, 100, 3,
                                                  strictly_positive=True))
     G = rng.standard_normal((100, 3))
-    got = project_tangent_T(X, G + 1e7 * X.data).data
-    want = project_tangent_T(X, G).data
+    got = project_tangent_T(X, G + 1e7 * X.data)
+    want = project_tangent_T(X, G)
     assert np.abs(np.einsum("ij,ij->j", X.data, got)).max() <= 1e-10
     assert np.allclose(got, want, atol=1e-6)
 

@@ -14,17 +14,17 @@ def test_round_output_is_feasible():
     for _ in range(50):
         X = oracles.random_unit_columns(rng, 7, 3)
         R = round_point(X)
-        assert feasibility_violation(R.data) <= 1e-14
-        assert (R.data >= 0).all()
+        assert feasibility_violation(R) <= 1e-14
+        assert (R >= 0).all()
         # disjoint supports: at most one nonzero per row
-        assert ((R.data > 0).sum(axis=1) <= 1).all()
+        assert ((R > 0).sum(axis=1) <= 1).all()
 
 
 def test_round_keeps_feasible_points_fixed():
     rng = oracles.rng_for(21)
     X = oracles.random_feasible(rng, 8, 3)
     R = round_point(X)
-    assert np.allclose(R.data, X, atol=1e-15)
+    assert np.allclose(R, X, atol=1e-15)
 
 
 def test_round_argmax_tie_smallest_index():
@@ -32,7 +32,7 @@ def test_round_argmax_tie_smallest_index():
     R = round_point(X)
     # both rows keep column 0, so column 1 dies and the rounding falls
     # back to the identity pattern
-    assert np.array_equal(R.data, np.eye(2))
+    assert np.array_equal(R, np.eye(2))
 
 
 def test_round_dead_column_resets_to_identity():
@@ -40,9 +40,9 @@ def test_round_dead_column_resets_to_identity():
     X = np.array([[1.0, 0.9], [0.0, 0.1]])
     X = X / np.linalg.norm(X, axis=0)
     R = round_point(X)
-    if (R.data[:, 1] == 0).all():
+    if (R[:, 1] == 0).all():
         pytest.fail("dead column must be repaired")
-    assert feasibility_violation(R.data) <= 1e-14
+    assert feasibility_violation(R) <= 1e-14
 
 
 def test_rho_tilde_frozen_values():
@@ -73,7 +73,7 @@ def test_error_bound_random_draws(n, k, q):
     for _ in range(40):
         X = oracles.random_unit_columns(rng, n, k)
         R = round_point(X)
-        lhs = np.linalg.norm(R.data - X)
+        lhs = np.linalg.norm(R - X)
         rhs = bound_const * np.sqrt(max(zeta(X, ctx, q=q), 0.0))
         assert lhs <= rhs + 1e-12
 
@@ -110,7 +110,7 @@ def test_round_recovers_closed_form_projection():
     for eps in [1e-2, 1e-4, 1e-6]:
         X = sharpness_point(eps)
         R = round_point(X)
-        assert np.allclose(R.data, sharpness_projection(eps), atol=1e-14)
+        assert np.allclose(R, sharpness_projection(eps), atol=1e-14)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])

@@ -6,6 +6,7 @@ models, so agreement here certifies the fixed-point machinery end to end.
 """
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -15,16 +16,17 @@ import numpy as np
 import pytest
 
 from penorth import make_context, make_oblique
+from penorth.driver import feasible_init
 from penorth.errors import InfeasibleSupport, NegativeEntry
-from penorth.manifold import riemannian_grad, slice_projector
+from penorth.manifold import (project_delta, project_delta_cols,
+                              projected_step, riemannian_grad,
+                              slice_projector)
 from penorth.penalty import PenalizedObjective
 from penorth.problems import (KindicatorsModel, KindicatorsObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
                               gen_kindicators)
 from penorth import subsolvers
-from penorth.subsolvers import (GPConfig, NewtonConfig,
-                                gradient_projection_solve, newton_solve,
-                                project_delta, project_delta_cols,
+from penorth.subsolvers import (gradient_projection_solve, newton_solve,
                                 solve_qp_subproblem)
 from penorth.types import (DriverConfig, Objective, ObliqueMatrix,
                            PenaltyParams)
@@ -210,7 +212,7 @@ def test_gp_reaches_stationarity_on_quadratic():
     T = np.abs(rng.standard_normal((6, 2))) + 0.1
     h = Quadratic(T)
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
-    X, rep = gradient_projection_solve(h, X0, GPConfig(step_tol=1e-12))
+    X, rep = gradient_projection_solve(h, X0, 1e-12, 1000)
     assert rep.kkt_residual <= 1e-8
     assert rep.final_value <= h.value(X0.data) + 1e-15
     assert rep.converged
@@ -221,9 +223,7 @@ def test_gp_fixed_alpha_descends():
     T = np.abs(rng.standard_normal((5, 2))) + 0.1
     h = Quadratic(T)  # 1-Lipschitz gradient, so alpha = 0.99 is safe
     X0 = make_oblique(oracles.random_unit_columns(rng, 5, 2))
-    X, rep = gradient_projection_solve(h, X0,
-                                       GPConfig(fixed_alpha=0.99,
-                                                step_tol=1e-12))
+    X, rep = gradient_projection_solve(h, X0, 1e-12, 1000, fixed_alpha=0.99)
     assert rep.final_value <= h.value(X0.data) + 1e-15
     assert rep.kkt_residual <= 1e-6
 
@@ -233,35 +233,24 @@ def test_gp_line_search_failure_flag_and_safeguard():
     T = np.abs(rng.standard_normal((4, 2))) + 0.1
     h = LyingGradient(T)
     X0 = make_oblique(oracles.random_unit_columns(rng, 4, 2))
-    X, rep = gradient_projection_solve(h, X0, GPConfig(max_iter=50))
+    X, rep = gradient_projection_solve(h, X0, 1e-8, 50)
     assert "LineSearchFailure" in rep.flags
     # best-iterate safeguard: never worse than the start
     assert rep.final_value <= h.value(X0.data) + 1e-15
 
 
-def test_gp_alpha_cap_respected():
-    rng = oracles.rng_for(36)
-    T = np.abs(rng.standard_normal((5, 2))) + 0.1
-    X0 = make_oblique(oracles.random_unit_columns(rng, 5, 2))
-    X, rep = gradient_projection_solve(Quadratic(T), X0,
-                                       GPConfig(alpha_cap=0.5))
-    assert rep.final_value <= Quadratic(T).value(X0.data) + 1e-15
+class Gentle(Quadratic):
+    """Quadratic with curvature 1e-3: BB steps near 1e3, far above 10 k."""
+
+    def value(self, X):
+        return 1e-3 * super().value(X)
+
+    def grad(self, X):
+        return 1e-3 * super().grad(X)
 
 
-def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
-    # gentle curvature: the BB step 1/curvature is far above the cap
-    rng = oracles.rng_for(38)
-    T = np.abs(rng.standard_normal((6, 3))) + 0.1
-    X0 = make_oblique(oracles.random_unit_columns(rng, 6, 3))
-
-    class Gentle(Quadratic):
-        def value(self, X):
-            return 1e-3 * super().value(X)
-
-        def grad(self, X):
-            return 1e-3 * super().grad(X)
-
-    h = Gentle(T)
+def recorded_trials(monkeypatch):
+    """Record (alpha, trial point) of every projected step the solver takes."""
     trials = []
     step = subsolvers.projected_step
 
@@ -271,10 +260,35 @@ def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
         return Xn
 
     monkeypatch.setattr(subsolvers, "projected_step", recording_step)
-    cap = 5.0
-    X, rep = gradient_projection_solve(
-        h, X0, GPConfig(line_search=False, alpha_cap=cap, max_iter=30))
-    first = step(X0.data, 1.0, h.grad(X0.data))
+    return trials
+
+
+def test_gp_alpha_cap_respected(monkeypatch):
+    # only the BB step without a line search is capped, at 10 k
+    rng = oracles.rng_for(36)
+    T = np.abs(rng.standard_normal((5, 2))) + 0.1
+    X0 = make_oblique(oracles.random_unit_columns(rng, 5, 2))
+    trials = recorded_trials(monkeypatch)
+    top = {}
+    for line_search in (True, False):
+        trials.clear()
+        X, rep = gradient_projection_solve(Gentle(T), X0, 1e-8, 30,
+                                           line_search=line_search)
+        top[line_search] = max(a for a, _ in trials)
+        assert rep.final_value <= Gentle(T).value(X0.data) + 1e-15
+    assert top[True] > 20.0 and top[False] == 20.0
+
+
+def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
+    # gentle curvature: the BB step 1/curvature is far above the cap
+    rng = oracles.rng_for(38)
+    T = np.abs(rng.standard_normal((6, 3))) + 0.1
+    X0 = make_oblique(oracles.random_unit_columns(rng, 6, 3))
+    h = Gentle(T)
+    trials = recorded_trials(monkeypatch)
+    cap = 30.0  # 10 k
+    X, rep = gradient_projection_solve(h, X0, 1e-8, 30, line_search=False)
+    first = projected_step(X0.data, 1.0, h.grad(X0.data))
     assert trials[0][0] == 1.0
     assert np.array_equal(trials[0][1], first)
     # no line search: one trial per iteration, each one taken
@@ -326,34 +340,30 @@ def _lying(n, k, seed):
     return lambda: LyingGradient(T)
 
 
-BARE = dict(line_search=False, max_iter=60, step_tol=1e-9)
+FIXED = dict(tol=1e-10, max_iter=300, fixed_alpha=0.99)
+BARE = dict(tol=1e-9, max_iter=60, line_search=False)
 
-# objective factory, config, and the branches the run must take: whether
-# it converges, backtracks in the line search, ends on a worse iterate
-# than its best (and falls back to it), or fails the line search
+# objective factory, solver arguments, and the branches the run must take:
+# whether it converges, backtracks in the line search, ends on a worse
+# iterate than its best (and falls back to it), or fails the line search
 GP_CASES = {
-    "fixed": (_linear_model(60, 4, 1),
-              GPConfig(fixed_alpha=0.99, step_tol=1e-10, max_iter=300),
-              {"converges"}),
-    "fixed-fallback": (_linear_model(60, 4, 0),
-                       GPConfig(fixed_alpha=0.99, step_tol=1e-10,
-                                max_iter=300), {"converges", "falls back"}),
-    "bb-bare": (_kindicators_model(60, 4, 5, 10.0),
-                GPConfig(alpha_cap=16.0, **BARE), {"converges"}),
-    "bb-bare-fallback": (_kindicators_model(60, 4, 0, 10.0), GPConfig(**BARE),
+    "fixed": (_linear_model(60, 4, 1), FIXED, {"converges"}),
+    "fixed-fallback": (_linear_model(60, 4, 0), FIXED,
+                       {"converges", "falls back"}),
+    "bb-bare": (_kindicators_model(60, 4, 5, 10.0), BARE, {"converges"}),
+    "bb-bare-fallback": (_kindicators_model(60, 4, 0, 10.0), BARE,
                          {"converges", "falls back"}),
-    "bb-bare-budget": (_kindicators_model(60, 4, 7, 100.0), GPConfig(**BARE),
+    "bb-bare-budget": (_kindicators_model(60, 4, 7, 100.0), BARE,
                        {"falls back"}),
     "bb-line-search": (_kindicators_model(60, 4, 4, 10.0),
-                       GPConfig(max_iter=60, step_tol=1e-9),
+                       dict(tol=1e-9, max_iter=60),
                        {"converges", "backtracks"}),
     "bb-line-search-fallback": (_kindicators_model(60, 4, 1, 10.0),
-                                GPConfig(max_iter=60, step_tol=1e-9),
+                                dict(tol=1e-9, max_iter=60),
                                 {"converges", "backtracks", "falls back"}),
     "bb-line-search-linear": (_linear_model(60, 4, 2),
-                              GPConfig(step_tol=1e-10, max_iter=300),
-                              {"converges"}),
-    "line-search-failure": (_lying(60, 4, 43), GPConfig(max_iter=50),
+                              dict(tol=1e-10, max_iter=300), {"converges"}),
+    "line-search-failure": (_lying(60, 4, 43), dict(tol=1e-8, max_iter=50),
                             {"backtracks", "fails"}),
 }
 
@@ -364,7 +374,7 @@ def test_gp_matches_reference_bit_for_bit(case, order):
     """The loop against its earlier form (oracles), which held the
     previous iterate and gradient: the same final bits and layout, the
     same report, and the same calls on the same array objects."""
-    make_h, cfg, exercises = GP_CASES[case]
+    make_h, kwargs, exercises = GP_CASES[case]
     n, k = 60, 4
     U = gen_kindicators(n, k, 0.3, 44).U
     start = np.abs(U) / np.linalg.norm(U, axis=0)
@@ -372,7 +382,7 @@ def test_gp_matches_reference_bit_for_bit(case, order):
     runs = []
     for solve in (gradient_projection_solve, oracles.gradient_projection_reference):
         h = Recording(make_h())
-        X, rep = solve(h, X0, cfg)
+        X, rep = solve(h, X0, **kwargs)
         runs.append((X.data, rep, h))
     (X, rep, h), (X_ref, rep_ref, h_ref) = runs
     assert X.tobytes() == X_ref.tobytes() and X.strides == X_ref.strides
@@ -529,7 +539,7 @@ def test_newton_converges_on_interior_optimum():
     h = Quadratic(T)
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2,
                                                   strictly_positive=True))
-    X, rep = newton_solve(h, X0, NewtonConfig(tol=1e-7))
+    X, rep = newton_solve(h, X0, 1e-7, 200)
     assert rep.converged or "ModelAtNoiseFloor" in rep.flags
     assert rep.kkt_residual <= 1e-6
     assert rep.final_value <= h.value(X0.data) + 1e-15
@@ -544,8 +554,7 @@ def test_newton_degenerate_target_reaches_optimal_value():
     # step-based stop behave
     h, rng = small_penalized(40)
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
-    X, rep = newton_solve(h, X0, NewtonConfig(tol=1e-9, step_tol=1e-10,
-                                              max_iter=400))
+    X, rep = newton_solve(h, X0, 1e-9, 400)
     assert rep.final_value <= 1e-8  # global minimum is 0
     assert rep.final_value <= h.value(X0.data) + 1e-15
 
@@ -553,7 +562,7 @@ def test_newton_degenerate_target_reaches_optimal_value():
 def test_newton_accepted_trials_satisfy_decrease_bound():
     h, rng = small_penalized(41)
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
-    X, rep = newton_solve(h, X0, NewtonConfig(tol=1e-9))
+    X, rep = newton_solve(h, X0, 1e-9, 200)
     accepted = [t for t in rep.trials if t["accepted"]]
     assert accepted, "solver accepted no step at all"
     for t in accepted:
@@ -566,7 +575,7 @@ def test_newton_monotone_across_iterations():
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
     # replay the value along accepted trials through rho bookkeeping:
     # every accepted rho >= eta1 > 0 together with model < 0 means descent
-    X, rep = newton_solve(h, X0, NewtonConfig(tol=1e-9))
+    X, rep = newton_solve(h, X0, 1e-9, 200)
     for t in rep.trials:
         if t["accepted"]:
             assert t["model"] < 0
@@ -576,7 +585,7 @@ def test_newton_monotone_across_iterations():
 def test_newton_budget_flag():
     h, rng = small_penalized(43)
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
-    X, rep = newton_solve(h, X0, NewtonConfig(max_iter=1, tol=1e-14))
+    X, rep = newton_solve(h, X0, 1e-14, 1)
     assert not rep.converged
     assert "MaxIterReached" in rep.flags
 
@@ -584,11 +593,11 @@ def test_newton_budget_flag():
 def test_newton_checks_start_and_ignores_its_layout():
     h, rng = small_penalized(44)
     A = oracles.random_unit_columns(rng, 6, 2)
-    X, rep = newton_solve(h, make_oblique(A), NewtonConfig(tol=1e-9))
+    X, rep = newton_solve(h, make_oblique(A), 1e-9, 200)
     # the start is copied to C order on entry, so a Fortran-ordered start
     # gives the same bits
     Xf, repf = newton_solve(h, make_oblique(np.asfortranarray(A), copy=False),
-                            NewtonConfig(tol=1e-9))
+                            1e-9, 200)
     assert np.array_equal(X.data, Xf.data)
     assert X.data.flags.c_contiguous and not X.data.flags.writeable
     assert rep.trials == repf.trials
@@ -596,7 +605,7 @@ def test_newton_checks_start_and_ignores_its_layout():
     bad = A.copy()
     bad[0, 0] = -bad[0, 0] - 0.1
     with pytest.raises(NegativeEntry):
-        newton_solve(h, ObliqueMatrix(data=bad, n=6, k=2))
+        newton_solve(h, ObliqueMatrix(data=bad, n=6, k=2), 1e-9, 200)
 
 
 class CountingGrad(Objective):
@@ -625,8 +634,7 @@ def test_newton_reuses_the_gradient_at_its_final_point(max_iter):
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2,
                                                   strictly_positive=True))
     counted = CountingGrad(h)
-    X, rep = newton_solve(counted, X0, NewtonConfig(tol=1e-7,
-                                                    max_iter=max_iter))
+    X, rep = newton_solve(counted, X0, 1e-7, max_iter)
     res = np.linalg.norm(np.minimum(X.data, riemannian_grad(X, h.grad(X.data))))
     assert rep.kkt_residual == res
     if max_iter == 1:
@@ -640,10 +648,20 @@ def test_newton_reuses_the_gradient_at_its_final_point(max_iter):
         assert counted.grads == rep.iterations
 
 
+def settable(fn, fixed):
+    """Names of fn's parameters after the first `fixed` ones."""
+    return list(inspect.signature(fn).parameters)[fixed:]
+
+
 def test_solver_configs_hold_only_settings_callers_set():
-    # the Newton safeguards are the paper's fixed constants, not options
-    names = [f.name for f in dataclasses.fields(NewtonConfig)]
-    assert names == ["max_iter", "tol", "step_tol"]
+    # the inner solvers take the driver's tolerance and budget, plus the
+    # projected-gradient step rule; the Newton safeguards are the paper's
+    # fixed constants, not options
+    assert settable(gradient_projection_solve, 2) == [
+        "tol", "max_iter", "fixed_alpha", "line_search"]
+    assert settable(newton_solve, 2) == ["tol", "max_iter"]
+    # the fallback's random stream is fixed
+    assert settable(feasible_init, 1) == ["hint"]
     # the driver always minimizes the p = 1, q = 2 model without smoothing,
     # floors the inner tolerance at EPS_GRAD_MIN and is handed its fallback
     names = [f.name for f in dataclasses.fields(DriverConfig)]
