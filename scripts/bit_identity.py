@@ -16,6 +16,13 @@ before and after; compare two runs with diff:
 
 Each line ends with a short hash per field, so a diff shows which output
 moved. --tiny solves the benchmark's smoke-test instance sets instead.
+
+--summary prints, instead of the hashes, what a change that moves values
+by rounding should still keep: per instance the termination reason, the
+outer and inner counts, a hash of final's row support (each row's argmax
+column and the final > 0 pattern), and the objective and feasibility to
+17 significant digits. A diff of two --summary runs shows which counts
+and supports held where the hashes moved.
 """
 from __future__ import annotations
 
@@ -47,6 +54,9 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tiny", action="store_true",
                     help="solve the smoke-test instance sets")
+    ap.add_argument("--summary", action="store_true",
+                    help="print counts, support hashes and values instead "
+                         "of output hashes")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="source tree to import penorth from "
                          "(default: this checkout's src)")
@@ -87,6 +97,16 @@ def digest(obj) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
+def summary(rep) -> str:
+    """Termination, counts, row-support hash, objective and feasibility."""
+    final = np.asarray(rep.final)
+    support = digest([final.argmax(axis=1), final > 0])[:8]
+    return (f"termination={rep.termination} outer={rep.outer_iterations} "
+            f"inner={rep.inner_iterations} support={support} "
+            f"objective={rep.objective:.17g} "
+            f"feasibility={rep.feasibility:.17g}")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -101,6 +121,10 @@ def main(argv=None) -> int:
                 run.round_trip(penorth, np, instances, tmp, {})
                 for i, inst in enumerate(instances):
                     rep = wl.solve(penorth, inst)
+                    if args.summary:
+                        print(f"{name} seed={seed} i={i} {summary(rep)}",
+                              flush=True)
+                        continue
                     fields = {f: getattr(rep, f) for f in FIELDS}
                     fields["final"] = np.asarray(rep.final)
                     per_field = " ".join(digest(fields[f])[:8] for f in FIELDS)

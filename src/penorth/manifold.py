@@ -55,72 +55,62 @@ def make_tangent(X: ObliqueMatrix, D,
     return D
 
 
-def _project_ob_plus_raw(C: np.ndarray, *, _out=None, _pos=None) -> np.ndarray:
+# Column sums of squares in this range are formed without overflow, and
+# with underflowed squares too small to move them; columns outside it
+# (tiny, huge, dead or NaN) take the peak-scaled path.
+SS_MIN = 2.0 ** -900
+SS_MAX = 2.0 ** 900
+
+
+def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
     """Project a float matrix columnwise onto the nonnegative unit sphere.
 
     Each column: clip negatives to zero, normalize. A column whose positive
     part vanishes (peak not > 0, NaN included) projects to the coordinate
-    vector at its largest entry (smallest index on ties), which is a valid
-    closest point. No input checks or wrapping, for hot loops.
+    vector at the largest entry of its column of C (smallest index on
+    ties), which is a valid closest point. No input checks or wrapping,
+    for hot loops; C is not written.
 
-    The work runs on a Fortran-ordered buffer max(C, 0) and on the result
-    array, laid out like C. The hot loops pass C-ordered n x k matrices
-    with n >> k: there every column pass (peak, scaling, column sums,
-    normalization) would run k-long inner loops, and every further
-    full-size temporary costs a page-faulted allocation. The result array
-    first holds the column squares, viewed Fortran-ordered, so each column
-    norm is numpy's pairwise sum over one contiguous column: the same bits
-    as np.linalg.norm(., axis=0) on a column-gathered copy, where C-ordered
-    squares would be summed row by row and round differently. The final
-    division then writes into it in C's layout, which callers' later
-    reductions depend on. Dead columns are divided by 1 along with the rest
-    and then overwritten; their argmax is read before C may be.
-
-    _out and _pos are projected_step's: its own contiguous temporary C as
-    the result array, and a Fortran-ordered buffer of C's shape that it
-    allocated first, so that on the heap the scratch lies below the result
-    and freeing it leaves a hole the next iterate reuses.
+    One pass in C's own layout: y = max(C, 0) in a new array laid out like
+    C, its column sums of squares ss_j by einsum, and each column with
+    SS_MIN <= ss_j <= SS_MAX divided in place by sqrt(ss_j). Callers'
+    later reductions over the iterate ravel in memory order, so the
+    result keeps C's layout. The other columns (squares that underflow or
+    overflow, dead and NaN columns) are scaled by their peak first and
+    normalized by the pairwise sum of the scaled squares.
     """
-    if _pos is None:
-        pos = np.maximum(C, 0.0, order="F")
-    else:
-        pos = np.maximum(C, 0.0, out=_pos)
-    peak = pos.max(axis=0)
-    dead = ~(peak > 0)
-    resets = [(j, int(np.argmax(C[:, j]))) for j in np.flatnonzero(dead)]
-    # peak-scale first: squaring tiny or huge entries directly would
-    # underflow or overflow and denormalize the column
-    peak[dead] = 1.0
-    pos /= peak
-    out = np.empty_like(C, dtype=pos.dtype) if _out is None else _out
-    # a view: out is contiguous, fresh or projected_step's temporary
-    squares = out.ravel("K").reshape(out.shape, order="F")
-    np.multiply(pos, pos, out=squares)
-    nrm = np.sqrt(np.add.reduce(squares, axis=0))
-    del squares
-    nrm[dead] = 1.0
-    np.divide(pos, nrm, out=out)
-    for j, i in resets:
-        out[:, j] = 0.0
-        out[i, j] = 1.0
-    return out
+    y = np.maximum(C, 0.0)
+    ss = np.einsum("ij,ij->j", y, y)
+    fallback = np.flatnonzero(~((ss >= SS_MIN) & (ss <= SS_MAX)))
+    np.sqrt(ss, out=ss)
+    ss[fallback] = 1.0  # exact: these columns are redone below
+    y /= ss
+    for j in fallback:
+        col = y[:, j]
+        peak = col.max()
+        if peak > 0:
+            col /= peak
+            col /= np.sqrt(np.add.reduce(col * col))
+        else:
+            col[:] = 0.0
+            col[int(np.argmax(C[:, j]))] = 1.0
+    return y
 
 
 def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
     """_project_ob_plus_raw(X - alpha * G), with X - alpha * G built in one
-    temporary that the projection then overwrites with its result.
+    temporary.
 
     The temporary gets the memory layout numpy gives X - alpha * G:
-    Fortran-like only when both X and G are, C order otherwise. The
-    projection keeps that layout, and later reductions over the iterate
-    ravel in memory order, so another layout would change their bits.
+    Fortran-like only when both X and G are, C order otherwise, and the
+    projection keeps it. Two n x k arrays are live at the peak: the
+    temporary and the projection's result.
     """
-    pos = np.empty(X.shape, order="F")  # first: see _project_ob_plus_raw
     # a row-major X makes numpy's result row-major whatever G's layout
     x_cols = abs(X.strides[0]) < abs(X.strides[1])
     T = np.multiply(alpha, G, order="K" if x_cols else "C")
     np.subtract(X, T, out=T)
-    return _project_ob_plus_raw(T, _out=T, _pos=pos)
+    return _project_ob_plus_raw(T)
 
 
 def project_oblique_plus(C) -> ObliqueMatrix:
@@ -128,6 +118,9 @@ def project_oblique_plus(C) -> ObliqueMatrix:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise BadShape("project_oblique_plus needs a matrix")
+    n, k = C.shape
+    if k < 1 or n < k:  # make_oblique's rule, checked before projecting
+        raise BadShape(f"need n >= k >= 1, got shape ({n}, {k})")
     if not np.isfinite(C).all():
         raise BadShape("matrix contains non-finite entries")
     return make_oblique(_project_ob_plus_raw(C), copy=False)

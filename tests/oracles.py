@@ -243,14 +243,41 @@ def opnmf_hess_apply(A, X, D):
                   + D @ (X.T @ WX) + X @ (D.T @ WX + X.T @ WD))
 
 
+def oblique_projection_one_pass(C):
+    """Columnwise projection onto the nonnegative unit sphere, column by
+    column: the formula penorth.manifold._project_ob_plus_raw computes.
+
+    y = max(C, 0) laid out like C and ss = its einsum column sums of
+    squares. A column with 2**-900 <= ss_j <= 2**900 is y_j / sqrt(ss_j);
+    any other column with a positive peak is scaled by the peak and
+    divided by the root of the pairwise sum of its scaled squares; the
+    rest become the coordinate vector at the largest entry of C.
+    """
+    C = np.asarray(C, dtype=float)
+    y = np.maximum(C, 0.0)
+    ss = np.einsum("ij,ij->j", y, y)
+    out = np.empty_like(y)
+    for j in range(C.shape[1]):
+        if 2.0 ** -900 <= ss[j] <= 2.0 ** 900:
+            out[:, j] = y[:, j] / np.sqrt(ss[j])
+        elif y[:, j].max() > 0:
+            scaled = y[:, j] / y[:, j].max()
+            out[:, j] = scaled / np.sqrt(np.sum(scaled * scaled))
+        else:
+            out[:, j] = 0.0
+            out[int(np.argmax(C[:, j])), j] = 1.0
+    return out
+
+
 def oblique_projection_gather(C):
     """Columnwise projection onto the nonnegative unit sphere by gathering
     the live columns (positive part with a positive peak) into a copy.
 
     The body penorth.manifold._project_ob_plus_raw had before it became an
-    in-place pass. Live columns are peak-scaled and divided by
-    np.linalg.norm of the gathered copy; every other column becomes the
-    coordinate vector at its largest entry. The two must agree bit for bit.
+    in-place pass, and its bits until the one-pass formula
+    (oblique_projection_one_pass) replaced them. Live columns are
+    peak-scaled and divided by np.linalg.norm of the gathered copy; every
+    other column becomes the coordinate vector at its largest entry.
     """
     C = np.asarray(C, dtype=float)
     pos = np.maximum(C, 0.0)

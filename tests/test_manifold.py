@@ -73,17 +73,89 @@ def oblique_projection_cases():
     yield with_nan
 
 
-def test_project_ob_plus_raw_matches_gather_bit_for_bit():
+def test_project_ob_plus_raw_matches_formula_bit_for_bit():
     count = 0
     for C in oblique_projection_cases():
         before = C.copy()
-        got = _project_ob_plus_raw(C)
-        want = oracles.oblique_projection_gather(C)
+        with np.errstate(all="raise"):
+            got = _project_ob_plus_raw(C)
+        want = oracles.oblique_projection_one_pass(C)
         assert got.tobytes() == want.tobytes(), C
         assert got.strides == want.strides  # same memory layout
         assert np.array_equal(C, before, equal_nan=True)
         count += 1
     assert count == 73
+
+
+def ulps_apart(a, b):
+    """Entrywise distance in units in the last place of nonnegative floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_one_pass_formula_is_within_32_ulps_of_gather():
+    """The one-pass formula against the peak-scaled gather it replaced,
+    whose bits the kernel had before: a few ulps per entry, and the same
+    layout."""
+    worst = 0
+    for C in oblique_projection_cases():
+        got = oracles.oblique_projection_one_pass(C)
+        want = oracles.oblique_projection_gather(C)
+        assert got.strides == want.strides
+        worst = max(worst, int(ulps_apart(got, want).max()))
+    assert 0 < worst <= 32
+
+
+# the columns of mixed_scale_matrix that take the peak-scaled path
+MIXED_FALLBACK = np.array([False, True, False, True, True, True, False,
+                           False, True, True, True])
+
+
+def mixed_scale_matrix(rng, n):
+    """Columns that take the one-pass path next to columns that take the
+    peak-scaled path (MIXED_FALLBACK): tiny and huge scales on both sides
+    of the thresholds on the sums of squares, a dead column, an all-zero
+    one and one with a NaN."""
+    scales = [1.0, 1e-300, 1.0, 1e300, 1e-140, 1e140, 1e-130, 1e130, 1.0,
+              1.0, 1.0]
+    C = np.abs(rng.standard_normal((n, len(scales)))) * scales
+    C[:, 2] = rng.standard_normal(n)  # negatives to clip
+    C[0, 2] = 1.0  # and live
+    C[:, 8] = -C[:, 8]  # dead
+    C[:, 9] = 0.0
+    C[n // 2, 10] = np.nan
+    return C
+
+
+def test_project_ob_plus_raw_mixes_one_pass_and_fallback_columns():
+    rng = oracles.rng_for(73)
+    for n in (1, 7, 5000):
+        C_base = mixed_scale_matrix(rng, n)
+        y = np.maximum(C_base, 0.0)
+        ss = np.einsum("ij,ij->j", y, y)
+        one_pass = (ss >= 2.0 ** -900) & (ss <= 2.0 ** 900)
+        assert np.array_equal(~one_pass, MIXED_FALLBACK)
+        for C in layouts(C_base):
+            with np.errstate(all="raise"):
+                got = _project_ob_plus_raw(C)
+            want = oracles.oblique_projection_one_pass(C)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+            # the peak-scaled columns keep the gather's bits
+            gather = oracles.oblique_projection_gather(C)
+            assert np.array_equal(got[:, MIXED_FALLBACK],
+                                  gather[:, MIXED_FALLBACK])
+            assert np.all(got >= 0)
+            assert np.allclose(np.linalg.norm(got, axis=0), 1.0, atol=1e-14)
+            for j in (8, 9, 10):
+                e = np.zeros(n)
+                e[int(np.argmax(C[:, j]))] = 1.0
+                assert np.array_equal(got[:, j], e)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+def test_project_oblique_plus_rejects_matrix_without_rows(shape):
+    with pytest.raises(BadShape):
+        project_oblique_plus(np.zeros(shape))
 
 
 def test_project_oblique_plus_leaves_argument_unchanged():
@@ -141,6 +213,22 @@ def test_projected_step_matches_expression_bit_for_bit():
                     assert X.tobytes() == X_before and G.tobytes() == G_before
                     count += 1
     assert count == 5 * 3 * 25
+
+
+def test_projected_step_resets_dead_column_at_argmax_of_step():
+    """A column of X - alpha * G with no positive entry becomes the
+    coordinate vector at its largest entry, which neither X's nor -G's
+    largest entry marks."""
+    X = np.array([[0.6, 0.6], [0.8, 0.0], [0.0, 0.8]])
+    G = np.array([[3.0, 0.0], [4.0, 1.0], [2.0, 0.0]])
+    # column 0 of X - 0.5 G is (-0.9, -1.2, -1.0); reversed rows put its
+    # largest entry last
+    for Xl, Gl, want in [(X, G, [1.0, 0.0, 0.0]),
+                         (np.asfortranarray(X), G, [1.0, 0.0, 0.0]),
+                         (X, np.asfortranarray(G), [1.0, 0.0, 0.0]),
+                         (X[::-1], G[::-1], [0.0, 0.0, 1.0])]:
+        got = projected_step(Xl, 0.5, Gl)
+        assert np.array_equal(got[:, 0], want)
 
 
 def test_stationarity_residual_matches_expression_bit_for_bit():

@@ -350,7 +350,7 @@ GP_CASES = {
     "fixed": (_linear_model(60, 4, 1), FIXED, {"converges"}),
     "fixed-fallback": (_linear_model(60, 4, 0), FIXED,
                        {"converges", "falls back"}),
-    "bb-bare": (_kindicators_model(60, 4, 5, 10.0), BARE, {"converges"}),
+    "bb-bare": (_kindicators_model(60, 4, 2, 10.0), BARE, {"converges"}),
     "bb-bare-fallback": (_kindicators_model(60, 4, 0, 10.0), BARE,
                          {"converges", "falls back"}),
     "bb-bare-budget": (_kindicators_model(60, 4, 7, 100.0), BARE,
@@ -361,7 +361,7 @@ GP_CASES = {
     "bb-line-search-fallback": (_kindicators_model(60, 4, 1, 10.0),
                                 dict(tol=1e-9, max_iter=60),
                                 {"converges", "backtracks", "falls back"}),
-    "bb-line-search-linear": (_linear_model(60, 4, 2),
+    "bb-line-search-linear": (_linear_model(60, 4, 3),
                               dict(tol=1e-10, max_iter=300), {"converges"}),
     "line-search-failure": (_lying(60, 4, 43), dict(tol=1e-8, max_iter=50),
                             {"backtracks", "fails"}),
