@@ -23,6 +23,14 @@ outer and inner counts, a hash of final's row support (each row's argmax
 column and the final > 0 pattern), and the objective and feasibility to
 17 significant digits. A diff of two --summary runs shows which counts
 and supports held where the hashes moved.
+
+--kindicators-grid solves, instead of the benchmark's sets, 84
+K-indicators instances off the benchmark: gen_kindicators(n, k, noise,
+seed) for n x k in KINDICATORS_SIZES, noise 0.1 to 0.7 and seeds 0 to 2,
+straight from the generator. Its lines also hash the labels, last, and
+the total solve time goes to stderr, so the K-indicators give-up rule
+(driver.py) can be checked for exactness and speed against another tree;
+a tree without the rule takes about a minute.
 """
 from __future__ import annotations
 
@@ -32,6 +40,7 @@ import os
 import struct
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -48,12 +57,17 @@ WORKLOADS = ("onmf-gn", "onmf-direct", "projection", "kindicators")
 FIELDS = ("final", "objective", "zeta", "kkt_residual", "feasibility",
           "outer_iterations", "inner_iterations", "termination", "flags",
           "history", "extra")
+KINDICATORS_SIZES = ((1000, 10), (2000, 20), (3000, 30), (5000, 40))
+KINDICATORS_NOISES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+KINDICATORS_SEEDS = (0, 1, 2)
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tiny", action="store_true",
                     help="solve the smoke-test instance sets")
+    ap.add_argument("--kindicators-grid", action="store_true",
+                    help="solve the 84-instance K-indicators grid")
     ap.add_argument("--summary", action="store_true",
                     help="print counts, support hashes and values instead "
                          "of output hashes")
@@ -107,11 +121,46 @@ def summary(rep) -> str:
             f"feasibility={rep.feasibility:.17g}")
 
 
+def hashes(rep, extra_fields=()) -> str:
+    """The hash of every field together, the counts, a hash per field."""
+    fields = {f: getattr(rep, f) for f in FIELDS}
+    fields["final"] = np.asarray(rep.final)
+    fields.update(extra_fields)
+    per_field = " ".join(digest(v)[:8] for v in fields.values())
+    return (f"{digest(fields)[:16]} outer={rep.outer_iterations} "
+            f"inner={rep.inner_iterations} {per_field}")
+
+
+def kindicators_grid(penorth, args) -> None:
+    """One line per instance of the K-indicators grid, with the labels'
+    hash after the others; the total solve time goes to stderr."""
+    total = 0.0
+    for n, k in KINDICATORS_SIZES:
+        for noise in KINDICATORS_NOISES:
+            for seed in KINDICATORS_SEEDS:
+                U = penorth.gen_kindicators(n, k, noise, seed).U
+                t0 = time.perf_counter()
+                rep = penorth.kindicators_solve(U)
+                total += time.perf_counter() - t0
+                head = (f"kindicators-grid n={n} k={k} noise={noise} "
+                        f"seed={seed}")
+                if args.summary:
+                    print(f"{head} {summary(rep)}", flush=True)
+                else:
+                    labels = {"labels": rep.extra["labels"]}
+                    print(f"{head} {hashes(rep, labels)}", flush=True)
+    print(f"kindicators-grid: solves took {total:.1f} s", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import penorth
     import workloads
+
+    if args.kindicators_grid:
+        kindicators_grid(penorth, args)
+        return 0
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in WORKLOADS:
@@ -125,12 +174,7 @@ def main(argv=None) -> int:
                         print(f"{name} seed={seed} i={i} {summary(rep)}",
                               flush=True)
                         continue
-                    fields = {f: getattr(rep, f) for f in FIELDS}
-                    fields["final"] = np.asarray(rep.final)
-                    per_field = " ".join(digest(fields[f])[:8] for f in FIELDS)
-                    print(f"{name} seed={seed} i={i} {digest(fields)[:16]} "
-                          f"outer={rep.outer_iterations} "
-                          f"inner={rep.inner_iterations} {per_field}",
+                    print(f"{name} seed={seed} i={i} {hashes(rep)}",
                           flush=True)
     return 0
 

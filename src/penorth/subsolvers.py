@@ -197,6 +197,11 @@ WINDOW = 10
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 20
+# a caller's give_up test must hold on this many accepted iterates in a row
+# before the loop abandons its solve. The driver's test (driver.py) never
+# held on a solve the driver kept, and its anchoring part alone on at most
+# 4 iterates in a row (84 K-indicators runs)
+GIVE_UP_WINDOW = 10
 
 
 # newton_solve's safeguards (roles in the module docstring)
@@ -228,7 +233,8 @@ class InnerReport:
 def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
                               max_iter: int,
                               fixed_alpha: Optional[float] = None,
-                              line_search: bool = True) -> tuple:
+                              line_search: bool = True,
+                              give_up: Optional[Callable] = None) -> tuple:
     """Minimize h over the nonnegative oblique manifold by projected gradient.
 
     The step rule: with fixed_alpha, that constant step and no line search
@@ -244,6 +250,12 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
     "LineSearchFailure" flag and returns the best iterate seen. Each new
     iterate gets h.value, then h.grad, on the same array object, and no
     array h has seen is written afterwards.
+
+    give_up, when given, is called as give_up(X, h(X)) on each accepted
+    iterate that does not meet tol, after h.grad(X). Once it has held on
+    GIVE_UP_WINDOW iterates in a row, the loop stops, sets the "Abandoned"
+    flag and returns that last iterate, not the best one: the caller's
+    test says what it needs of the point it gets back.
 
     Few n x k arrays are live at once: the step S = X_new - X is formed
     once, for the step norm, the Armijo test and the BB step, and of the
@@ -264,6 +276,8 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
     alpha_cap = BB_CAP if line_search else min(BB_CAP, BB_CAP_PER_COL * X0.k)
     step = np.inf
     converged = False
+    held = 0  # iterates in a row that give_up held on
+    abandoned = False
     it = 0
     while it < max_iter:
         it += 1
@@ -314,7 +328,13 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
         if step <= tol:
             converged = True
             break
-    if fX > best_f:
+        if give_up is not None:
+            held = held + 1 if give_up(X, fX) else 0
+            if held >= GIVE_UP_WINDOW:
+                abandoned = True
+                flags.append("Abandoned")
+                break
+    if fX > best_f and not abandoned:
         X, fX = best_X, best_f
         G = np.asarray(h.grad(X), dtype=float)
     kkt = stationarity_residual(X, G)

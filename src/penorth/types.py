@@ -264,7 +264,11 @@ class DriverConfig:
         anchor: feasible-fallback policy. "result" reruns the inner solve
             from the fallback whenever the warm-started run ends worse than
             the fallback, and accepts the rerun; "start" resets the warm
-            start before solving whenever the start compares worse.
+            start before solving whenever the start compares worse. With
+            "start" and gamma2_rule unset, a projected-gradient solve also
+            stops once it has been headed for the next iteration's reset
+            for GIVE_UP_WINDOW = 10 iterates in a row, where kept solves
+            came no closer than 4 (driver module docstring).
     """
 
     sigma0: float = 1e-2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from penorth import make_context, make_oblique
+from penorth import driver, make_context, make_oblique
 from penorth.driver import (EPS_GRAD_MIN, SETTLE_MARGIN, SETTLE_WINDOW,
                             ep4orth_solve, feasible_init, kindicators_preset,
                             onmf_preset, postprocess, projection_preset,
@@ -12,7 +12,8 @@ from penorth.manifold import project_oblique_plus
 from penorth.penalty import zeta
 from penorth.problems import (LinearObjective, OpnmfObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
-                              gen_onmf, solve_onmf, svd_init)
+                              gen_onmf, gen_projection, solve_onmf,
+                              solve_projection, svd_init)
 from penorth.rounding import feasibility_violation
 from penorth.rounding import round as round_point
 from penorth.types import DriverConfig
@@ -489,3 +490,49 @@ def test_kindicators_preset_frozen_values():
     assert cfg.force_solver == "gp-bb"
     assert cfg.anchor == "start"
     assert kindicators_preset(t_max=5).t_max == 5
+
+
+# --------------------------------------------------------------------------
+# giving up on an inner solve the next outer iteration discards
+
+
+def give_up_per_solve(monkeypatch, solve):
+    """Run solve() and return, per projected-gradient solve, whether the
+    driver handed it a give-up test."""
+    armed = []
+    inner = driver.gradient_projection_solve
+
+    def watched(*args, give_up, **kwargs):
+        armed.append(give_up is not None)
+        return inner(*args, give_up=give_up, **kwargs)
+
+    monkeypatch.setattr(driver, "gradient_projection_solve", watched)
+    solve()
+    return armed
+
+
+@pytest.mark.parametrize("overrides, armed_expected", [
+    # armed in every outer iteration but the last one t_max allows
+    ({}, [True, True, False]),
+    ({"t_max": 1}, [False]),
+    # the next sigma is not known in advance
+    ({"gamma2_rule": lambda s2: 10.0}, [False] * 3),
+    # the discard rule is that of "start"
+    ({"anchor": "result"}, [False] * 3),
+    # the settled stop would count the abandoned iterate's support
+    ({"do_postprocess": True}, [False] * 3),
+    # the driver stops after the solve once sigma has passed 1e16
+    ({"sigma0": 2e16}, [False]),
+])
+def test_driver_arms_the_give_up_test_only_before_an_anchor_test(
+        monkeypatch, overrides, armed_expected):
+    cfg = dict(dict(anchor="start", force_solver="gp-bb", t_max=3),
+               **overrides)
+    armed = give_up_per_solve(monkeypatch, lambda: schedule_run(**cfg))
+    assert armed == armed_expected
+
+
+def test_driver_arms_no_give_up_test_for_projection(monkeypatch):
+    C = gen_projection(60, 4, 0.7, seed=1).C
+    armed = give_up_per_solve(monkeypatch, lambda: solve_projection(C))
+    assert armed and not any(armed)

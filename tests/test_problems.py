@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from penorth import io as pio
-from penorth import make_context, make_oblique
+from penorth import driver, make_context, make_oblique, subsolvers
+from penorth.driver import kindicators_preset
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
 from penorth.problems import (KindicatorsInstance, KindicatorsModel,
                               KindicatorsObjective, LinearObjective,
@@ -486,6 +487,56 @@ def test_kindicators_solve_matches_alternating_reference(n, k, noise, seed):
             == [h["anchored"] for h in ref["history"]])
     assert ([h["inner_iterations"] for h in rep.history]
             == [h["inner_iterations"] for h in ref["history"]])
+
+
+def kindicators_rule_off(monkeypatch, U):
+    """kindicators_solve with a give-up window no solve can fill."""
+    with monkeypatch.context() as m:
+        m.setattr(subsolvers, "GIVE_UP_WINDOW",
+                  kindicators_preset().max_inner + 1)
+        return kindicators_solve(U)
+
+
+def test_kindicators_abandons_a_solve_the_next_iteration_discards(
+        monkeypatch):
+    # the first solve is stopped once it is headed for the discard, the
+    # second starts from the anchor as before, and the answer is the same
+    U = gen_kindicators(3000, 30, 0.3, 0).U
+    rep = kindicators_solve(U)
+    full = kindicators_rule_off(monkeypatch, U)
+    assert [h["inner_iterations"] for h in full.history] == [27, 4]
+    first, second = rep.history
+    assert first["inner_flags"] == ["Abandoned"]
+    assert first["inner_iterations"] < 15
+    assert second["anchored"] and second["inner_iterations"] == 4
+    assert rep.flags == full.flags == []
+    assert np.array_equal(rep.final, full.final)
+    assert np.array_equal(rep.extra["labels"], full.extra["labels"])
+    for field in ("objective", "zeta", "kkt_residual", "outer_iterations",
+                  "termination"):
+        assert getattr(rep, field) == getattr(full, field), field
+
+
+def test_kindicators_keeps_a_solve_the_rule_comes_close_to(monkeypatch):
+    # a solve the driver keeps, on which the anchoring part of the give-up
+    # test alone holds on 4 iterates in a row: the whole test never holds,
+    # and a test that never holds leaves the loop's bits as they were
+    # (test_subsolvers.py)
+    held = []
+    solve = driver.gradient_projection_solve
+
+    def watched_solve(*args, give_up, **kwargs):
+        def watched(X, fX):
+            held.append(give_up(X, fX))
+            return held[-1]
+        return solve(*args, give_up=watched, **kwargs)
+
+    monkeypatch.setattr(driver, "gradient_projection_solve", watched_solve)
+    rep = kindicators_solve(gen_kindicators(1000, 10, 0.6, 1).U)
+    assert (rep.outer_iterations, rep.inner_iterations) == (1, 321)
+    assert rep.history[0]["inner_flags"] == []
+    # asked on every iterate but the last, which met the tolerance
+    assert len(held) == 320 and not any(held)
 
 
 def kindicators_point(seed, n=8, k=3):

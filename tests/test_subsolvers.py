@@ -20,7 +20,7 @@ from penorth.driver import feasible_init
 from penorth.errors import InfeasibleSupport, NegativeEntry
 from penorth.manifold import (project_delta, project_delta_cols,
                               projected_step, riemannian_grad,
-                              slice_projector)
+                              slice_projector, stationarity_residual)
 from penorth.penalty import PenalizedObjective
 from penorth.problems import (KindicatorsModel, KindicatorsObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
@@ -415,6 +415,88 @@ def test_gp_matches_reference_bit_for_bit(case, order):
     assert taken == exercises
 
 
+def gp_start():
+    """The start of the reference comparison, C-ordered."""
+    U = gen_kindicators(60, 4, 0.3, 44).U
+    return make_oblique(np.abs(U) / np.linalg.norm(U, axis=0))
+
+
+def give_up_from(j, skip=None):
+    """A give_up test that holds from its j-th call on, except on call
+    skip; it records each iterate and value it is shown."""
+    shown = []
+
+    def give_up(X, fX):
+        shown.append((X, fX))
+        return len(shown) >= j and len(shown) != skip
+    return give_up, shown
+
+
+# a model the loop takes more than 50 iterations to converge on
+SLOW_MODEL = _kindicators_model(60, 4, 7, 100.0)
+
+
+@pytest.mark.parametrize("case", sorted(GP_CASES))
+def test_gp_give_up_that_never_holds_matches_reference(case):
+    # the test is asked on every iterate and changes nothing: the same
+    # bits, report and calls on h as the loop without it
+    make_h, kwargs, _ = GP_CASES[case]
+    X0 = gp_start()
+    asked = []
+    h = Recording(make_h())
+    X, rep = gradient_projection_solve(
+        h, X0, **kwargs, give_up=lambda X, fX: asked.append(fX) or False)
+    h_ref = Recording(make_h())
+    X_ref, rep_ref = oracles.gradient_projection_reference(h_ref, X0, **kwargs)
+    assert X.data.tobytes() == X_ref.data.tobytes()
+    for field in ("iterations", "final_value", "step_norm", "kkt_residual",
+                  "converged", "flags"):
+        assert np.array_equal(getattr(rep, field), getattr(rep_ref, field))
+    assert h.calls == h_ref.calls
+    # once per iterate, except one that meets tol or fails the line search
+    stopped = rep.converged or "LineSearchFailure" in rep.flags
+    assert len(asked) == rep.iterations - stopped
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("j", [1, 4])
+def test_gp_give_up_stops_after_the_window(j, line_search):
+    W = subsolvers.GIVE_UP_WINDOW
+    h = SLOW_MODEL()
+    X0 = gp_start()
+    give_up, shown = give_up_from(j)
+    X, rep = gradient_projection_solve(h, X0, 1e-12, 200,
+                                       line_search=line_search,
+                                       give_up=give_up)
+    assert rep.iterations == len(shown) == j + W - 1
+    # the iterate the test last held on, not the best one seen
+    assert X.data is shown[-1][0]
+    assert rep.final_value == shown[-1][1] == h.value(X.data)
+    if j == 1:  # here an earlier iterate was better
+        assert rep.final_value > min(fX for _, fX in shown)
+    assert rep.flags == ["Abandoned"] and not rep.converged
+    assert rep.kkt_residual == stationarity_residual(X.data, h.grad(X.data))
+
+
+def test_gp_give_up_counts_iterates_in_a_row():
+    # one miss restarts the count
+    W = subsolvers.GIVE_UP_WINDOW
+    X0 = gp_start()
+    give_up, shown = give_up_from(1, skip=W)
+    X, rep = gradient_projection_solve(SLOW_MODEL(), X0, 1e-12, 200,
+                                       line_search=False, give_up=give_up)
+    assert rep.iterations == 2 * W
+    assert X.data is shown[-1][0]
+    # a budget that runs out first keeps the best-iterate safeguard
+    give_up, shown = give_up_from(1)
+    h = SLOW_MODEL()
+    X, rep = gradient_projection_solve(h, X0, 1e-12, W - 1,
+                                       line_search=False, give_up=give_up)
+    assert rep.iterations == W - 1 and rep.flags == []
+    assert rep.final_value == min([h.value(X0.data)]
+                                  + [fX for _, fX in shown])
+
+
 # --------------------------------------------------------------------------
 # semismooth Newton for the tangent-cone QP
 
@@ -658,7 +740,7 @@ def test_solver_configs_hold_only_settings_callers_set():
     # projected-gradient step rule; the Newton safeguards are the paper's
     # fixed constants, not options
     assert settable(gradient_projection_solve, 2) == [
-        "tol", "max_iter", "fixed_alpha", "line_search"]
+        "tol", "max_iter", "fixed_alpha", "line_search", "give_up"]
     assert settable(newton_solve, 2) == ["tol", "max_iter"]
     # the fallback's random stream is fixed
     assert settable(feasible_init, 1) == ["hint"]
