@@ -33,8 +33,8 @@ from .problems import (KindicatorsInstance, KindicatorsModel,
 from .rounding import feasibility_violation, rho_q, rho_tilde, round
 from .subsolvers import (InnerReport, gradient_projection_solve, newton_solve,
                          solve_qp_subproblem)
-from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
-                    PenaltyParams, SolveReport, SupportPattern, make_context,
-                    make_oblique, support_pattern)
+from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
+                    SolveReport, SupportPattern, make_context, make_oblique,
+                    support_pattern)
 
 __version__ = "0.1.0"

@@ -54,8 +54,8 @@ from .manifold import norm, project_oblique_plus
 from .penalty import PenalizedObjective, kkt_residual_subproblem
 from .rounding import feasibility_violation
 from .subsolvers import gradient_projection_solve, newton_solve
-from .types import (DriverConfig, Objective, ObliqueMatrix, PenaltyContext,
-                    PenaltyParams, SolveReport, make_oblique)
+from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
+                    SolveReport, make_oblique)
 
 # outer iterations in a row the row argmax must hold, and the smallest
 # relative row margin (top - second) / top, for a settled stop
@@ -100,11 +100,10 @@ def feasible_init(ctx: PenaltyContext, hint=None) -> np.ndarray:
         hint = np.asarray(hint, dtype=float)
         if hint.shape != (ctx.n, ctx.k):
             raise BadShape(f"hint shape {hint.shape} != ({ctx.n}, {ctx.k})")
-        Xob = project_oblique_plus(hint)
     else:
         rng = np.random.default_rng(np.random.Philox(0))
-        Xob = project_oblique_plus(rng.random((ctx.n, ctx.k)))
-    return rounding.round(Xob.data)
+        hint = rng.random((ctx.n, ctx.k))
+    return rounding.round(project_oblique_plus(hint))
 
 
 def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
@@ -160,7 +159,7 @@ def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
 
 def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                   cfg: DriverConfig = DriverConfig(), *,
-                  X0: Optional[ObliqueMatrix] = None,
+                  X0: Optional[np.ndarray] = None,
                   X_feas: Optional[np.ndarray] = None,
                   inner_factory: Optional[Callable] = None) -> SolveReport:
     """Exact-penalty continuation for min f(X) over orthogonal nonnegative X.
@@ -172,16 +171,20 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     itself. All anchor and descent comparisons run on the inner objective,
     while the logged KKT residual always refers to the unscaled penalty of f.
 
-    X0 is the start (default: X_feas). X_feas is the feasible fallback,
-    an exactly feasible (n, k) array such as round() returns (default:
-    feasible_init(ctx)).
+    X0 is the start (default: X_feas), a point on the nonnegative oblique
+    manifold. X_feas is the feasible fallback, an exactly feasible (n, k)
+    array such as round() returns (default: feasible_init(ctx)). Both are
+    checked once with make_oblique: a read-only array is used as it is,
+    a writeable one is copied, so the caller's arrays are never frozen
+    or written.
 
     Returns a SolveReport whose final matrix is exactly feasible (rounded,
     then refined unless cfg.do_postprocess is off). extra carries the
     pre-rounding iterate and the rounded point for diagnostics.
 
     Raises BadShape when X_feas or X0 is not (n, k), NotFeasible when
-    X_feas is off the feasible set by more than FEAS_TOL.
+    X_feas is off the feasible set by more than FEAS_TOL, and make_oblique's
+    errors when X0 is off the nonnegative oblique manifold.
     """
     t0 = time.perf_counter()
     if X_feas is None:
@@ -195,21 +198,23 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         if not viol <= FEAS_TOL:
             raise NotFeasible(f"feasible fallback violates feasibility by "
                               f"{viol!r}, more than {FEAS_TOL!r}")
-    # round() freezes its output, so that array is wrapped, not copied
-    Xf_ob = make_oblique(X_feas, copy=X_feas.flags.writeable)
-    X = X0 if X0 is not None else Xf_ob
-    X0 = None  # a start the caller handed over is freed once X moves off it
-    if not isinstance(X, ObliqueMatrix):
-        X = make_oblique(X)
-    if X.data.shape != (ctx.n, ctx.k):
-        raise BadShape(f"start point shape {X.data.shape} != ({ctx.n}, {ctx.k})")
+    # round() freezes its output, so that array is checked, not copied
+    X_feas = make_oblique(X_feas, copy=X_feas.flags.writeable)
+    if X0 is None:
+        X = X_feas
+    else:
+        X0 = np.asarray(X0, dtype=float)
+        if X0.shape != (ctx.n, ctx.k):
+            raise BadShape(f"start point shape {X0.shape} != ({ctx.n}, {ctx.k})")
+        X = make_oblique(X0, copy=X0.flags.writeable)
+        X0 = None  # a start the caller handed over is freed once X moves off it
 
     sigma, eps_grad = cfg.sigma0, cfg.eps_grad0
     report = SolveReport()
     total_inner = 0
     term = "max-outer"
     kkt_penalty = np.nan
-    zeta2 = norm(X.data @ ctx.V) ** 2 - 1.0
+    zeta2 = norm(X @ ctx.V) ** 2 - 1.0
     outer_done = 0
     # the settled stop needs a final point that depends on the support only
     settle = (cfg.do_postprocess
@@ -221,18 +226,18 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         h_t = (inner_factory(X, params_t) if inner_factory
                else PenalizedObjective(f, ctx, params_t))
         # X last: an inner objective that keeps its last point starts there
-        hF = float(h_t.value(Xf_ob.data))
-        hX = float(h_t.value(X.data))
+        hF = float(h_t.value(X_feas))
+        hX = float(h_t.value(X))
         anchored = False
         if cfg.anchor == "start" and hX > hF:
-            X = Xf_ob
+            X = X_feas
             anchored = True
             if inner_factory:
                 h_t = inner_factory(X, params_t)
-                hF = float(h_t.value(Xf_ob.data))
-            hX = float(h_t.value(X.data))
+                hF = float(h_t.value(X_feas))
+            hX = float(h_t.value(X))
 
-        s2_start = norm(X.data @ ctx.V) ** 2
+        s2_start = norm(X @ ctx.V) ** 2
         solver = cfg.force_solver or (
             "gp" if s2_start - 1.0 > cfg.zeta_switch else "newton")
 
@@ -245,7 +250,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             params_n = PenaltyParams(sigma=sigma * cfg.gamma2)
             h_n = (inner_factory(X, params_n) if inner_factory
                    else PenalizedObjective(f, ctx, params_n))
-            hF_n = float(h_n.value(Xf_ob.data))
+            hF_n = float(h_n.value(X_feas))
 
             def give_up(Xd, hXd):
                 # kept by this iteration, not stopped on, anchored next
@@ -281,19 +286,19 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             # exceeds the fallback's value
             anchored = True
             if inner_factory:
-                h_t = inner_factory(Xf_ob, params_t)
-                hF = float(h_t.value(Xf_ob.data))
-            Xa, irep2 = solve(h_t, Xf_ob)
+                h_t = inner_factory(X_feas, params_t)
+                hF = float(h_t.value(X_feas))
+            Xa, irep2 = solve(h_t, X_feas)
             total_inner += irep2.iterations
             hA = irep2.final_value
             if hA <= hF:
                 Xn, hN = Xa, hA
             else:
-                Xn, hN = Xf_ob, hF
+                Xn, hN = X_feas, hF
 
-        kkt_penalty = kkt_residual_subproblem(Xn.data, ctx, params_t,
-                                              f.grad(Xn.data))
-        s2 = norm(Xn.data @ ctx.V) ** 2
+        kkt_penalty = kkt_residual_subproblem(Xn, ctx, params_t,
+                                              f.grad(Xn))
+        s2 = norm(Xn @ ctx.V) ** 2
         zeta2 = s2 - 1.0
         report.history.append({
             "t": t, "sigma": sigma, "eps_grad": eps_grad,
@@ -309,7 +314,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             term = "feasibility-tol"
             break
         if settle:
-            labels, margin = row_support(X.data)
+            labels, margin = row_support(X)
             same = support is not None and np.array_equal(labels, support)
             unchanged = unchanged + 1 if same else 0
             support = labels
@@ -327,7 +332,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         sigma *= factor
         eps_grad = max(cfg.eta * eps_grad, EPS_GRAD_MIN)
 
-    XR = rounding.round(X.data)
+    XR = rounding.round(X)
     Xfinal = XR
     if cfg.do_postprocess:
         try:
@@ -348,7 +353,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     report.inner_iterations = total_inner
     report.termination = term
     report.seconds = time.perf_counter() - t0
-    report.extra["X_preround"] = X.data
+    report.extra["X_preround"] = X
     report.extra["X_rounded"] = XR
     report.extra["f_rounded"] = float(f.value(XR))
     return report

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadShape, InfeasibleSupport, NegativeEntry, NotTangent
-from .types import ObliqueMatrix, make_oblique, oblique_data
+from .types import make_oblique
 
 # Tangency tolerances: strict when constructing, looser when consuming.
 TANGENT_BUILD_TOL = 1e-10
@@ -36,7 +36,7 @@ def inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(A.ravel().dot(B.ravel()))
 
 
-def make_tangent(X: ObliqueMatrix, D,
+def make_tangent(X: np.ndarray, D,
                  tol: float = TANGENT_BUILD_TOL) -> np.ndarray:
     """Check that D is tangent at X (|x_j^T d_j| <= tol for every column)
     and return a read-only copy of it.
@@ -44,10 +44,11 @@ def make_tangent(X: ObliqueMatrix, D,
     Raises BadShape when D and X differ in shape, NotTangent when some
     column is off the tangent space by more than tol.
     """
+    X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
-    if D.shape != X.data.shape:
-        raise BadShape(f"direction shape {D.shape} != base shape {X.data.shape}")
-    err = np.abs(np.einsum("ij,ij->j", X.data, D)).max()
+    if D.shape != X.shape:
+        raise BadShape(f"direction shape {D.shape} != base shape {X.shape}")
+    err = np.abs(np.einsum("ij,ij->j", X, D)).max()
     if err > tol:
         raise NotTangent(f"max |x_j^T d_j| = {err!r} exceeds {tol!r}")
     D = D.copy()
@@ -113,8 +114,9 @@ def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
     return _project_ob_plus_raw(T)
 
 
-def project_oblique_plus(C) -> ObliqueMatrix:
-    """Project columnwise onto the nonnegative unit sphere (see _project_ob_plus_raw)."""
+def project_oblique_plus(C) -> np.ndarray:
+    """Project columnwise onto the nonnegative unit sphere (see
+    _project_ob_plus_raw); the result is checked and read-only."""
     C = np.asarray(C, dtype=float)
     if C.ndim != 2:
         raise BadShape("project_oblique_plus needs a matrix")
@@ -228,7 +230,7 @@ def riemannian_grad(X, G) -> np.ndarray:
 
     grad = G - X * Diag(X^T G), columnwise removal of the radial component.
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     G = np.asarray(G, dtype=float)
     if G.shape != Xd.shape:
         raise BadShape(f"gradient shape {G.shape} != point shape {Xd.shape}")
@@ -260,7 +262,7 @@ def riemannian_hess_apply(X, G, HD, D) -> np.ndarray:
 
     Raises NotTangent when D is not tangent at X (tolerance 1e-8).
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     Dd = np.asarray(D, dtype=float)
     if Dd.shape != Xd.shape:
         raise BadShape(f"direction shape {Dd.shape} != point shape {Xd.shape}")
@@ -271,24 +273,25 @@ def riemannian_hess_apply(X, G, HD, D) -> np.ndarray:
     return np.asarray(HD, dtype=float) - Dd * radial
 
 
-def project_tangent_T(X: ObliqueMatrix, D) -> np.ndarray:
+def project_tangent_T(X: np.ndarray, D) -> np.ndarray:
     """Project D onto T(X) = {D : x_j^T d_j = 0, x_j + d_j >= 0 columnwise}.
 
     Uses the translation identity: the projection equals the projection of
     x_j + d_j onto the slice {z : x_j^T z = 1, z >= 0}, minus x_j. Returns
     a read-only array that make_tangent has checked.
     """
+    X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
-    if D.shape != X.data.shape:
-        raise BadShape(f"direction shape {D.shape} != base shape {X.data.shape}")
-    out = project_delta_cols(X.data, X.data + D) - X.data
+    if D.shape != X.shape:
+        raise BadShape(f"direction shape {D.shape} != base shape {X.shape}")
+    out = project_delta_cols(X, X + D) - X
     # exact arithmetic gives x^T out_j = x^T z - 1 = 0; the float residue
     # is tiny unless the slice projection cancelled huge entries, so only
     # then remove the radial part
-    residue = np.einsum("ij,ij->j", X.data, out)
+    residue = np.einsum("ij,ij->j", X, out)
     bad = np.abs(residue) > TANGENT_BUILD_TOL
     if bad.any():
-        out[:, bad] -= X.data[:, bad] * residue[bad]
+        out[:, bad] -= X[:, bad] * residue[bad]
     return make_tangent(X, out, tol=TANGENT_BUILD_TOL)
 
 

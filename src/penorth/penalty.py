@@ -22,7 +22,7 @@ from .manifold import (inner, norm, riemannian_grad, riemannian_hess_apply,
                        stationarity_residual)
 from .rounding import feasibility_violation
 from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
-                    oblique_data, support_pattern)
+                    support_pattern)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _penalty_scalars(s: float, params: PenaltyParams):
 
 def zeta(X, ctx: PenaltyContext, q: float = 2.0) -> float:
     """Orthogonality defect zeta_q(X) = ||X V||_F^q - 1 (>= 0 on the manifold)."""
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     s = float(np.linalg.norm(Xd @ ctx.V))
     return s ** q - 1.0
 
@@ -84,7 +84,7 @@ def penalty_value(X, ctx: PenaltyContext, params: PenaltyParams,
 
     Raises NonFiniteObjective when f(X) is not finite.
     """
-    return PenalizedObjective(f, ctx, params).evaluate(oblique_data(X))
+    return PenalizedObjective(f, ctx, params).evaluate(np.asarray(X, dtype=float))
 
 
 def penalty_rgrad(X, ctx: PenaltyContext, params: PenaltyParams,
@@ -94,7 +94,7 @@ def penalty_rgrad(X, ctx: PenaltyContext, params: PenaltyParams,
     G_f is the Euclidean gradient of f at X. The penalty term contributes
     sigma * c * X V V^T to the Euclidean gradient before projection.
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     # the penalty term alone needs no f
     term = PenalizedObjective(None, ctx, params).term_grad(Xd)
     return riemannian_grad(Xd, np.asarray(G_f, dtype=float) + term)
@@ -108,7 +108,7 @@ def penalty_rhess_apply(X, ctx: PenaltyContext, params: PenaltyParams,
     (the curvature scalar blows up there), NotTangent when D is not
     tangent at X within 1e-8.
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     Dd = np.asarray(D, dtype=float)
     h = PenalizedObjective(f, ctx, params)
     HD = h.hess_apply(Xd, Dd)
@@ -123,7 +123,7 @@ def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
     Equals ||X - proj_{+}(X - grad P)||_F for entrywise-nonnegative X, so it
     vanishes exactly at points satisfying the first-order conditions.
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     # penalty_rgrad's Euclidean gradient, projected in one buffer
     term = PenalizedObjective(None, ctx, params).term_grad(Xd)
     return stationarity_residual(Xd, np.asarray(G_f, dtype=float) + term)
@@ -213,7 +213,7 @@ def check_stationarity_original(X, f: Objective,
 
     Raises NotFeasible unless ||X^T X - I||_F + ||min(X,0)||_F <= 1e-10.
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     if Xd.ndim != 2:
         raise BadShape("check_stationarity_original needs a matrix")
     viol = feasibility_violation(Xd)

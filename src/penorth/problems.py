@@ -28,7 +28,7 @@ from .manifold import (inner, norm, project_oblique_plus,
 from .penalty import PenalizedObjective
 from .rounding import feasibility_violation
 from .types import (DriverConfig, Objective, PenaltyContext, SolveReport,
-                    make_context, oblique_data)
+                    make_context)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def gap(X, X_star, C) -> float:
 
     Raises DimensionMismatch unless X, X_star and C have one shape.
     """
-    X = oblique_data(X)
+    X = np.asarray(X, dtype=float)
     X_star = np.asarray(X_star, float)
     C = np.asarray(C, float)
     if not X.shape == X_star.shape == C.shape:
@@ -385,7 +385,7 @@ def onmf_gauss_newton_Y(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     SingularGram is raised if it still cannot be factored.
     """
     A = np.asarray(A, dtype=float)
-    X = oblique_data(X)
+    X = np.asarray(X, dtype=float)
     gram = X.T @ X
     rhs = (A.T @ X).T  # k x r
     try:
@@ -404,7 +404,7 @@ def resi(A: np.ndarray, X) -> float:
     Raises NotFeasible when X is not feasible to 1e-8.
     """
     A = np.asarray(A, dtype=float)
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     if feasibility_violation(Xd) > 1e-8:
         raise NotFeasible("resi is only meaningful at feasible points")
     return float(np.linalg.norm(A - Xd @ (Xd.T @ A)))
@@ -433,12 +433,12 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
     cfg = cfg if cfg is not None else onmf_preset()
     f_true = OpnmfObjective(A)
     X0 = svd_init(A, k)
-    X_feas = rounding.round(X0.data)
+    X_feas = rounding.round(X0)
 
     factory = None
     if variant == "gn":
         def factory(X, params):
-            Y = onmf_gauss_newton_Y(A, X.data)
+            Y = onmf_gauss_newton_Y(A, X)
             return PenalizedObjective(OnmfQuadObjective(A, Y), ctx, params)
 
     report = ep4orth_solve(f_true, ctx, cfg, X0=X0, X_feas=X_feas,
@@ -657,7 +657,7 @@ def kindicators_solve(U: np.ndarray,
     # nothing keeps it alive (on CPython 3.11 and later, whose calls take
     # over their arguments' references)
     start = [project_oblique_plus(U)]
-    X_feas = rounding.round(start[0].data)
+    X_feas = rounding.round(start[0])
 
     def factory(X, params):
         return KindicatorsModel(f, ctx, params.sigma)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadShape
-from .types import PenaltyContext, oblique_data
+from .types import PenaltyContext
 
 
 def feasibility_violation(X) -> float:
     """||X^T X - I||_F + ||min(X, 0)||_F; zero exactly on the feasible set."""
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     if Xd.ndim != 2:
         raise BadShape("feasibility_violation needs a matrix")
     k = Xd.shape[1]
@@ -37,7 +37,7 @@ def round(X) -> np.ndarray:  # noqa: A001 - deliberate, mirrors numpy's naming
     for inputs off the nonnegative manifold), return the reset I_{n,k}.
     Returns a new read-only (n, k) array.
     """
-    Xd = oblique_data(X)
+    Xd = np.asarray(X, dtype=float)
     if Xd.ndim != 2:
         raise BadShape("round needs a matrix")
     n, k = Xd.shape

@@ -60,7 +60,7 @@ from .errors import SolverError
 from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
                        project_delta_cols, project_tangent_T, projected_step,
                        slice_projector, stationarity_residual)
-from .types import Objective, ObliqueMatrix, make_oblique, SUPPORT_ZERO_TOL
+from .types import Objective, make_oblique, SUPPORT_ZERO_TOL
 
 
 # LAPACK's dsafmin = radix**max(minexponent - 1, 1 - maxexponent) for
@@ -230,7 +230,7 @@ class InnerReport:
     trials: list = dataclasses.field(default_factory=list)
 
 
-def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
+def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
                               max_iter: int,
                               fixed_alpha: Optional[float] = None,
                               line_search: bool = True,
@@ -245,9 +245,12 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
     is taken.
 
     Stops when the projected step norm drops to tol, or after max_iter
-    iterations. Returns (ObliqueMatrix, InnerReport); the final value
-    never exceeds h(X0) (best-iterate safeguard). A failed nonmonotone line search sets the
-    "LineSearchFailure" flag and returns the best iterate seen. Each new
+    iterations. Returns (X, InnerReport) with X a checked, read-only
+    array; the final value never exceeds h(X0) (best-iterate safeguard).
+    A failed nonmonotone line search sets the "LineSearchFailure" flag
+    and returns the best iterate seen. A read-only X0 is taken as it is
+    and may come back as X; a writeable one is checked and copied first,
+    so the caller's array is never frozen or written. Each new
     iterate gets h.value, then h.grad, on the same array object, and no
     array h has seen is written afterwards.
 
@@ -265,7 +268,9 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
     fixed-step rule drops the old gradient once the step is taken, before
     it asks for the new one.
     """
-    X = X0.data  # iterates are new arrays, never written in place
+    X = X0  # iterates are new arrays, never written in place
+    if not isinstance(X, np.ndarray) or X.flags.writeable:
+        X = make_oblique(X)  # X may be returned frozen: not the caller's
     fX = float(h.value(X))
     G = np.asarray(h.grad(X), dtype=float)
     hist = deque([fX], maxlen=WINDOW)
@@ -273,7 +278,7 @@ def gradient_projection_solve(h: Objective, X0: ObliqueMatrix, tol: float,
     flags = []
     ss = sz = None  # <S, S> and |<S, Z>| of the last step, for BB
     bb = fixed_alpha is None
-    alpha_cap = BB_CAP if line_search else min(BB_CAP, BB_CAP_PER_COL * X0.k)
+    alpha_cap = BB_CAP if line_search else min(BB_CAP, BB_CAP_PER_COL * X.shape[1])
     step = np.inf
     converged = False
     held = 0  # iterates in a row that give_up held on
@@ -373,7 +378,7 @@ class _SSNJacobian:
         return (H - (Wa - self.xa * scale)).ravel()
 
 
-def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
+def solve_qp_subproblem(X: np.ndarray, grad_m: np.ndarray,
                         hess_m_apply: Callable[[np.ndarray], np.ndarray],
                         alpha: float, tol: float = 1e-8,
                         max_iter: int = 50) -> tuple:
@@ -391,16 +396,16 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
     with "MaxIterReached" in info["flags"] when the budget runs out;
     callers validate directions independently, so this is not fatal.
     """
-    Xd = X.data
-    n, k = Xd.shape
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
     grad_m = np.asarray(grad_m, dtype=float)
-    project = slice_projector(Xd)
+    project = slice_projector(X)
 
     def fixed_point(Z):
-        Gm = grad_m + hess_m_apply(Z - Xd)
+        Gm = grad_m + hess_m_apply(Z - X)
         return project(Z - alpha * Gm)
 
-    Z = fixed_point(Xd)  # one projected-gradient step from D = 0
+    Z = fixed_point(X)  # one projected-gradient step from D = 0
     PC = fixed_point(Z)  # kept equal to fixed_point(Z) as Z moves
     flags = []
     info = {"converged": False, "residual": np.inf, "iterations": 0, "flags": flags}
@@ -411,11 +416,11 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
         resP = norm(PC - PPC)
         if resP <= tol:
             info.update(converged=True, residual=resP, iterations=it)
-            return PC - Xd, info
+            return PC - X, info
         F = Z - PC
         nF = norm(F)
         active = PC > SUPPORT_ZERO_TOL
-        jac = _SSNJacobian(Xd, hess_m_apply, alpha, active)
+        jac = _SSNJacobian(X, hess_m_apply, alpha, active)
         sol, code = gmres(jac, -F.ravel(), rtol=min(0.1, max(nF, 1e-14)),
                           maxiter=200)
         stepped = False
@@ -437,24 +442,24 @@ def solve_qp_subproblem(X: ObliqueMatrix, grad_m: np.ndarray,
     info.update(converged=False,
                 residual=norm(PC - fixed_point(PC)),
                 iterations=max_iter)
-    return PC - Xd, info
+    return PC - X, info
 
 
-def newton_solve(h: Objective, X0: ObliqueMatrix, tol: float,
+def newton_solve(h: Objective, X0: np.ndarray, tol: float,
                  max_iter: int) -> tuple:
     """Second-order solve of min h over the nonnegative oblique manifold.
 
     Iterates until the stationarity residual ||min(X, rgrad h)||_F falls to
     tol, for at most max_iter iterations. Monotone: only trials with
     sufficient actual decrease are accepted, so the final value never
-    exceeds h(X0). The report's
-    `trials` list records, for every screened trial, the model value, the
-    guaranteed-decrease bound it was checked against, and the accept/reject
-    outcome. X0 and each accepted trial are checked once.
+    exceeds h(X0). Returns (X, InnerReport) with X a checked, read-only,
+    C-ordered array, never X0 itself. The report's `trials` list records,
+    for every screened trial, the model value, the guaranteed-decrease
+    bound it was checked against, and the accept/reject outcome. X0 is
+    checked and copied on entry, each accepted trial checked once.
     """
     # a C-ordered copy, as every trial is: reductions ravel in memory order
-    Xob = make_oblique(X0.data)
-    X = Xob.data
+    X = make_oblique(X0)
     fX = float(h.value(X))
     tau = TAU0
     kappa = KAPPA_HAT0
@@ -475,7 +480,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix, tol: float,
         if res <= tol:
             converged = True
             break
-        pg = project_tangent_T(Xob, -rg)
+        pg = project_tangent_T(X, -rg)
         npg = norm(pg)
         if npg <= 1e-14:
             converged = True  # no feasible first-order descent direction left
@@ -498,7 +503,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix, tol: float,
             tau_now = tau
             try:
                 Dc, _ = solve_qp_subproblem(
-                    Xob, rg, lambda W: hess_r(W) + tau_now * W, alpha_qp)
+                    X, rg, lambda W: hess_r(W) + tau_now * W, alpha_qp)
             except SolverError:
                 Dc = None
             if Dc is not None:
@@ -568,8 +573,7 @@ def newton_solve(h: Objective, X0: ObliqueMatrix, tol: float,
                        "satisfied": True, "tau": tau, "kappa": kappa})
         if accepted:
             step = norm(Y - X)
-            Xob = make_oblique(Y, copy=False)  # Y is a fresh array
-            X, fX = Y, fY
+            X, fX = make_oblique(Y, copy=False), fY  # Y is a fresh array
             G_at_X = False
         if rho >= ETA2:
             tau = BETA0 * tau
@@ -585,4 +589,4 @@ def newton_solve(h: Objective, X0: ObliqueMatrix, tol: float,
     rep = InnerReport(iterations=it, final_value=fX, step_norm=step,
                       kkt_residual=res, converged=converged or res <= tol,
                       flags=flags, trials=trials)
-    return Xob, rep
+    return X, rep

@@ -1,13 +1,13 @@
 """Core domain types.
 
-The central object is ObliqueMatrix: an n-by-k matrix with nonnegative
-entries and unit Euclidean norm in every column. The feasible set of the
-original problem (orthogonal AND nonnegative) is the subset of these
-whose columns have pairwise disjoint supports.
+A point on the nonnegative oblique manifold is a plain n-by-k float array
+with nonnegative entries and unit Euclidean norm in every column. The
+feasible set of the original problem (orthogonal AND nonnegative) is the
+subset of these whose columns have pairwise disjoint supports.
 
-Construction is validating: make_oblique refuses anything that is not
-already on the manifold (no silent normalization), so the array you read
-back is bit-identical to the one you passed in.
+make_oblique checks a point and returns it read-only: it refuses anything
+that is not already on the manifold (no silent normalization), so the
+array you read back is bit-identical to the one you passed in.
 """
 from __future__ import annotations
 
@@ -35,22 +35,12 @@ def _as_float_matrix(data, name="matrix"):
     return arr
 
 
-@dataclasses.dataclass(frozen=True)
-class ObliqueMatrix:
-    """Validated point on the nonnegative oblique manifold.
+def make_oblique(data, *, copy: bool = True) -> np.ndarray:
+    """Check that a matrix is a point on the nonnegative oblique manifold.
 
-    Attributes:
-        data: read-only (n, k) float array, entries >= 0, unit columns.
-        n, k: dimensions, n >= k >= 1.
-    """
-
-    data: np.ndarray
-    n: int
-    k: int
-
-
-def make_oblique(data, *, copy: bool = True) -> ObliqueMatrix:
-    """Validate and wrap a matrix as a point on the nonnegative oblique manifold.
+    Returns it as a read-only (n, k) float array: a C-ordered copy, or with
+    copy=False the array itself (converted to float if need be), frozen.
+    Pass copy=False only for an array no one else will write.
 
     Raises:
         BadShape: not 2-d, n < k, k < 1, or non-finite entries.
@@ -72,14 +62,7 @@ def make_oblique(data, *, copy: bool = True) -> ObliqueMatrix:
     if copy:
         arr = arr.copy()
     arr.setflags(write=False)
-    return ObliqueMatrix(data=arr, n=n, k=k)
-
-
-def oblique_data(X) -> np.ndarray:
-    """Accept an ObliqueMatrix or a raw array; return the ndarray view."""
-    if isinstance(X, ObliqueMatrix):
-        return X.data
-    return np.asarray(X, dtype=float)
+    return arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,7 +163,7 @@ class SupportPattern:
 
 def support_pattern(X, tol: float = SUPPORT_ZERO_TOL) -> SupportPattern:
     """Classify entries of X into support / row-live zeros / row-dead zeros."""
-    arr = oblique_data(X)
+    arr = np.asarray(X, dtype=float)
     if arr.ndim != 2:
         raise BadShape("support_pattern needs a matrix")
     supp = np.abs(arr) > tol
@@ -289,14 +272,16 @@ class DriverConfig:
         # annotations are strings here (postponed evaluation)
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
-            if f.type == "int":
+            if f.type == "bool":
+                ok, want = isinstance(val, (bool, np.bool_)), "true or false"
+            elif f.type == "int":
                 ok, want = isinstance(val, numbers.Integral), "an int"
             elif f.type == "float":
                 ok = isinstance(val, numbers.Real) and math.isfinite(val)
                 want = "a finite number"
             else:
                 continue
-            if not ok or isinstance(val, bool):
+            if not ok or (isinstance(val, bool) and f.type != "bool"):
                 raise BadShape(f"{f.name} must be {want}, got {val!r}")
         if self.gamma2_rule is not None and not callable(self.gamma2_rule):
             raise BadShape(f"gamma2_rule must be callable, got {self.gamma2_rule!r}")

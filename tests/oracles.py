@@ -379,7 +379,7 @@ def gradient_projection_reference(h, X0, tol, max_iter, fixed_alpha=None,
                                     MAX_BACKTRACKS, WINDOW, InnerReport)
     from penorth.types import make_oblique
 
-    X = X0.data  # iterates are new arrays, never written in place
+    X = X0  # iterates are new arrays, never written in place
     fX = float(h.value(X))
     G = np.asarray(h.grad(X), dtype=float)
     hist = deque([fX], maxlen=WINDOW)
@@ -389,7 +389,7 @@ def gradient_projection_reference(h, X0, tol, max_iter, fixed_alpha=None,
     step = np.inf
     converged = False
     it = 0
-    alpha_cap = None if line_search else 10.0 * X0.k
+    alpha_cap = None if line_search else 10.0 * X0.shape[1]
     while it < max_iter:
         it += 1
         if fixed_alpha is not None:
@@ -476,7 +476,7 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
     def model(Y, sigma):
         return ScaledLinearPenalty(U @ Y, ctx, sigma)
 
-    X = project_oblique_plus(U).data
+    X = project_oblique_plus(U)
     Xf = rounding.round(X)
     Yf = project_orthogonal_group(U.T @ Xf)
     sigma = sigma0

@@ -87,7 +87,7 @@ def test_feasible_init_random_deterministic():
     b = feasible_init(ctx)
     assert np.array_equal(a, b)
     rng = np.random.default_rng(np.random.Philox(0))
-    want = round_point(project_oblique_plus(rng.random((6, 3))).data)
+    want = round_point(project_oblique_plus(rng.random((6, 3))))
     assert np.array_equal(a, want)
 
 
@@ -214,7 +214,7 @@ def anti_anchor_objective(n, k, scale):
     penalty level ~scale. This is the pathology the driver's budget and
     stall guards exist for."""
     X0 = overlap_start(n, k)
-    return LinearObjective(-scale * X0.data), X0
+    return LinearObjective(-scale * X0), X0
 
 
 def test_driver_termination_max_outer():
@@ -285,7 +285,7 @@ def test_driver_settles_only_with_a_closed_form_refinement():
     X0 = svd_init(inst.A, 4)
     cfg = onmf_preset()
     reps = [ep4orth_solve(f(inst.A), ctx, cfg, X0=X0,
-                          X_feas=round_point(X0.data))
+                          X_feas=round_point(X0))
             for f in (OpnmfObjective, GenericOpnmf)]
     assert reps[0].termination == "settled"
     assert all(set(h) == HISTORY_KEYS | SUPPORT_KEYS
@@ -293,6 +293,25 @@ def test_driver_settles_only_with_a_closed_form_refinement():
     assert reps[1].termination == "feasibility-tol"
     assert reps[1].outer_iterations > reps[0].outer_iterations
     assert all(set(h) == HISTORY_KEYS for h in reps[1].history)
+
+
+@pytest.mark.parametrize("solver", ["gp", "newton"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_driver_never_freezes_or_writes_the_callers_arrays(order, solver):
+    inst = gen_onmf(20, 10, 3, 0.1, seed=3)
+    ctx = make_context(20, 3)
+    X0 = np.array(svd_init(inst.A, 3), order=order)
+    X_feas = np.array(round_point(X0), order=order)
+    keep = [A.copy(order="K") for A in (X0, X_feas)]
+    cfg = onmf_preset(force_solver=solver, t_max=5)
+    for start in (X0, None):
+        rep = ep4orth_solve(OpnmfObjective(inst.A), ctx, cfg, X0=start,
+                            X_feas=X_feas)
+        assert rep.extra["X_preround"] is not start
+        assert rep.extra["X_preround"] is not X_feas
+        for A, K in zip((X0, X_feas), keep):
+            assert A.flags.writeable
+            assert A.tobytes(order="A") == K.tobytes(order="A")
 
 
 def test_driver_never_settles_on_coincident_columns():
@@ -375,7 +394,7 @@ def test_driver_checks_the_fallback_shape_at_entry(with_start):
 def test_driver_rejects_an_infeasible_fallback():
     C = oracles.rng_for(58).standard_normal((6, 2))
     ctx = make_context(6, 2)
-    X_feas = overlap_start(6, 2).data  # unit columns, not orthogonal
+    X_feas = overlap_start(6, 2)  # unit columns, not orthogonal
     with pytest.raises(NotFeasible, match="feasible fallback"):
         ep4orth_solve(TargetDistanceObjective(C), ctx, X_feas=X_feas)
 
@@ -473,7 +492,7 @@ def test_onmf_preset_starts_first_order_above_the_switch(k, solver):
     # the defect is at most k - 1, so zeta_switch = 5 keeps k = 3 on the
     # second-order solver, while the SVD start at k = 10 has defect about 6
     A = gen_onmf(200, 600, k, 0.0, seed=1).A
-    start = svd_init(A, k).data
+    start = svd_init(A, k)
     defect = np.linalg.norm(start @ make_context(200, k).V) ** 2 - 1.0
     assert onmf_preset().zeta_switch == 5.0
     assert (defect > 5.0) == (solver == "gp")

@@ -561,7 +561,9 @@ def test_cli_non_utf8_labels_and_config_are_input_errors(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"sigma0": "abc"}, {"max_inner": 2.5},
-                                 {"t_max": True}, {"tol_feas": 1e999}])
+                                 {"t_max": True}, {"tol_feas": 1e999},
+                                 {"do_postprocess": "false"},
+                                 {"do_postprocess": None}])
 def test_cli_config_value_of_wrong_type_is_an_input_error(tmp_path, bad):
     # 1e999 is JSON for a float that overflows to inf
     tpath = str(tmp_path / "t.csv")

@@ -23,16 +23,16 @@ finite_mats = arrays(np.float64, (5, 3),
 @settings(max_examples=60, deadline=None)
 def test_project_oblique_plus_lands_on_set(C):
     M = project_oblique_plus(C)
-    assert np.all(M.data >= 0)
-    assert np.allclose(np.linalg.norm(M.data, axis=0), 1.0, atol=1e-12)
+    assert np.all(M >= 0)
+    assert np.allclose(np.linalg.norm(M, axis=0), 1.0, atol=1e-12)
 
 
 @given(finite_mats)
 @settings(max_examples=60, deadline=None)
 def test_project_oblique_plus_fixes_feasible_points(C):
     M = project_oblique_plus(C)
-    again = project_oblique_plus(M.data)
-    assert np.allclose(again.data, M.data, atol=1e-15)
+    again = project_oblique_plus(M)
+    assert np.allclose(again, M, atol=1e-15)
 
 
 def test_project_oblique_plus_dead_column_reset():
@@ -40,14 +40,14 @@ def test_project_oblique_plus_dead_column_reset():
     # return a unit column, placed at the largest entry (smallest index tie)
     C = np.array([[-1.0, 2.0], [-3.0, 1.0], [-1.0, 0.0]])
     M = project_oblique_plus(C)
-    assert np.linalg.norm(M.data[:, 0]) == 1.0
-    assert M.data[0, 0] == 1.0  # argmax of (-1,-3,-1) is index 0
+    assert np.linalg.norm(M[:, 0]) == 1.0
+    assert M[0, 0] == 1.0  # argmax of (-1,-3,-1) is index 0
 
 
 def test_project_oblique_plus_tie_breaks_smallest_index():
     C = np.array([[-2.0], [-2.0], [-5.0]])
     M = project_oblique_plus(C)
-    assert M.data[0, 0] == 1.0 and M.data[1, 0] == 0.0
+    assert M[0, 0] == 1.0 and M[1, 0] == 0.0
 
 
 def oblique_projection_cases():
@@ -304,7 +304,7 @@ def test_riemannian_hess_rejects_off_tangent():
 def test_make_tangent_validates():
     rng = oracles.rng_for(4)
     X = make_oblique(oracles.random_unit_columns(rng, 5, 2))
-    D = oracles.random_tangent(rng, X.data)
+    D = oracles.random_tangent(rng, X)
     t = make_tangent(X, D)
     assert np.array_equal(t, D) and not t.flags.writeable
     with pytest.raises(NotTangent):
@@ -318,8 +318,8 @@ def test_project_tangent_T_matches_oracle():
     D = rng.standard_normal((4, 2))
     got = project_tangent_T(X, D)
     want = np.column_stack([
-        oracles.slice_projection_oracle(X.data[:, j], X.data[:, j] + D[:, j])
-        - X.data[:, j]
+        oracles.slice_projection_oracle(X[:, j], X[:, j] + D[:, j])
+        - X[:, j]
         for j in range(2)
     ])
     assert np.allclose(got, want, atol=1e-10)
@@ -333,9 +333,9 @@ def test_project_tangent_T_survives_cancellation():
     X = make_oblique(oracles.random_unit_columns(rng, 100, 3,
                                                  strictly_positive=True))
     G = rng.standard_normal((100, 3))
-    got = project_tangent_T(X, G + 1e7 * X.data)
+    got = project_tangent_T(X, G + 1e7 * X)
     want = project_tangent_T(X, G)
-    assert np.abs(np.einsum("ij,ij->j", X.data, got)).max() <= 1e-10
+    assert np.abs(np.einsum("ij,ij->j", X, got)).max() <= 1e-10
     assert np.allclose(got, want, atol=1e-6)
 
 

@@ -298,9 +298,9 @@ def test_svd_init_feasible_shape_and_guard():
     rng = oracles.rng_for(52)
     A = rng.random((15, 8))
     X0 = svd_init(A, 3)
-    assert X0.data.shape == (15, 3)
-    assert (X0.data >= 0).all()
-    assert np.allclose(np.linalg.norm(X0.data, axis=0), 1.0)
+    assert X0.shape == (15, 3)
+    assert (X0 >= 0).all()
+    assert np.allclose(np.linalg.norm(X0, axis=0), 1.0)
     with pytest.raises(BadShape):
         svd_init(A, 9)
 

@@ -28,8 +28,7 @@ from penorth.problems import (KindicatorsModel, KindicatorsObjective,
 from penorth import subsolvers
 from penorth.subsolvers import (gradient_projection_solve, newton_solve,
                                 solve_qp_subproblem)
-from penorth.types import (DriverConfig, Objective, ObliqueMatrix,
-                           PenaltyParams)
+from penorth.types import DriverConfig, Objective, PenaltyParams
 
 import oracles
 
@@ -214,7 +213,7 @@ def test_gp_reaches_stationarity_on_quadratic():
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
     X, rep = gradient_projection_solve(h, X0, 1e-12, 1000)
     assert rep.kkt_residual <= 1e-8
-    assert rep.final_value <= h.value(X0.data) + 1e-15
+    assert rep.final_value <= h.value(X0) + 1e-15
     assert rep.converged
 
 
@@ -224,7 +223,7 @@ def test_gp_fixed_alpha_descends():
     h = Quadratic(T)  # 1-Lipschitz gradient, so alpha = 0.99 is safe
     X0 = make_oblique(oracles.random_unit_columns(rng, 5, 2))
     X, rep = gradient_projection_solve(h, X0, 1e-12, 1000, fixed_alpha=0.99)
-    assert rep.final_value <= h.value(X0.data) + 1e-15
+    assert rep.final_value <= h.value(X0) + 1e-15
     assert rep.kkt_residual <= 1e-6
 
 
@@ -236,7 +235,7 @@ def test_gp_line_search_failure_flag_and_safeguard():
     X, rep = gradient_projection_solve(h, X0, 1e-8, 50)
     assert "LineSearchFailure" in rep.flags
     # best-iterate safeguard: never worse than the start
-    assert rep.final_value <= h.value(X0.data) + 1e-15
+    assert rep.final_value <= h.value(X0) + 1e-15
 
 
 class Gentle(Quadratic):
@@ -275,7 +274,7 @@ def test_gp_alpha_cap_respected(monkeypatch):
         X, rep = gradient_projection_solve(Gentle(T), X0, 1e-8, 30,
                                            line_search=line_search)
         top[line_search] = max(a for a, _ in trials)
-        assert rep.final_value <= Gentle(T).value(X0.data) + 1e-15
+        assert rep.final_value <= Gentle(T).value(X0) + 1e-15
     assert top[True] > 20.0 and top[False] == 20.0
 
 
@@ -288,13 +287,13 @@ def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
     trials = recorded_trials(monkeypatch)
     cap = 30.0  # 10 k
     X, rep = gradient_projection_solve(h, X0, 1e-8, 30, line_search=False)
-    first = projected_step(X0.data, 1.0, h.grad(X0.data))
+    first = projected_step(X0, 1.0, h.grad(X0))
     assert trials[0][0] == 1.0
     assert np.array_equal(trials[0][1], first)
     # no line search: one trial per iteration, each one taken
     assert len(trials) == rep.iterations
     assert max(a for a, _ in trials) == cap
-    assert rep.final_value <= h.value(X0.data)
+    assert rep.final_value <= h.value(X0)
 
 
 class Recording(Objective):
@@ -383,7 +382,7 @@ def test_gp_matches_reference_bit_for_bit(case, order):
     for solve in (gradient_projection_solve, oracles.gradient_projection_reference):
         h = Recording(make_h())
         X, rep = solve(h, X0, **kwargs)
-        runs.append((X.data, rep, h))
+        runs.append((X, rep, h))
     (X, rep, h), (X_ref, rep_ref, h_ref) = runs
     assert X.tobytes() == X_ref.tobytes() and X.strides == X_ref.strides
     for field in ("iterations", "final_value", "step_norm", "kkt_residual",
@@ -448,7 +447,7 @@ def test_gp_give_up_that_never_holds_matches_reference(case):
         h, X0, **kwargs, give_up=lambda X, fX: asked.append(fX) or False)
     h_ref = Recording(make_h())
     X_ref, rep_ref = oracles.gradient_projection_reference(h_ref, X0, **kwargs)
-    assert X.data.tobytes() == X_ref.data.tobytes()
+    assert X.tobytes() == X_ref.tobytes()
     for field in ("iterations", "final_value", "step_norm", "kkt_residual",
                   "converged", "flags"):
         assert np.array_equal(getattr(rep, field), getattr(rep_ref, field))
@@ -470,12 +469,12 @@ def test_gp_give_up_stops_after_the_window(j, line_search):
                                        give_up=give_up)
     assert rep.iterations == len(shown) == j + W - 1
     # the iterate the test last held on, not the best one seen
-    assert X.data is shown[-1][0]
-    assert rep.final_value == shown[-1][1] == h.value(X.data)
+    assert X is shown[-1][0]
+    assert rep.final_value == shown[-1][1] == h.value(X)
     if j == 1:  # here an earlier iterate was better
         assert rep.final_value > min(fX for _, fX in shown)
     assert rep.flags == ["Abandoned"] and not rep.converged
-    assert rep.kkt_residual == stationarity_residual(X.data, h.grad(X.data))
+    assert rep.kkt_residual == stationarity_residual(X, h.grad(X))
 
 
 def test_gp_give_up_counts_iterates_in_a_row():
@@ -486,14 +485,14 @@ def test_gp_give_up_counts_iterates_in_a_row():
     X, rep = gradient_projection_solve(SLOW_MODEL(), X0, 1e-12, 200,
                                        line_search=False, give_up=give_up)
     assert rep.iterations == 2 * W
-    assert X.data is shown[-1][0]
+    assert X is shown[-1][0]
     # a budget that runs out first keeps the best-iterate safeguard
     give_up, shown = give_up_from(1)
     h = SLOW_MODEL()
     X, rep = gradient_projection_solve(h, X0, 1e-12, W - 1,
                                        line_search=False, give_up=give_up)
     assert rep.iterations == W - 1 and rep.flags == []
-    assert rep.final_value == min([h.value(X0.data)]
+    assert rep.final_value == min([h.value(X0)]
                                   + [fX for _, fX in shown])
 
 
@@ -624,9 +623,9 @@ def test_newton_converges_on_interior_optimum():
     X, rep = newton_solve(h, X0, 1e-7, 200)
     assert rep.converged or "ModelAtNoiseFloor" in rep.flags
     assert rep.kkt_residual <= 1e-6
-    assert rep.final_value <= h.value(X0.data) + 1e-15
+    assert rep.final_value <= h.value(X0) + 1e-15
     want = T / np.linalg.norm(T, axis=0)
-    assert np.allclose(X.data, want, atol=1e-6)
+    assert np.allclose(X, want, atol=1e-6)
     assert rep.iterations < 30  # superlinear phase, not a grind
 
 
@@ -638,7 +637,7 @@ def test_newton_degenerate_target_reaches_optimal_value():
     X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
     X, rep = newton_solve(h, X0, 1e-9, 400)
     assert rep.final_value <= 1e-8  # global minimum is 0
-    assert rep.final_value <= h.value(X0.data) + 1e-15
+    assert rep.final_value <= h.value(X0) + 1e-15
 
 
 def test_newton_accepted_trials_satisfy_decrease_bound():
@@ -680,14 +679,47 @@ def test_newton_checks_start_and_ignores_its_layout():
     # gives the same bits
     Xf, repf = newton_solve(h, make_oblique(np.asfortranarray(A), copy=False),
                             1e-9, 200)
-    assert np.array_equal(X.data, Xf.data)
-    assert X.data.flags.c_contiguous and not X.data.flags.writeable
+    assert np.array_equal(X, Xf)
+    assert X.flags.c_contiguous and not X.flags.writeable
     assert rep.trials == repf.trials
     # a start that bypassed make_oblique is checked where it enters
     bad = A.copy()
     bad[0, 0] = -bad[0, 0] - 0.1
     with pytest.raises(NegativeEntry):
-        newton_solve(h, ObliqueMatrix(data=bad, n=6, k=2), 1e-9, 200)
+        newton_solve(h, bad, 1e-9, 200)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solvers_never_freeze_or_write_a_callers_start(order):
+    h, rng = small_penalized(45)
+    A = np.array(oracles.random_unit_columns(rng, 6, 2), order=order)
+    keep = A.copy(order="K")
+    lying = LyingGradient(np.abs(rng.standard_normal((6, 2))) + 0.1)
+    runs = [
+        gradient_projection_solve(h, A, 1e-9, 50),
+        gradient_projection_solve(h, A, 1e-9, 50, fixed_alpha=0.1),
+        # the line search fails at once: the loop hands back its start
+        gradient_projection_solve(lying, A, np.inf, 50),
+        newton_solve(h, A, 1e-9, 50),
+    ]
+    for X, _ in runs:
+        assert X is not A and not X.flags.writeable
+    assert np.array_equal(runs[2][0], A)
+    assert A.flags.writeable
+    assert A.tobytes(order="A") == keep.tobytes(order="A")
+
+
+def test_gp_returns_a_read_only_start_without_a_copy():
+    rng = oracles.rng_for(46)
+    h = LyingGradient(np.abs(rng.standard_normal((6, 2))) + 0.1)
+    for order in ("C", "F"):
+        X0 = make_oblique(np.array(oracles.random_unit_columns(rng, 6, 2),
+                                   order=order), copy=False)
+        # one uphill step meets the huge tolerance, and the best-iterate
+        # safeguard returns the start itself
+        X, rep = gradient_projection_solve(h, X0, np.inf, 50, fixed_alpha=1.0)
+        assert rep.converged and rep.iterations == 1
+        assert X is X0 and rep.final_value == h.value(X0)
 
 
 class CountingGrad(Objective):
@@ -717,7 +749,7 @@ def test_newton_reuses_the_gradient_at_its_final_point(max_iter):
                                                   strictly_positive=True))
     counted = CountingGrad(h)
     X, rep = newton_solve(counted, X0, 1e-7, max_iter)
-    res = np.linalg.norm(np.minimum(X.data, riemannian_grad(X, h.grad(X.data))))
+    res = np.linalg.norm(np.minimum(X, riemannian_grad(X, h.grad(X))))
     assert rep.kkt_residual == res
     if max_iter == 1:
         # the one iteration moved X: its residual is evaluated afresh
@@ -758,7 +790,8 @@ def test_solver_configs_hold_only_settings_callers_set():
 
 def test_no_runtime_path_imports_scipy(tmp_path):
     # GMRES is penorth's own, so no solver needs scipy: in a fresh process
-    # where every scipy import fails, each application and the CLI run
+    # where every scipy import fails, each application and the CLI run,
+    # and the ONMF solve takes Newton steps, whose QPs call GMRES
     code = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None  # any "import scipy..." raises
@@ -770,13 +803,24 @@ def test_no_runtime_path_imports_scipy(tmp_path):
                                       solve_onmf, solve_projection)
         solve_projection(gen_projection(30, 3, 0.5, seed=1).C)
         A = gen_onmf(20, 10, 3, xi=0.0, seed=13).A
-        for variant in ("gn", "direct"):
-            solve_onmf(A, 3, variant=variant)
+        from penorth import subsolvers
+        own_gmres, calls = subsolvers.gmres, []
+
+        def gmres(*args, **kwargs):
+            calls.append(1)
+            return own_gmres(*args, **kwargs)
+
+        subsolvers.gmres = gmres
+        rep = solve_onmf(A, 3, variant="gn")
+        assert any(h["solver"] == "newton" for h in rep.history) and calls
+        solve_onmf(A, 3, variant="direct")
         kindicators_solve(gen_kindicators(40, 3, 0.3, seed=2).U)
         data, out = sys.argv[1] + "/A.mtx", sys.argv[1] + "/rep.json"
         pio.write_matrix(data, A)
         main(["onmf", "--in", data, "--k", "3", "--out", out],
              standalone_mode=False)
+        assert pio.read_report(out)["termination"]
+        main(["project", "--in", data, "--out", out], standalone_mode=False)
         assert pio.read_report(out)["termination"]
         print(sorted(m for m in sys.modules if m.startswith("scipy.")))
     """)

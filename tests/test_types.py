@@ -10,8 +10,8 @@ from penorth.types import DriverConfig, PenaltyParams, SolveReport
 def test_make_oblique_accepts_unit_nonneg_columns():
     X = np.array([[0.6, 0.0], [0.8, 1.0], [0.0, 0.0]])
     M = make_oblique(X)
-    assert M.n == 3 and M.k == 2
-    assert np.array_equal(M.data, X)
+    assert M.shape == (3, 2)
+    assert np.array_equal(M, X)
 
 
 def test_make_oblique_rejects_bad_inputs():
@@ -28,7 +28,7 @@ def test_make_oblique_rejects_bad_inputs():
 def test_make_oblique_data_is_read_only():
     M = make_oblique(np.eye(3, 2))
     with pytest.raises(ValueError):
-        M.data[0, 0] = 2.0
+        M[0, 0] = 2.0
 
 
 def test_make_oblique_no_silent_normalization():
@@ -95,6 +95,8 @@ def test_driver_config_validation():
     {"eps_grad0": np.inf}, {"tol_feas": None}, {"t_max": 3.0},
     {"max_inner": 2.5}, {"t_max": "1"},
     {"max_inner": False}, {"gamma2_rule": 3.0},
+    {"do_postprocess": "false"}, {"do_postprocess": None},
+    {"do_postprocess": 0}, {"do_postprocess": 1.0},
 ])
 def test_driver_config_rejects_values_of_the_wrong_type(bad):
     with pytest.raises(BadShape, match=next(iter(bad))):
@@ -104,8 +106,10 @@ def test_driver_config_rejects_values_of_the_wrong_type(bad):
 def test_driver_config_accepts_numpy_numbers():
     cfg = DriverConfig(sigma0=np.float64(0.5), t_max=np.int64(3),
                        max_inner=np.int32(7), zeta_switch=1,
-                       gamma2_rule=lambda s2: 2.0)
+                       gamma2_rule=lambda s2: 2.0,
+                       do_postprocess=np.bool_(False))
     assert cfg.t_max == 3 and cfg.max_inner == 7 and cfg.zeta_switch == 1
+    assert not cfg.do_postprocess
 
 
 def test_solve_report_to_dict_drops_arrays():
