@@ -14,15 +14,13 @@ from .errors import (BadLabels, BadShape, DimensionMismatch,
                      NonFiniteObjective, NonUnitColumn, NotFeasible,
                      NotTangent, ParseError, PenorthError, SingularCurvature,
                      SingularGram, SolverError, ValidationError, ZeroColumn)
-from .io import (RunManifest, read_matrix, read_report, write_manifest,
-                 write_matrix, write_report)
-from .manifold import (make_tangent, project_delta, project_delta_cols,
-                       project_oblique_plus, project_orthogonal_group,
-                       project_tangent_T, riemannian_grad,
-                       riemannian_hess_apply)
-from .penalty import (PenaltyEval, PenalizedObjective, StationarityReport,
+from .io import read_matrix, read_report, write_matrix, write_report
+from .manifold import (make_tangent, project_delta_cols, project_oblique_plus,
+                       project_orthogonal_group, project_tangent_T,
+                       riemannian_grad, riemannian_hess_apply)
+from .penalty import (PenalizedObjective, StationarityReport,
                       check_stationarity_original, kkt_residual_subproblem,
-                      penalty_rgrad, penalty_rhess_apply, penalty_value, zeta)
+                      zeta)
 from .problems import (KindicatorsInstance, KindicatorsModel,
                        KindicatorsObjective, LinearObjective, OnmfInstance,
                        OnmfQuadObjective, OpnmfObjective, ProjectionInstance,
@@ -34,7 +32,6 @@ from .rounding import feasibility_violation, rho_q, rho_tilde, round
 from .subsolvers import (InnerReport, gradient_projection_solve, newton_solve,
                          solve_qp_subproblem)
 from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
-                    SolveReport, SupportPattern, make_context, make_oblique,
-                    support_pattern)
+                    SolveReport, make_context, make_oblique)
 
 __version__ = "0.1.0"

@@ -118,11 +118,11 @@ def gen_projection_cmd(n, k, xi, seed, out, fmt):
     inst = gen_projection(n, k, xi, seed)
     pio.write_matrix(out, inst.C, fmt)
     pio.write_matrix(_sibling(out, "xstar"), inst.X_star, fmt)
-    manifest = pio.RunManifest(
-        command="gen-projection",
-        params={"n": n, "k": k, "xi": xi, "hypothesis_ok": inst.hypothesis_ok},
-        seeds=(seed,))
-    pio.write_manifest(_manifest_path(out), manifest)
+    pio.write_report(_manifest_path(out), {
+        "command": "gen-projection",
+        "params": {"n": n, "k": k, "xi": xi,
+                   "hypothesis_ok": inst.hypothesis_ok},
+        "seeds": [seed]})
     click.echo(f"wrote {out}, {_sibling(out, 'xstar')}, {_manifest_path(out)}")
 
 
@@ -140,10 +140,9 @@ def gen_onmf_cmd(n, r, k, xi, seed, out, fmt):
     inst = gen_onmf(n, r, k, xi, seed)
     pio.write_matrix(out, inst.A, fmt)
     _write_labels(os.path.splitext(out)[0] + "_labels.csv", inst.labels)
-    manifest = pio.RunManifest(
-        command="gen-onmf", params={"n": n, "r": r, "k": k, "xi": xi},
-        seeds=(seed,))
-    pio.write_manifest(_manifest_path(out), manifest)
+    pio.write_report(_manifest_path(out), {
+        "command": "gen-onmf", "params": {"n": n, "r": r, "k": k, "xi": xi},
+        "seeds": [seed]})
     click.echo(f"wrote {out}, {os.path.splitext(out)[0] + '_labels.csv'}, "
                f"{_manifest_path(out)}")
 
@@ -171,7 +170,7 @@ def _with_solver_options(fn):
 
 
 def _finish(report, manifest, out, save_solution):
-    payload = {"manifest": manifest.to_dict()}
+    payload = {"manifest": manifest}
     payload.update(report.to_dict())
     if save_solution:
         pio.write_matrix(save_solution, report.final)
@@ -195,9 +194,9 @@ def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax,
                              t_max=tmax)
     cfg = projection_preset(**over)
     report = solve_projection(C, cfg, X_star=Xs)
-    manifest = pio.RunManifest(
-        command="project",
-        params={"in": os.path.basename(inp), "overrides": over}, seeds=())
+    manifest = {"command": "project",
+                "params": {"in": os.path.basename(inp), "overrides": over},
+                "seeds": []}
     _finish(report, manifest, out, save_solution)
 
 
@@ -218,11 +217,10 @@ def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
         true = _read_labels(labels_path)
         pred = np.argmax(report.final, axis=1)
         report.extra["metrics"] = clustering_metrics(pred, true)
-    manifest = pio.RunManifest(
-        command="onmf" if variant == "gn" else "opnmf",
-        params={"in": os.path.basename(inp), "k": k,
-                "hyperspectral": hyperspectral, "overrides": over},
-        seeds=())
+    manifest = {"command": "onmf" if variant == "gn" else "opnmf",
+                "params": {"in": os.path.basename(inp), "k": k,
+                           "hyperspectral": hyperspectral, "overrides": over},
+                "seeds": []}
     _finish(report, manifest, out, save_solution)
 
 
@@ -275,9 +273,9 @@ def kindicators_cmd(inp, labels_path, out, save_solution, save_labels, tmax):
         report.extra["metrics"] = clustering_metrics(pred, _read_labels(labels_path))
     if save_labels:
         _write_labels(save_labels, pred)
-    manifest = pio.RunManifest(
-        command="kindicators",
-        params={"in": os.path.basename(inp), "t_max": tmax}, seeds=())
+    manifest = {"command": "kindicators",
+                "params": {"in": os.path.basename(inp), "t_max": tmax},
+                "seeds": []}
     _finish(report, manifest, out, save_solution)
 
 
@@ -357,7 +355,8 @@ def bench():
               show_default=True)
 @click.option("--xi", "xis", type=float, multiple=True,
               default=(0.5, 0.7, 0.9), show_default=True)
-@click.option("--seeds", type=int, default=20, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=20,
+              show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--tmax", type=int, default=None)
 @click.option("--out", default=None)
@@ -403,7 +402,8 @@ def table_proj_cmd(ns, ks, xis, seeds, workers, tmax, out):
               show_default=True)
 @click.option("--xi", "xis", type=float, multiple=True,
               default=(0.0, 0.01, 0.1), show_default=True)
-@click.option("--seeds", type=int, default=5, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=5,
+              show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", default=None)
 @_guarded

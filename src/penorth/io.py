@@ -25,7 +25,6 @@ files are parsed entry by entry.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -295,24 +294,3 @@ def write_report(path: str, payload: dict) -> None:
 def read_report(path: str) -> dict:
     with open(path, "r") as fh:
         return json.load(fh)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run: command, parameters, seeds.
-
-    Deliberately timestamp-free so identical runs produce identical
-    manifests (and, seconds aside, identical reports).
-    """
-
-    command: str
-    params: dict
-    seeds: tuple
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "params": _sanitize(self.params),
-                "seeds": list(self.seeds)}
-
-
-def write_manifest(path: str, manifest: RunManifest) -> None:
-    write_report(path, manifest.to_dict())

@@ -128,21 +128,6 @@ def project_oblique_plus(C) -> np.ndarray:
     return make_oblique(_project_ob_plus_raw(C), copy=False)
 
 
-def project_delta(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Project c onto the slice {z : x^T z = 1, z >= 0} for nonnegative x.
-
-    The one-column case of project_delta_cols, which documents the method.
-
-    Raises InfeasibleSupport when x has no positive entry (empty slice),
-    NegativeEntry when x has a negative one.
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.ndim != 1 or x.shape != c.shape:
-        raise BadShape(f"need matching vectors, got {x.shape} and {c.shape}")
-    return project_delta_cols(x[:, None], c[:, None])[:, 0]
-
-
 def project_delta_cols(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Columnwise slice projection: z_j solves min ||z - c_j|| over
     x_j^T z = 1, z >= 0, for nonnegative anchors x_j.

@@ -7,9 +7,14 @@ nonnegative points. The penalty family is
 
     P(X) = f(X) + sigma * (zeta_q(X) + eps)^p,   zeta_q(X) = s^q - 1,
 
-with p >= 1 requiring eps = 0. Everything here works with Euclidean
-derivatives of f and converts to Riemannian quantities on the oblique
-manifold via the projections in manifold.py.
+with p >= 1 requiring eps = 0. PenalizedObjective is its one
+implementation, in Euclidean terms; the Riemannian gradient and Hessian
+on the oblique manifold are manifold.py's projections of them:
+
+    h = PenalizedObjective(f, ctx, params)
+    h.value(X)
+    riemannian_grad(X, h.grad(X))
+    riemannian_hess_apply(X, h.grad(X), h.hess_apply(X, D), D)
 """
 from __future__ import annotations
 
@@ -18,36 +23,22 @@ import dataclasses
 import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
-from .manifold import (inner, norm, riemannian_grad, riemannian_hess_apply,
-                       stationarity_residual)
+from .manifold import inner, norm, riemannian_grad, stationarity_residual
 from .rounding import feasibility_violation
-from .types import (Objective, PenaltyContext, PenaltyParams, SupportPattern,
-                    support_pattern)
+from .types import SUPPORT_ZERO_TOL, Objective, PenaltyContext, PenaltyParams
 
 
-@dataclasses.dataclass(frozen=True)
-class PenaltyEval:
-    """Scalars shared by the penalty's value and derivatives at one point.
+def _penalty_scalars(X, ctx: PenaltyContext, params: PenaltyParams):
+    """Return (s, base, c, cps) at X.
 
-    s = ||X V||_F, zeta = s^q - 1, c is the gradient coefficient
-    (grad of the penalty term is c * X V V^T scaled by sigma), and cps is
-    c'(s)/s, the curvature coefficient (NaN when singular, i.e. p < 1 at
-    zero residual).
+    s = ||X V||_F, base = zeta_q + eps (roundoff below 0 clipped), c is the
+    gradient coefficient (the penalty term's Euclidean gradient is
+    sigma * c * X V V^T) and cps is c'(s)/s, the curvature coefficient
+    (NaN when singular, i.e. p < 1 at zero residual).
     """
-
-    value: float
-    f_value: float
-    s: float
-    zeta: float
-    c: float
-    cps: float
-
-
-def _penalty_scalars(s: float, params: PenaltyParams):
-    """Return (zeta, base, c, cps) at s = ||X V||_F."""
+    s = norm(X @ ctx.V)
     p, q, eps = params.p, params.q, params.eps
-    zeta = s ** q - 1.0
-    base = zeta + eps
+    base = s ** q - 1.0 + eps
     if base < 0:
         # roundoff can put s a hair below 1 on feasible points
         base = 0.0
@@ -68,52 +59,18 @@ def _penalty_scalars(s: float, params: PenaltyParams):
     if q != 2.0:
         tail += (q - 2.0) / (s * s)
     cps = np.nan if singular else c * tail
-    return zeta, base, c, cps
+    return s, base, c, cps
+
+
+def _term_grad(X, ctx: PenaltyContext, params: PenaltyParams) -> np.ndarray:
+    """Euclidean gradient of the penalty term sigma*(zeta_q + eps)^p."""
+    c = _penalty_scalars(X, ctx, params)[2]
+    return params.sigma * c * (X @ ctx.vvt)
 
 
 def zeta(X, ctx: PenaltyContext, q: float = 2.0) -> float:
     """Orthogonality defect zeta_q(X) = ||X V||_F^q - 1 (>= 0 on the manifold)."""
-    Xd = np.asarray(X, dtype=float)
-    s = float(np.linalg.norm(Xd @ ctx.V))
-    return s ** q - 1.0
-
-
-def penalty_value(X, ctx: PenaltyContext, params: PenaltyParams,
-                  f: Objective) -> PenaltyEval:
-    """Evaluate P = f + sigma*(zeta_q + eps)^p together with its scalars.
-
-    Raises NonFiniteObjective when f(X) is not finite.
-    """
-    return PenalizedObjective(f, ctx, params).evaluate(np.asarray(X, dtype=float))
-
-
-def penalty_rgrad(X, ctx: PenaltyContext, params: PenaltyParams,
-                  G_f: np.ndarray) -> np.ndarray:
-    """Riemannian gradient of the penalized objective at X.
-
-    G_f is the Euclidean gradient of f at X. The penalty term contributes
-    sigma * c * X V V^T to the Euclidean gradient before projection.
-    """
-    Xd = np.asarray(X, dtype=float)
-    # the penalty term alone needs no f
-    term = PenalizedObjective(None, ctx, params).term_grad(Xd)
-    return riemannian_grad(Xd, np.asarray(G_f, dtype=float) + term)
-
-
-def penalty_rhess_apply(X, ctx: PenaltyContext, params: PenaltyParams,
-                        f: Objective, D, G_f=None) -> np.ndarray:
-    """Riemannian Hessian of the penalized objective applied to tangent D.
-
-    Raises SingularCurvature when p < 1 and the penalty residual is zero
-    (the curvature scalar blows up there), NotTangent when D is not
-    tangent at X within 1e-8.
-    """
-    Xd = np.asarray(X, dtype=float)
-    Dd = np.asarray(D, dtype=float)
-    h = PenalizedObjective(f, ctx, params)
-    HD = h.hess_apply(Xd, Dd)
-    G_f = f.grad(Xd) if G_f is None else np.asarray(G_f, dtype=float)
-    return riemannian_hess_apply(Xd, G_f + h.term_grad(Xd), HD, Dd)
+    return norm(np.asarray(X, dtype=float) @ ctx.V) ** q - 1.0
 
 
 def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
@@ -124,16 +81,18 @@ def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
     vanishes exactly at points satisfying the first-order conditions.
     """
     Xd = np.asarray(X, dtype=float)
-    # penalty_rgrad's Euclidean gradient, projected in one buffer
-    term = PenalizedObjective(None, ctx, params).term_grad(Xd)
+    # the Euclidean gradient of P, projected in one buffer
+    term = _term_grad(Xd, ctx, params)
     return stationarity_residual(Xd, np.asarray(G_f, dtype=float) + term)
 
 
 class PenalizedObjective(Objective):
-    """Euclidean view of P = f + sigma*(zeta_q + eps)^p for the subsolvers.
+    """Euclidean view of P = f + sigma*(zeta_q + eps)^p.
 
-    The only implementation of the penalty term's value and derivatives;
-    penalty_value, penalty_rgrad and penalty_rhess_apply wrap it.
+    The only implementation of the penalty's value and derivatives, for
+    the subsolvers and for any caller: its Riemannian gradient and Hessian
+    are riemannian_grad and riemannian_hess_apply of grad and hess_apply
+    (module docstring).
     """
 
     def __init__(self, f: Objective, ctx: PenaltyContext, params: PenaltyParams):
@@ -141,29 +100,16 @@ class PenalizedObjective(Objective):
         self.ctx = ctx
         self.params = params
 
-    def _scalars(self, X):
-        s = norm(X @ self.ctx.V)
-        return (s,) + _penalty_scalars(s, self.params)
-
-    def evaluate(self, X) -> PenaltyEval:
-        """Value of P at X with the scalars it was assembled from."""
+    def value(self, X):
+        """P(X); raises NonFiniteObjective when f(X) is not finite."""
         fv = float(self.f.value(X))
         if not np.isfinite(fv):
             raise NonFiniteObjective(f"objective value {fv!r}")
-        s, zq, base, c, cps = self._scalars(X)
-        return PenaltyEval(value=fv + self.params.sigma * base ** self.params.p,
-                           f_value=fv, s=s, zeta=zq, c=c, cps=cps)
-
-    def value(self, X):
-        return self.evaluate(X).value
-
-    def term_grad(self, X):
-        """Euclidean gradient of the penalty term sigma*(zeta_q + eps)^p."""
-        c = self._scalars(X)[3]
-        return self.params.sigma * c * (X @ self.ctx.vvt)
+        base = _penalty_scalars(X, self.ctx, self.params)[1]
+        return fv + self.params.sigma * base ** self.params.p
 
     def grad(self, X):
-        return self.f.grad(X) + self.term_grad(X)
+        return self.f.grad(X) + _term_grad(X, self.ctx, self.params)
 
     def hess_at(self, X):
         """The Hessian at X as an operator D -> H[D]: the scalars, X V V^T
@@ -172,7 +118,7 @@ class PenalizedObjective(Objective):
         Where the curvature is undefined the operator raises
         SingularCurvature when applied, not when built.
         """
-        s, _, _, c, cps = self._scalars(X)
+        s, _, c, cps = _penalty_scalars(X, self.ctx, self.params)
         singular = not np.isfinite(cps) or not np.isfinite(c)
         sigma = self.params.sigma
         vvt = self.ctx.vvt
@@ -198,7 +144,6 @@ class StationarityReport:
     classification: str  # "stationary" | "weakly-stationary" | "not-stationary"
     grad_violation: float  # max |riemannian grad| over the support
     sign_violation: float  # max negative part of the Euclidean grad on dead rows
-    pattern: SupportPattern
 
 
 def check_stationarity_original(X, f: Objective,
@@ -219,12 +164,14 @@ def check_stationarity_original(X, f: Objective,
     viol = feasibility_violation(Xd)
     if viol > 1e-10:
         raise NotFeasible(f"feasibility violation {viol!r} exceeds 1e-10")
-    pat = support_pattern(Xd)
+    supp = np.abs(Xd) > SUPPORT_ZERO_TOL
+    # zeros in all-zero rows: the only entries under the sign condition
+    dead = ~supp.any(axis=1)[:, None] & ~supp
     G = np.asarray(f.grad(Xd), dtype=float)
     rg = riemannian_grad(Xd, G)
-    grad_violation = float(np.abs(rg[pat.supp]).max()) if pat.supp.any() else 0.0
-    if pat.zero_rowdead.any():
-        sign_violation = float(max(0.0, -G[pat.zero_rowdead].min()))
+    grad_violation = float(np.abs(rg[supp]).max()) if supp.any() else 0.0
+    if dead.any():
+        sign_violation = float(max(0.0, -G[dead].min()))
     else:
         sign_violation = 0.0
     if grad_violation <= tol and sign_violation <= tol:
@@ -234,4 +181,4 @@ def check_stationarity_original(X, f: Objective,
     else:
         cls = "not-stationary"
     return StationarityReport(classification=cls, grad_violation=grad_violation,
-                              sign_violation=sign_violation, pattern=pat)
+                              sign_violation=sign_violation)

@@ -191,7 +191,13 @@ class OpnmfObjective(Objective):
 
 
 # ---------------------------------------------------------------------------
-# shared generator piece
+# shared generator pieces
+
+
+def _check_noise(name: str, level) -> None:
+    """A generator's noise level must be finite and nonnegative."""
+    if not (np.isfinite(level) and level >= 0):
+        raise BadShape(f"{name} must be finite and nonnegative, got {level!r}")
 
 
 def _random_labels(n: int, k: int, rng) -> np.ndarray:
@@ -253,8 +259,7 @@ def gen_projection(n: int, k: int, xi: float, seed: int) -> ProjectionInstance:
     off-diagonal xi * sqrt(d_i d_j) * uniform(0,1). For xi < 1 the
     uniqueness condition holds deterministically, at xi = 1 almost surely.
     """
-    if xi < 0:
-        raise BadShape(f"xi must be nonnegative, got {xi!r}")
+    _check_noise("xi", xi)
     rng = np.random.default_rng(np.random.Philox(seed))
     B = _random_feasible(n, k, rng)
     Xs = (B > 0) * (1.0 + rng.random((n, k)))
@@ -338,8 +343,9 @@ class OnmfInstance:
 
 def gen_onmf(n: int, r: int, k: int, xi: float, seed: int) -> OnmfInstance:
     """A = normalize(B @ C) + xi * D / ||D||_F with B feasible, C, D uniform."""
-    if xi < 0:
-        raise BadShape(f"xi must be nonnegative, got {xi!r}")
+    _check_noise("xi", xi)
+    if r < 1:
+        raise BadShape(f"need r >= 1, got r={r}")
     rng = np.random.default_rng(np.random.Philox(seed))
     B = _random_feasible(n, k, rng)
     labels = np.argmax(B, axis=1)
@@ -563,6 +569,7 @@ def gen_kindicators(n: int, k: int, noise: float, seed: int) -> KindicatorsInsta
     membership matrix, so noise is a relative corruption level: at
     noise = 0.1 every row still points clearly at its planted column.
     """
+    _check_noise("noise", noise)
     rng = np.random.default_rng(np.random.Philox(seed))
     labels = _random_labels(n, k, rng)
     F = np.zeros((n, k))

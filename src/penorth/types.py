@@ -119,8 +119,9 @@ def make_context(n: int, k: int, V=None) -> PenaltyContext:
 class PenaltyParams:
     """Parameters (sigma, p, q, eps) of the penalty term sigma*(zeta_q + eps)^p.
 
-    Invariants: sigma > 0, p > 0, q > 0, eps >= 0, and eps == 0 when p >= 1
-    (the smoothing offset only exists for the nonsmooth p < 1 family).
+    Invariants: every field finite, sigma > 0, p > 0, q > 0, eps >= 0, and
+    eps == 0 when p >= 1 (the smoothing offset only exists for the
+    nonsmooth p < 1 family).
     """
 
     sigma: float
@@ -129,52 +130,20 @@ class PenaltyParams:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if not math.isfinite(val):
+                raise BadShape(f"{f.name} must be finite, got {val!r}")
+        if self.sigma <= 0:
             raise BadShape(f"sigma must be positive, got {self.sigma!r}")
-        if not (self.p > 0):
+        if self.p <= 0:
             raise BadShape(f"p must be positive, got {self.p!r}")
-        if not (self.q > 0):
+        if self.q <= 0:
             raise BadShape(f"q must be positive, got {self.q!r}")
         if self.eps < 0:
             raise BadShape(f"eps must be nonnegative, got {self.eps!r}")
         if self.p >= 1 and self.eps != 0:
             raise BadShape("eps must be 0 when p >= 1")
-
-
-@dataclasses.dataclass(frozen=True)
-class SupportPattern:
-    """Zero/nonzero classification of a matrix at a fixed tolerance.
-
-    Boolean masks, all shape (n, k):
-        supp: |X_ij| > tol.
-        zero_rowlive: zeros sitting in a row that has some nonzero.
-        zero_rowdead: zeros sitting in an all-zero row.
-
-    The three masks partition the index set. Stationarity checks need the
-    split because sign conditions on the Euclidean gradient apply only on
-    all-zero rows.
-    """
-
-    supp: np.ndarray
-    zero_rowlive: np.ndarray
-    zero_rowdead: np.ndarray
-    tol: float
-
-
-def support_pattern(X, tol: float = SUPPORT_ZERO_TOL) -> SupportPattern:
-    """Classify entries of X into support / row-live zeros / row-dead zeros."""
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim != 2:
-        raise BadShape("support_pattern needs a matrix")
-    supp = np.abs(arr) > tol
-    row_live = supp.any(axis=1)
-    zero = ~supp
-    zero_rowlive = zero & row_live[:, None]
-    zero_rowdead = zero & ~row_live[:, None]
-    for m in (supp, zero_rowlive, zero_rowdead):
-        m.setflags(write=False)
-    return SupportPattern(supp=supp, zero_rowlive=zero_rowlive,
-                          zero_rowdead=zero_rowdead, tol=tol)
 
 
 class Objective:

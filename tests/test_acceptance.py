@@ -15,9 +15,9 @@ import numpy as np
 
 from penorth import make_context, make_oblique
 from penorth.driver import ep4orth_solve, feasible_init
+from penorth.manifold import riemannian_grad, riemannian_hess_apply
 from penorth.penalty import (PenalizedObjective, check_stationarity_original,
-                             kkt_residual_subproblem, penalty_rgrad,
-                             penalty_rhess_apply, penalty_value, zeta)
+                             kkt_residual_subproblem, zeta)
 from penorth.problems import (LinearObjective, TargetDistanceObjective,
                               clustering_metrics, gen_kindicators,
                               gen_onmf, gen_projection, kindicators_solve,
@@ -174,20 +174,19 @@ def test_derivative_oracles():
         A = rng.standard_normal((n, k))
         f = LinearObjective(A)
         params = PenaltyParams(sigma=0.7 + 0.1 * (t % 5), p=p, q=q, eps=eps)
-
-        def value(Y):
-            return penalty_value(Y, ctx, params, f).value
+        h = PenalizedObjective(f, ctx, params)
 
         D = oracles.random_tangent(rng, X)
-        lhs = float(np.tensordot(penalty_rgrad(X, ctx, params, A), D))
-        rhs = oracles.fd_directional(value, X, D)
+        G = h.grad(X)
+        lhs = float(np.tensordot(riemannian_grad(X, G), D))
+        rhs = oracles.fd_directional(h.value, X, D)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-10)
         worst_g = max(worst_g, rel)
         bad_g += rel > 1e-6
 
-        H = penalty_rhess_apply(make_oblique(X), ctx, params, f, D, G_f=A)
+        H = riemannian_hess_apply(X, G, h.hess_apply(X, D), D)
         lhs2 = float(np.tensordot(D, H))
-        rhs2 = oracles.fd_second(value, X, D)
+        rhs2 = oracles.fd_second(h.value, X, D)
         rel2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-10)
         worst_h = max(worst_h, rel2)
         bad_h += rel2 > 1e-5

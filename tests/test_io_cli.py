@@ -324,10 +324,9 @@ def test_report_round_trip_and_sanitization(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    m = pio.RunManifest(command="gen-onmf", params={"n": 10, "xi": 0.1},
-                        seeds=(3, 4))
+    m = {"command": "gen-onmf", "params": {"n": 10, "xi": 0.1}, "seeds": (3, 4)}
     p = str(tmp_path / "m.manifest.json")
-    pio.write_manifest(p, m)
+    pio.write_report(p, m)
     assert pio.read_report(p) == {"command": "gen-onmf",
                                   "params": {"n": 10, "xi": 0.1},
                                   "seeds": [3, 4]}
@@ -390,6 +389,30 @@ def test_cli_gen_is_deterministic(tmp_path):
     la = (tmp_path / "a_labels.csv").read_bytes()
     lb = (tmp_path / "b_labels.csv").read_bytes()
     assert la == lb
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-projection", "--n", "10", "--k", "2", "--xi", "nan"],
+    ["gen-projection", "--n", "10", "--k", "2", "--xi", "inf"],
+    ["gen-onmf", "--n", "10", "--r", "5", "--k", "2", "--xi", "inf"],
+    ["gen-onmf", "--n", "10", "--r", "5", "--k", "2", "--xi", "nan"],
+    ["gen-onmf", "--n", "10", "--r", "0", "--k", "2"],
+], ids=["proj-nan", "proj-inf", "onmf-inf", "onmf-nan", "onmf-r0"])
+def test_cli_gen_rejects_instances_no_solver_reads(tmp_path, args):
+    # no solver could read such a file back (a non-finite value, or no
+    # columns), so nothing is written at all
+    r = invoke(args + ["--out", str(tmp_path / "inst.mtx")])
+    assert r.exit_code == 2, r.output
+    assert "error:" in r.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("table", ["table-proj", "table-onmf"])
+def test_cli_bench_rejects_zero_seeds(table):
+    # zero seeds would leave every cell of the table empty
+    r = invoke(["bench", table, "--seeds", "0"])
+    assert r.exit_code == 2, r.output
+    assert "--seeds" in r.output
 
 
 def test_cli_onmf_with_labels_metrics(tmp_path):

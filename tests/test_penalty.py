@@ -11,11 +11,11 @@ stationarity status is known exactly.
 import numpy as np
 import pytest
 
-from penorth import make_context, make_oblique
+from penorth import make_context
 from penorth.errors import NotFeasible, SingularCurvature
+from penorth.manifold import riemannian_grad, riemannian_hess_apply
 from penorth.penalty import (PenalizedObjective, check_stationarity_original,
-                             kkt_residual_subproblem, penalty_rgrad,
-                             penalty_rhess_apply, penalty_value, zeta)
+                             kkt_residual_subproblem, zeta)
 from penorth.problems import (LinearObjective, OnmfQuadObjective,
                               OpnmfObjective)
 from penorth.types import PenaltyParams
@@ -60,12 +60,10 @@ def test_penalty_value_assembles_pieces():
     A = rng.standard_normal((5, 2))
     f = LinearObjective(-A)  # value is <-A, X>
     params = PenaltyParams(sigma=3.0, p=0.5, q=2.0, eps=0.1)
-    ev = penalty_value(X, ctx, params, f)
+    value = PenalizedObjective(f, ctx, params).value(X)
     z = zeta(X, ctx)
-    assert ev.zeta == pytest.approx(z, rel=1e-12)
-    assert ev.value == pytest.approx(float(np.sum(-A * X))
-                                     + 3.0 * np.sqrt(z + 0.1), rel=1e-12)
-    assert ev.s == pytest.approx(np.sqrt(1.0 + z), rel=1e-12)
+    assert value == pytest.approx(float(np.sum(-A * X))
+                                  + 3.0 * np.sqrt(z + 0.1), rel=1e-12)
 
 
 def test_grad_closed_form_p1_q2():
@@ -75,7 +73,9 @@ def test_grad_closed_form_p1_q2():
     rng = oracles.rng_for(13)
     X = oracles.random_unit_columns(rng, 5, 3)
     sigma = 2.5
-    rg = penalty_rgrad(X, ctx, params_p1q2(sigma), np.zeros((5, 3)))
+    h = PenalizedObjective(LinearObjective(np.zeros((5, 3))), ctx,
+                           params_p1q2(sigma))
+    rg = riemannian_grad(X, h.grad(X))
     G_euc = 2.0 * sigma * X @ ctx.vvt
     want = G_euc - X * np.einsum("ij,ij->j", X, G_euc)
     assert np.allclose(rg, want, atol=1e-13)
@@ -95,14 +95,10 @@ def test_rgrad_matches_fd(p, q, eps):
     X = oracles.random_unit_columns(rng, 6, 3, strictly_positive=True)
     A = rng.standard_normal((6, 3))
     f = LinearObjective(A)
-    params = PenaltyParams(sigma=1.7, p=p, q=q, eps=eps)
-
-    def value(Y):
-        return penalty_value(Y, ctx, params, f).value
-
+    h = PenalizedObjective(f, ctx, PenaltyParams(sigma=1.7, p=p, q=q, eps=eps))
     D = oracles.random_tangent(rng, X)
-    lhs = float(np.tensordot(penalty_rgrad(X, ctx, params, A), D))
-    rhs = oracles.fd_directional(value, X, D)
+    lhs = float(np.tensordot(riemannian_grad(X, h.grad(X)), D))
+    rhs = oracles.fd_directional(h.value, X, D)
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
@@ -118,15 +114,11 @@ def test_rhess_matches_fd(p, q, eps):
     X = oracles.random_unit_columns(rng, 5, 2, strictly_positive=True)
     A = rng.standard_normal((5, 2))
     f = LinearObjective(A)
-    params = PenaltyParams(sigma=0.9, p=p, q=q, eps=eps)
-
-    def value(Y):
-        return penalty_value(Y, ctx, params, f).value
-
+    h = PenalizedObjective(f, ctx, PenaltyParams(sigma=0.9, p=p, q=q, eps=eps))
     D = oracles.random_tangent(rng, X)
-    H = penalty_rhess_apply(make_oblique(X), ctx, params, f, D, G_f=A)
+    H = riemannian_hess_apply(X, h.grad(X), h.hess_apply(X, D), D)
     lhs = float(np.tensordot(D, H))
-    rhs = oracles.fd_second(value, X, D)
+    rhs = oracles.fd_second(h.value, X, D)
     assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-7)
 
 
@@ -182,6 +174,17 @@ def test_not_stationary_classification():
     X = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]])
     rep = check_stationarity_original(X, LinearObjective(C))
     assert rep.classification == "not-stationary"
+
+
+def test_sign_condition_skips_zeros_in_rows_with_support():
+    # row 0 is all zero and its gradient nonnegative; the -1 sits on a zero
+    # of row 1, which has support, so orthogonality (not the bound) holds it
+    C = np.array([[1.0, 2.0], [0.0, -1.0], [0.0, 0.0]])
+    rep = check_stationarity_original(X_LIMIT, LinearObjective(C))
+    # under a sign condition on every zero this would be weakly-stationary
+    assert rep.classification == "stationary"
+    assert rep.grad_violation == 0.0
+    assert rep.sign_violation == 0.0
 
 
 def test_stationarity_check_requires_feasible_input():

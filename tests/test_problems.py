@@ -53,6 +53,24 @@ def test_gen_projection_rejects_negative_xi():
         gen_projection(5, 2, xi=-0.1, seed=0)
 
 
+@pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, -0.1])
+@pytest.mark.parametrize("gen", [
+    lambda level: gen_projection(6, 2, level, 0),
+    lambda level: gen_onmf(6, 4, 2, level, 0),
+    lambda level: gen_kindicators(20, 2, level, 1),
+], ids=["projection", "onmf", "kindicators"])
+def test_generators_reject_noise_that_is_not_finite_and_nonnegative(gen, level):
+    # NaN fails every comparison, so a sign test alone lets it through
+    with pytest.raises(BadShape, match="must be finite and nonnegative"):
+        gen(level)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_gen_onmf_rejects_empty_data(r):
+    with pytest.raises(BadShape, match="r >= 1"):
+        gen_onmf(6, r, 2, 0.0, 0)
+
+
 def test_uniqueness_hypothesis_flags_dominated_diagonal():
     assert _uniqueness_hypothesis(np.array([[2.0, 0.5], [0.5, 3.0]]))
     # off-diagonal 2 > sqrt(1*1): planted point no longer certified

@@ -18,9 +18,9 @@ import pytest
 from penorth import make_context, make_oblique
 from penorth.driver import feasible_init
 from penorth.errors import InfeasibleSupport, NegativeEntry
-from penorth.manifold import (project_delta, project_delta_cols,
-                              projected_step, riemannian_grad,
-                              slice_projector, stationarity_residual)
+from penorth.manifold import (project_delta_cols, projected_step,
+                              riemannian_grad, slice_projector,
+                              stationarity_residual)
 from penorth.penalty import PenalizedObjective
 from penorth.problems import (KindicatorsModel, KindicatorsObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
@@ -37,14 +37,19 @@ import oracles
 # slice projection
 
 
+def project_column(x, c):
+    """The slice projection of one vector: a one-column project_delta_cols."""
+    return project_delta_cols(x[:, None], c[:, None])[:, 0]
+
+
 def test_project_delta_frozen_examples():
     # x2 = 0 decouples: that coordinate just clips at zero
-    z = project_delta(np.array([1.0, 0.0]), np.array([2.0, 5.0]))
+    z = project_column(np.array([1.0, 0.0]), np.array([2.0, 5.0]))
     assert np.allclose(z, [1.0, 5.0], atol=1e-15)
-    z = project_delta(np.array([1.0, 0.0]), np.array([2.0, -5.0]))
+    z = project_column(np.array([1.0, 0.0]), np.array([2.0, -5.0]))
     assert np.allclose(z, [1.0, 0.0], atol=1e-15)
     r2 = 1.0 / np.sqrt(2.0)
-    z = project_delta(np.array([r2, r2]), np.array([1.0, 0.0]))
+    z = project_column(np.array([r2, r2]), np.array([1.0, 0.0]))
     lam = (1.0 * r2 - 1.0) / 1.0  # one breakpoint scan step, by hand
     assert np.allclose(z, [1.0 - lam * r2, -lam * r2], atol=1e-12)
     assert z[0] == pytest.approx(1.2071067811865475)
@@ -61,7 +66,7 @@ def test_project_delta_output_in_slice():
             continue
         x /= nx
         c = rng.standard_normal(n) * 3
-        z = project_delta(x, c)
+        z = project_column(x, c)
         assert z.min() >= 0
         assert x @ z == pytest.approx(1.0, abs=1e-12)
 
@@ -72,17 +77,17 @@ def test_project_delta_matches_enumeration():
         x = np.abs(rng.standard_normal(4)) + 0.05
         x /= np.linalg.norm(x)
         c = rng.standard_normal(4) * 2
-        got = project_delta(x, c)
+        got = project_column(x, c)
         want = oracles.slice_projection_oracle(x, c)
         assert np.allclose(got, want, atol=1e-9)
 
 
 def test_project_delta_rejects_bad_anchor():
     with pytest.raises(NegativeEntry):
-        project_delta(np.array([0.9, -0.1]), np.array([1.0, 1.0]))
+        project_column(np.array([0.9, -0.1]), np.array([1.0, 1.0]))
     # an anchor with no positive entry cannot define the slice at all
     with pytest.raises(InfeasibleSupport):
-        project_delta(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        project_column(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
 
 def test_project_delta_cols_is_columnwise():
@@ -91,7 +96,7 @@ def test_project_delta_cols_is_columnwise():
     C = rng.standard_normal((5, 3))
     Z = project_delta_cols(X, C)
     for j in range(3):
-        assert np.allclose(Z[:, j], project_delta(X[:, j], C[:, j]),
+        assert np.allclose(Z[:, j], project_column(X[:, j], C[:, j]),
                            atol=1e-14)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from penorth import make_context, make_oblique, support_pattern
+from penorth import make_context, make_oblique
 from penorth.errors import (BadShape, NegativeEntry, NonUnitColumn,
                             ValidationError)
 from penorth.types import DriverConfig, PenaltyParams, SolveReport
@@ -66,16 +66,14 @@ def test_penalty_params_guards():
         PenaltyParams(sigma=1.0, p=2.0, q=2.0, eps=0.1)
 
 
-def test_support_pattern_partitions():
-    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pat = support_pattern(X)
-    assert pat.supp.sum() == 2
-    assert pat.zero_rowdead.sum() == 2  # whole first row
-    assert pat.zero_rowlive.sum() == 2
-    total = pat.supp | pat.zero_rowlive | pat.zero_rowdead
-    assert total.all()
-    assert not (pat.supp & pat.zero_rowlive).any()
-    assert not (pat.supp & pat.zero_rowdead).any()
+@pytest.mark.parametrize("field", ["sigma", "p", "q", "eps"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_penalty_params_reject_non_finite(field, value):
+    # NaN and inf pass the sign tests (sigma > 0, eps < 0 ...); p < 1 so
+    # that a nonzero eps is allowed
+    kwargs = {"sigma": 1.0, "p": 0.5, "eps": 0.1, field: value}
+    with pytest.raises(BadShape, match=f"{field} must be finite"):
+        PenaltyParams(**kwargs)
 
 
 def test_driver_config_validation():
