@@ -30,10 +30,15 @@ def norm(A: np.ndarray) -> float:
 
 
 def inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean metric."""
-    # one BLAS dot over the row-major entries: the same bits as
-    # np.tensordot(A, B), without its reshaping overhead
-    return float(A.ravel().dot(B.ravel()))
+    """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean metric.
+
+    One BLAS dot over the entries in memory order when both operands are
+    column-major, as norm sums: the same bits as np.tensordot(A.T, B.T),
+    and neither is copied. Otherwise over the row-major entries: the same
+    bits as np.tensordot(A, B), without its reshaping overhead.
+    """
+    order = "F" if A.flags.f_contiguous and B.flags.f_contiguous else "C"
+    return float(A.ravel(order).dot(B.ravel(order)))
 
 
 def make_tangent(X: np.ndarray, D,
@@ -104,8 +109,11 @@ def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
 
     The temporary gets the memory layout numpy gives X - alpha * G:
     Fortran-like only when both X and G are, C order otherwise, and the
-    projection keeps it. Two n x k arrays are live at the peak: the
-    temporary and the projection's result.
+    projection keeps it. ScaledLinearPenalty forms its gradient in X's
+    layout, so a column-major start (a target as penorth.io reads it)
+    keeps every iterate column-major, where the projection's column
+    sums and divisions run down contiguous columns. Two n x k arrays are
+    live at the peak: the temporary and the projection's result.
     """
     # a row-major X makes numpy's result row-major whatever G's layout
     x_cols = abs(X.strides[0]) < abs(X.strides[1])

@@ -156,8 +156,12 @@ def check_stationarity_original(X, f: Objective,
     is vacuous on zeros in rows that have support (those entries are forced
     by orthogonality, not by the bound).
 
-    Raises NotFeasible unless ||X^T X - I||_F + ||min(X,0)||_F <= 1e-10.
+    Raises BadShape unless tol is finite and nonnegative (a NaN would make
+    every comparison false), NotFeasible unless
+    ||X^T X - I||_F + ||min(X,0)||_F <= 1e-10.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise BadShape(f"tol must be finite and nonnegative, got {tol!r}")
     Xd = np.asarray(X, dtype=float)
     if Xd.ndim != 2:
         raise BadShape("check_stationarity_original needs a matrix")

@@ -87,26 +87,41 @@ class ScaledLinearPenalty(Objective):
     on the manifold; its gradient is 1-Lipschitz, so a fixed projected
     step below 1 descends without a line search.
 
-    The target is stored C-ordered, like the iterates. The gradient's
-    constant term C / sigma is formed at the first gradient and kept for
-    the next ones; a model used for one gradient holds it no longer.
+    The target is kept as given, not copied. X V is kept for the last
+    array passed (compared by identity): the loop asks for the value,
+    then the gradient, at each iterate, and the gradient
+    (X V) V^T - C / sigma is the sum over the r columns v_l of V of the
+    rank-one products (X v_l) v_l^T, one product for the default r = 1,
+    formed in X's memory layout. Its constant term C / sigma is formed
+    at the first gradient and kept for the next ones; a model used for
+    one gradient holds it no longer.
     """
 
     def __init__(self, C, ctx: PenaltyContext, sigma: float):
-        self.C = np.ascontiguousarray(C, dtype=float)
+        self.C = np.asarray(C, dtype=float)
         self.ctx = ctx
         self.sigma = float(sigma)
         self._c_sigma = None
+        self._X = self._XV = None
+
+    def _xv(self, X):
+        if X is not self._X:
+            self._X, self._XV = X, X @ self.ctx.V
+        return self._XV
 
     def value(self, X):
-        XV = X @ self.ctx.V
+        XV = self._xv(X)
         return (-inner(self.C, X) / self.sigma
                 + 0.5 * inner(XV, XV))
 
     def grad(self, X):
         if self._c_sigma is None:
             self._c_sigma = self.C / self.sigma
-        G = X @ self.ctx.vvt
+        XV, V = self._xv(X), self.ctx.V
+        order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
+        G = np.multiply(XV[:, :1], V[:, 0], order=order)
+        for j in range(1, V.shape[1]):
+            G += XV[:, j:j + 1] * V[:, j]
         G -= self._c_sigma
         return G
 
@@ -127,7 +142,10 @@ class OnmfQuadObjective(Objective):
                 f"A has {self.A.shape[1]} columns but Y has {self.Y.shape[0]} rows")
         self._yty = self.Y.T @ self.Y
         self._ay = self.A @ self.Y
-        self._a_sq = inner(self.A, self.A)
+        # ||A||^2 summed in row-major order whatever A's layout: a
+        # column-major A (as penorth.io reads it) is copied for it once
+        A_rows = np.ascontiguousarray(self.A)
+        self._a_sq = inner(A_rows, A_rows)
 
     def value(self, X):
         return (self._a_sq - 2.0 * inner(self._ay, X)
@@ -200,6 +218,14 @@ def _check_noise(name: str, level) -> None:
         raise BadShape(f"{name} must be finite and nonnegative, got {level!r}")
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generators' Philox stream for a nonnegative integer seed."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and seed >= 0):
+        raise BadShape(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(np.random.Philox(seed))
+
+
 def _random_labels(n: int, k: int, rng) -> np.ndarray:
     """n labels drawn uniformly from range(k), redrawn until all k occur."""
     if n < k or k < 1:
@@ -260,7 +286,7 @@ def gen_projection(n: int, k: int, xi: float, seed: int) -> ProjectionInstance:
     uniqueness condition holds deterministically, at xi = 1 almost surely.
     """
     _check_noise("xi", xi)
-    rng = np.random.default_rng(np.random.Philox(seed))
+    rng = _rng(seed)
     B = _random_feasible(n, k, rng)
     Xs = (B > 0) * (1.0 + rng.random((n, k)))
     Xs = Xs / np.linalg.norm(Xs, axis=0)
@@ -294,11 +320,14 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     """Nearest feasible point to C via the exact-penalty driver.
 
     Uses the projection preset: fixed-step projected gradient on the
-    rescaled linear model, start and anchor at round(project(C)). With
-    X_star, extra["gap"] is gap(final, X_star, C); an X_star of another
-    shape than C raises DimensionMismatch before the solve.
+    rescaled linear model, start and anchor at round(project(C)). The
+    solve holds one target, column-major: C itself when it is, as
+    penorth.io reads it, one copy otherwise. f and every outer model
+    share it, and the iterates keep its layout. With X_star,
+    extra["gap"] is gap(final, X_star, C); an X_star of another shape
+    than C raises DimensionMismatch before the solve.
     """
-    C = np.asarray(C, dtype=float)
+    C = np.asarray(C, dtype=float, order="F")
     if C.ndim != 2:
         raise BadShape("C must be a matrix")
     if not np.isfinite(C).all():
@@ -311,12 +340,9 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     cfg = cfg if cfg is not None else projection_preset()
     f = TargetDistanceObjective(C)
     X_feas = feasible_init(ctx, hint=C)
-    # one C-ordered copy for every outer model; f keeps C as given, since
-    # its value sums X - C in C's memory order
-    C_rows = np.ascontiguousarray(C)
 
     def factory(X, params):
-        return ScaledLinearPenalty(C_rows, ctx, params.sigma)
+        return ScaledLinearPenalty(C, ctx, params.sigma)
 
     report = ep4orth_solve(f, ctx, cfg, X_feas=X_feas,
                            inner_factory=factory)
@@ -346,7 +372,7 @@ def gen_onmf(n: int, r: int, k: int, xi: float, seed: int) -> OnmfInstance:
     _check_noise("xi", xi)
     if r < 1:
         raise BadShape(f"need r >= 1, got r={r}")
-    rng = np.random.default_rng(np.random.Philox(seed))
+    rng = _rng(seed)
     B = _random_feasible(n, k, rng)
     labels = np.argmax(B, axis=1)
     C = rng.random((k, r))
@@ -570,7 +596,7 @@ def gen_kindicators(n: int, k: int, noise: float, seed: int) -> KindicatorsInsta
     noise = 0.1 every row still points clearly at its planted column.
     """
     _check_noise("noise", noise)
-    rng = np.random.default_rng(np.random.Philox(seed))
+    rng = _rng(seed)
     labels = _random_labels(n, k, rng)
     F = np.zeros((n, k))
     F[np.arange(n), labels] = 1.0

@@ -407,6 +407,17 @@ def test_cli_gen_rejects_instances_no_solver_reads(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-projection", "--n", "4", "--k", "2"],
+    ["gen-onmf", "--n", "10", "--r", "5", "--k", "2"],
+], ids=["projection", "onmf"])
+def test_cli_gen_rejects_a_negative_seed(tmp_path, command):
+    r = invoke(command + ["--seed", "-1", "--out", str(tmp_path / "x.mtx")])
+    assert r.exit_code == 2, r.output
+    assert "error: seed must be a nonnegative integer, got -1" in r.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("table", ["table-proj", "table-onmf"])
 def test_cli_bench_rejects_zero_seeds(table):
     # zero seeds would leave every cell of the table empty
@@ -491,6 +502,20 @@ def test_cli_check_kkt(tmp_path):
     assert r.exit_code == 0, r.output
     rep = pio.read_report(out)
     assert rep["classification"] == "stationary"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-8", "inf"])
+def test_cli_check_kkt_rejects_a_tolerance_that_decides_nothing(tmp_path, tol):
+    xp = str(tmp_path / "x.csv")
+    cp = str(tmp_path / "c.csv")
+    pio.write_matrix(xp, np.eye(3, 2))
+    pio.write_matrix(cp, -np.eye(3, 2))
+    out = tmp_path / "kkt.json"
+    r = invoke(["check-kkt", "--in", xp, "--objective", "linear", "--c", cp,
+                "--tol", tol, "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "error: tol must be finite and nonnegative" in r.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("objective", ["linear", "target"])

@@ -379,12 +379,34 @@ def test_polar_projection_nearest_orthogonal():
 
 @pytest.mark.parametrize("shape", [(100, 3), (5000, 20), (1, 1)])
 def test_inner_matches_tensordot_bit_for_bit(shape):
+    # two column-major operands are summed in their memory order, the
+    # row-major order of their transposes; any other pair row-major
     rng = oracles.rng_for(60)
     for order_a, order_b in [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C")]:
         A = np.asarray(rng.standard_normal(shape) * 1e3, order=order_a)
         B = np.asarray(rng.standard_normal(shape), order=order_b)
-        assert inner(A, B) == float(np.tensordot(A, B))
-        assert inner(A, A) == float(np.tensordot(A, A))
+        both_f = order_a == order_b == "F"
+        assert inner(A, B) == float(np.tensordot(A.T, B.T) if both_f
+                                    else np.tensordot(A, B))
+        assert inner(A, A) == float(np.tensordot(A.T, A.T) if order_a == "F"
+                                    else np.tensordot(A, A))
+
+
+def test_inner_copies_no_column_major_operand():
+    # ravel of a column-major array in row-major order would copy it
+    A = np.asfortranarray(oracles.rng_for(62).standard_normal((50, 4)))
+    copies = []
+    ravel = np.ndarray.ravel
+
+    class Watched(np.ndarray):
+        def ravel(self, order="C"):
+            out = ravel(self, order)
+            copies.append(not np.shares_memory(out, self))
+            return out
+
+    W = A.view(Watched)
+    assert inner(W, W) == float(np.tensordot(A.T, A.T))
+    assert copies == [False, False]
 
 
 @pytest.mark.parametrize("shape", [(100, 3), (5000, 20), (1, 1), (7,)])

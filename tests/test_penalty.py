@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from penorth import make_context
-from penorth.errors import NotFeasible, SingularCurvature
+from penorth.errors import BadShape, NotFeasible, SingularCurvature
 from penorth.manifold import riemannian_grad, riemannian_hess_apply
 from penorth.penalty import (PenalizedObjective, check_stationarity_original,
                              kkt_residual_subproblem, zeta)
@@ -166,6 +166,15 @@ def test_stationary_classification_on_clean_optimum():
     X = np.eye(4, 2)
     rep = check_stationarity_original(X, LinearObjective(C))
     assert rep.classification == "stationary"
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+def test_stationarity_check_rejects_a_tolerance_that_decides_nothing(tol):
+    # with a NaN every comparison fails and the exact optimum would read
+    # "not-stationary"
+    with pytest.raises(BadShape, match="tol must be finite and nonnegative"):
+        check_stationarity_original(np.eye(4, 2), LinearObjective(-np.eye(4, 2)),
+                                    tol=tol)
 
 
 def test_not_stationary_classification():

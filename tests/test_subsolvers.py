@@ -194,7 +194,8 @@ class LyingGradient(Objective):
     """Pretends to ascend: the reported gradient points the wrong way.
 
     No Armijo test can pass with it, which pins down the line-search
-    failure path deterministically.
+    failure path deterministically. A fixed step climbs h until it stops
+    moving, far above the start it then falls back to.
     """
 
     def __init__(self, T):
@@ -303,13 +304,15 @@ def test_gp_bare_bb_first_step_cap_and_safeguard(monkeypatch):
 
 class Recording(Objective):
     """Delegates to h and records each call as (method, index of the array
-    by first appearance), keeping a copy of every array it is shown."""
+    by first appearance), keeping a copy of every array it is shown and
+    the value h returned at each."""
 
     def __init__(self, h):
         self.h = h
         self.calls = []
         self.seen = []
         self.copies = []
+        self.values = {}
 
     def _index(self, X):
         for i, A in enumerate(self.seen):
@@ -320,8 +323,10 @@ class Recording(Objective):
         return len(self.seen) - 1
 
     def value(self, X):
-        self.calls.append(("value", self._index(X)))
-        return self.h.value(X)
+        i = self._index(X)
+        self.calls.append(("value", i))
+        self.values[i] = self.h.value(X)
+        return self.values[i]
 
     def grad(self, X):
         self.calls.append(("grad", self._index(X)))
@@ -344,32 +349,67 @@ def _lying(n, k, seed):
     return lambda: LyingGradient(T)
 
 
-FIXED = dict(tol=1e-10, max_iter=300, fixed_alpha=0.99)
-BARE = dict(tol=1e-9, max_iter=60, line_search=False)
+FIXED = dict(tol=1e-4, max_iter=300, fixed_alpha=0.99)
+BARE = dict(tol=1e-5, max_iter=60, line_search=False)
+LINE_SEARCH = dict(tol=1e-5, max_iter=60)
 
 # objective factory, solver arguments, and the branches the run must take:
 # whether it converges, backtracks in the line search, ends on a worse
-# iterate than its best (and falls back to it), or fails the line search
+# iterate than its best (and falls back to it), or fails the line search.
+# Each fixture takes its branches by a margin far above rounding (see
+# decision_margins), so a change that moves the iterates by a few ulps
+# leaves them as they are: the tolerances stop every converging run while
+# its steps still lower h well above rounding.
 GP_CASES = {
     "fixed": (_linear_model(60, 4, 1), FIXED, {"converges"}),
-    "fixed-fallback": (_linear_model(60, 4, 0), FIXED,
+    "fixed-fallback": (_lying(60, 4, 43), dict(FIXED, tol=1e-5),
                        {"converges", "falls back"}),
-    "bb-bare": (_kindicators_model(60, 4, 2, 10.0), BARE, {"converges"}),
-    "bb-bare-fallback": (_kindicators_model(60, 4, 0, 10.0), BARE,
+    "bb-bare": (_kindicators_model(60, 4, 0, 10.0), BARE, {"converges"}),
+    "bb-bare-fallback": (_kindicators_model(60, 4, 2, 100.0), BARE,
                          {"converges", "falls back"}),
-    "bb-bare-budget": (_kindicators_model(60, 4, 7, 100.0), BARE,
+    "bb-bare-budget": (_kindicators_model(60, 4, 0, 100.0), BARE,
                        {"falls back"}),
-    "bb-line-search": (_kindicators_model(60, 4, 4, 10.0),
-                       dict(tol=1e-9, max_iter=60),
+    "bb-line-search": (_kindicators_model(60, 4, 3, 10.0), LINE_SEARCH,
                        {"converges", "backtracks"}),
-    "bb-line-search-fallback": (_kindicators_model(60, 4, 1, 10.0),
-                                dict(tol=1e-9, max_iter=60),
+    "bb-line-search-fallback": (_kindicators_model(60, 4, 10, 100.0),
+                                LINE_SEARCH,
                                 {"converges", "backtracks", "falls back"}),
     "bb-line-search-linear": (_linear_model(60, 4, 3),
-                              dict(tol=1e-10, max_iter=300), {"converges"}),
+                              dict(tol=1e-4, max_iter=300), {"converges"}),
     "line-search-failure": (_lying(60, 4, 43), dict(tol=1e-8, max_iter=50),
                             {"backtracks", "fails"}),
 }
+
+
+def decision_margins(h, tol, line_search):
+    """How far the recorded run's decisions were from a tie, each relative
+    to the values it compared.
+
+    "falls back": (h(last) - h(best earlier)) / |h(best)| over the
+    accepted iterates, positive when the loop falls back. "armijo": the
+    smallest |fmax - ARMIJO <S, S> - h(trial)| / |fmax| over the line
+    search's trials. "step": the smallest |norm(S) - tol| / tol over the
+    accepted steps.
+    """
+    accepted, armijo = [], []
+    for method, i in h.calls:
+        if method == "grad":
+            if i not in accepted:  # not the fall-back gradient
+                accepted.append(i)
+        elif accepted and line_search:  # a trial from the last iterate
+            fmax = max(h.values[j] for j in accepted[-subsolvers.WINDOW:])
+            S = h.copies[i] - h.copies[accepted[-1]]
+            slack = fmax - subsolvers.ARMIJO * float(np.sum(S * S)) - h.values[i]
+            armijo.append(abs(slack) / abs(fmax))
+    vals = [h.values[i] for i in accepted]
+    steps = [np.linalg.norm(h.copies[b] - h.copies[a])
+             for a, b in zip(accepted, accepted[1:])]
+    margins = {"step": min(abs(s - tol) / tol for s in steps)} if steps else {}
+    if armijo:
+        margins["armijo"] = min(armijo)
+    if len(vals) > 1:
+        margins["falls back"] = (vals[-1] - min(vals[:-1])) / abs(min(vals))
+    return margins
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -417,6 +457,16 @@ def test_gp_matches_reference_bit_for_bit(case, order):
     elif h.calls[-1] != ("grad", len(h.seen) - 1):
         taken.add("falls back")  # the last gradient is at an earlier point
     assert taken == exercises
+    # ... and takes them by a margin far above rounding
+    line_search = kwargs.get("line_search", True) and "fixed_alpha" not in kwargs
+    margins = decision_margins(h, kwargs["tol"], line_search)
+    assert margins.get("step", 1.0) >= 1e-6
+    assert margins.get("armijo", 1.0) >= 1e-12
+    if "fails" not in taken:
+        if "falls back" in taken:
+            assert margins["falls back"] >= 1e-8
+        else:
+            assert margins["falls back"] <= -1e-12
 
 
 def gp_start():
