@@ -15,12 +15,12 @@ from .errors import (BadLabels, BadShape, DimensionMismatch,
                      NotTangent, ParseError, PenorthError, SingularCurvature,
                      SingularGram, SolverError, ValidationError, ZeroColumn)
 from .io import read_matrix, read_report, write_matrix, write_report
-from .manifold import (make_tangent, project_delta_cols, project_oblique_plus,
+from .manifold import (project_delta_cols, project_oblique_plus,
                        project_orthogonal_group, project_tangent_T,
-                       riemannian_grad, riemannian_hess_apply)
+                       riemannian_grad, riemannian_hess_apply,
+                       stationarity_residual)
 from .penalty import (PenalizedObjective, StationarityReport,
-                      check_stationarity_original, kkt_residual_subproblem,
-                      zeta)
+                      check_stationarity_original, zeta)
 from .problems import (KindicatorsInstance, KindicatorsModel,
                        KindicatorsObjective, LinearObjective, OnmfInstance,
                        OnmfQuadObjective, OpnmfObjective, ProjectionInstance,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -200,58 +201,45 @@ def project_cmd(inp, xstar, out, config_path, tol_feas, sigma0, tmax,
     _finish(report, manifest, out, save_solution)
 
 
-def _onmf_common(inp, k, labels_path, hyperspectral, variant, out, config_path,
-                 tol_feas, sigma0, tmax, save_solution):
-    A = pio.read_matrix(inp)
-    dropped = A.shape[1]
-    A = drop_zero_columns(A)
-    dropped -= A.shape[1]
-    if dropped and k > A.shape[1]:
-        raise BadShape(f"k={k} exceeds the {A.shape[1]} column(s) of A left "
-                       f"after dropping {dropped} all-zero column(s)")
-    over = _config_overrides(config_path, tol_feas=tol_feas, sigma0=sigma0,
-                             t_max=tmax)
-    cfg = onmf_preset(hyperspectral=hyperspectral, **over)
-    report = solve_onmf(A, k, cfg, variant=variant)
-    if labels_path:
-        true = _read_labels(labels_path)
-        pred = np.argmax(report.final, axis=1)
-        report.extra["metrics"] = clustering_metrics(pred, true)
-    manifest = {"command": "onmf" if variant == "gn" else "opnmf",
-                "params": {"in": os.path.basename(inp), "k": k,
-                           "hyperspectral": hyperspectral, "overrides": over},
-                "seeds": []}
-    _finish(report, manifest, out, save_solution)
+def _onmf_command(name: str, variant: str, doc: str):
+    @main.command(name, help=doc)
+    @click.option("--in", "inp", required=True, help="data matrix A")
+    @click.option("--k", type=int, required=True)
+    @click.option("--labels", "labels_path", default=None,
+                  help="true labels for clustering metrics")
+    @click.option("--hyperspectral", is_flag=True, default=False)
+    @_with_solver_options
+    @_guarded
+    def command(inp, k, labels_path, hyperspectral, out, config_path,
+                tol_feas, sigma0, tmax, save_solution):
+        A = pio.read_matrix(inp)
+        dropped = A.shape[1]
+        A = drop_zero_columns(A)
+        dropped -= A.shape[1]
+        if dropped and k > A.shape[1]:
+            raise BadShape(f"k={k} exceeds the {A.shape[1]} column(s) of A "
+                           f"left after dropping {dropped} all-zero column(s)")
+        over = _config_overrides(config_path, tol_feas=tol_feas,
+                                 sigma0=sigma0, t_max=tmax)
+        cfg = onmf_preset(hyperspectral=hyperspectral, **over)
+        report = solve_onmf(A, k, cfg, variant=variant)
+        if labels_path:
+            true = _read_labels(labels_path)
+            pred = np.argmax(report.final, axis=1)
+            report.extra["metrics"] = clustering_metrics(pred, true)
+        manifest = {"command": name,
+                    "params": {"in": os.path.basename(inp), "k": k,
+                               "hyperspectral": hyperspectral,
+                               "overrides": over},
+                    "seeds": []}
+        _finish(report, manifest, out, save_solution)
+    return command
 
 
-@main.command("onmf")
-@click.option("--in", "inp", required=True, help="data matrix A")
-@click.option("--k", type=int, required=True)
-@click.option("--labels", "labels_path", default=None,
-              help="true labels for clustering metrics")
-@click.option("--hyperspectral", is_flag=True, default=False)
-@_with_solver_options
-@_guarded
-def onmf_cmd(inp, k, labels_path, hyperspectral, out, config_path, tol_feas,
-             sigma0, tmax, save_solution):
-    """Orthogonal NMF (per-iteration refit of the second factor)."""
-    _onmf_common(inp, k, labels_path, hyperspectral, "gn", out, config_path,
-                 tol_feas, sigma0, tmax, save_solution)
-
-
-@main.command("opnmf")
-@click.option("--in", "inp", required=True, help="data matrix A")
-@click.option("--k", type=int, required=True)
-@click.option("--labels", "labels_path", default=None,
-              help="true labels for clustering metrics")
-@click.option("--hyperspectral", is_flag=True, default=False)
-@_with_solver_options
-@_guarded
-def opnmf_cmd(inp, k, labels_path, hyperspectral, out, config_path, tol_feas,
-              sigma0, tmax, save_solution):
-    """Projective orthogonal NMF (direct quartic objective)."""
-    _onmf_common(inp, k, labels_path, hyperspectral, "direct", out, config_path,
-                 tol_feas, sigma0, tmax, save_solution)
+onmf_cmd = _onmf_command(
+    "onmf", "gn", "Orthogonal NMF (per-iteration refit of the second factor).")
+opnmf_cmd = _onmf_command(
+    "opnmf", "direct", "Projective orthogonal NMF (direct quartic objective).")
 
 
 @main.command("kindicators")
@@ -309,8 +297,8 @@ def check_kkt_cmd(inp, obj_kind, c_path, tol, out):
 # benchmarks
 
 
-def _proj_job(args):
-    n, k, xi, seed, tmax = args
+def _proj_job(args, tmax=None):
+    n, k, xi, seed = args
     inst = gen_projection(n, k, xi, seed)
     cfg = projection_preset(t_max=tmax) if tmax else projection_preset()
     rep = solve_projection(inst.C, cfg, X_star=inst.X_star)
@@ -334,13 +322,28 @@ def _onmf_job(args):
             "outer_iterations": rep.outer_iterations}
 
 
-def _run_jobs(job, args_list, workers):
+def _bench_table(job, grid: dict, seeds: int, workers: int, out, cell,
+                 line) -> None:
+    """Run job((*point, seed)) on every point of the grid, repeated values
+    kept, and print (line) and write one cell (cell of its runs) per point.
+    """
+    keys = tuple(grid)
+    points = list(itertools.product(*grid.values()))
+    args_list = [point + (seed,) for point in points for seed in range(seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, args_list))
     else:
         results = [job(a) for a in args_list]
-    return results
+    results.sort(key=lambda d: tuple(d[key] for key in keys) + (d["seed"],))
+    cells = []
+    for point in points:
+        sel = [r for r in results if tuple(r[key] for key in keys) == point]
+        cells.append({**dict(zip(keys, point)), "runs": len(sel), **cell(sel)})
+        click.echo(line(cells[-1]))
+    if out:
+        pio.write_report(out, {"cells": cells, "runs": results})
+        click.echo(f"table written to {out}")
 
 
 @main.group()
@@ -363,34 +366,21 @@ def bench():
 @_guarded
 def table_proj_cmd(ns, ks, xis, seeds, workers, tmax, out):
     """Recovery-rate table over sampled nearest-point instances."""
-    args_list = [(n, k, xi, seed, tmax)
-                 for n in ns for k in ks for xi in xis
-                 for seed in range(seeds)]
-    results = _run_jobs(_proj_job, args_list, workers)
-    results.sort(key=lambda d: (d["n"], d["k"], d["xi"], d["seed"]))
-    cells = []
-    for n in ns:
-        for k in ks:
-            for xi in xis:
-                rs = [r for r in results
-                      if (r["n"], r["k"], r["xi"]) == (n, k, xi)]
-                gaps = np.array([r["gap"] for r in rs])
-                cells.append({
-                    "n": n, "k": k, "xi": xi, "runs": len(rs),
-                    "suc": int((gaps <= 1e-10).sum()),
-                    "gap_max": float(gaps.max()),
-                    "gap_mean": float(gaps.mean()),
-                    "feasibility_max": float(max(r["feasibility"] for r in rs)),
-                    "seconds_total": float(sum(r["seconds"] for r in rs)),
-                })
-    for c in cells:
-        click.echo(f"n={c['n']:5d} k={c['k']:3d} xi={c['xi']:<5g} "
-                   f"suc={c['suc']}/{c['runs']} gap_max={c['gap_max']:.2e} "
-                   f"time={c['seconds_total']:.1f}s")
-    payload = {"cells": cells, "runs": results}
-    if out:
-        pio.write_report(out, payload)
-        click.echo(f"table written to {out}")
+    def cell(rs):
+        gaps = np.array([r["gap"] for r in rs])
+        return {"suc": int((gaps <= 1e-10).sum()),
+                "gap_max": float(gaps.max()),
+                "gap_mean": float(gaps.mean()),
+                "feasibility_max": float(max(r["feasibility"] for r in rs)),
+                "seconds_total": float(sum(r["seconds"] for r in rs))}
+
+    def line(c):
+        return (f"n={c['n']:5d} k={c['k']:3d} xi={c['xi']:<5g} "
+                f"suc={c['suc']}/{c['runs']} gap_max={c['gap_max']:.2e} "
+                f"time={c['seconds_total']:.1f}s")
+
+    _bench_table(functools.partial(_proj_job, tmax=tmax),
+                 {"n": ns, "k": ks, "xi": xis}, seeds, workers, out, cell, line)
 
 
 @bench.command("table-onmf")
@@ -409,43 +399,27 @@ def table_proj_cmd(ns, ks, xis, seeds, workers, tmax, out):
 @_guarded
 def table_onmf_cmd(ns, rs_, ks, xis, seeds, workers, out):
     """Residual/feasibility table over sampled factorization instances."""
-    args_list = [(n, r, k, xi, seed)
-                 for n in ns for r in rs_ for k in ks for xi in xis
-                 for seed in range(seeds)]
-    results = _run_jobs(_onmf_job, args_list, workers)
-    results.sort(key=lambda d: (d["n"], d["r"], d["k"], d["xi"], d["seed"]))
-    cells = []
-    for n in ns:
-        for r in rs_:
-            for k in ks:
-                for xi in xis:
-                    sel = [x for x in results
-                           if (x["n"], x["r"], x["k"], x["xi"]) == (n, r, k, xi)]
-                    cells.append({
-                        "n": n, "r": r, "k": k, "xi": xi, "runs": len(sel),
-                        "resi_mean": float(np.mean([x["resi"] for x in sel])),
-                        "resi_max": float(np.max([x["resi"] for x in sel])),
-                        "resi_reference_mean": float(
-                            np.mean([x["resi_reference"] for x in sel])),
-                        "feasibility_max": float(
-                            np.max([x["feasibility"] for x in sel])),
-                        "nmi_mean": float(np.mean([x["nmi"] for x in sel])),
-                        "settled": sum(x["termination"] == "settled"
-                                       for x in sel),
-                        "seconds_total": float(
-                            np.sum([x["seconds"] for x in sel])),
-                    })
-    for c in cells:
-        click.echo(f"n={c['n']:5d} r={c['r']:5d} k={c['k']:3d} "
-                   f"xi={c['xi']:<6g} resi_max={c['resi_max']:.2e} "
-                   f"feasi_max={c['feasibility_max']:.2e} "
-                   f"nmi_mean={c['nmi_mean']:.4f} "
-                   f"settled={c['settled']}/{c['runs']} "
-                   f"time={c['seconds_total']:.1f}s")
-    payload = {"cells": cells, "runs": results}
-    if out:
-        pio.write_report(out, payload)
-        click.echo(f"table written to {out}")
+    def cell(sel):
+        return {"resi_mean": float(np.mean([x["resi"] for x in sel])),
+                "resi_max": float(np.max([x["resi"] for x in sel])),
+                "resi_reference_mean": float(
+                    np.mean([x["resi_reference"] for x in sel])),
+                "feasibility_max": float(
+                    np.max([x["feasibility"] for x in sel])),
+                "nmi_mean": float(np.mean([x["nmi"] for x in sel])),
+                "settled": sum(x["termination"] == "settled" for x in sel),
+                "seconds_total": float(np.sum([x["seconds"] for x in sel]))}
+
+    def line(c):
+        return (f"n={c['n']:5d} r={c['r']:5d} k={c['k']:3d} "
+                f"xi={c['xi']:<6g} resi_max={c['resi_max']:.2e} "
+                f"feasi_max={c['feasibility_max']:.2e} "
+                f"nmi_mean={c['nmi_mean']:.4f} "
+                f"settled={c['settled']}/{c['runs']} "
+                f"time={c['seconds_total']:.1f}s")
+
+    _bench_table(_onmf_job, {"n": ns, "r": rs_, "k": ks, "xi": xis}, seeds,
+                 workers, out, cell, line)
 
 
 if __name__ == "__main__":

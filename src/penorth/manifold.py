@@ -41,26 +41,6 @@ def inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(A.ravel(order).dot(B.ravel(order)))
 
 
-def make_tangent(X: np.ndarray, D,
-                 tol: float = TANGENT_BUILD_TOL) -> np.ndarray:
-    """Check that D is tangent at X (|x_j^T d_j| <= tol for every column)
-    and return a read-only copy of it.
-
-    Raises BadShape when D and X differ in shape, NotTangent when some
-    column is off the tangent space by more than tol.
-    """
-    X = np.asarray(X, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if D.shape != X.shape:
-        raise BadShape(f"direction shape {D.shape} != base shape {X.shape}")
-    err = np.abs(np.einsum("ij,ij->j", X, D)).max()
-    if err > tol:
-        raise NotTangent(f"max |x_j^T d_j| = {err!r} exceeds {tol!r}")
-    D = D.copy()
-    D.setflags(write=False)
-    return D
-
-
 # Column sums of squares in this range are formed without overflow, and
 # with underflowed squares too small to move them; columns outside it
 # (tiny, huge, dead or NaN) take the peak-scaled path.
@@ -271,7 +251,8 @@ def project_tangent_T(X: np.ndarray, D) -> np.ndarray:
 
     Uses the translation identity: the projection equals the projection of
     x_j + d_j onto the slice {z : x_j^T z = 1, z >= 0}, minus x_j. Returns
-    a read-only array that make_tangent has checked.
+    a read-only array. Raises NotTangent when a column stays off the
+    tangent space by more than TANGENT_BUILD_TOL.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -280,12 +261,17 @@ def project_tangent_T(X: np.ndarray, D) -> np.ndarray:
     out = project_delta_cols(X, X + D) - X
     # exact arithmetic gives x^T out_j = x^T z - 1 = 0; the float residue
     # is tiny unless the slice projection cancelled huge entries, so only
-    # then remove the radial part
+    # then remove the radial part, and check what is left of it
     residue = np.einsum("ij,ij->j", X, out)
     bad = np.abs(residue) > TANGENT_BUILD_TOL
     if bad.any():
         out[:, bad] -= X[:, bad] * residue[bad]
-    return make_tangent(X, out, tol=TANGENT_BUILD_TOL)
+        err = np.abs(np.einsum("ij,ij->j", X[:, bad], out[:, bad])).max()
+        if err > TANGENT_BUILD_TOL:
+            raise NotTangent(f"max |x_j^T d_j| = {err!r} exceeds "
+                             f"{TANGENT_BUILD_TOL!r}")
+    out.setflags(write=False)
+    return out
 
 
 def project_orthogonal_group(M) -> np.ndarray:

@@ -9,12 +9,14 @@ nonnegative points. The penalty family is
 
 with p >= 1 requiring eps = 0. PenalizedObjective is its one
 implementation, in Euclidean terms; the Riemannian gradient and Hessian
-on the oblique manifold are manifold.py's projections of them:
+on the oblique manifold, and the subproblem's stationarity residual, are
+manifold.py's functions of them:
 
     h = PenalizedObjective(f, ctx, params)
     h.value(X)
     riemannian_grad(X, h.grad(X))
     riemannian_hess_apply(X, h.grad(X), h.hess_apply(X, D), D)
+    stationarity_residual(X, h.grad(X))
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
-from .manifold import inner, norm, riemannian_grad, stationarity_residual
+from .manifold import inner, norm, riemannian_grad
 from .rounding import feasibility_violation
 from .types import SUPPORT_ZERO_TOL, Objective, PenaltyContext, PenaltyParams
 
@@ -62,28 +64,9 @@ def _penalty_scalars(X, ctx: PenaltyContext, params: PenaltyParams):
     return s, base, c, cps
 
 
-def _term_grad(X, ctx: PenaltyContext, params: PenaltyParams) -> np.ndarray:
-    """Euclidean gradient of the penalty term sigma*(zeta_q + eps)^p."""
-    c = _penalty_scalars(X, ctx, params)[2]
-    return params.sigma * c * (X @ ctx.vvt)
-
-
 def zeta(X, ctx: PenaltyContext, q: float = 2.0) -> float:
     """Orthogonality defect zeta_q(X) = ||X V||_F^q - 1 (>= 0 on the manifold)."""
     return norm(np.asarray(X, dtype=float) @ ctx.V) ** q - 1.0
-
-
-def kkt_residual_subproblem(X, ctx: PenaltyContext, params: PenaltyParams,
-                            G_f: np.ndarray) -> float:
-    """Stationarity residual ||min(X, grad P(X))||_F of the penalized problem.
-
-    Equals ||X - proj_{+}(X - grad P)||_F for entrywise-nonnegative X, so it
-    vanishes exactly at points satisfying the first-order conditions.
-    """
-    Xd = np.asarray(X, dtype=float)
-    # the Euclidean gradient of P, projected in one buffer
-    term = _term_grad(Xd, ctx, params)
-    return stationarity_residual(Xd, np.asarray(G_f, dtype=float) + term)
 
 
 class PenalizedObjective(Objective):
@@ -109,7 +92,8 @@ class PenalizedObjective(Objective):
         return fv + self.params.sigma * base ** self.params.p
 
     def grad(self, X):
-        return self.f.grad(X) + _term_grad(X, self.ctx, self.params)
+        c = _penalty_scalars(X, self.ctx, self.params)[2]
+        return self.f.grad(X) + self.params.sigma * c * (X @ self.ctx.vvt)
 
     def hess_at(self, X):
         """The Hessian at X as an operator D -> H[D]: the scalars, X V V^T

@@ -130,9 +130,13 @@ class ScaledLinearPenalty(Objective):
 
 
 class OnmfQuadObjective(Objective):
-    """f(X) = ||A - X Y^T||_F^2 for a fixed nonnegative Y (quadratic in X)."""
+    """f(X) = ||A - X Y^T||_F^2 for a fixed nonnegative Y (quadratic in X).
 
-    refine_kind = "quadratic-form"
+    At feasible X (X^T X = I) it is ||A||^2 + ||Y||^2 - 2 <A Y, X>, linear
+    in X, so its refinement is the linear one with gain A Y.
+    """
+
+    refine_kind = "linear"
 
     def __init__(self, A, Y):
         self.A = np.asarray(A, dtype=float)
@@ -157,9 +161,8 @@ class OnmfQuadObjective(Objective):
     def hess_apply(self, X, D):
         return 2.0 * (np.asarray(D, dtype=float) @ self._yty)
 
-    def refine_quadratic_submatrix(self, idx):
-        As = self.A[idx, :]
-        return As @ As.T
+    def refine_linear_C(self):
+        return self._ay
 
 
 class OpnmfObjective(Objective):
@@ -293,7 +296,8 @@ def gen_projection(n: int, k: int, xi: float, seed: int) -> ProjectionInstance:
     d = 0.5 + 3.0 * rng.random(k)
     L = xi * np.sqrt(np.outer(d, d)) * rng.random((k, k))
     np.fill_diagonal(L, d)
-    C = Xs @ L.T
+    # column-major like a target penorth.io reads: solve_projection keeps it
+    C = np.matmul(Xs, L.T, order="F")
     return ProjectionInstance(C=C, X_star=Xs, L=L, xi=float(xi), seed=seed,
                               hypothesis_ok=_uniqueness_hypothesis(L))
 
@@ -509,7 +513,6 @@ def clustering_metrics(pred, true, k: Optional[int] = None) -> dict:
     """Purity, normalized entropy and NMI of a predicted clustering.
 
     Entropy is normalized by log2(k) (k defaults to the number of
-
     predicted clusters); NMI uses max(H(pred), H(true)) and is 0 when
     either entropy vanishes. All three lie in [0, 1].
     """

@@ -199,8 +199,8 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 20
 # a caller's give_up test must hold on this many accepted iterates in a row
 # before the loop abandons its solve. The driver's test (driver.py) never
-# held on a solve the driver kept, and its anchoring part alone on at most
-# 4 iterates in a row (84 K-indicators runs)
+# held on a solve it did not stop, and its defect part (||X V||_F^2 - 1 >
+# tol_feas) on at most 4 iterates in a row (84 K-indicators runs)
 GIVE_UP_WINDOW = 10
 
 

@@ -464,8 +464,9 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
     from penorth import rounding
     from penorth.driver import postprocess
     from penorth.manifold import (inner, norm, project_oblique_plus,
-                                  project_orthogonal_group, projected_step)
-    from penorth.penalty import kkt_residual_subproblem
+                                  project_orthogonal_group, projected_step,
+                                  stationarity_residual)
+    from penorth.penalty import PenalizedObjective
     from penorth.problems import ScaledLinearPenalty, TargetDistanceObjective
     from penorth.types import PenaltyParams, make_context
 
@@ -524,9 +525,9 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
 
     Y = project_orthogonal_group(U.T @ X)
     # two-block stationarity of the unscaled penalty at the pre-rounding pair
-    res_x = kkt_residual_subproblem(
-        X, ctx, PenaltyParams(sigma=sigma, p=1.0, q=2.0, eps=0.0),
-        TargetDistanceObjective(U @ Y).grad(X))
+    res_x = stationarity_residual(X, PenalizedObjective(
+        TargetDistanceObjective(U @ Y), ctx,
+        PenaltyParams(sigma=sigma, p=1.0, q=2.0, eps=0.0)).grad(X))
     GY = 2.0 * (Y - U.T @ X)
     res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
     XR = rounding.round(X)

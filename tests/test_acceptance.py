@@ -15,9 +15,10 @@ import numpy as np
 
 from penorth import make_context, make_oblique
 from penorth.driver import ep4orth_solve, feasible_init
-from penorth.manifold import riemannian_grad, riemannian_hess_apply
+from penorth.manifold import (riemannian_grad, riemannian_hess_apply,
+                              stationarity_residual)
 from penorth.penalty import (PenalizedObjective, check_stationarity_original,
-                             kkt_residual_subproblem, zeta)
+                             zeta)
 from penorth.problems import (LinearObjective, TargetDistanceObjective,
                               clustering_metrics, gen_kindicators,
                               gen_onmf, gen_projection, kindicators_solve,
@@ -206,8 +207,9 @@ def test_constructed_stationarity_fixture():
     X_sigma2 = np.array([[0.5, 0.5], [s3, 0.0], [0.0, s3]])
     X_limit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     ctx = make_context(3, 2)
-    res = kkt_residual_subproblem(
-        X_sigma2, ctx, PenaltyParams(sigma=2.0, p=1.0, q=2.0, eps=0.0), C)
+    h = PenalizedObjective(LinearObjective(C), ctx,
+                           PenaltyParams(sigma=2.0, p=1.0, q=2.0, eps=0.0))
+    res = stationarity_residual(X_sigma2, h.grad(X_sigma2))
     rep = check_stationarity_original(X_limit, LinearObjective(C))
     ok = res <= 1e-12 and rep.classification == "weakly-stationary"
     assert verdict(ok, "stationarity-fixture",

@@ -8,15 +8,18 @@ from penorth.driver import (EPS_GRAD_MIN, SETTLE_MARGIN, SETTLE_WINDOW,
                             row_support)
 from penorth.errors import (BadShape, EmptyColumnSupport, NotFeasible,
                             ValidationError)
-from penorth.manifold import project_oblique_plus
-from penorth.penalty import zeta
-from penorth.problems import (LinearObjective, OpnmfObjective,
+from penorth.manifold import (project_oblique_plus, project_orthogonal_group,
+                              stationarity_residual)
+from penorth.penalty import PenalizedObjective, zeta
+from penorth.problems import (KindicatorsObjective, LinearObjective,
+                              OnmfQuadObjective, OpnmfObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
-                              gen_onmf, gen_projection, solve_onmf,
+                              gen_kindicators, gen_onmf, gen_projection,
+                              kindicators_solve, solve_onmf,
                               solve_projection, svd_init)
 from penorth.rounding import feasibility_violation
 from penorth.rounding import round as round_point
-from penorth.types import DriverConfig
+from penorth.types import DriverConfig, PenaltyParams
 
 import oracles
 
@@ -122,17 +125,26 @@ def test_postprocess_linear_reaches_support_optimum():
     assert feasibility_violation(out) <= 1e-14
 
 
+def test_postprocess_onmf_quad_reaches_support_optimum():
+    # at feasible X, ||A - X Y^T||^2 = ||A||^2 + ||Y||^2 - 2 <A Y, X>, so the
+    # refinement is the linear one with gain A Y
+    rng = oracles.rng_for(59)
+    for _ in range(20):
+        A = np.abs(rng.standard_normal((8, 12)))
+        f = OnmfQuadObjective(A, rng.random((12, 3)))
+        Xr = round_point(oracles.random_feasible(rng, 8, 3))
+        out = postprocess(Xr, f)
+        want = linear_support_optimum(A @ f.Y, Xr > 0)
+        assert np.allclose(out, want, rtol=0, atol=1e-15)
+        assert f.value(out) <= f.value(Xr) + 1e-12
+        assert feasibility_violation(out) <= 1e-14
+
+
 def test_postprocess_quadratic_form_improves_or_keeps():
     rng = oracles.rng_for(53)
     A = np.abs(rng.standard_normal((8, 12)))
-
-    class ProjResidual(TargetDistanceObjective.__mro__[1]):
-        pass
-
-    from penorth.problems import OnmfQuadObjective, onmf_gauss_newton_Y
     Xr = round_point(oracles.random_feasible(rng, 8, 3))
-    Y = onmf_gauss_newton_Y(A, Xr)
-    f = OnmfQuadObjective(A, Y)
+    f = OpnmfObjective(A)
     out = postprocess(Xr, f)
     assert f.value(out) <= f.value(Xr) + 1e-12
     assert feasibility_violation(out) <= 1e-14
@@ -200,6 +212,34 @@ def test_driver_history_contract():
         assert h["h_end"] <= h["h_start"] + 1e-12
     # outer break happened on the feasibility tolerance
     assert rep.history[-1]["zeta2"] <= cfg.tol_feas
+
+
+def kkt_cases():
+    """(report, f, other) of one projection, one ONMF (gn) and one
+    K-indicators solve: f is the objective the driver logs the residual
+    for, other the residual of K-indicators' second block (0 elsewhere)."""
+    C = np.asfortranarray(gen_projection(30, 3, 0.5, 1).C)
+    yield solve_projection(C), TargetDistanceObjective(C), 0.0
+    A = gen_onmf(40, 60, 3, 0.01, 1).A
+    yield solve_onmf(A, 3, variant="gn"), OpnmfObjective(A), 0.0
+    U = gen_kindicators(200, 4, 0.3, 1).U
+    rep = kindicators_solve(U)
+    Y = rep.extra["Y"]
+    GY = 2.0 * (Y - U.T @ rep.extra["X_preround"])
+    res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
+    yield rep, KindicatorsObjective(U), res_y
+
+
+def test_driver_kkt_residual_is_the_penalized_objectives():
+    # the logged residual is stationarity_residual of PenalizedObjective's
+    # gradient at the last sigma, bit for bit: the penalty has one body
+    for rep, f, other in kkt_cases():
+        X = rep.extra["X_preround"]
+        params = PenaltyParams(sigma=rep.history[-1]["sigma"])
+        want = stationarity_residual(
+            X, PenalizedObjective(f, make_context(*X.shape), params).grad(X))
+        assert rep.history[-1]["kkt_penalty"] == want
+        assert rep.kkt_residual == max(want, other)
 
 
 def overlap_start(n, k):

@@ -687,6 +687,27 @@ def test_cli_bench_table_proj_smoke(tmp_path):
     assert len(table["runs"]) == 2
 
 
+def test_cli_bench_table_keeps_repeated_grid_values(tmp_path):
+    # one cell per listed value, each over every run at its point: a value
+    # listed twice prints and writes two equal cells of 2 x seeds runs
+    out = str(tmp_path / "table.json")
+    r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.5",
+                "--xi", "0.5", "--seeds", "2", "--out", out])
+    assert r.exit_code == 0, r.output
+    row = "n=   10 k=  2 xi=0.5   suc=4/4 gap_max=-1.11e-16 time="
+    lines = r.output.splitlines()
+    assert [line.rsplit("=", 1)[0] + "=" for line in lines[:2]] == [row, row]
+    assert lines[2:] == [f"table written to {out}"]
+    table = pio.read_report(out)
+    for cell in table["cells"]:
+        assert cell.pop("seconds_total") >= 0
+    assert table["cells"] == [{"n": 10, "k": 2, "xi": 0.5, "runs": 4,
+                               "suc": 4, "gap_max": -2.0 ** -53,
+                               "gap_mean": -2.0 ** -53,
+                               "feasibility_max": 3.1401849173675503e-16}] * 2
+    assert [run["seed"] for run in table["runs"]] == [0, 0, 1, 1]
+
+
 def test_cli_bench_table_onmf_smoke(tmp_path):
     out = str(tmp_path / "table.json")
     r = invoke(["bench", "table-onmf", "--n", "16", "--r", "8", "--k", "2",

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from penorth import make_oblique
 from penorth.errors import BadShape, NotTangent
-from penorth.manifold import (_project_ob_plus_raw, inner, make_tangent, norm,
+from penorth.manifold import (_project_ob_plus_raw, inner, norm,
                               project_oblique_plus, project_orthogonal_group,
                               project_tangent_T, projected_step,
                               riemannian_grad, riemannian_hess_apply,
@@ -301,16 +301,6 @@ def test_riemannian_hess_rejects_off_tangent():
         riemannian_hess_apply(X, np.zeros_like(X), np.zeros_like(X), D)
 
 
-def test_make_tangent_validates():
-    rng = oracles.rng_for(4)
-    X = make_oblique(oracles.random_unit_columns(rng, 5, 2))
-    D = oracles.random_tangent(rng, X)
-    t = make_tangent(X, D)
-    assert np.array_equal(t, D) and not t.flags.writeable
-    with pytest.raises(NotTangent):
-        make_tangent(X, D + 0.1)
-
-
 def test_project_tangent_T_matches_oracle():
     # projection onto the support-constrained tangent cone, column by column
     rng = oracles.rng_for(5)
@@ -323,6 +313,14 @@ def test_project_tangent_T_matches_oracle():
         for j in range(2)
     ])
     assert np.allclose(got, want, atol=1e-10)
+
+
+def test_project_tangent_T_returns_a_read_only_tangent():
+    rng = oracles.rng_for(4)
+    X = make_oblique(oracles.random_feasible(rng, 6, 2))
+    D = project_tangent_T(X, rng.standard_normal((6, 2)))
+    assert not D.flags.writeable
+    assert np.abs(np.einsum("ij,ij->j", X, D)).max() <= 1e-10
 
 
 def test_project_tangent_T_survives_cancellation():

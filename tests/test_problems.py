@@ -39,6 +39,16 @@ def test_gen_projection_construction_identity():
     assert inst.xi == 0.5 and inst.seed == 11
 
 
+@pytest.mark.parametrize("n,k,seed", [(60, 4, 0), (500, 10, 3), (5000, 20, 4)])
+def test_gen_projection_target_is_column_major(n, k, seed):
+    # the layout penorth.io reads a target in, so solve_projection holds the
+    # generator's own array; the entries are those of the row-major product
+    inst = gen_projection(n, k, xi=0.5, seed=seed)
+    assert inst.C.flags.f_contiguous
+    assert np.array_equal(inst.C, inst.X_star @ inst.L.T)
+    assert np.asarray(inst.C, dtype=float, order="F") is inst.C
+
+
 def test_gen_projection_deterministic():
     a = gen_projection(10, 4, xi=0.3, seed=7)
     b = gen_projection(10, 4, xi=0.3, seed=7)
@@ -274,10 +284,9 @@ def test_refine_submatrix_is_data_gram():
     rng = oracles.rng_for(33)
     A = rng.random((9, 4))
     idx = np.array([1, 4, 7])
-    for f in (OnmfQuadObjective(A, rng.random((4, 2))), OpnmfObjective(A)):
-        S = f.refine_quadratic_submatrix(idx)
-        assert np.array_equal(S, A[idx] @ A[idx].T)
-        assert np.allclose(S, S.T)
+    S = OpnmfObjective(A).refine_quadratic_submatrix(idx)
+    assert np.array_equal(S, A[idx] @ A[idx].T)
+    assert np.allclose(S, S.T)
 
 
 def test_refine_linear_direction_signs():
