@@ -300,7 +300,8 @@ def check_kkt_cmd(inp, obj_kind, c_path, tol, out):
 def _proj_job(args, tmax=None):
     n, k, xi, seed = args
     inst = gen_projection(n, k, xi, seed)
-    cfg = projection_preset(t_max=tmax) if tmax else projection_preset()
+    cfg = (projection_preset(t_max=tmax) if tmax is not None
+           else projection_preset())
     rep = solve_projection(inst.C, cfg, X_star=inst.X_star)
     return {"n": n, "k": k, "xi": xi, "seed": seed,
             "gap": rep.extra["gap"], "feasibility": rep.feasibility,
@@ -324,12 +325,15 @@ def _onmf_job(args):
 
 def _bench_table(job, grid: dict, seeds: int, workers: int, out, cell,
                  line) -> None:
-    """Run job((*point, seed)) on every point of the grid, repeated values
-    kept, and print (line) and write one cell (cell of its runs) per point.
+    """Run job((*point, seed)) on every point of the grid, each option's
+    repeated values dropped (first seen kept), and print (line) and write
+    one cell (cell of its runs) per point. The pool starts no more workers
+    than there are jobs.
     """
     keys = tuple(grid)
-    points = list(itertools.product(*grid.values()))
+    points = list(itertools.product(*map(dict.fromkeys, grid.values())))
     args_list = [point + (seed,) for point in points for seed in range(seeds)]
+    workers = min(workers, len(args_list))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, args_list))
@@ -360,7 +364,8 @@ def bench():
               default=(0.5, 0.7, 0.9), show_default=True)
 @click.option("--seeds", type=click.IntRange(min=1), default=20,
               show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              metavar="INTEGER", show_default=True)
 @click.option("--tmax", type=int, default=None)
 @click.option("--out", default=None)
 @_guarded
@@ -394,7 +399,8 @@ def table_proj_cmd(ns, ks, xis, seeds, workers, tmax, out):
               default=(0.0, 0.01, 0.1), show_default=True)
 @click.option("--seeds", type=click.IntRange(min=1), default=5,
               show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              metavar="INTEGER", show_default=True)
 @click.option("--out", default=None)
 @_guarded
 def table_onmf_cmd(ns, rs_, ks, xis, seeds, workers, out):

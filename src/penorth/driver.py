@@ -51,8 +51,8 @@ import numpy as np
 from . import rounding
 from .errors import (BadShape, EmptyColumnSupport, NonFiniteObjective,
                      NotFeasible)
-from .manifold import norm, project_oblique_plus, stationarity_residual
-from .penalty import PenalizedObjective
+from .manifold import project_oblique_plus, stationarity_residual
+from .penalty import PenalizedObjective, zeta
 from .rounding import feasibility_violation
 from .subsolvers import gradient_projection_solve, newton_solve
 from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
@@ -218,7 +218,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     total_inner = 0
     term = "max-outer"
     kkt_penalty = np.nan
-    zeta2 = norm(X @ ctx.V) ** 2 - 1.0
+    zeta2 = zeta(X, ctx)
     outer_done = 0
     # the settled stop needs a final point that depends on the support only
     settle = (cfg.do_postprocess
@@ -238,9 +238,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             h_t = inner_factory(X, params_t)
             hX = hF = float(h_t.value(X))  # X is X_feas now
 
-        s2_start = norm(X @ ctx.V) ** 2
         solver = cfg.force_solver or (
-            "gp" if s2_start - 1.0 > cfg.zeta_switch else "newton")
+            "gp" if zeta(X, ctx) > cfg.zeta_switch else "newton")
 
         give_up = None
         if (cfg.anchor == "start" and cfg.gamma2_rule is None and not settle
@@ -255,7 +254,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             def give_up(Xd, hXd):
                 # kept by this iteration, not stopped on, anchored next
                 return (hXd <= hX
-                        and norm(Xd @ ctx.V) ** 2 - 1.0 > cfg.tol_feas
+                        and zeta(Xd, ctx) > cfg.tol_feas
                         and float(h_n.value(Xd)) > hF_n)
 
         def solve(h, start):
@@ -297,8 +296,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 
         kkt_penalty = stationarity_residual(
             Xn, PenalizedObjective(f, ctx, params_t).grad(Xn))
-        s2 = norm(Xn @ ctx.V) ** 2
-        zeta2 = s2 - 1.0
+        zeta2 = zeta(Xn, ctx)
         report.history.append({
             "t": t, "sigma": sigma, "eps_grad": eps_grad,
             "solver": solver, "inner_iterations": irep.iterations,
@@ -325,7 +323,10 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         if sigma > 1e16:
             term = "stalled"
             break
-        factor = cfg.gamma2_rule(s2) if cfg.gamma2_rule else cfg.gamma2
+        # the rule reads s2 = ||X V||_F^2, which zeta2 + 1 is to the bit
+        # (s2 - 1 is exact for s2 in [0.5, 2^53))
+        factor = (cfg.gamma2_rule(zeta2 + 1.0) if cfg.gamma2_rule
+                  else cfg.gamma2)
         if factor <= 1:
             raise BadShape(f"penalty growth factor must exceed 1, got {factor!r}")
         sigma *= factor

@@ -544,38 +544,6 @@ def clustering_metrics(pred, true, k: Optional[int] = None) -> dict:
     return {"purity": purity, "entropy": float(ent), "nmi": nmi}
 
 
-def sad(Y_true, Y_hat) -> float:
-    """Mean spectral angle (radians) between matched columns.
-
-    Columns are matched greedily by smallest angle (adequate at the tested
-    sizes and deterministic). Raises ZeroColumn on any zero column.
-    """
-    Yt = np.asarray(Y_true, dtype=float)
-    Yh = np.asarray(Y_hat, dtype=float)
-    if Yt.shape != Yh.shape or Yt.ndim != 2:
-        raise BadShape(f"need matching matrices, got {Yt.shape} and {Yh.shape}")
-    nt = np.linalg.norm(Yt, axis=0)
-    nh = np.linalg.norm(Yh, axis=0)
-    if (nt == 0).any() or (nh == 0).any():
-        raise ZeroColumn("zero column in spectral-angle input")
-    cos = np.clip((Yt / nt).T @ (Yh / nh), -1.0, 1.0)
-    ang = np.arccos(cos)
-    k = ang.shape[0]
-    rows = set(range(k))
-    cols = set(range(k))
-    total = 0.0
-    for _ in range(k):
-        best = None
-        for i in rows:
-            for j in cols:
-                if best is None or ang[i, j] < best[0]:
-                    best = (ang[i, j], i, j)
-        total += best[0]
-        rows.discard(best[1])
-        cols.discard(best[2])
-    return float(total / k)
-
-
 # ---------------------------------------------------------------------------
 # K-indicators clustering
 
@@ -651,6 +619,12 @@ class KindicatorsModel(Objective):
     The model holds no array of its own: its target is f's, which f keeps
     for the last array evaluated, so value and then grad at an iterate
     build it once.
+
+    It is a class of its own, not a ScaledLinearPenalty with a callable
+    target: that penalty would have to keep C / sigma per target array
+    (on 5000 x 40, the traced kindicators_solve peak rose from 9.12 to
+    10.07 n x k arrays) or divide by sigma on every call (one more n x k
+    division per projection step).
     """
 
     def __init__(self, f: KindicatorsObjective, ctx: PenaltyContext,

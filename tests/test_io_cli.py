@@ -687,25 +687,80 @@ def test_cli_bench_table_proj_smoke(tmp_path):
     assert len(table["runs"]) == 2
 
 
-def test_cli_bench_table_keeps_repeated_grid_values(tmp_path):
-    # one cell per listed value, each over every run at its point: a value
-    # listed twice prints and writes two equal cells of 2 x seeds runs
+def test_cli_bench_table_drops_repeated_grid_values(tmp_path):
+    # a value listed twice names one grid point: it runs once per seed and
+    # prints and writes one cell
     out = str(tmp_path / "table.json")
     r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.5",
-                "--xi", "0.5", "--seeds", "2", "--out", out])
+                "--xi", "0.5", "--n", "10", "--seeds", "2", "--out", out])
     assert r.exit_code == 0, r.output
-    row = "n=   10 k=  2 xi=0.5   suc=4/4 gap_max=-1.11e-16 time="
+    row = "n=   10 k=  2 xi=0.5   suc=2/2 gap_max=-1.11e-16 time="
     lines = r.output.splitlines()
-    assert [line.rsplit("=", 1)[0] + "=" for line in lines[:2]] == [row, row]
-    assert lines[2:] == [f"table written to {out}"]
+    assert [line.rsplit("=", 1)[0] + "=" for line in lines[:1]] == [row]
+    assert lines[1:] == [f"table written to {out}"]
     table = pio.read_report(out)
     for cell in table["cells"]:
         assert cell.pop("seconds_total") >= 0
-    assert table["cells"] == [{"n": 10, "k": 2, "xi": 0.5, "runs": 4,
-                               "suc": 4, "gap_max": -2.0 ** -53,
+    assert table["cells"] == [{"n": 10, "k": 2, "xi": 0.5, "runs": 2,
+                               "suc": 2, "gap_max": -2.0 ** -53,
                                "gap_mean": -2.0 ** -53,
-                               "feasibility_max": 3.1401849173675503e-16}] * 2
-    assert [run["seed"] for run in table["runs"]] == [0, 0, 1, 1]
+                               "feasibility_max": 3.1401849173675503e-16}]
+    assert [run["seed"] for run in table["runs"]] == [0, 1]
+
+
+def test_cli_bench_table_keeps_grid_order():
+    # repeated values are dropped, not sorted: the first listed runs first
+    r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.7",
+                "--xi", "0.5", "--xi", "0.7", "--seeds", "1"])
+    assert r.exit_code == 0, r.output
+    assert [line.split()[4] for line in r.output.splitlines()] == [
+        "xi=0.7", "xi=0.5"]
+
+
+@pytest.mark.parametrize("workers, size", [("2", [2]), ("1000000", [2]),
+                                           ("1", [])])
+def test_cli_bench_pool_is_no_larger_than_the_job_count(monkeypatch,
+                                                        workers, size):
+    # the pool forks every requested worker up front, so it is sized to the
+    # jobs (here 2), and one worker runs serially without a pool; the
+    # stand-in records the pool's size and starts no process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr("penorth.cli.ProcessPoolExecutor", Pool)
+    r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.5",
+                "--seeds", "2", "--workers", workers])
+    assert r.exit_code == 0, r.output
+    assert "suc=2/2" in r.output
+    assert sizes == size
+
+
+@pytest.mark.parametrize("table", ["table-proj", "table-onmf"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_bench_rejects_fewer_than_one_worker(table, workers):
+    r = invoke(["bench", table, "--workers", workers])
+    assert r.exit_code == 2, r.output
+    assert "--workers" in r.output
+
+
+def test_cli_bench_table_proj_rejects_zero_tmax():
+    # as project --tmax 0 does; 0 must not fall back to the preset's t_max
+    r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.5",
+                "--seeds", "1", "--tmax", "0"])
+    assert r.exit_code == 2, r.output
+    assert "t_max and max_inner must be at least 1" in r.output
 
 
 def test_cli_bench_table_onmf_smoke(tmp_path):

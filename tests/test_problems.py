@@ -20,7 +20,7 @@ from penorth.problems import (KindicatorsInstance, KindicatorsModel,
                               _uniqueness_hypothesis, clustering_metrics,
                               drop_zero_columns, gap, gen_kindicators,
                               gen_onmf, gen_projection, kindicators_solve,
-                              onmf_gauss_newton_Y, resi, sad, solve_onmf,
+                              onmf_gauss_newton_Y, resi, solve_onmf,
                               solve_projection, svd_init)
 from penorth.rounding import feasibility_violation
 
@@ -484,21 +484,6 @@ def test_clustering_metrics_rejects_bad_labels():
         clustering_metrics(np.array([0, 1, 1]), np.array([0, 1]))
     with pytest.raises(BadLabels):
         clustering_metrics(np.array([], dtype=int), np.array([], dtype=int))
-
-
-def test_sad_angles():
-    Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    assert sad(Y, Y) == pytest.approx(0.0, abs=1e-12)
-    assert sad(Y, 2.0 * Y) == pytest.approx(0.0, abs=1e-12)  # scale-free
-    a = np.array([[1.0], [0.0]])
-    b = np.array([[0.0], [1.0]])
-    assert sad(a, b) == pytest.approx(np.pi / 2)
-    # matching absorbs a column permutation
-    assert sad(Y, Y[:, ::-1]) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ZeroColumn):
-        sad(Y, np.zeros_like(Y))
-    with pytest.raises(BadShape):
-        sad(Y, Y[:, :1])
 
 
 # --------------------------------------------------------------------------
