@@ -39,7 +39,7 @@ was armed on 117 solves. It stopped all 33 that the driver then
 discarded, after 11-22 iterates where they had run 15-500, and none of
 the other 84: on those the full test never held, and of its parts the
 defect test held on at most 4 iterates in a row (the keep and anchoring
-tests on up to 437 and 500).
+tests on up to 439 and 500).
 """
 from __future__ import annotations
 
@@ -374,9 +374,7 @@ def kindicators_preset(**overrides) -> DriverConfig:
 
     With "start" and a fixed growth factor, an inner solve stops early once
     the next outer iteration is sure to discard it and restart from the
-    anchor (module docstring): GIVE_UP_WINDOW = 10 iterates in a row. On
-    the solves it did not stop the test never held, and its defect part
-    on at most 4 iterates in a row.
+    anchor (module docstring).
     """
     base = dict(sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
                 eps_grad0=1e-3, t_max=60, max_inner=500,

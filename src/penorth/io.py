@@ -112,7 +112,7 @@ def _read_mm(path: str) -> np.ndarray:
                 return _parse_mm(fh)
             except ParseError:
                 # a byte that is not UTF-8 anywhere in the file is the error
-                # reported, as when whole files were decoded before parsing
+                # reported, wherever the parse failed
                 while fh.read(1 << 16):
                     pass
                 raise

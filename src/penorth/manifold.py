@@ -29,15 +29,27 @@ def norm(A: np.ndarray) -> float:
     return float(np.sqrt(a.dot(a)))
 
 
-def inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean metric.
+def _order(*arrays) -> str:
+    """The memory order for an n x k array made from these operands: "F"
+    when every one is column-major (|strides[0]| < |strides[1]|, as a
+    matrix penorth.io reads), "C" otherwise.
 
-    One BLAS dot over the entries in memory order when both operands are
-    column-major, as norm sums: the same bits as np.tensordot(A.T, B.T),
-    and neither is copied. Otherwise over the row-major entries: the same
-    bits as np.tensordot(A, B), without its reshaping overhead.
+    This is the one layout rule. inner sums in this order, and
+    projected_step, stationarity_residual and the objectives' gradients
+    and targets form their arrays in it. The solve entry points take their
+    data column-major, so a solve's bits depend neither on the layout of
+    its input nor on when numpy reuses a temporary. newton_solve alone
+    keeps a row-major copy of its start: its Krylov vectors are row-major
+    ravels of n x k arrays.
     """
-    order = "F" if A.flags.f_contiguous and B.flags.f_contiguous else "C"
+    cols = all(abs(a.strides[0]) < abs(a.strides[1]) for a in arrays)
+    return "F" if cols else "C"
+
+
+def inner(A: np.ndarray, B: np.ndarray) -> float:
+    """Frobenius inner product <A, B> = sum_ij A_ij B_ij, the Euclidean
+    metric: one BLAS dot over the entries in _order(A, B)."""
+    order = _order(A, B)
     return float(A.ravel(order).dot(B.ravel(order)))
 
 
@@ -59,11 +71,10 @@ def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
 
     One pass in C's own layout: y = max(C, 0) in a new array laid out like
     C, its column sums of squares ss_j by einsum, and each column with
-    SS_MIN <= ss_j <= SS_MAX divided in place by sqrt(ss_j). Callers'
-    later reductions over the iterate ravel in memory order, so the
-    result keeps C's layout. The other columns (squares that underflow or
-    overflow, dead and NaN columns) are scaled by their peak first and
-    normalized by the pairwise sum of the scaled squares.
+    SS_MIN <= ss_j <= SS_MAX divided in place by sqrt(ss_j). The other
+    columns (squares that underflow or overflow, dead and NaN columns) are
+    scaled by their peak first and normalized by the pairwise sum of the
+    scaled squares.
     """
     y = np.maximum(C, 0.0)
     ss = np.einsum("ij,ij->j", y, y)
@@ -85,19 +96,10 @@ def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
 
 def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
     """_project_ob_plus_raw(X - alpha * G), with X - alpha * G built in one
-    temporary.
-
-    The temporary gets the memory layout numpy gives X - alpha * G:
-    Fortran-like only when both X and G are, C order otherwise, and the
-    projection keeps it. ScaledLinearPenalty forms its gradient in X's
-    layout, so a column-major start (a target as penorth.io reads it)
-    keeps every iterate column-major, where the projection's column
-    sums and divisions run down contiguous columns. Two n x k arrays are
-    live at the peak: the temporary and the projection's result.
+    temporary in _order(X, G), which the projection keeps. Two n x k
+    arrays are live at the peak: the temporary and the projection's result.
     """
-    # a row-major X makes numpy's result row-major whatever G's layout
-    x_cols = abs(X.strides[0]) < abs(X.strides[1])
-    T = np.multiply(alpha, G, order="K" if x_cols else "C")
+    T = np.multiply(alpha, G, order=_order(X, G))
     np.subtract(X, T, out=T)
     return _project_ob_plus_raw(T)
 
@@ -212,16 +214,9 @@ def riemannian_grad(X, G) -> np.ndarray:
 
 
 def stationarity_residual(X: np.ndarray, G: np.ndarray) -> float:
-    """norm(np.minimum(X, riemannian_grad(X, G))), formed in one buffer.
-
-    The buffer gets the memory layout numpy gives that expression:
-    Fortran order only when both X and G are column-major, C order
-    otherwise. norm sums in memory order, so another layout would change
-    its bits.
-    """
-    cols = (abs(X.strides[0]) < abs(X.strides[1])
-            and abs(G.strides[0]) < abs(G.strides[1]))
-    R = np.multiply(X, np.einsum("ij,ij->j", X, G), order="F" if cols else "C")
+    """norm(np.minimum(X, riemannian_grad(X, G))), formed in one buffer
+    in _order(X, G)."""
+    R = np.multiply(X, np.einsum("ij,ij->j", X, G), order=_order(X, G))
     np.subtract(G, R, out=R)
     np.minimum(X, R, out=R)
     return norm(R)

@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
-from .manifold import inner, norm, riemannian_grad
+from .manifold import _order, inner, norm, riemannian_grad
 from .rounding import feasibility_violation
 from .types import SUPPORT_ZERO_TOL, Objective, PenaltyContext, PenaltyParams
 
@@ -93,7 +93,10 @@ class PenalizedObjective(Objective):
 
     def grad(self, X):
         c = _penalty_scalars(X, self.ctx, self.params)[2]
-        return self.f.grad(X) + self.params.sigma * c * (X @ self.ctx.vvt)
+        G = np.matmul(X, self.ctx.vvt, order=_order(X))
+        G *= self.params.sigma * c
+        G += self.f.grad(X)
+        return G
 
     def hess_at(self, X):
         """The Hessian at X as an operator D -> H[D]: the scalars, X V V^T
@@ -150,7 +153,7 @@ def check_stationarity_original(X, f: Objective,
     if Xd.ndim != 2:
         raise BadShape("check_stationarity_original needs a matrix")
     viol = feasibility_violation(Xd)
-    if viol > 1e-10:
+    if not viol <= 1e-10:
         raise NotFeasible(f"feasibility violation {viol!r} exceeds 1e-10")
     supp = np.abs(Xd) > SUPPORT_ZERO_TOL
     # zeros in all-zero rows: the only entries under the sign condition

@@ -23,7 +23,7 @@ from .driver import (ep4orth_solve, feasible_init, kindicators_preset,
                      onmf_preset, postprocess, projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
                      SingularGram, ZeroColumn)
-from .manifold import (inner, norm, project_oblique_plus,
+from .manifold import (_order, inner, norm, project_oblique_plus,
                        project_orthogonal_group)
 from .penalty import PenalizedObjective
 from .rounding import feasibility_violation
@@ -92,7 +92,7 @@ class ScaledLinearPenalty(Objective):
     then the gradient, at each iterate, and the gradient
     (X V) V^T - C / sigma is the sum over the r columns v_l of V of the
     rank-one products (X v_l) v_l^T, one product for the default r = 1,
-    formed in X's memory layout. Its constant term C / sigma is formed
+    formed in _order(X). Its constant term C / sigma is formed
     at the first gradient and kept for the next ones; a model used for
     one gradient holds it no longer.
     """
@@ -118,8 +118,7 @@ class ScaledLinearPenalty(Objective):
         if self._c_sigma is None:
             self._c_sigma = self.C / self.sigma
         XV, V = self._xv(X), self.ctx.V
-        order = "F" if abs(X.strides[0]) < abs(X.strides[1]) else "C"
-        G = np.multiply(XV[:, :1], V[:, 0], order=order)
+        G = np.multiply(XV[:, :1], V[:, 0], order=_order(X))
         for j in range(1, V.shape[1]):
             G += XV[:, j:j + 1] * V[:, j]
         G -= self._c_sigma
@@ -146,8 +145,8 @@ class OnmfQuadObjective(Objective):
                 f"A has {self.A.shape[1]} columns but Y has {self.Y.shape[0]} rows")
         self._yty = self.Y.T @ self.Y
         self._ay = self.A @ self.Y
-        # ||A||^2 summed in row-major order whatever A's layout: a
-        # column-major A (as penorth.io reads it) is copied for it once
+        # ||A||^2 summed in row-major order whatever A's layout, one copy
+        # of the column-major A solve_onmf passes
         A_rows = np.ascontiguousarray(self.A)
         self._a_sq = inner(A_rows, A_rows)
 
@@ -296,7 +295,7 @@ def gen_projection(n: int, k: int, xi: float, seed: int) -> ProjectionInstance:
     d = 0.5 + 3.0 * rng.random(k)
     L = xi * np.sqrt(np.outer(d, d)) * rng.random((k, k))
     np.fill_diagonal(L, d)
-    # column-major like a target penorth.io reads: solve_projection keeps it
+    # column-major, so solve_projection holds this array, not a copy
     C = np.matmul(Xs, L.T, order="F")
     return ProjectionInstance(C=C, X_star=Xs, L=L, xi=float(xi), seed=seed,
                               hypothesis_ok=_uniqueness_hypothesis(L))
@@ -324,12 +323,11 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     """Nearest feasible point to C via the exact-penalty driver.
 
     Uses the projection preset: fixed-step projected gradient on the
-    rescaled linear model, start and anchor at round(project(C)). The
-    solve holds one target, column-major: C itself when it is, as
-    penorth.io reads it, one copy otherwise. f and every outer model
-    share it, and the iterates keep its layout. With X_star,
-    extra["gap"] is gap(final, X_star, C); an X_star of another shape
-    than C raises DimensionMismatch before the solve.
+    rescaled linear model, start and anchor at round(project(C)). f and
+    every outer model share one column-major target: C itself when it is,
+    one copy otherwise. With X_star, extra["gap"] is gap(final, X_star,
+    C); an X_star of another shape than C raises DimensionMismatch before
+    the solve.
     """
     C = np.asarray(C, dtype=float, order="F")
     if C.ndim != 2:
@@ -441,7 +439,7 @@ def resi(A: np.ndarray, X) -> float:
     """
     A = np.asarray(A, dtype=float)
     Xd = np.asarray(X, dtype=float)
-    if feasibility_violation(Xd) > 1e-8:
+    if not feasibility_violation(Xd) <= 1e-8:
         raise NotFeasible("resi is only meaningful at feasible points")
     return float(np.linalg.norm(A - Xd @ (Xd.T @ A)))
 
@@ -455,11 +453,12 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
     variant "direct": minimizes the quartic projective objective itself.
     Reported objective and resi refer to the projective residual at the
     final feasible point. cfg defaults to onmf_preset(); hyperspectral
-    data take onmf_preset(hyperspectral=True).
+    data take onmf_preset(hyperspectral=True). A is used column-major
+    (copied once if it is not).
     """
     if variant not in ("gn", "direct"):
         raise BadShape(f"unknown variant {variant!r}")
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A, dtype=float, order="F")
     if A.ndim != 2:
         raise BadShape("A must be a matrix")
     if not np.isfinite(A).all():
@@ -529,7 +528,7 @@ def clustering_metrics(pred, true, k: Optional[int] = None) -> dict:
             pos = col > 0
             if pos.any():
                 ent += float((col[pos] * np.log2(col[pos] / cluster_sizes[j])).sum())
-        ent = -ent / (n * np.log2(k))
+        ent = 0.0 - ent / (n * np.log2(k))  # +0.0, not -0.0, at zero
     h_true = _entropy_bits(table.sum(axis=1) / n)
     h_pred = _entropy_bits(cluster_sizes / n)
     mi = 0.0
@@ -597,7 +596,8 @@ class KindicatorsObjective(Objective):
         """U Y for the Procrustes factor Y = polar(U^T X)."""
         if X is not self._X:
             self._X = self._target = None  # free the old target first
-            target = self.U @ project_orthogonal_group(self.U.T @ X)
+            target = np.matmul(self.U, project_orthogonal_group(self.U.T @ X),
+                               order=_order(X))
             target.setflags(write=False)  # handed to every caller
             self._X, self._target = X, target
         return self._target
@@ -650,15 +650,18 @@ def kindicators_solve(U: np.ndarray,
     refined against U Y, Y = polar(U^T X) at the pre-rounding iterate X;
     labels are its row argmax. kkt_residual covers both blocks (X, Y), and
     extra["max_iterate_dev"] is the larger of X's column-norm and Y's
-    orthogonality deviations.
+    orthogonality deviations. U is used column-major (copied once if it is
+    not).
     """
     t0 = time.perf_counter()
-    U = np.asarray(U, dtype=float)
+    U = np.asarray(U, dtype=float, order="F")
     if U.ndim != 2 or U.shape[0] < U.shape[1]:
         raise BadShape("U must be n x k with n >= k")
+    if not np.isfinite(U).all():
+        raise BadShape("U contains non-finite entries")
     n, k = U.shape
     orth_dev = float(np.linalg.norm(U.T @ U - np.eye(k)))
-    if orth_dev > 1e-8:
+    if not orth_dev <= 1e-8:
         raise BadShape(f"U columns must be orthonormal, deviation {orth_dev!r}")
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else kindicators_preset()

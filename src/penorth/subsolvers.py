@@ -198,9 +198,8 @@ ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 20
 # a caller's give_up test must hold on this many accepted iterates in a row
-# before the loop abandons its solve. The driver's test (driver.py) never
-# held on a solve it did not stop, and its defect part (||X V||_F^2 - 1 >
-# tol_feas) on at most 4 iterates in a row (84 K-indicators runs)
+# before the loop abandons its solve (the driver's test and its measured
+# margin: driver.py's module docstring)
 GIVE_UP_WINDOW = 10
 
 
@@ -458,7 +457,7 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
     bound it was checked against, and the accept/reject outcome. X0 is
     checked and copied on entry, each accepted trial checked once.
     """
-    # a C-ordered copy, as every trial is: reductions ravel in memory order
+    # a row-major copy, as every trial is (manifold._order)
     X = make_oblique(X0)
     fX = float(h.value(X))
     tau = TAU0

@@ -219,8 +219,8 @@ class DriverConfig:
             start before solving whenever the start compares worse. With
             "start" and gamma2_rule unset, a projected-gradient solve also
             stops once it has been headed for the next iteration's reset
-            for GIVE_UP_WINDOW = 10 iterates in a row; on the solves it
-            did not stop the test never held (driver module docstring).
+            for GIVE_UP_WINDOW = 10 iterates in a row (driver module
+            docstring).
     """
 
     sigma0: float = 1e-2

@@ -470,12 +470,12 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
     from penorth.problems import ScaledLinearPenalty, TargetDistanceObjective
     from penorth.types import PenaltyParams, make_context
 
-    U = np.asarray(U, dtype=float)
+    U = np.asarray(U, dtype=float, order="F")
     n, k = U.shape
     ctx = make_context(n, k)
 
     def model(Y, sigma):
-        return ScaledLinearPenalty(U @ Y, ctx, sigma)
+        return ScaledLinearPenalty(np.matmul(U, Y, order="F"), ctx, sigma)
 
     X = project_oblique_plus(U)
     Xf = rounding.round(X)
@@ -491,7 +491,7 @@ def kindicators_reference(U, sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
         Y = project_orthogonal_group(U.T @ X)
         anchored = False
         if model(Y, sigma).value(X) > model(Yf, sigma).value(Xf):
-            X, Y = Xf.copy(), Yf
+            X, Y = Xf.copy(order="F"), Yf
             anchored = True
         Xp = Gp = None
         it = 0

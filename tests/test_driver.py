@@ -220,9 +220,9 @@ def kkt_cases():
     for, other the residual of K-indicators' second block (0 elsewhere)."""
     C = np.asfortranarray(gen_projection(30, 3, 0.5, 1).C)
     yield solve_projection(C), TargetDistanceObjective(C), 0.0
-    A = gen_onmf(40, 60, 3, 0.01, 1).A
+    A = np.asfortranarray(gen_onmf(40, 60, 3, 0.01, 1).A)
     yield solve_onmf(A, 3, variant="gn"), OpnmfObjective(A), 0.0
-    U = gen_kindicators(200, 4, 0.3, 1).U
+    U = np.asfortranarray(gen_kindicators(200, 4, 0.3, 1).U)
     rep = kindicators_solve(U)
     Y = rep.extra["Y"]
     GY = 2.0 * (Y - U.T @ rep.extra["X_preround"])

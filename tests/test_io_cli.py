@@ -488,6 +488,27 @@ def test_cli_kindicators_labels_file(tmp_path):
     assert np.array_equal(np.argmax(X, axis=1), pred)
 
 
+def test_cli_and_library_give_the_same_answer(tmp_path):
+    # the CLI reads its input column-major, the generators make it
+    # row-major: the solves agree bit for bit all the same
+    from penorth.problems import (gen_kindicators, gen_onmf,
+                                  kindicators_solve, solve_onmf)
+    U = gen_kindicators(40, 3, 0.1, 62).U
+    upath, sol = str(tmp_path / "U.mtx"), str(tmp_path / "X.mtx")
+    pio.write_matrix(upath, U)
+    r = invoke(["kindicators", "--in", upath, "--save-solution", sol])
+    assert r.exit_code == 0, r.output
+    assert pio.read_matrix(sol).tobytes() == kindicators_solve(U).final.tobytes()
+
+    A = gen_onmf(40, 60, 3, 0.01, 1).A
+    apath, rep_path = str(tmp_path / "A.mtx"), str(tmp_path / "rep.json")
+    pio.write_matrix(apath, A)
+    r = invoke(["onmf", "--in", apath, "--k", "3", "--out", rep_path])
+    assert r.exit_code == 0, r.output
+    assert (pio.read_report(rep_path)["kkt_residual"]
+            == solve_onmf(A, 3).kkt_residual)
+
+
 def test_cli_check_kkt(tmp_path):
     X = np.zeros((3, 2))
     X[0, 0] = X[1, 1] = 1.0

@@ -18,7 +18,7 @@ from penorth.manifold import (riemannian_grad, riemannian_hess_apply,
 from penorth.penalty import (PenalizedObjective, check_stationarity_original,
                              zeta)
 from penorth.problems import (LinearObjective, OnmfQuadObjective,
-                              OpnmfObjective)
+                              OpnmfObjective, TargetDistanceObjective)
 from penorth.types import PenaltyParams
 
 import oracles
@@ -203,6 +203,29 @@ def test_stationarity_check_requires_feasible_input():
     X = np.full((4, 2), 0.5)  # unit columns but far from orthogonal
     with pytest.raises(NotFeasible):
         check_stationarity_original(X, LinearObjective(np.zeros((4, 2))))
+    # a NaN violation fails every comparison, so "above the tolerance" alone
+    # would classify an all-NaN point as stationary
+    with pytest.raises(NotFeasible):
+        check_stationarity_original(np.full((4, 2), np.nan),
+                                    LinearObjective(np.zeros((4, 2))))
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (5000, 20)])  # both sides of 256 KiB
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_penalized_grad_takes_the_layout_rule(n, k, order):
+    # the gradient is formed in manifold._order(X) at every size, not in
+    # whatever layout numpy's temporary elision leaves, with the formula's bits
+    rng = oracles.rng_for(n + k)
+    X = np.asarray(oracles.random_unit_columns(rng, n, k), order=order)
+    C = np.asarray(rng.standard_normal((n, k)), order=order)
+    ctx = make_context(n, k)
+    f = TargetDistanceObjective(C)
+    h = PenalizedObjective(f, ctx, params_p1q2(3.0))
+    G = h.grad(X)
+    assert G.flags.f_contiguous == (order == "F")
+    assert G.flags.c_contiguous == (order == "C")
+    # at p = 1, q = 2 the penalty term's gradient is sigma * 2 X V V^T
+    assert np.array_equal(G, f.grad(X) + 3.0 * 2.0 * (X @ ctx.vvt))
 
 
 # --------------------------------------------------------------------------

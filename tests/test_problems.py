@@ -5,6 +5,8 @@ against central differences; the clipped normal-equations update is checked
 against a least-squares oracle; metric functions are pinned on hand-sized
 examples where the answer is computable by inspection.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from penorth import io as pio
 from penorth import driver, make_context, make_oblique, subsolvers
 from penorth.driver import kindicators_preset
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
+from penorth.manifold import project_orthogonal_group
 from penorth.problems import (KindicatorsInstance, KindicatorsModel,
                               KindicatorsObjective, LinearObjective,
                               OnmfInstance, OnmfQuadObjective, OpnmfObjective,
@@ -334,6 +337,9 @@ def test_resi_zero_on_exact_factorization():
     assert resi(A, B) <= 1e-12
     with pytest.raises(NotFeasible):
         resi(A, np.full((12, 4), 1.0 / np.sqrt(12)))
+    # a NaN violation fails every comparison; it is not a feasible point
+    with pytest.raises(NotFeasible):
+        resi(A, np.full((12, 4), np.nan))
 
 
 def test_gen_onmf_planted_basis_spans_clean_data():
@@ -469,6 +475,8 @@ def test_clustering_metrics_perfect_and_permuted():
     m = clustering_metrics(true.copy(), true)
     assert m == {"purity": 1.0, "entropy": pytest.approx(0.0, abs=1e-12),
                  "nmi": pytest.approx(1.0)}
+    # +0.0, which a report prints as 0.0, not -0.0
+    assert math.copysign(1.0, m["entropy"]) == 1.0
     perm = np.array([2, 0, 1])[true]  # relabeled clusters, same partition
     mp = clustering_metrics(perm, true)
     assert mp["purity"] == 1.0
@@ -579,7 +587,7 @@ def test_kindicators_abandons_a_solve_the_next_iteration_discards(
 def test_kindicators_keeps_a_solve_the_rule_comes_close_to(monkeypatch):
     # a solve the driver keeps, on which parts of the give-up test hold but
     # never together: h is at most its start value on the first 7 iterates
-    # only, and the next model would anchor on 292 in a row after them. The
+    # only, and the next model would anchor on 303 in a row after them. The
     # whole test never holds, and a test that never holds leaves the loop's
     # bits as they were (test_subsolvers.py)
     held = []
@@ -593,10 +601,10 @@ def test_kindicators_keeps_a_solve_the_rule_comes_close_to(monkeypatch):
 
     monkeypatch.setattr(driver, "gradient_projection_solve", watched_solve)
     rep = kindicators_solve(gen_kindicators(1000, 10, 0.6, 1).U)
-    assert (rep.outer_iterations, rep.inner_iterations) == (1, 300)
+    assert (rep.outer_iterations, rep.inner_iterations) == (1, 311)
     assert rep.history[0]["inner_flags"] == []
     # asked on every iterate but the last, which met the tolerance
-    assert len(held) == 299 and not any(held)
+    assert len(held) == 310 and not any(held)
 
 
 def kindicators_point(seed, n=8, k=3):
@@ -642,6 +650,53 @@ def test_kindicators_solve_rejects_nonorthonormal():
         kindicators_solve(rng.random((10, 3)))
     with pytest.raises(BadShape):
         kindicators_solve(np.eye(3)[:, :2][:1])  # n < k
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kindicators_solve_rejects_non_finite_U(bad):
+    U = gen_kindicators(20, 3, 0.1, 1).U
+    U[4, 1] = bad
+    with pytest.raises(BadShape, match="U contains non-finite entries"):
+        kindicators_solve(U)
+    # an all-NaN U fails every comparison, the orthonormality test included
+    with pytest.raises(BadShape, match="U contains non-finite entries"):
+        kindicators_solve(np.full((20, 3), bad))
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (5000, 20)])  # both sides of 256 KiB
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kindicators_target_takes_the_layout_rule(n, k, order):
+    # U Y is formed in manifold._order(X), the iterate's layout, with the
+    # bits of the product
+    U = np.asarray(gen_kindicators(n, k, 0.3, 1).U, order=order)
+    X = np.asarray(oracles.random_unit_columns(oracles.rng_for(n), n, k),
+                   order=order)
+    T = KindicatorsObjective(U).target(X)
+    assert T.flags.f_contiguous == (order == "F")
+    assert T.flags.c_contiguous == (order == "C")
+    assert np.array_equal(T, U @ project_orthogonal_group(U.T @ X))
+
+
+@pytest.mark.parametrize("solve,make", [
+    (solve_projection, lambda: gen_projection(30, 3, 0.5, 1).C),
+    (lambda A: solve_onmf(A, 3, variant="gn"),
+     lambda: gen_onmf(40, 60, 3, 0.01, 1).A),
+    (lambda A: solve_onmf(A, 3, variant="direct"),
+     lambda: gen_onmf(40, 60, 3, 0.01, 1).A),
+    (kindicators_solve, lambda: gen_kindicators(40, 3, 0.1, 62).U),
+    (kindicators_solve, lambda: gen_kindicators(220, 8, 0.9, 104).U),
+    (kindicators_solve, lambda: gen_kindicators(2000, 20, 0.5, 2).U),
+], ids=["projection", "onmf-gn", "onmf-direct", "kindicators-40x3",
+        "kindicators-220x8", "kindicators-2000x20"])
+def test_solves_do_not_depend_on_the_input_layout(solve, make):
+    a, b = (solve(np.asarray(make(), order=order)) for order in "CF")
+    assert a.final.tobytes() == b.final.tobytes()
+    for field in ("objective", "kkt_residual", "outer_iterations",
+                  "inner_iterations", "termination"):
+        assert getattr(a, field) == getattr(b, field), field
+    # repr spells every float exactly, NaN included
+    assert repr(a.history) == repr(b.history)
+    assert np.array_equal(a.extra.get("labels", []), b.extra.get("labels", []))
 
 
 # --------------------------------------------------------------------------
