@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from penorth import driver, make_context, make_oblique
-from penorth.driver import (EPS_GRAD_MIN, SETTLE_MARGIN, SETTLE_WINDOW,
+from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, SETTLE_MARGIN,
+                            SETTLE_WINDOW, _row_move_gains, _row_move_optimal,
                             ep4orth_solve, feasible_init, kindicators_preset,
                             onmf_preset, postprocess, projection_preset,
                             row_support)
@@ -377,6 +378,103 @@ def test_row_support_labels_live_rows_and_sees_ties():
     # column 1 is no row's argmax, so rounding would reset the point
     assert row_support(np.array([[0.9, 0.1], [0.8, 0.2]]))[1] == 0.0
     assert row_support(np.zeros((3, 2)))[1] == 0.0  # no live row
+
+
+def refined_sum(C, labels):
+    """sum_j ||C+_{S_j, j}|| over the rows S_j labelled j, by definition."""
+    P = np.maximum(C, 0.0)
+    return sum(np.linalg.norm(P[labels == j, j]) for j in range(C.shape[1]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_move_gains_match_brute_force(seed):
+    # every single-row move, recomputed from the definition: a row alone in
+    # its column has none, a row labelled -1 only joins; entries of C below
+    # 0 (clipped to 0) and rows left out of the support are both drawn
+    rng = oracles.rng_for(900 + seed)
+    n, k = 9, 3
+    C = rng.standard_normal((n, k)) + 0.5
+    labels = np.concatenate([np.arange(k), rng.integers(-1, k, size=n - k)])
+    labels[rng.integers(k, n - 1)] = -1
+    labels[labels == 2] = 0
+    labels[2] = 2  # column 2 holds one row
+    for j in range(k):
+        C[labels == j, j] = np.abs(C[labels == j, j]) + 0.1
+    C[n - 1, 0], labels[n - 1] = -0.3, 0  # in column 0, clipped to 0 there
+    G, total = _row_move_gains(C, labels)
+    base = refined_sum(C, labels)
+    assert total == pytest.approx(base, rel=1e-14)
+    counts = np.bincount(labels[labels >= 0], minlength=k)
+    for i in range(n):
+        for b in range(k):
+            a = labels[i]
+            if b == a or (a >= 0 and counts[a] == 1):
+                assert G[i, b] == -np.inf
+                continue
+            moved = labels.copy()
+            moved[i] = b
+            assert G[i, b] == pytest.approx(refined_sum(C, moved) - base,
+                                            abs=1e-13)
+    assert (labels == -1).any()
+    assert (G[labels == -1] > -np.inf).all()  # an empty row may join any
+    assert (G[2] == -np.inf).all()  # the lone row of column 2 stays
+
+
+def test_row_move_gains_need_every_column_refined():
+    # a column with no row, or only rows where C <= 0, is refined to a
+    # coordinate vector, which the gains do not describe: no certificate
+    C = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
+    assert _row_move_gains(C, np.array([0, 0, 0])) is None
+    assert _row_move_gains(C, np.array([0, -1, 1])) is None
+    assert not _row_move_optimal(C, np.array([0, -1, 1]))
+    assert _row_move_optimal(C, np.array([0, 1, 0]))
+
+
+def test_row_move_certificate_refuses_an_improving_move():
+    # row 2 gains more in column 0 than it loses in column 1
+    C = np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 0.1]])
+    G, total = _row_move_gains(C, np.array([0, 1, 1]))
+    assert G[2, 0] > CERTIFY_RTOL * total
+    assert not _row_move_optimal(C, np.array([0, 1, 1]))
+    assert _row_move_optimal(C, np.array([0, 1, 0]))
+    # a row left out of the support that could join is an improving move
+    assert not _row_move_optimal(C, np.array([0, 1, -1]))
+
+
+LINEAR_SUPPORT_KEYS = SUPPORT_KEYS | {"support_certified"}
+
+
+def test_driver_settles_by_row_move_certificate():
+    # the second outer iteration keeps the first one's row argmax, and its
+    # refined point has no improving row move: the run stops there, long
+    # before the window would, on the support the full continuation
+    # (to tol_feas, unrefined) rounds to
+    inst = gen_projection(500, 10, 0.7, seed=3)
+    rep = solve_projection(inst.C, X_star=inst.X_star)
+    full = solve_projection(inst.C, projection_preset(do_postprocess=False))
+    assert full.termination == "feasibility-tol"
+    assert all(set(h) == HISTORY_KEYS for h in full.history)
+    assert rep.termination == "settled"
+    assert all(set(h) == HISTORY_KEYS | LINEAR_SUPPORT_KEYS
+               for h in rep.history)
+    assert [h["support_certified"] for h in rep.history] == [False, True]
+    assert rep.history[-1]["support_unchanged"] == 1 < SETTLE_WINDOW
+    assert rep.outer_iterations < full.outer_iterations
+    assert np.array_equal(rep.final > 0, full.final > 0)
+    assert rep.extra["gap"] <= 1e-12
+    assert rep.feasibility <= 1e-12
+
+
+def test_driver_does_not_certify_a_support_with_an_improving_move():
+    # heavy noise: the row argmax holds for two outer iterations, but its
+    # refined point has an improving row move, so the run goes on, its
+    # support moves, and it ends as it did without the certificate
+    inst = gen_projection(40, 4, 1.5, seed=0)
+    rep = solve_projection(inst.C)
+    unchanged = [h.get("support_unchanged") for h in rep.history]
+    assert unchanged[:5] == [0, 1, 2, 0, 1]
+    assert not any(h.get("support_certified") for h in rep.history)
+    assert rep.termination == "feasibility-tol"
 
 
 def fallback_rewarding_setup(n=6, k=2):

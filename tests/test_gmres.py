@@ -1,9 +1,9 @@
 """The Krylov kernel of the semismooth Newton step.
 
-subsolvers.gmres performs scipy's restarted GMRES operation for operation,
-and subsolvers._lartg is LAPACK's dlartg, so both are compared with scipy
-bit for bit: the solution's bytes and the info code, and each rotation's
-(c, s, r). scipy is a test dependency only.
+subsolvers.gmres performs scipy's restarted GMRES operation for operation
+until a restart cycle stalls, and subsolvers._lartg is LAPACK's dlartg, so
+both are compared with scipy bit for bit: the solution's bytes and the info
+code, and each rotation's (c, s, r). scipy is a test dependency only.
 """
 import struct
 
@@ -101,6 +101,25 @@ def test_gmres_matches_scipy_when_maxiter_runs_out(maxiter):
     b = rng.standard_normal(n)
     x, info, _ = assert_same_as_scipy(M, b, 1e-14, maxiter)
     assert info == maxiter
+
+
+def test_gmres_fails_after_the_cycle_that_stalls():
+    # M is singular and b has a part outside its range. The first cycle
+    # removes everything else (20 distinct nonzero eigenvalues, one Krylov
+    # vector each) and the second cannot lower the residual, so the call
+    # fails there instead of running all 200 cycles
+    n, m = 30, subsolvers.GMRES_RESTART
+    d = np.zeros(n)
+    d[:m] = np.linspace(1.0, 3.0, m)
+    b = oracles.rng_for(950).standard_normal(n)
+    b[m:] *= 0.1
+    A = Dense(np.diag(d))
+    x, info = gmres(A, b, rtol=1e-8, maxiter=200)
+    assert info == 200
+    assert A.products == 2 * (m + 1)  # two cycles, each checked once
+    outside = np.linalg.norm(b[m:])
+    assert outside <= 0.1 * np.linalg.norm(b)
+    assert np.linalg.norm(b - d * x) == pytest.approx(outside, rel=1e-10)
 
 
 def test_gmres_zero_rhs_and_loose_tolerance():

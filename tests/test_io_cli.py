@@ -5,6 +5,7 @@ write-then-read must reproduce every IEEE double exactly. CLI commands run
 through click's test runner in temporary directories; exit codes follow
 the 0/2/3 contract (success / bad input / solver failure).
 """
+import dataclasses
 import json
 import os
 import pathlib
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from penorth import (TargetDistanceObjective, ep4orth_solve, gen_projection,
+                     projection_preset, solve_projection)
 from penorth import io as pio
 from penorth.cli import main
 from penorth.errors import BadShape, DimensionMismatch, ParseError
@@ -368,7 +371,9 @@ def test_cli_gen_projection_then_solve(tmp_path):
                 "--save-solution", sol_path])
     assert r.exit_code == 0, r.output
     rep = pio.read_report(rep_path)
-    assert rep["termination"] == "feasibility-tol"
+    # the refined point's support has no improving row move: the run stops
+    # early, on the support the full continuation rounds to
+    assert rep["termination"] == "settled"
     assert rep["gap"] <= 1e-6          # xstar sibling was picked up
     assert rep["feasibility"] <= 1e-12
     assert rep["manifest"]["command"] == "project"
@@ -376,6 +381,16 @@ def test_cli_gen_projection_then_solve(tmp_path):
     assert X.shape == (12, 3)
     Xs = pio.read_matrix(xstar)
     assert np.linalg.norm(X - Xs) <= 1e-5
+    cfg_path = tmp_path / "full.json"
+    cfg_path.write_text(json.dumps({"do_postprocess": False}))
+    full_path = str(tmp_path / "full.mtx")
+    r = invoke(["project", "--in", out, "--config", str(cfg_path),
+                "--out", str(tmp_path / "full.json.out"),
+                "--save-solution", full_path])
+    assert r.exit_code == 0, r.output
+    full = pio.read_report(str(tmp_path / "full.json.out"))
+    assert full["termination"] == "feasibility-tol"
+    assert np.array_equal(X > 0, pio.read_matrix(full_path) > 0)
 
 
 def test_cli_gen_is_deterministic(tmp_path):
@@ -715,7 +730,7 @@ def test_cli_bench_table_drops_repeated_grid_values(tmp_path):
     r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.5",
                 "--xi", "0.5", "--n", "10", "--seeds", "2", "--out", out])
     assert r.exit_code == 0, r.output
-    row = "n=   10 k=  2 xi=0.5   suc=2/2 gap_max=-1.11e-16 time="
+    row = "n=   10 k=  2 xi=0.5   suc=2/2 gap_max=0.00e+00 time="
     lines = r.output.splitlines()
     assert [line.rsplit("=", 1)[0] + "=" for line in lines[:1]] == [row]
     assert lines[1:] == [f"table written to {out}"]
@@ -723,10 +738,18 @@ def test_cli_bench_table_drops_repeated_grid_values(tmp_path):
     for cell in table["cells"]:
         assert cell.pop("seconds_total") >= 0
     assert table["cells"] == [{"n": 10, "k": 2, "xi": 0.5, "runs": 2,
-                               "suc": 2, "gap_max": -2.0 ** -53,
-                               "gap_mean": -2.0 ** -53,
-                               "feasibility_max": 3.1401849173675503e-16}]
+                               "suc": 2, "gap_max": 0.0,
+                               "gap_mean": 0.0,
+                               "feasibility_max": 2.482534153247273e-16}]
     assert [run["seed"] for run in table["runs"]] == [0, 1]
+    # both runs stop on a certified support, the one the full continuation
+    # (to tol_feas, unrefined) rounds to
+    assert [run["termination"] for run in table["runs"]] == ["settled"] * 2
+    for seed in (0, 1):
+        C = gen_projection(10, 2, 0.5, seed).C
+        full = solve_projection(C, projection_preset(do_postprocess=False))
+        assert full.termination == "feasibility-tol"
+        assert np.array_equal(solve_projection(C).final > 0, full.final > 0)
 
 
 def test_cli_bench_table_keeps_grid_order():
@@ -905,4 +928,13 @@ def test_readme_python_blocks_run():
     ns = {}
     for i, code in enumerate(blocks, 1):
         exec(compile(code, f"README.md python block {i}", "exec"), ns)
-    assert ns["rep"].termination == "feasibility-tol"
+        if "ep4orth_solve(" in code:  # later blocks reuse its C
+            driver_ns = dict(ns)
+    assert ns["rep"].termination == "settled"
+    # the driver example's refined point has no improving row move: it
+    # stops early, on the support the full continuation rounds to
+    full = ep4orth_solve(TargetDistanceObjective(driver_ns["C"]),
+                         driver_ns["ctx"], dataclasses.replace(
+                             driver_ns["cfg"], do_postprocess=False))
+    assert full.termination == "feasibility-tol"
+    assert np.array_equal(ns["rep"].final > 0, full.final > 0)
