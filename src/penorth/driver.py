@@ -18,17 +18,29 @@ argmax and every row's largest entry leads its second by at least
 SETTLE_MARGIN of itself; the margin keeps noisy runs, whose supports
 still move late, from stopping early.
 
-For a linear f the refined point of a support S has the closed form
-X_j = P_{S_j, j} / ||P_{S_j, j}||, P = max(refine_linear_C(), 0), and
-lowers f as sum_j ||P_{S_j, j}|| grows. At each outer iteration whose row
-argmax is the previous one's, the driver asks whether moving one row to
-another column would grow that sum (_row_move_optimal, one n x k pass). When
-no move gains more than CERTIFY_RTOL of the sum, the support is a local
-optimum of the refinement under row moves and the driver stops there
-("settled") without waiting out the window and the margin, which stay the
-route for quadratic-form f and the fallback for linear f. On the
+Both closed forms also certify a support directly. The refined value of
+a support S is a sum over its columns: for a linear f, X_j =
+P_{S_j, j} / ||P_{S_j, j}||, P = max(refine_linear_C(), 0), lowers f as
+sum_j ||P_{S_j, j}|| grows (_row_move_gains, one n x k pass); for a
+quadratic form f = const - tr(X^T F F^T X) with F >= 0
+(refine_quadratic_factor()), X_j = |top eigenvector of F_{S_j} F_{S_j}^T|
+lowers f as sum_j lambda_max(F_{S_j} F_{S_j}^T) grows (_quad_move_gains,
+one eigendecomposition per column and a secular equation per move). At an
+outer iteration whose row argmax is the previous one's, the driver asks
+whether moving one row to another column would grow that sum
+(_row_move_optimal), once per support. When no move gains more than
+CERTIFY_RTOL of the sum, the support is a local optimum of the refinement
+under row moves and the driver stops there ("settled") without waiting
+out the window. A quadratic form is asked only once the margin holds too:
+where two columns of the iterate coincide, the rows split between them
+tie and their support may be such a local optimum far from the one the
+continuation reaches (the direct variant on gen_onmf(100, 200, 3, 0, 2003)
+would stop at outer iteration 2 with objective 0.075, not 1e-31).
+The window and margin stay the fallback, and the only route for a
+quadratic form whose factor has a negative entry. On the
 benchmark's projection instances the row argmax after the first outer
-iteration is the final one, and the certificate holds at the second.
+iteration is the final one, and the certificate holds at the second; on
+its ONMF instances it mostly holds at the second or third.
 
 Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
@@ -55,6 +67,7 @@ tests on up to 439 and 500).
 """
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Optional
 
@@ -74,8 +87,8 @@ from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
 # relative row margin (top - second) / top, for a settled stop
 SETTLE_WINDOW = 5
 SETTLE_MARGIN = 0.5
-# largest gain of a single row move, relative to sum_j ||P_{S_j, j}||, that
-# still certifies a linear f's refined point (_row_move_optimal)
+# largest gain of a single row move, relative to the refined sum, that
+# still certifies a support (_row_move_optimal)
 CERTIFY_RTOL = 1e-12
 # floor of the inner stationarity tolerance, which decays by eta each outer
 # iteration
@@ -93,15 +106,19 @@ def row_support(X: np.ndarray) -> tuple:
     since rounding then resets the point to I_{n,k}.
     """
     n, k = X.shape
+    rows = np.arange(n)
     arg = np.argmax(X, axis=1)
-    top = X[np.arange(n), arg]
+    top = X[rows, arg]
     live = top > 0
     labels = np.where(live, arg, -1)
     if not np.bincount(arg[live], minlength=k).all():
         return labels, 0.0
     if k == 1:
         return labels, 1.0
-    second = np.partition(X[live], -2, axis=1)[:, -2]
+    # each row's largest entry but the argmax's: the second on a tie too
+    rest = X.copy(order="K")
+    rest[rows, arg] = -np.inf
+    second = rest.max(axis=1)[live]
     return labels, float(np.min((top[live] - second) / top[live]))
 
 
@@ -142,9 +159,117 @@ def _row_move_gains(C, labels):
     return G, float(root.sum())
 
 
-def _row_move_optimal(C, labels) -> bool:
-    """Whether no single-row move gains more than CERTIFY_RTOL of the sum."""
-    moves = _row_move_gains(C, labels)
+def _increasing_root(fun, x, hi, scale):
+    """Roots in [0, hi] of increasing functions, one per entry.
+
+    fun(idx, x) returns the values and the derivatives at x of the
+    functions numbered idx, and x is a start in (0, hi]. A Newton step
+    that leaves the bracket the signs seen so far give is replaced by
+    bisection. An entry is done once its step, or its bracket, is at most
+    4 ulp of its scale; an entry whose hi already is that small takes hi.
+    """
+    tol = 4 * np.finfo(float).eps * scale
+    root = np.where(hi > tol, x, hi)
+    idx = np.flatnonzero(hi > tol)
+    x, lo, hi, tol = x[idx], np.zeros(idx.size), hi[idx], tol[idx]
+    while idx.size:
+        val, der = fun(idx, x)
+        lo = np.where(val < 0, x, lo)
+        hi = np.where(val > 0, x, hi)
+        step = x - val / der
+        close = np.abs(step - x) <= tol
+        inside = (step > lo) & (step < hi)
+        x = np.where(close | inside, step, 0.5 * (lo + hi))
+        root[idx] = x
+        go = ~close & (hi - lo > tol)
+        idx, x, lo, hi, tol = idx[go], x[go], lo[go], hi[go], tol[go]
+    return root
+
+
+def _quad_move_gains(F, labels, k):
+    """Gains of the single-row moves on the quadratic-form refinement.
+
+    F is the objective's factor (refine_quadratic_factor(), M = F F^T) and
+    labels the row support as row_support returns it. With F_j the rows of
+    F labelled j, postprocess's refined point lowers f as
+    sum_j lambda_max(F_j F_j^T) grows. One eigendecomposition per column,
+    of F_j F_j^T as postprocess forms it (eigenvalues d_1 >= d_2 >= ...,
+    eigenvectors U), turns every move's change of lambda_max into the root
+    of a secular equation in the offset from d_1 (Golub, SIAM Rev. 1973).
+    A row f joining column j borders F_j F_j^T with (F_j f^T, |f|^2), whose
+    top eigenvalue is d_1 + mu,
+        mu + d_1 - |f|^2 = sum_k y_k^2 / (mu + d_1 - d_k),  y = U^T F_j f^T;
+    row i leaving it deletes row and column i, whose top eigenvalue is
+    d_1 - nu, nu in [0, d_1 - d_2],
+        nu - w_1 + nu sum_{k>1} w_k / (d_1 - d_k - nu) = 0,  w = d U_i^2.
+    Solved for the offsets, a gain keeps its sign down to a few ulp of
+    the sum. A row alone in its column may not move, and a row labelled -1
+    may only join a column. F must be nonnegative: postprocess's |v|
+    attains lambda_max only when F F^T >= 0. Returns the (n, k) gains,
+    -inf where there is no move, and sum_j d_1; None when some column has
+    no row.
+    """
+    n = F.shape[0]
+    rows = np.flatnonzero(labels >= 0)
+    own = labels[rows]
+    if not np.bincount(own, minlength=k).all():
+        return None
+    sq = np.einsum("ij,ij->i", F, F)
+    gains = np.full((n, k), -np.inf)
+    leave = np.zeros(n)
+    top = np.empty(k)
+    for j in range(k):
+        S = rows[own == j]
+        FS = F[S]
+        d, U = np.linalg.eigh(FS @ FS.T)
+        d, U = np.maximum(d[::-1], 0.0), U[:, ::-1]
+        top[j] = d[0]
+        delta = d[0] - d
+
+        out = np.flatnonzero(labels != j)
+        y2 = np.square(F[out] @ (FS.T @ U))
+        c = sq[out]
+
+        def join(i, mu):
+            q = 1.0 / (mu[:, None] + delta)
+            t = y2[i] * q
+            return (mu + (d[0] - c[i]) - t.sum(axis=1),
+                    1.0 + (t * q).sum(axis=1))
+
+        # start at the offset of the bordered 2 x 2 on (d_1, y_1): a lower
+        # bound, from which Newton rises to the root (where it is 0, at the
+        # upper bound |f|^2 instead)
+        h = 0.5 * (d[0] - c)
+        a = np.abs(h) + np.sqrt(h * h + y2[:, 0])
+        mu = np.where(h > 0, y2[:, 0] / np.maximum(a, np.finfo(float).tiny), a)
+        mu = np.where(mu > 0, mu, c)
+        gains[out, j] = _increasing_root(join, mu, c, d[0] + c)
+
+        if S.size == 1:
+            leave[S] = -np.inf
+            continue
+        w = np.square(U) * d
+        gap = delta[1] if d.size > 1 else np.inf
+
+        def drop(i, nu):
+            q = 1.0 / (delta[1:] - nu[:, None])
+            t = w[i, 1:] * q
+            return (nu - w[i, 0] + nu * t.sum(axis=1),
+                    1.0 + (t * q * delta[1:]).sum(axis=1))
+
+        # start at w_1, an upper bound, from which Newton falls to the root
+        nu = np.where(w[:, 0] < gap, w[:, 0], 0.5 * gap)
+        leave[S] = -_increasing_root(drop, nu, np.minimum(w[:, 0], gap),
+                                     np.full(S.size, d[0]))
+    gains += leave[:, None]
+    return gains, float(top.sum())
+
+
+def _row_move_optimal(moves) -> bool:
+    """Whether no single-row move gains more than CERTIFY_RTOL of the sum.
+
+    moves is what _row_move_gains or _quad_move_gains returns.
+    """
     if moves is None:
         return False
     gains, total = moves
@@ -203,11 +328,12 @@ def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
                 idx = np.nonzero(H[:, j])[0]
                 out[idx[int(np.argmax(C[idx, j]))], j] = 1.0
     elif kind == "quadratic-form":
+        F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         out = np.zeros((n, k))
         for j in range(k):
             idx = np.nonzero(H[:, j])[0]
-            M = np.asarray(f.refine_quadratic_submatrix(idx), dtype=float)
-            w, vecs = np.linalg.eigh(M)
+            FS = F[idx]
+            w, vecs = np.linalg.eigh(FS @ FS.T)
             v = np.abs(vecs[:, -1])
             nv = np.linalg.norm(v)
             out[idx, j] = v / nv if nv > 0 else Xr[idx, j]
@@ -284,9 +410,17 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     # the settled stop needs a final point that depends on the support only
     kind = getattr(f, "refine_kind", "generic")
     settle = cfg.do_postprocess and kind != "generic"
-    certify = settle and kind == "linear"
+    move_gains = None  # row labels -> _row_move_optimal's input (certificate)
+    if settle and kind == "linear":
+        C = np.asarray(f.refine_linear_C(), dtype=float)
+        move_gains = functools.partial(_row_move_gains, C)
+    elif settle and kind == "quadratic-form":
+        F = np.asarray(f.refine_quadratic_factor(), dtype=float)
+        if (F >= 0).all():
+            move_gains = functools.partial(_quad_move_gains, F, k=ctx.k)
     support = None  # row labels of the last iterate (settle on)
     unchanged = 0  # outer iterations in a row that kept those labels
+    refused = set()  # supports (label bytes) with an improving row move
     for t in range(cfg.t_max):
         params_t = PenaltyParams(sigma=sigma)
         h_t = inner_factory(X, params_t)
@@ -380,9 +514,15 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             report.history[-1].update(support_unchanged=unchanged,
                                       support_margin=margin)
             certified = False
-            if certify:
-                certified = same and _row_move_optimal(
-                    np.asarray(f.refine_linear_C(), dtype=float), labels)
+            if move_gains is not None:
+                # each support's verdict once; quadratic-form f also needs
+                # the margin (module docstring)
+                if same and (kind == "linear" or margin >= SETTLE_MARGIN):
+                    key = labels.tobytes()
+                    if key not in refused:
+                        certified = _row_move_optimal(move_gains(labels))
+                        if not certified:
+                            refused.add(key)
                 report.history[-1]["support_certified"] = certified
             if certified or (unchanged >= SETTLE_WINDOW
                              and margin >= SETTLE_MARGIN):

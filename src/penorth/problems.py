@@ -205,9 +205,8 @@ class OpnmfObjective(Objective):
     def hess_apply(self, X, D):
         return self.hess_at(X)(D)
 
-    def refine_quadratic_submatrix(self, idx):
-        As = self.A[idx, :]
-        return As @ As.T
+    def refine_quadratic_factor(self):
+        return self.A
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,12 @@ class Objective:
                                           increasing (f = const - <C, X> on the
                                           feasible set).
         refine_kind == "quadratic-form":  f = const - tr(X^T M X) on the feasible
-                                          set, M PSD, accessed through principal
-                                          submatrices refine_quadratic_submatrix(idx).
+                                          set, M = F F^T with the (n, r) factor
+                                          F = refine_quadratic_factor().
         refine_kind == "generic":         no structure; the rounded point is kept.
+
+    With a nonnegative F the driver can also certify a rounded support
+    without forming M (driver module docstring).
     """
 
     refine_kind: str = "generic"
@@ -183,7 +186,7 @@ class Objective:
     def refine_linear_C(self) -> np.ndarray:
         raise NotImplementedError
 
-    def refine_quadratic_submatrix(self, idx: np.ndarray) -> np.ndarray:
+    def refine_quadratic_factor(self) -> np.ndarray:
         raise NotImplementedError
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from penorth import driver, make_context, make_oblique
 from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, SETTLE_MARGIN,
-                            SETTLE_WINDOW, _row_move_gains, _row_move_optimal,
+                            SETTLE_WINDOW, _quad_move_gains, _row_move_gains,
+                            _row_move_optimal,
                             ep4orth_solve, feasible_init, kindicators_preset,
                             onmf_preset, postprocess, projection_preset,
                             row_support)
@@ -15,7 +16,8 @@ from penorth.penalty import PenalizedObjective, zeta
 from penorth.problems import (KindicatorsObjective, LinearObjective,
                               OnmfQuadObjective, OpnmfObjective,
                               ScaledLinearPenalty, TargetDistanceObjective,
-                              gen_kindicators, gen_onmf, gen_projection,
+                              clustering_metrics, gen_kindicators, gen_onmf,
+                              gen_projection,
                               kindicators_solve, solve_onmf,
                               solve_projection, svd_init)
 from penorth.rounding import feasibility_violation
@@ -285,6 +287,8 @@ HISTORY_KEYS = {"t", "sigma", "eps_grad", "solver", "inner_iterations",
                 "kkt_inner", "kkt_penalty", "zeta2", "h_start", "h_end",
                 "descent_ok", "anchored", "trials", "inner_flags"}
 SUPPORT_KEYS = {"support_unchanged", "support_margin"}
+# ... and the row-move certificate's verdict, where f has one
+CERTIFIED_SUPPORT_KEYS = SUPPORT_KEYS | {"support_certified"}
 
 
 def test_settle_constants_frozen_values():
@@ -301,13 +305,22 @@ def test_driver_settles_on_small_onmf(seed):
     assert full.termination == "feasibility-tol"
     assert all(set(h) == HISTORY_KEYS for h in full.history)
     assert rep.termination == "settled"
+    assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
+               for h in rep.history)
     assert rep.outer_iterations < full.outer_iterations
     assert np.array_equal(np.argmax(rep.final, axis=1),
                           np.argmax(full.final, axis=1))
     assert rep.extra["resi"] <= 1e-8
     assert rep.feasibility <= 1e-12
+    # the certificate is asked, and holds, at the first outer iteration
+    # that keeps the previous one's row argmax with the margin (seed 1
+    # waits one iteration for the margin), long before the window would
+    asked = [h["support_unchanged"] >= 1
+             and h["support_margin"] >= SETTLE_MARGIN for h in rep.history]
+    assert [h["support_certified"] for h in rep.history] == asked
+    assert asked.index(True) == len(asked) - 1
     last = rep.history[-1]
-    assert last["support_unchanged"] == SETTLE_WINDOW
+    assert 1 <= last["support_unchanged"] < SETTLE_WINDOW
     assert last["support_margin"] >= SETTLE_MARGIN
     # the report describes the last iterate before rounding
     assert rep.zeta == last["zeta2"] > 1e-8
@@ -329,11 +342,54 @@ def test_driver_settles_only_with_a_closed_form_refinement():
                           X_feas=round_point(X0))
             for f in (OpnmfObjective, GenericOpnmf)]
     assert reps[0].termination == "settled"
-    assert all(set(h) == HISTORY_KEYS | SUPPORT_KEYS
+    assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
                for h in reps[0].history)
     assert reps[1].termination == "feasibility-tol"
     assert reps[1].outer_iterations > reps[0].outer_iterations
     assert all(set(h) == HISTORY_KEYS for h in reps[1].history)
+
+
+def test_driver_settles_by_window_without_a_nonnegative_factor():
+    # with a negative entry in the factor (postprocess's |v| then need not
+    # attain lambda_max) the quadratic-form run is never asked for the
+    # certificate and waits out the window; the nonnegative run stops
+    # earlier, on the support the window reaches for it
+    inst = gen_onmf(40, 80, 4, 0.0, seed=0)
+    ctx = make_context(40, 4)
+    X0 = svd_init(inst.A, 4)
+    cfg = onmf_preset()
+    reps = [ep4orth_solve(OpnmfObjective(A), ctx, cfg, X0=X0,
+                          X_feas=round_point(X0))
+            for A in (inst.A, inst.A - 0.01)]
+    window = ep4orth_solve(GenericOpnmf(inst.A), ctx, cfg, X0=X0,
+                           X_feas=round_point(X0))
+    assert [rep.termination for rep in reps] == ["settled"] * 2
+    assert reps[0].history[-1]["support_certified"]
+    assert reps[0].outer_iterations < SETTLE_WINDOW + 1
+    assert all(set(h) == HISTORY_KEYS | SUPPORT_KEYS
+               for h in reps[1].history)
+    assert reps[1].outer_iterations == SETTLE_WINDOW + 1
+    assert reps[1].history[-1]["support_unchanged"] == SETTLE_WINDOW
+    assert window.termination == "feasibility-tol"
+    assert np.array_equal(np.argmax(reps[0].final, axis=1),
+                          np.argmax(window.final, axis=1))
+
+
+def test_driver_never_certifies_coincident_onmf_columns():
+    # two columns of the direct variant's iterate nearly coincide, so every
+    # row is close to a tie (margin about 1e-15) while the row argmax holds.
+    # Its support splits a planted cluster and has no improving row move:
+    # without the margin the certificate would stop the run at outer
+    # iteration 2 with objective 0.075; with it the run recovers the factor
+    inst = gen_onmf(100, 200, 3, 0.0, 2003)
+    rep = solve_onmf(inst.A, 3, variant="direct")
+    assert rep.termination == "feasibility-tol"
+    assert rep.history[1]["support_unchanged"] == 1
+    assert rep.history[1]["support_margin"] < 1e-12
+    assert not any(h.get("support_certified") for h in rep.history)
+    assert rep.objective <= 1e-20
+    pred = np.argmax(rep.final, axis=1)
+    assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
 
 
 @pytest.mark.parametrize("solver", ["gp", "newton"])
@@ -378,6 +434,122 @@ def test_row_support_labels_live_rows_and_sees_ties():
     # column 1 is no row's argmax, so rounding would reset the point
     assert row_support(np.array([[0.9, 0.1], [0.8, 0.2]]))[1] == 0.0
     assert row_support(np.zeros((3, 2)))[1] == 0.0  # no live row
+
+
+def partition_margin(X):
+    """The smallest (top - second) / top over the rows with a positive
+    entry, the second largest entry taken by np.partition."""
+    n = X.shape[0]
+    top = X[np.arange(n), np.argmax(X, axis=1)]
+    live = top > 0
+    second = np.partition(X[live], -2, axis=1)[:, -2]
+    return float(np.min((top[live] - second) / top[live]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_support_margin_matches_the_partition_formula(order):
+    # small random iterates (the minimum falls on a different row each
+    # time), k = 2 to 5, rows with no positive entry, ties for the top,
+    # and one iterate of the projection benchmark's size: the same bits
+    rng = oracles.rng_for(910)
+    cases = []
+    for trial in range(40):
+        k = 2 + trial % 4
+        X = rng.random((12, k))
+        X[rng.random(12) < 0.2] = 0.0  # rows with no positive entry
+        X[np.arange(k), np.arange(k)] = 2.0  # every column is an argmax
+        if trial % 5 == 0:
+            X[7, :2] = 3.0  # a two-way tie for the top
+        cases.append(X)
+    cases.append(rng.random((5000, 20)))
+    for X in cases:
+        X = np.array(X, order=order)
+        labels, margin = row_support(X)
+        assert margin == partition_margin(X)
+        assert np.array_equal(labels >= 0, X.max(axis=1) > 0)
+    assert sum(row_support(X)[1] == 0.0 for X in cases) == 8  # the ties
+
+
+def refined_quad_sum(F, labels, k):
+    """sum_j lambda_max(F_S F_S^T) over the rows S labelled j, by eigvalsh."""
+    return sum(np.linalg.eigvalsh(F[labels == j] @ F[labels == j].T)[-1]
+               for j in range(k))
+
+
+def check_quad_move_gains(F, labels, k):
+    """Every gain of _quad_move_gains against the moved supports' eigvalsh,
+    to 1e-12 of the sum: a row alone in its column has no move, a row
+    labelled -1 joins any column."""
+    G, total = _quad_move_gains(F, labels, k)
+    base = refined_quad_sum(F, labels, k)
+    assert abs(total - base) <= 1e-13 * base
+    counts = np.bincount(labels[labels >= 0], minlength=k)
+    for i in range(F.shape[0]):
+        for b in range(k):
+            a = labels[i]
+            if b == a or (a >= 0 and counts[a] == 1):
+                assert G[i, b] == -np.inf
+                continue
+            moved = labels.copy()
+            moved[i] = b
+            gain = refined_quad_sum(F, moved, k) - base
+            assert abs(G[i, b] - gain) <= 1e-12 * base
+    return G, total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quad_move_gains_match_eigvalsh(seed):
+    # odd seeds: 2 data columns, fewer than the rows of column 0, so its
+    # Gram matrix is singular
+    rng = oracles.rng_for(920 + seed)
+    n, k, r = 9, 3, (5, 2)[seed % 2]
+    F = rng.random((n, r))
+    F[rng.random((n, r)) < 0.3] = 0.0  # zeros, as nonnegative data has
+    labels = np.concatenate([np.arange(k), rng.integers(-1, k, size=n - k)])
+    labels[rng.integers(k, n)] = -1
+    labels[labels == 2] = 0
+    labels[2] = 2  # column 2 holds one row
+    assert (r == 2) == ((labels == 0).sum() > r)
+    G, _ = check_quad_move_gains(F, labels, k)
+    assert (G[labels == -1] > -np.inf).all()  # an empty row may join any
+    assert (G[2] == -np.inf).all()  # the lone row of column 2 stays
+
+
+def test_quad_move_gains_on_a_repeated_top_singular_value():
+    # column 1's rows are orthogonal with equal norms: lambda_max of the
+    # column is a double eigenvalue, and either row may leave it unchanged
+    F = oracles.rng_for(930).random((7, 4))
+    F[[1, 4]] = [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]
+    labels = np.array([0, 1, 2, 0, 1, 2, -1])
+    G, _ = check_quad_move_gains(F, labels, 3)
+    for i in (1, 4):
+        gain_join = [refined_quad_sum(F, np.where(np.arange(7) == i, b,
+                                                  labels), 3)
+                     - refined_quad_sum(F, labels, 3) for b in (0, 2)]
+        assert np.allclose(G[i, [0, 2]], gain_join, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.1])
+def test_quad_move_gains_on_onmf_data(xi):
+    # planted rank-one clusters (xi = 0) and noisy ones, with a few rows
+    # moved off their cluster: every gain to 1e-12 of the sum, and the
+    # planted support has no improving move, the moved one has
+    inst = gen_onmf(60, 80, 3, xi, seed=4)
+    labels = inst.labels.copy()
+    labels[[3, 17, 40]] = (labels[[3, 17, 40]] + 1) % 3
+    G, total = check_quad_move_gains(inst.A, labels, 3)
+    assert not _row_move_optimal((G, total))
+    assert _row_move_optimal(_quad_move_gains(inst.A, inst.labels, 3))
+
+
+def test_quad_move_gains_need_every_column():
+    F = oracles.rng_for(931).random((6, 4))
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    assert _quad_move_gains(F, labels, 3) is not None
+    # an empty column: no certificate
+    labels = np.array([0, 1, 1, 0, 1, -1])
+    assert _quad_move_gains(F, labels, 3) is None
+    assert not _row_move_optimal(_quad_move_gains(F, labels, 3))
 
 
 def refined_sum(C, labels):
@@ -426,8 +598,8 @@ def test_row_move_gains_need_every_column_refined():
     C = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
     assert _row_move_gains(C, np.array([0, 0, 0])) is None
     assert _row_move_gains(C, np.array([0, -1, 1])) is None
-    assert not _row_move_optimal(C, np.array([0, -1, 1]))
-    assert _row_move_optimal(C, np.array([0, 1, 0]))
+    assert not _row_move_optimal(_row_move_gains(C, np.array([0, -1, 1])))
+    assert _row_move_optimal(_row_move_gains(C, np.array([0, 1, 0])))
 
 
 def test_row_move_certificate_refuses_an_improving_move():
@@ -435,13 +607,10 @@ def test_row_move_certificate_refuses_an_improving_move():
     C = np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 0.1]])
     G, total = _row_move_gains(C, np.array([0, 1, 1]))
     assert G[2, 0] > CERTIFY_RTOL * total
-    assert not _row_move_optimal(C, np.array([0, 1, 1]))
-    assert _row_move_optimal(C, np.array([0, 1, 0]))
+    assert not _row_move_optimal(_row_move_gains(C, np.array([0, 1, 1])))
+    assert _row_move_optimal(_row_move_gains(C, np.array([0, 1, 0])))
     # a row left out of the support that could join is an improving move
-    assert not _row_move_optimal(C, np.array([0, 1, -1]))
-
-
-LINEAR_SUPPORT_KEYS = SUPPORT_KEYS | {"support_certified"}
+    assert not _row_move_optimal(_row_move_gains(C, np.array([0, 1, -1])))
 
 
 def test_driver_settles_by_row_move_certificate():
@@ -455,7 +624,7 @@ def test_driver_settles_by_row_move_certificate():
     assert full.termination == "feasibility-tol"
     assert all(set(h) == HISTORY_KEYS for h in full.history)
     assert rep.termination == "settled"
-    assert all(set(h) == HISTORY_KEYS | LINEAR_SUPPORT_KEYS
+    assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
                for h in rep.history)
     assert [h["support_certified"] for h in rep.history] == [False, True]
     assert rep.history[-1]["support_unchanged"] == 1 < SETTLE_WINDOW

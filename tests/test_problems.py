@@ -296,7 +296,11 @@ def test_refine_submatrix_is_data_gram():
     rng = oracles.rng_for(33)
     A = rng.random((9, 4))
     idx = np.array([1, 4, 7])
-    S = OpnmfObjective(A).refine_quadratic_submatrix(idx)
+    # postprocess forms each column's submatrix F[idx] F[idx]^T from the
+    # factor, and the projective objective's factor is the data itself
+    F = OpnmfObjective(A).refine_quadratic_factor()
+    assert np.array_equal(F, A)
+    S = F[idx] @ F[idx].T
     assert np.array_equal(S, A[idx] @ A[idx].T)
     assert np.allclose(S, S.T)
 
