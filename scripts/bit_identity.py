@@ -27,10 +27,12 @@ and supports held where the hashes moved.
 --kindicators-grid solves, instead of the benchmark's sets, 84
 K-indicators instances off the benchmark: gen_kindicators(n, k, noise,
 seed) for n x k in KINDICATORS_SIZES, noise 0.1 to 0.7 and seeds 0 to 2,
-straight from the generator. Its lines also hash the labels, last, and
-the total solve time goes to stderr, so the K-indicators give-up rule
-(driver.py) can be checked for exactness and speed against another tree;
-a tree without the rule takes about a minute.
+straight from the generator. Its lines also hash the labels, last (with
+--summary too, as labels=), and the total solve time goes to stderr, so
+the K-indicators give-up rule (driver.py) can be checked for exactness
+and speed against another tree; a tree without the rule takes about a
+minute. A change that moves only inner counts shows in the --summary diff
+as lines whose inner= alone moved.
 """
 from __future__ import annotations
 
@@ -133,7 +135,7 @@ def hashes(rep, extra_fields=()) -> str:
 
 def kindicators_grid(penorth, args) -> None:
     """One line per instance of the K-indicators grid, with the labels'
-    hash after the others; the total solve time goes to stderr."""
+    hash last; the total solve time goes to stderr."""
     total = 0.0
     for n, k in KINDICATORS_SIZES:
         for noise in KINDICATORS_NOISES:
@@ -144,11 +146,13 @@ def kindicators_grid(penorth, args) -> None:
                 total += time.perf_counter() - t0
                 head = (f"kindicators-grid n={n} k={k} noise={noise} "
                         f"seed={seed}")
+                labels = rep.extra["labels"]
                 if args.summary:
-                    print(f"{head} {summary(rep)}", flush=True)
+                    print(f"{head} {summary(rep)} "
+                          f"labels={digest(labels)[:8]}", flush=True)
                 else:
-                    labels = {"labels": rep.extra["labels"]}
-                    print(f"{head} {hashes(rep, labels)}", flush=True)
+                    print(f"{head} {hashes(rep, {'labels': labels})}",
+                          flush=True)
     print(f"kindicators-grid: solves took {total:.1f} s", file=sys.stderr)
 
 

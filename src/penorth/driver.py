@@ -46,24 +46,26 @@ Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
 known before this one solves: with sigma' = sigma * gamma2 it restarts
 from the anchor X_feas when h_sigma'(X) > h_sigma'(X_feas). The driver
-hands the projected-gradient solver that test as give_up, which holds
-on an iterate X when this iteration would keep X (h_sigma(X) at most the
+hands the projected-gradient solver that test as give_up, which holds on
+an iterate X when this iteration would keep X (h_sigma(X) at most the
 start's value, so neither the descent check nor the fallback rerun
 fires), would not stop on it (||X V||_F^2 - 1 > tol_feas) and the next
-iteration would anchor. Once it has held on subsolvers.GIVE_UP_WINDOW =
-10 iterates in a row the solve stops there ("Abandoned" in the history
-entry's inner_flags). Wherever the full solve's result would also have
-been discarded, the next iteration restarts from the same anchor with the
-same settings, so the answer is the same. The test is not armed in the
-last outer iteration or once sigma exceeds 1e16, which ends the loop, and
-it builds the next iteration's model once, at the solve's start: it is
-exact for inner models that do not depend on the point they are built at,
-as K-indicators' does not. On 84 K-indicators runs off the benchmark it
-was armed on 117 solves. It stopped all 33 that the driver then
-discarded, after 11-22 iterates where they had run 15-500, and none of
-the other 84: on those the full test never held, and of its parts the
-defect test held on at most 4 iterates in a row (the keep and anchoring
-tests on up to 439 and 500).
+iteration would anchor. The solve stops at the first iterate it holds on
+("Abandoned" in the history entry's inner_flags). Wherever the full
+solve's result would also have been discarded, the next iteration
+restarts from the same anchor with the same settings, so the answer is
+the same; whether it would have been is not known when the test holds,
+and on every run measured below it was. The test is not armed in the
+last outer iteration or once sigma exceeds 1e16, which ends the loop,
+and it builds the next iteration's model once, at the solve's start: it
+is exact for inner models that do not depend on the point they are built
+at, as K-indicators' does not. On 84 K-indicators runs off the benchmark
+(scripts/bit_identity.py --kindicators-grid) it was armed on 117 solves.
+It stopped all 33 that the driver then discarded, at their first held
+iterate (the 2nd to 4th) where they had run 15-500, and none of the
+other 84: on those the test never held, and of its parts the defect test
+held on at most 4 iterates in a row (the keep and anchoring tests on up
+to 439 and 500).
 """
 from __future__ import annotations
 
@@ -503,10 +505,9 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         })
         X = Xn
         outer_done = t + 1
-        if zeta2 <= cfg.tol_feas:
-            term = "feasibility-tol"
-            break
+        feasible = zeta2 <= cfg.tol_feas
         if settle:
+            # every entry gets the support keys, the last one too
             labels, margin = row_support(X)
             same = support is not None and np.array_equal(labels, support)
             unchanged = unchanged + 1 if same else 0
@@ -515,19 +516,23 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                                       support_margin=margin)
             certified = False
             if move_gains is not None:
-                # each support's verdict once; quadratic-form f also needs
-                # the margin (module docstring)
-                if same and (kind == "linear" or margin >= SETTLE_MARGIN):
+                # each support's verdict once, and none on a feasible stop;
+                # quadratic-form f also needs the margin (module docstring)
+                if (not feasible and same
+                        and (kind == "linear" or margin >= SETTLE_MARGIN)):
                     key = labels.tobytes()
                     if key not in refused:
                         certified = _row_move_optimal(move_gains(labels))
                         if not certified:
                             refused.add(key)
                 report.history[-1]["support_certified"] = certified
-            if certified or (unchanged >= SETTLE_WINDOW
-                             and margin >= SETTLE_MARGIN):
-                term = "settled"
-                break
+        if feasible:
+            term = "feasibility-tol"
+            break
+        if settle and (certified or (unchanged >= SETTLE_WINDOW
+                                     and margin >= SETTLE_MARGIN)):
+            term = "settled"
+            break
         if sigma > 1e16:
             term = "stalled"
             break
@@ -580,9 +585,9 @@ def kindicators_preset(**overrides) -> DriverConfig:
     """Driver settings for K-indicators: fast penalty growth, BB steps
     without a line search, the anchor policy "start".
 
-    With "start" and a fixed growth factor, an inner solve stops early once
-    the next outer iteration is sure to discard it and restart from the
-    anchor (module docstring).
+    With "start" and a fixed growth factor, an inner solve stops at the
+    first iterate that the next outer iteration would discard for a
+    restart from the anchor (module docstring).
     """
     base = dict(sigma0=10.0, gamma2=10.0, eta=0.5, tol_feas=0.1,
                 eps_grad0=1e-3, t_max=60, max_inner=500,

@@ -213,10 +213,6 @@ WINDOW = 10
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 20
-# a caller's give_up test must hold on this many accepted iterates in a row
-# before the loop abandons its solve (the driver's test and its measured
-# margin: driver.py's module docstring)
-GIVE_UP_WINDOW = 10
 
 
 # newton_solve's safeguards (roles in the module docstring)
@@ -270,10 +266,10 @@ def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
     array h has seen is written afterwards.
 
     give_up, when given, is called as give_up(X, h(X)) on each accepted
-    iterate that does not meet tol, after h.grad(X). Once it has held on
-    GIVE_UP_WINDOW iterates in a row, the loop stops, sets the "Abandoned"
-    flag and returns that last iterate, not the best one: the caller's
-    test says what it needs of the point it gets back.
+    iterate that does not meet tol, after h.grad(X). On the first iterate
+    it holds on, the loop stops, sets the "Abandoned" flag and returns that
+    iterate, not the best one: the caller's test says what it needs of the
+    point it gets back.
 
     Few n x k arrays are live at once: the step S = X_new - X is formed
     once, for the step norm, the Armijo test and the BB step, and of the
@@ -296,7 +292,6 @@ def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
     alpha_cap = BB_CAP if line_search else min(BB_CAP, BB_CAP_PER_COL * X.shape[1])
     step = np.inf
     converged = False
-    held = 0  # iterates in a row that give_up held on
     abandoned = False
     it = 0
     while it < max_iter:
@@ -348,12 +343,10 @@ def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
         if step <= tol:
             converged = True
             break
-        if give_up is not None:
-            held = held + 1 if give_up(X, fX) else 0
-            if held >= GIVE_UP_WINDOW:
-                abandoned = True
-                flags.append("Abandoned")
-                break
+        if give_up is not None and give_up(X, fX):
+            abandoned = True
+            flags.append("Abandoned")
+            break
     if fX > best_f and not abandoned:
         X, fX = best_X, best_f
         G = np.asarray(h.grad(X), dtype=float)

@@ -221,9 +221,8 @@ class DriverConfig:
             the fallback, and accepts the rerun; "start" resets the warm
             start before solving whenever the start compares worse. With
             "start" and gamma2_rule unset, a projected-gradient solve also
-            stops once it has been headed for the next iteration's reset
-            for GIVE_UP_WINDOW = 10 iterates in a row (driver module
-            docstring).
+            stops at the first iterate headed for the next iteration's
+            reset (driver module docstring).
     """
 
     sigma0: float = 1e-2

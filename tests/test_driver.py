@@ -392,6 +392,27 @@ def test_driver_never_certifies_coincident_onmf_columns():
     assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
 
 
+def test_driver_feasible_stop_keeps_the_support_keys():
+    # a refinable run that stops on tol_feas still records the support of
+    # its last iterate, with no certificate asked there; the bookkeeping
+    # moves no iterate: the run is the unrefinable one's, then refined
+    A = np.asfortranarray(gen_onmf(100, 200, 3, 0.0, 2003).A)
+    rep = solve_onmf(A, 3, variant="direct")
+    X0 = svd_init(A, 3)
+    bare = ep4orth_solve(GenericOpnmf(A), make_context(100, 3), onmf_preset(),
+                         X0=X0, X_feas=round_point(X0))
+    assert rep.termination == bare.termination == "feasibility-tol"
+    assert rep.outer_iterations == bare.outer_iterations == 229
+    assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
+               for h in rep.history)
+    assert not rep.history[-1]["support_certified"]
+    assert [{key: h[key] for key in HISTORY_KEYS} for h in rep.history] \
+        == bare.history
+    assert np.array_equal(rep.extra["X_rounded"], bare.final)
+    assert np.array_equal(rep.final,
+                          postprocess(bare.final, OpnmfObjective(A)))
+
+
 @pytest.mark.parametrize("solver", ["gp", "newton"])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_driver_never_freezes_or_writes_the_callers_arrays(order, solver):

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from penorth import io as pio
-from penorth import driver, make_context, make_oblique, subsolvers
-from penorth.driver import kindicators_preset
+from penorth import driver, make_context, make_oblique
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
 from penorth.manifold import project_orthogonal_group
 from penorth.problems import (KindicatorsInstance, KindicatorsModel,
@@ -570,31 +569,77 @@ def test_kindicators_solve_matches_alternating_reference(n, k, noise, seed):
 
 
 def kindicators_rule_off(monkeypatch, U):
-    """kindicators_solve with a give-up window no solve can fill."""
+    """kindicators_solve with the driver's give-up test never armed."""
+    solve = driver.gradient_projection_solve
+
+    def unarmed(*args, give_up, **kwargs):
+        return solve(*args, give_up=None, **kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(subsolvers, "GIVE_UP_WINDOW",
-                  kindicators_preset().max_inner + 1)
+        m.setattr(driver, "gradient_projection_solve", unarmed)
         return kindicators_solve(U)
 
 
-def test_kindicators_abandons_a_solve_the_next_iteration_discards(
-        monkeypatch):
-    # the first solve is stopped once it is headed for the discard, the
-    # second starts from the anchor as before, and the answer is the same
-    U = gen_kindicators(3000, 30, 0.3, 0).U
-    rep = kindicators_solve(U)
-    full = kindicators_rule_off(monkeypatch, U)
-    assert [h["inner_iterations"] for h in full.history] == [27, 4]
-    first, second = rep.history
-    assert first["inner_flags"] == ["Abandoned"]
-    assert first["inner_iterations"] < 15
-    assert second["anchored"] and second["inner_iterations"] == 4
-    assert rep.flags == full.flags == []
+def assert_same_answer(rep, full):
     assert np.array_equal(rep.final, full.final)
     assert np.array_equal(rep.extra["labels"], full.extra["labels"])
     for field in ("objective", "zeta", "kkt_residual", "outer_iterations",
                   "termination"):
         assert getattr(rep, field) == getattr(full, field), field
+
+
+def test_kindicators_abandons_a_solve_the_next_iteration_discards(
+        monkeypatch):
+    # the first solve stops at the first iterate headed for the discard,
+    # the second starts from the anchor as before, and the answer is the same
+    U = gen_kindicators(3000, 30, 0.3, 0).U
+    rep = kindicators_solve(U)
+    full = kindicators_rule_off(monkeypatch, U)
+    assert [h["inner_iterations"] for h in full.history] == [27, 4]
+    assert [h["inner_iterations"] for h in rep.history] == [4, 4]
+    first, second = rep.history
+    assert first["inner_flags"] == ["Abandoned"]
+    assert second["anchored"] and second["inner_flags"] == []
+    assert rep.flags == full.flags == []
+    assert_same_answer(rep, full)
+
+
+# off the --kindicators-grid (scripts/bit_identity.py) in size and seed:
+# whether the driver abandons the first solve, which it then discards
+HELD_OUT_KINDICATORS = [(1000, 30, 0.4, 3, True), (1000, 30, 0.4, 5, True),
+                        (1000, 30, 0.2, 4, False), (600, 20, 0.4, 4, False),
+                        (500, 5, 1.0, 3, False)]
+
+
+@pytest.mark.parametrize("n,k,noise,seed,abandons", HELD_OUT_KINDICATORS)
+def test_kindicators_give_up_is_exact_off_the_grid(monkeypatch, n, k, noise,
+                                                   seed, abandons):
+    U = gen_kindicators(n, k, noise, seed).U
+    held = []  # per projected-gradient solve, whether the test ever held
+    solve = driver.gradient_projection_solve
+
+    def watched_solve(*args, give_up, **kwargs):
+        held.append(False)
+
+        def watched(X, fX):
+            held[-1] = held[-1] or give_up(X, fX)
+            return held[-1]
+        return solve(*args, give_up=None if give_up is None else watched,
+                     **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "gradient_projection_solve", watched_solve)
+        rep = kindicators_solve(U)
+    full = kindicators_rule_off(monkeypatch, U)
+    assert_same_answer(rep, full)
+    # under "start" a solve is discarded exactly when the next outer
+    # iteration anchors; the test held on those solves only
+    discarded = [h["anchored"] for h in rep.history[1:]] + [False]
+    assert held == [h["inner_flags"] == ["Abandoned"] for h in rep.history]
+    assert not any(h and not d for h, d in zip(held, discarded))
+    assert held[0] == abandons
+    if abandons:
+        assert rep.inner_iterations < full.inner_iterations
 
 
 def test_kindicators_keeps_a_solve_the_rule_comes_close_to(monkeypatch):

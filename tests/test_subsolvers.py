@@ -475,14 +475,14 @@ def gp_start():
     return make_oblique(np.abs(U) / np.linalg.norm(U, axis=0))
 
 
-def give_up_from(j, skip=None):
-    """A give_up test that holds from its j-th call on, except on call
-    skip; it records each iterate and value it is shown."""
+def give_up_on(calls):
+    """A give_up test that holds on the calls numbered in calls (from 1);
+    it records each iterate and value it is shown."""
     shown = []
 
     def give_up(X, fX):
         shown.append((X, fX))
-        return len(shown) >= j and len(shown) != skip
+        return len(shown) in calls
     return give_up, shown
 
 
@@ -513,42 +513,41 @@ def test_gp_give_up_that_never_holds_matches_reference(case):
 
 
 @pytest.mark.parametrize("line_search", [False, True])
-@pytest.mark.parametrize("j", [1, 4])
-def test_gp_give_up_stops_after_the_window(j, line_search):
-    W = subsolvers.GIVE_UP_WINDOW
+@pytest.mark.parametrize("j", [1, 5])
+def test_gp_give_up_stops_on_the_first_held_iterate(j, line_search):
     h = SLOW_MODEL()
     X0 = gp_start()
-    give_up, shown = give_up_from(j)
+    give_up, shown = give_up_on({j, j + 1})  # call j + 1 never comes
     X, rep = gradient_projection_solve(h, X0, 1e-12, 200,
                                        line_search=line_search,
                                        give_up=give_up)
-    assert rep.iterations == len(shown) == j + W - 1
-    # the iterate the test last held on, not the best one seen
+    assert rep.iterations == len(shown) == j
+    # the iterate the test held on, not the best one seen
     assert X is shown[-1][0]
     assert rep.final_value == shown[-1][1] == h.value(X)
-    if j == 1:  # here an earlier iterate was better
+    if j == 5:  # here an earlier iterate was better
         assert rep.final_value > min(fX for _, fX in shown)
     assert rep.flags == ["Abandoned"] and not rep.converged
     assert rep.kkt_residual == stationarity_residual(X, h.grad(X))
 
 
-def test_gp_give_up_counts_iterates_in_a_row():
-    # one miss restarts the count
-    W = subsolvers.GIVE_UP_WINDOW
+def test_gp_give_up_stops_only_where_it_holds():
+    # iterates the test does not hold on never stop the loop, however many
     X0 = gp_start()
-    give_up, shown = give_up_from(1, skip=W)
+    give_up, shown = give_up_on({30})
     X, rep = gradient_projection_solve(SLOW_MODEL(), X0, 1e-12, 200,
                                        line_search=False, give_up=give_up)
-    assert rep.iterations == 2 * W
-    assert X is shown[-1][0]
+    assert rep.iterations == len(shown) == 30
+    assert X is shown[-1][0] and rep.flags == ["Abandoned"]
     # a budget that runs out first keeps the best-iterate safeguard
-    give_up, shown = give_up_from(1)
+    give_up, shown = give_up_on({30})
     h = SLOW_MODEL()
-    X, rep = gradient_projection_solve(h, X0, 1e-12, W - 1,
+    X, rep = gradient_projection_solve(h, X0, 1e-12, 29,
                                        line_search=False, give_up=give_up)
-    assert rep.iterations == W - 1 and rep.flags == []
+    assert rep.iterations == len(shown) == 29 and rep.flags == []
     assert rep.final_value == min([h.value(X0)]
                                   + [fX for _, fX in shown])
+    assert rep.final_value < shown[-1][1]  # not the last iterate
 
 
 # --------------------------------------------------------------------------
