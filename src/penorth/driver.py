@@ -21,26 +21,48 @@ still move late, from stopping early.
 Both closed forms also certify a support directly. The refined value of
 a support S is a sum over its columns: for a linear f, X_j =
 P_{S_j, j} / ||P_{S_j, j}||, P = max(refine_linear_C(), 0), lowers f as
-sum_j ||P_{S_j, j}|| grows (_row_move_gains, one n x k pass); for a
-quadratic form f = const - tr(X^T F F^T X) with F >= 0
-(refine_quadratic_factor()), X_j = |top eigenvector of F_{S_j} F_{S_j}^T|
-lowers f as sum_j lambda_max(F_{S_j} F_{S_j}^T) grows (_quad_move_gains,
-one eigendecomposition per column and a secular equation per move). At an
-outer iteration whose row argmax is the previous one's, the driver asks
-whether moving one row to another column would grow that sum
-(_row_move_optimal), once per support. When no move gains more than
-CERTIFY_RTOL of the sum, the support is a local optimum of the refinement
-under row moves and the driver stops there ("settled") without waiting
-out the window. A quadratic form is asked only once the margin holds too:
-where two columns of the iterate coincide, the rows split between them
-tie and their support may be such a local optimum far from the one the
-continuation reaches (the direct variant on gen_onmf(100, 200, 3, 0, 2003)
-would stop at outer iteration 2 with objective 0.075, not 1e-31).
-The window and margin stay the fallback, and the only route for a
-quadratic form whose factor has a negative entry. On the
-benchmark's projection instances the row argmax after the first outer
-iteration is the final one, and the certificate holds at the second; on
-its ONMF instances it mostly holds at the second or third.
+sum_j ||P_{S_j, j}|| grows; for a quadratic form f = const -
+tr(X^T F F^T X) with F >= 0 (refine_quadratic_factor()), X_j = |top
+eigenvector of F_{S_j} F_{S_j}^T| lowers f as
+sum_j lambda_max(F_{S_j} F_{S_j}^T) grows.
+
+The first certificate is global. Each form has a closed-form bound on
+that sum over every support: for a linear f the Lagrangian bound
+D = 1/2 sum_j lambda_j + 1/2 sum_i max_j P_ij^2 / lambda_j with
+lambda_j = ||P_{S_j, j}|| (_linear_bound_gap, one n x k pass), and for a
+quadratic form the sum of the k largest eigenvalues of F F^T (Ky Fan;
+_quad_bound_gap, one spectrum per solve and, per support, the top
+eigenvalue of each column from the eigendecomposition the row moves
+below reuse, _quad_columns). When the support's sum is within
+CERTIFY_RTOL of the bound, its refined point is a global minimum of f
+over the feasible set, to that tolerance, and the driver stops
+("settled"). It asks each outer iteration's support, each support once
+and none on a feasible stop, and for a linear f also the start's, before
+the first inner solve. A quadratic form's start is not asked: on the
+benchmark's ONMF Gauss-Newton sets it would end 1 of 20 solves per seed
+one outer iteration sooner, at the price of a different termination on
+runs that stop feasible at their first outer iteration and of svd_init's
+column order in place of the continuation's. On the benchmark the bound
+certifies the start of every projection instance (no outer iteration)
+and the first outer iteration's support of 39 of the 40 ONMF
+Gauss-Newton instances of seeds 1 and 2.
+
+The second certificate is local. At an outer iteration whose row argmax is
+the previous one's, the driver asks whether moving one row to another
+column would grow that sum (_row_move_gains, one n x k pass;
+_quad_move_gains, a secular equation per move on the bound's
+eigendecompositions; _row_move_optimal), once per support. When no move gains more
+than CERTIFY_RTOL of the sum, the support is a local optimum of the
+refinement under row moves and the driver stops there ("settled") without
+waiting out the window. A quadratic form is asked only once the margin
+holds too: where two columns of the iterate coincide, the rows split
+between them tie and their support may be such a local optimum far from
+the one the continuation reaches (the direct variant on gen_onmf(100, 200,
+3, 0, 2003) would stop at outer iteration 2 with objective 0.075, not
+1e-31; the bound does not certify that support). Noisy ONMF data leave
+the bound open, and there this certificate stops the run. The window and
+margin stay the fallback, and the only route for a quadratic form whose
+factor has a negative entry.
 
 Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
@@ -89,8 +111,9 @@ from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
 # relative row margin (top - second) / top, for a settled stop
 SETTLE_WINDOW = 5
 SETTLE_MARGIN = 0.5
-# largest gain of a single row move, relative to the refined sum, that
-# still certifies a support (_row_move_optimal)
+# largest gain of a single row move, relative to the refined sum
+# (_row_move_optimal), and largest gap between the refined sum and a bound
+# on every support's, relative to the bound, that still certify a support
 CERTIFY_RTOL = 1e-12
 # floor of the inner stationarity tolerance, which decays by eta each outer
 # iteration
@@ -124,29 +147,42 @@ def row_support(X: np.ndarray) -> tuple:
     return labels, float(np.min((top[live] - second) / top[live]))
 
 
+def _linear_sums(C, labels):
+    """The pieces of a support's linear refinement.
+
+    C is the linear gain (refine_linear_C()) and labels the row support as
+    row_support returns it. With P = max(C, 0), returns a new array P^2,
+    the labelled rows, their labels, their entries P_{i, label_i}^2 and
+    s_j, the sum of P_ij^2 over the rows labelled j: postprocess's refined
+    point lowers f as sum_j sqrt(s_j) grows. None when some s_j is 0,
+    where postprocess refines column j to a coordinate vector instead.
+    """
+    rows = np.flatnonzero(labels >= 0)
+    own = labels[rows]
+    P2 = np.maximum(C, 0.0)
+    np.square(P2, out=P2)
+    own_sq = P2[rows, own]
+    s = np.bincount(own, weights=own_sq, minlength=C.shape[1])
+    if not (s > 0).all():
+        return None
+    return P2, rows, own, own_sq, s
+
+
 def _row_move_gains(C, labels):
     """Gains of the single-row moves on the linear refinement of a support.
 
-    C is the linear gain (refine_linear_C()) and labels the row support as
-    row_support returns it. With P = max(C, 0) and s_j the sum of P_ij^2
-    over the rows labelled j, postprocess's refined point lowers f as
-    sum_j sqrt(s_j) grows, and moving row i from column a to column b
-    changes that sum by
+    C and labels are as _linear_sums takes them. Moving row i from column
+    a to column b changes sum_j sqrt(s_j) by
     sqrt(s_a - P_ia^2) + sqrt(s_b + P_ib^2) - sqrt(s_a) - sqrt(s_b).
     A row alone in its column may not move, and a row labelled -1 may only
     join a column. Returns the (n, k) gains, -inf where there is no move,
-    and sum_j sqrt(s_j); None when some s_j is 0, where postprocess refines
-    column j to a coordinate vector instead.
+    and sum_j sqrt(s_j); None where _linear_sums is None.
     """
-    n, k = C.shape
-    rows = np.flatnonzero(labels >= 0)
-    own = labels[rows]
-    G = np.maximum(C, 0.0)
-    np.square(G, out=G)
-    own_sq = G[rows, own]
-    s = np.bincount(own, weights=own_sq, minlength=k)
-    if not (s > 0).all():
+    sums = _linear_sums(C, labels)
+    if sums is None:
         return None
+    G, rows, own, own_sq, s = sums
+    n, k = C.shape
     root = np.sqrt(s)
     # leaving a's sum; a row alone in its column stays, an empty one only joins
     leave = np.zeros(n)
@@ -188,16 +224,38 @@ def _increasing_root(fun, x, hi, scale):
     return root
 
 
-def _quad_move_gains(F, labels, k):
-    """Gains of the single-row moves on the quadratic-form refinement.
+def _quad_columns(F, labels, k):
+    """The pieces of a support's quadratic-form refinement, column by column.
 
     F is the objective's factor (refine_quadratic_factor(), M = F F^T) and
     labels the row support as row_support returns it. With F_j the rows of
     F labelled j, postprocess's refined point lowers f as
-    sum_j lambda_max(F_j F_j^T) grows. One eigendecomposition per column,
-    of F_j F_j^T as postprocess forms it (eigenvalues d_1 >= d_2 >= ...,
-    eigenvectors U), turns every move's change of lambda_max into the root
-    of a secular equation in the offset from d_1 (Golub, SIAM Rev. 1973).
+    sum_j lambda_max(F_j F_j^T) grows. Returns, for each column j, its rows
+    S, F_j and one eigendecomposition of F_j F_j^T as postprocess forms it:
+    the eigenvalues d_1 >= d_2 >= ..., clipped at 0, and the eigenvectors U
+    in that order. None when some column has no row.
+    """
+    rows = np.flatnonzero(labels >= 0)
+    own = labels[rows]
+    if not np.bincount(own, minlength=k).all():
+        return None
+    columns = []
+    for j in range(k):
+        S = rows[own == j]
+        FS = F[S]
+        d, U = np.linalg.eigh(FS @ FS.T)
+        columns.append((S, FS, np.maximum(d[::-1], 0.0), U[:, ::-1]))
+    return columns
+
+
+def _quad_move_gains(F, labels, columns):
+    """Gains of the single-row moves on the quadratic-form refinement.
+
+    F and labels are as _quad_columns takes them and columns what it
+    returns for them. Each column's eigendecomposition (eigenvalues
+    d_1 >= d_2 >= ..., eigenvectors U) turns every move's change of
+    lambda_max into the root of a secular equation in the offset from d_1
+    (Golub, SIAM Rev. 1973).
     A row f joining column j borders F_j F_j^T with (F_j f^T, |f|^2), whose
     top eigenvalue is d_1 + mu,
         mu + d_1 - |f|^2 = sum_k y_k^2 / (mu + d_1 - d_k),  y = U^T F_j f^T;
@@ -208,23 +266,16 @@ def _quad_move_gains(F, labels, k):
     the sum. A row alone in its column may not move, and a row labelled -1
     may only join a column. F must be nonnegative: postprocess's |v|
     attains lambda_max only when F F^T >= 0. Returns the (n, k) gains,
-    -inf where there is no move, and sum_j d_1; None when some column has
-    no row.
+    -inf where there is no move, and sum_j d_1; None where columns is None.
     """
-    n = F.shape[0]
-    rows = np.flatnonzero(labels >= 0)
-    own = labels[rows]
-    if not np.bincount(own, minlength=k).all():
+    if columns is None:
         return None
+    n, k = F.shape[0], len(columns)
     sq = np.einsum("ij,ij->i", F, F)
     gains = np.full((n, k), -np.inf)
     leave = np.zeros(n)
     top = np.empty(k)
-    for j in range(k):
-        S = rows[own == j]
-        FS = F[S]
-        d, U = np.linalg.eigh(FS @ FS.T)
-        d, U = np.maximum(d[::-1], 0.0), U[:, ::-1]
+    for j, (S, FS, d, U) in enumerate(columns):
         top[j] = d[0]
         delta = d[0] - d
 
@@ -276,6 +327,64 @@ def _row_move_optimal(moves) -> bool:
         return False
     gains, total = moves
     return bool(gains.max() <= CERTIFY_RTOL * total)
+
+
+def _linear_bound_gap(C, labels):
+    """Relative gap of a support's linear refinement to a bound on every one's.
+
+    C and labels are as _linear_sums takes them. With lambda_j = sqrt(s_j),
+    sqrt(s) = min over lambda > 0 of s / (2 lambda) + lambda / 2 gives, for
+    every support S,
+        sum_j ||P_{S_j, j}|| <= D = 1/2 sum_j lambda_j
+                                    + 1/2 sum_i max_j P_ij^2 / lambda_j,
+    and D equals the support's sum_j lambda_j exactly when every labelled
+    row's label is its argmax of P_ij^2 / lambda_j and no other row has a
+    positive P_ij. One n x k pass. Returns (D - sum) / D; None where
+    _linear_sums is None.
+    """
+    sums = _linear_sums(C, labels)
+    if sums is None:
+        return None
+    P2, *_, s = sums
+    lam = np.sqrt(s)
+    total = float(lam.sum())
+    P2 /= lam
+    bound = 0.5 * total + 0.5 * float(P2.max(axis=1).sum())
+    return (bound - total) / bound
+
+
+def _ky_fan_top(F, k):
+    """Sum of the k largest eigenvalues of F F^T: the largest
+    tr(X^T F F^T X) over X with orthonormal columns (Ky Fan, PNAS 1949).
+    From the smaller of F F^T and F^T F, whose other eigenvalues are 0."""
+    d = np.linalg.eigvalsh(F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F)
+    return float(np.maximum(d[-k:], 0.0).sum())
+
+
+def _quad_bound_gap(columns, top):
+    """Relative gap of a support's quadratic-form refinement to Ky Fan's bound.
+
+    columns is what _quad_columns returns for the support and top is
+    _ky_fan_top(F, k), at least tr(X^T F F^T X) at every feasible X. The
+    support's refined point attains sum_j lambda_max(F_j F_j^T). Returns
+    (top - sum) / top (0 when F is 0); None where columns is None.
+    """
+    if columns is None:
+        return None
+    total = float(sum(d[0] for _, _, d, _ in columns))
+    return (top - total) / top if top > 0 else 0.0
+
+
+def _last_support(fn):
+    """fn(labels), kept for the last support asked (label bytes)."""
+    last = [None, None]
+
+    def cached(labels):
+        key = labels.tobytes()
+        if key != last[0]:
+            last[:] = key, fn(labels)
+        return last[1]
+    return cached
 
 
 def feasible_init(ctx: PenaltyContext, hint=None) -> np.ndarray:
@@ -413,17 +522,49 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     kind = getattr(f, "refine_kind", "generic")
     settle = cfg.do_postprocess and kind != "generic"
     move_gains = None  # row labels -> _row_move_optimal's input (certificate)
+    bound_gap = None  # row labels -> the support's relative gap to a bound
     if settle and kind == "linear":
         C = np.asarray(f.refine_linear_C(), dtype=float)
         move_gains = functools.partial(_row_move_gains, C)
+        bound_gap = functools.partial(_linear_bound_gap, C)
     elif settle and kind == "quadratic-form":
         F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         if (F >= 0).all():
-            move_gains = functools.partial(_quad_move_gains, F, k=ctx.k)
+            # the bound and the row moves share each support's eigenpairs
+            columns = _last_support(
+                functools.partial(_quad_columns, F, k=ctx.k))
+            top = _ky_fan_top(F, ctx.k)
+
+            def move_gains(labels):
+                return _quad_move_gains(F, labels, columns(labels))
+
+            def bound_gap(labels):
+                return _quad_bound_gap(columns(labels), top)
+    gaps = {}  # support (label bytes) -> bound_gap, each support asked once
+
+    def bound_gap_of(labels):
+        key = labels.tobytes()
+        if key not in gaps:
+            gaps[key] = bound_gap(labels)
+        return gaps[key]
+
+    def globally_certified(labels):
+        gap = bound_gap_of(labels)
+        return gap is not None and gap <= CERTIFY_RTOL
+
     support = None  # row labels of the last iterate (settle on)
     unchanged = 0  # outer iterations in a row that kept those labels
     refused = set()  # supports (label bytes) with an improving row move
-    for t in range(cfg.t_max):
+    # a linear f's start support is asked before any inner solve (module
+    # docstring); a solve the bound ends there reports the start's
+    # residual under sigma0
+    start_certified = (kind == "linear" and bound_gap is not None
+                       and globally_certified(row_support(X)[0]))
+    if start_certified:
+        term = "settled"
+        kkt_penalty = stationarity_residual(
+            X, PenalizedObjective(f, ctx, PenaltyParams(sigma=sigma)).grad(X))
+    for t in range(0 if start_certified else cfg.t_max):
         params_t = PenaltyParams(sigma=sigma)
         h_t = inner_factory(X, params_t)
         # X last: an inner objective that keeps its last point starts there
@@ -516,9 +657,11 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                                       support_margin=margin)
             certified = False
             if move_gains is not None:
-                # each support's verdict once, and none on a feasible stop;
-                # quadratic-form f also needs the margin (module docstring)
-                if (not feasible and same
+                # each support's verdicts once, and none on a feasible stop:
+                # the bound first, then the row moves, which quadratic-form
+                # f asks only once the margin holds (module docstring)
+                certified = not feasible and globally_certified(labels)
+                if (not certified and not feasible and same
                         and (kind == "linear" or margin >= SETTLE_MARGIN)):
                     key = labels.tobytes()
                     if key not in refused:
@@ -569,6 +712,10 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     report.extra["X_preround"] = X
     report.extra["X_rounded"] = XR
     report.extra["f_rounded"] = float(f.value(XR))
+    if bound_gap is not None:
+        gap = bound_gap_of(row_support(X)[0])
+        if gap is not None:
+            report.extra["bound_gap"] = gap
     return report
 
 

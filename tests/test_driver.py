@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from penorth import driver, make_context, make_oblique
 from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, SETTLE_MARGIN,
-                            SETTLE_WINDOW, _quad_move_gains, _row_move_gains,
-                            _row_move_optimal,
+                            SETTLE_WINDOW, _ky_fan_top, _linear_bound_gap,
+                            _quad_bound_gap, _quad_columns, _quad_move_gains,
+                            _row_move_gains, _row_move_optimal,
                             ep4orth_solve, feasible_init, kindicators_preset,
                             onmf_preset, postprocess, projection_preset,
                             row_support)
@@ -186,17 +189,27 @@ def tiny_linear_instance(seed, n=6, k=2):
 
 
 def test_driver_solves_tiny_projection():
+    # unrefined, the continuation runs to tol_feas and rounds to the planted
+    # point; refined, the start's support is certified by the bound and the
+    # run ends before any inner solve, on the same support
     C, Xs = tiny_linear_instance(55)
     ctx = make_context(*C.shape)
-    cfg = projection_preset(t_max=100)
     factory = lambda X, params: ScaledLinearPenalty(C, ctx, params.sigma)
-    rep = ep4orth_solve(TargetDistanceObjective(C), ctx, cfg,
-                        X0=make_oblique(feasible_init(ctx, hint=C)),
-                        inner_factory=factory)
+    reps = [ep4orth_solve(TargetDistanceObjective(C), ctx,
+                          projection_preset(t_max=100, do_postprocess=post),
+                          X0=make_oblique(feasible_init(ctx, hint=C)),
+                          inner_factory=factory)
+            for post in (False, True)]
+    rep, settled = reps
     assert rep.termination == "feasibility-tol"
     assert rep.feasibility <= 1e-12
-    assert rep.zeta <= cfg.tol_feas
+    assert rep.zeta <= projection_preset().tol_feas
     assert np.allclose(rep.final, Xs, atol=1e-6)
+    assert settled.termination == "settled"
+    assert settled.outer_iterations == settled.inner_iterations == 0
+    assert settled.extra["bound_gap"] <= CERTIFY_RTOL
+    assert np.array_equal(settled.final > 0, rep.final > 0)
+    assert np.allclose(settled.final, Xs, atol=1e-12)
 
 
 def test_driver_history_contract():
@@ -220,7 +233,9 @@ def test_driver_history_contract():
 def kkt_cases():
     """(report, f, other) of one projection, one ONMF (gn) and one
     K-indicators solve: f is the objective the driver logs the residual
-    for, other the residual of K-indicators' second block (0 elsewhere)."""
+    for, other the residual of K-indicators' second block (0 elsewhere).
+    The projection's start is certified by the bound, so it has no
+    outer iteration."""
     C = np.asfortranarray(gen_projection(30, 3, 0.5, 1).C)
     yield solve_projection(C), TargetDistanceObjective(C), 0.0
     A = np.asfortranarray(gen_onmf(40, 60, 3, 0.01, 1).A)
@@ -235,14 +250,21 @@ def kkt_cases():
 
 def test_driver_kkt_residual_is_the_penalized_objectives():
     # the logged residual is stationarity_residual of PenalizedObjective's
-    # gradient at the last sigma, bit for bit: the penalty has one body
+    # gradient at the last sigma, bit for bit: the penalty has one body. A
+    # solve the bound ends at its start reports the start's, under sigma0
+    lengths = []
     for rep, f, other in kkt_cases():
         X = rep.extra["X_preround"]
-        params = PenaltyParams(sigma=rep.history[-1]["sigma"])
+        lengths.append(len(rep.history))
+        sigma = (rep.history[-1]["sigma"] if rep.history
+                 else projection_preset().sigma0)
         want = stationarity_residual(
-            X, PenalizedObjective(f, make_context(*X.shape), params).grad(X))
-        assert rep.history[-1]["kkt_penalty"] == want
+            X, PenalizedObjective(f, make_context(*X.shape),
+                                  PenaltyParams(sigma=sigma)).grad(X))
+        if rep.history:
+            assert rep.history[-1]["kkt_penalty"] == want
         assert rep.kkt_residual == max(want, other)
+    assert lengths[0] == 0 and min(lengths[1:]) > 0
 
 
 def overlap_start(n, k):
@@ -297,33 +319,61 @@ def test_settle_constants_frozen_values():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_driver_settles_on_small_onmf(seed):
-    inst = gen_onmf(30, 60, 3, 0.0, seed=seed)
+    # light noise keeps Ky Fan's bound open (bound_gap about 3e-6), so the
+    # row-move certificate is what stops the run
+    inst = gen_onmf(30, 60, 3, 0.01, seed=seed)
     # unrefined, the final point round(X_T) depends on more than the
     # support: the continuation runs on to tol_feas
     full = solve_onmf(inst.A, 3, onmf_preset(do_postprocess=False))
     rep = solve_onmf(inst.A, 3)
     assert full.termination == "feasibility-tol"
     assert all(set(h) == HISTORY_KEYS for h in full.history)
+    assert "bound_gap" not in full.extra
     assert rep.termination == "settled"
     assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
                for h in rep.history)
     assert rep.outer_iterations < full.outer_iterations
     assert np.array_equal(np.argmax(rep.final, axis=1),
                           np.argmax(full.final, axis=1))
-    assert rep.extra["resi"] <= 1e-8
+    assert 1e-6 < rep.extra["bound_gap"] < 1e-5
+    assert rep.extra["resi"] <= full.extra["resi"]
     assert rep.feasibility <= 1e-12
     # the certificate is asked, and holds, at the first outer iteration
     # that keeps the previous one's row argmax with the margin (seed 1
-    # waits one iteration for the margin), long before the window would
+    # waits two iterations for the margin), long before the window would
     asked = [h["support_unchanged"] >= 1
              and h["support_margin"] >= SETTLE_MARGIN for h in rep.history]
     assert [h["support_certified"] for h in rep.history] == asked
     assert asked.index(True) == len(asked) - 1
+    assert rep.outer_iterations == (2, 4)[seed]
     last = rep.history[-1]
     assert 1 <= last["support_unchanged"] < SETTLE_WINDOW
     assert last["support_margin"] >= SETTLE_MARGIN
     # the report describes the last iterate before rounding
     assert rep.zeta == last["zeta2"] > 1e-8
+
+
+def test_driver_certifies_noise_free_onmf_before_the_row_moves():
+    # noise-free, Ky Fan's bound closes on the support of the first outer
+    # iteration, before the row-move certificate could be asked (it needs
+    # the argmax to hold for a second one): the run stops there, on the
+    # support the full continuation (to tol_feas, unrefined) rounds to.
+    # A quadratic form's start is not asked (module docstring)
+    for seed in (0, 1):
+        inst = gen_onmf(30, 60, 3, 0.0, seed=seed)
+        full = solve_onmf(inst.A, 3, onmf_preset(do_postprocess=False))
+        rep = solve_onmf(inst.A, 3)
+        assert full.termination == "feasibility-tol"
+        assert full.outer_iterations > 1
+        assert rep.termination == "settled"
+        assert rep.outer_iterations == 1
+        assert [h["support_certified"] for h in rep.history] == [True]
+        assert rep.history[0]["support_unchanged"] == 0
+        assert rep.history[0]["solver"] == "newton"
+        assert abs(rep.extra["bound_gap"]) <= CERTIFY_RTOL
+        assert np.array_equal(np.argmax(rep.final, axis=1),
+                              np.argmax(full.final, axis=1))
+        assert rep.extra["resi"] <= 1e-8
 
 
 class GenericOpnmf(OpnmfObjective):
@@ -373,6 +423,30 @@ def test_driver_settles_by_window_without_a_nonnegative_factor():
     assert window.termination == "feasibility-tol"
     assert np.array_equal(np.argmax(reps[0].final, axis=1),
                           np.argmax(window.final, axis=1))
+
+
+def test_driver_reports_the_bound_gap_only_where_a_bound_exists():
+    # a linear f and a quadratic form with a nonnegative factor have a
+    # bound; a factor with a negative entry, a generic f, K-indicators and
+    # an unrefined run have none
+    inst = gen_onmf(40, 80, 4, 0.0, seed=0)
+    ctx = make_context(40, 4)
+    X0 = svd_init(inst.A, 4)
+    cfg = onmf_preset()
+    reps = [ep4orth_solve(f, ctx, cfg, X0=X0, X_feas=round_point(X0))
+            for f in (OpnmfObjective(inst.A), OpnmfObjective(inst.A - 0.01),
+                      GenericOpnmf(inst.A))]
+    reps.append(solve_onmf(inst.A, 4, onmf_preset(do_postprocess=False)))
+    reps.append(kindicators_solve(gen_kindicators(200, 4, 0.3, 1).U))
+    proj = gen_projection(30, 3, 1.5, 0)
+    reps.append(solve_projection(proj.C))
+    assert [("bound_gap" in rep.extra) for rep in reps] == [
+        True, False, False, False, False, True]
+    assert abs(reps[0].extra["bound_gap"]) <= CERTIFY_RTOL
+    # a heavy-noise projection: a bound, not a certificate
+    assert reps[-1].extra["bound_gap"] > CERTIFY_RTOL
+    assert reps[-1].termination == "feasibility-tol"
+    assert "bound_gap" in reps[-1].to_dict()
 
 
 def test_driver_never_certifies_coincident_onmf_columns():
@@ -501,7 +575,7 @@ def check_quad_move_gains(F, labels, k):
     """Every gain of _quad_move_gains against the moved supports' eigvalsh,
     to 1e-12 of the sum: a row alone in its column has no move, a row
     labelled -1 joins any column."""
-    G, total = _quad_move_gains(F, labels, k)
+    G, total = _quad_move_gains(F, labels, _quad_columns(F, labels, k))
     base = refined_quad_sum(F, labels, k)
     assert abs(total - base) <= 1e-13 * base
     counts = np.bincount(labels[labels >= 0], minlength=k)
@@ -560,17 +634,19 @@ def test_quad_move_gains_on_onmf_data(xi):
     labels[[3, 17, 40]] = (labels[[3, 17, 40]] + 1) % 3
     G, total = check_quad_move_gains(inst.A, labels, 3)
     assert not _row_move_optimal((G, total))
-    assert _row_move_optimal(_quad_move_gains(inst.A, inst.labels, 3))
+    assert _row_move_optimal(_quad_move_gains(
+        inst.A, inst.labels, _quad_columns(inst.A, inst.labels, 3)))
 
 
 def test_quad_move_gains_need_every_column():
     F = oracles.rng_for(931).random((6, 4))
     labels = np.array([0, 1, 2, 0, 1, 2])
-    assert _quad_move_gains(F, labels, 3) is not None
+    assert _quad_move_gains(F, labels, _quad_columns(F, labels, 3)) is not None
     # an empty column: no certificate
     labels = np.array([0, 1, 1, 0, 1, -1])
-    assert _quad_move_gains(F, labels, 3) is None
-    assert not _row_move_optimal(_quad_move_gains(F, labels, 3))
+    assert _quad_columns(F, labels, 3) is None
+    assert _quad_move_gains(F, labels, None) is None
+    assert not _row_move_optimal(_quad_move_gains(F, labels, None))
 
 
 def refined_sum(C, labels):
@@ -634,15 +710,94 @@ def test_row_move_certificate_refuses_an_improving_move():
     assert not _row_move_optimal(_row_move_gains(C, np.array([0, 1, -1])))
 
 
-def test_driver_settles_by_row_move_certificate():
+def labellings(n, k):
+    """Every row labelling in {-1, 0, ..., k - 1}^n (-1: the row is in no
+    column) that leaves no column empty."""
+    for labels in itertools.product(range(-1, k), repeat=n):
+        labels = np.array(labels)
+        if np.bincount(labels[labels >= 0], minlength=k).all():
+            yield labels
+
+
+def bound_case(seed):
+    """A small planted instance: a linear gain C with negative entries and a
+    nonnegative factor F with 4 columns. Seeds 0-3 perturb C lightly and
+    leave F of rank k (Ky Fan's bound is attained only then), 4-7 perturb
+    both heavily."""
+    rng = oracles.rng_for(940 + seed)
+    n, k = ((8, 2), (6, 3), (7, 2), (5, 3))[seed % 4]
+    heavy = seed >= 4
+    B = oracles.random_feasible(rng, n, k)
+    C = (B * rng.uniform(1.0, 3.0, k)
+         + (0.05, 1.0)[heavy] * rng.standard_normal((n, k)))
+    F = B @ rng.random((k, 4)) + heavy * rng.random((n, 4))
+    assert (C < 0).any() and (F >= 0).all()
+    return C, F, k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bounds_match_brute_force(seed):
+    # every support of a small instance enumerated: each bound is at least
+    # the best refined sum, and a support it certifies attains that best
+    C, F, k = bound_case(seed)
+    supports = list(labellings(C.shape[0], k))
+    linear = [refined_sum(C, labels) for labels in supports]
+    quad = [refined_quad_sum(F, labels, k) for labels in supports]
+    best_linear, best_quad = max(linear), max(quad)
+    top = _ky_fan_top(F, k)
+    assert top >= best_quad * (1 - 1e-14)
+    certified = [0, 0]
+    for labels, lin, qua in zip(supports, linear, quad):
+        gap = _linear_bound_gap(C, labels)
+        if gap is None:
+            # a column whose rows all have C <= 0
+            assert not all((C[labels == j, j] > 0).any() for j in range(k))
+        else:
+            # the bound is lin / (1 - gap)
+            assert lin >= (1 - gap) * best_linear - 1e-13 * best_linear
+            if gap <= CERTIFY_RTOL:
+                assert lin >= best_linear * (1 - 2 * CERTIFY_RTOL)
+                certified[0] += 1
+        gap = _quad_bound_gap(_quad_columns(F, labels, k), top)
+        assert abs(top * (1 - gap) - qua) <= 1e-13 * top
+        if gap <= CERTIFY_RTOL:
+            assert qua >= best_quad * (1 - 2 * CERTIFY_RTOL)
+            certified[1] += 1
+    # light perturbation: the bounds close on the planted support
+    assert (min(certified) > 0) == (seed < 4)
+
+
+def test_quad_bound_needs_every_column():
+    F = oracles.rng_for(932).random((6, 4))
+    top = _ky_fan_top(F, 3)
+    assert top == pytest.approx(np.sum(np.linalg.svd(F)[1][:3] ** 2),
+                                rel=1e-14)
+    labels = np.array([0, 1, 1, 0, 1, -1])
+    assert _quad_bound_gap(_quad_columns(F, labels, 3), top) is None
+    # a zero factor: every support is optimal
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    assert _quad_bound_gap(_quad_columns(np.zeros((6, 4)), labels, 3),
+                           0.0) == 0.0
+
+
+def test_driver_settles_by_row_move_certificate(monkeypatch):
+    # the bound certifies this instance's start, so the default run has no
+    # outer iteration. With the bound off, as for a support it cannot bound,
     # the second outer iteration keeps the first one's row argmax, and its
     # refined point has no improving row move: the run stops there, long
-    # before the window would, on the support the full continuation
-    # (to tol_feas, unrefined) rounds to
+    # before the window would. Both stop on the support the full
+    # continuation (to tol_feas, unrefined) rounds to
     inst = gen_projection(500, 10, 0.7, seed=3)
-    rep = solve_projection(inst.C, X_star=inst.X_star)
     full = solve_projection(inst.C, projection_preset(do_postprocess=False))
+    bounded = solve_projection(inst.C, X_star=inst.X_star)
+    monkeypatch.setattr(driver, "_linear_bound_gap", lambda C, labels: None)
+    rep = solve_projection(inst.C, X_star=inst.X_star)
     assert full.termination == "feasibility-tol"
+    assert bounded.termination == "settled"
+    assert bounded.outer_iterations == 0
+    assert bounded.extra["bound_gap"] <= CERTIFY_RTOL
+    assert np.array_equal(bounded.final > 0, full.final > 0)
+    assert "bound_gap" not in rep.extra
     assert all(set(h) == HISTORY_KEYS for h in full.history)
     assert rep.termination == "settled"
     assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
@@ -880,6 +1035,7 @@ def test_driver_arms_the_give_up_test_only_before_an_anchor_test(
 
 
 def test_driver_arms_no_give_up_test_for_projection(monkeypatch):
-    C = gen_projection(60, 4, 0.7, seed=1).C
+    # heavy noise: the bound does not end the run at its start
+    C = gen_projection(60, 4, 1.2, seed=0).C
     armed = give_up_per_solve(monkeypatch, lambda: solve_projection(C))
     assert armed and not any(armed)

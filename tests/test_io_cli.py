@@ -16,11 +16,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from penorth import (TargetDistanceObjective, ep4orth_solve, gen_projection,
-                     projection_preset, solve_projection)
+from penorth import (PenalizedObjective, PenaltyParams,
+                     TargetDistanceObjective, ep4orth_solve, gen_projection,
+                     make_context, project_oblique_plus, projection_preset,
+                     solve_projection, stationarity_residual)
 from penorth import io as pio
 from penorth.cli import main
 from penorth.errors import BadShape, DimensionMismatch, ParseError
+from penorth.rounding import round as round_point
 
 import oracles
 
@@ -371,9 +374,10 @@ def test_cli_gen_projection_then_solve(tmp_path):
                 "--save-solution", sol_path])
     assert r.exit_code == 0, r.output
     rep = pio.read_report(rep_path)
-    # the refined point's support has no improving row move: the run stops
-    # early, on the support the full continuation rounds to
+    # the bound certifies the start's support: the run stops before any
+    # inner solve, on the support the full continuation rounds to
     assert rep["termination"] == "settled"
+    assert rep["outer_iterations"] == 0
     assert rep["gap"] <= 1e-6          # xstar sibling was picked up
     assert rep["feasibility"] <= 1e-12
     assert rep["manifest"]["command"] == "project"
@@ -391,6 +395,32 @@ def test_cli_gen_projection_then_solve(tmp_path):
     full = pio.read_report(str(tmp_path / "full.json.out"))
     assert full["termination"] == "feasibility-tol"
     assert np.array_equal(X > 0, pio.read_matrix(full_path) > 0)
+
+
+def test_cli_project_reports_finite_values_when_the_start_is_certified(
+        tmp_path):
+    # a solve the bound ends at its start has no outer iteration; its
+    # residual is the start's under sigma0, a number in the JSON report
+    # (not null), and the report carries the bound's relative gap
+    inst = gen_projection(12, 3, 0.5, 5)
+    path = str(tmp_path / "c.mtx")
+    pio.write_matrix(path, inst.C)
+    rep_path = str(tmp_path / "rep.json")
+    r = invoke(["project", "--in", path, "--out", rep_path])
+    assert r.exit_code == 0, r.output
+    rep = pio.read_report(rep_path)
+    assert rep["termination"] == "settled"
+    assert rep["outer_iterations"] == rep["inner_iterations"] == 0
+    C = pio.read_matrix(path)
+    ctx = make_context(*C.shape)
+    X = round_point(project_oblique_plus(C))
+    want = stationarity_residual(X, PenalizedObjective(
+        TargetDistanceObjective(C), ctx,
+        PenaltyParams(sigma=projection_preset().sigma0)).grad(X))
+    assert isinstance(rep["kkt_residual"], float)
+    assert rep["kkt_residual"] == want > 0
+    assert isinstance(rep["zeta"], float)
+    assert rep["bound_gap"] <= 1e-12
 
 
 def test_cli_gen_is_deterministic(tmp_path):
@@ -730,7 +760,7 @@ def test_cli_bench_table_drops_repeated_grid_values(tmp_path):
     r = invoke(["bench", "table-proj", "--n", "10", "--k", "2", "--xi", "0.5",
                 "--xi", "0.5", "--n", "10", "--seeds", "2", "--out", out])
     assert r.exit_code == 0, r.output
-    row = "n=   10 k=  2 xi=0.5   suc=2/2 gap_max=0.00e+00 time="
+    row = "n=   10 k=  2 xi=0.5   suc=2/2 gap_max=-1.11e-16 time="
     lines = r.output.splitlines()
     assert [line.rsplit("=", 1)[0] + "=" for line in lines[:1]] == [row]
     assert lines[1:] == [f"table written to {out}"]
@@ -738,13 +768,14 @@ def test_cli_bench_table_drops_repeated_grid_values(tmp_path):
     for cell in table["cells"]:
         assert cell.pop("seconds_total") >= 0
     assert table["cells"] == [{"n": 10, "k": 2, "xi": 0.5, "runs": 2,
-                               "suc": 2, "gap_max": 0.0,
-                               "gap_mean": 0.0,
-                               "feasibility_max": 2.482534153247273e-16}]
+                               "suc": 2, "gap_max": -1.1102230246251565e-16,
+                               "gap_mean": -1.1102230246251565e-16,
+                               "feasibility_max": 3.1401849173675503e-16}]
     assert [run["seed"] for run in table["runs"]] == [0, 1]
-    # both runs stop on a certified support, the one the full continuation
-    # (to tol_feas, unrefined) rounds to
+    # both runs stop on the start's support, which the bound certifies, the
+    # one the full continuation (to tol_feas, unrefined) rounds to
     assert [run["termination"] for run in table["runs"]] == ["settled"] * 2
+    assert [run["outer_iterations"] for run in table["runs"]] == [0, 0]
     for seed in (0, 1):
         C = gen_projection(10, 2, 0.5, seed).C
         full = solve_projection(C, projection_preset(do_postprocess=False))

@@ -132,12 +132,14 @@ def test_solve_projection_recovers_planted_point():
 def test_solve_projection_on_generated_instance():
     inst = gen_projection(12, 3, xi=0.5, seed=21)
     rep = solve_projection(inst.C, X_star=inst.X_star)
-    # the refined point of the second outer iteration's support has no
-    # improving row move, so the run stops there with the support the full
+    # the bound certifies the support of the start round(project(C)), so
+    # the run stops before any inner solve, with the support the full
     # continuation (to tol_feas, unrefined) rounds to
     assert rep.termination == "settled"
-    assert rep.outer_iterations == 2
-    assert rep.history[-1]["support_certified"]
+    assert rep.outer_iterations == rep.inner_iterations == 0
+    assert rep.history == []
+    assert rep.extra["bound_gap"] == 0.0
+    assert np.isfinite(rep.kkt_residual)
     full = solve_projection(inst.C, driver.projection_preset(
         do_postprocess=False))
     assert full.termination == "feasibility-tol"
@@ -165,7 +167,9 @@ def test_solve_projection_holds_one_column_major_target(monkeypatch):
     for order in ("F", "C"):
         targets.clear()
         C = np.asarray(gen_projection(12, 3, xi=0.5, seed=21).C, order=order)
-        rep = solve_projection(C)
+        # unrefined, so that the bound does not end the run at its start
+        rep = solve_projection(C, driver.projection_preset(
+            do_postprocess=False))
         assert len(targets) > rep.outer_iterations > 1
         assert all(T is targets[0] for T in targets)
         assert targets[0].flags.f_contiguous and np.array_equal(targets[0], C)
