@@ -20,9 +20,12 @@ moved. --tiny solves the benchmark's smoke-test instance sets instead.
 --summary prints, instead of the hashes, what a change that moves values
 by rounding should still keep: per instance the termination reason, the
 outer and inner counts, a hash of final's row support (each row's argmax
-column and the final > 0 pattern), and the objective and feasibility to
-17 significant digits. A diff of two --summary runs shows which counts
-and supports held where the hashes moved.
+column and the final > 0 pattern), a hash of the partition of the rows it
+induces (the argmax labels, -1 for a row with no positive entry, renamed
+by first occurrence, so a support that only permutes columns keeps it),
+and the objective and feasibility to 17 significant digits. A diff of two
+--summary runs shows which counts, supports and partitions held where the
+hashes moved.
 
 --kindicators-grid solves, instead of the benchmark's sets, 84
 K-indicators instances off the benchmark: gen_kindicators(n, k, noise,
@@ -113,12 +116,25 @@ def digest(obj) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
+def partition(labels) -> np.ndarray:
+    """labels renamed 0, 1, ... in the order they first occur, so two
+    labellings of one partition of the rows give the same array."""
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
 def summary(rep) -> str:
-    """Termination, counts, row-support hash, objective and feasibility."""
+    """Termination, counts, row-support and partition hashes, objective and
+    feasibility."""
     final = np.asarray(rep.final)
+    labels = np.where((final > 0).any(axis=1), final.argmax(axis=1), -1)
     support = digest([final.argmax(axis=1), final > 0])[:8]
     return (f"termination={rep.termination} outer={rep.outer_iterations} "
             f"inner={rep.inner_iterations} support={support} "
+            f"partition={digest(partition(labels))[:8]} "
             f"objective={rep.objective:.17g} "
             f"feasibility={rep.feasibility:.17g}")
 

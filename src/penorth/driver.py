@@ -36,16 +36,35 @@ eigenvalue of each column from the eigendecomposition the row moves
 below reuse, _quad_columns). When the support's sum is within
 CERTIFY_RTOL of the bound, its refined point is a global minimum of f
 over the feasible set, to that tolerance, and the driver stops
-("settled"). It asks each outer iteration's support, each support once
-and none on a feasible stop, and for a linear f also the start's, before
-the first inner solve. A quadratic form's start is not asked: on the
-benchmark's ONMF Gauss-Newton sets it would end 1 of 20 solves per seed
-one outer iteration sooner, at the price of a different termination on
-runs that stop feasible at their first outer iteration and of svd_init's
-column order in place of the continuation's. On the benchmark the bound
-certifies the start of every projection instance (no outer iteration)
-and the first outer iteration's support of 39 of the 40 ONMF
-Gauss-Newton instances of seeds 1 and 2.
+("settled"). It asks each outer iteration's support, each support once,
+and for a linear f also the start's, before the first inner solve; every
+history entry carries its support's gap as bound_gap. A quadratic form's
+start is not asked: on the benchmark's ONMF Gauss-Newton sets it would
+end 1 of 20 solves per seed one outer iteration sooner, at the price of a
+different termination on runs that stop feasible at their first outer
+iteration and of svd_init's column order in place of the continuation's.
+
+Inside a Newton solve the bound is asked too: the driver hands
+newton_solve give_up(X) = "the bound certifies X's support" (_row_labels),
+asked on each accepted iterate. The solve stops at the first iterate it
+holds on ("Abandoned" in the history entry's inner_flags), and the outer
+iteration then finds that verdict cached and stops "settled". No feasible
+point has a lower f than that support's refined point, to CERTIFY_RTOL,
+so a run that solved on could at best tie it. Where the bound stays open
+the test costs about 4 % of the solve (gen_onmf(200, 600, 5, 0.1, seed),
+seeds 0-4: 0.64 of 17.2 s, 0.46 of it for the bound on the 253 supports
+the outer iterations would not have asked). The projected-gradient path
+is not asked: its iterations are cheap, and asking it there made bench
+table-proj --xi 1.2 --xi 1.5 take 5.0-8.1 s against 3.8-5.9 s (3
+alternating runs).
+
+On the benchmark the bound certifies the start of every projection
+instance (no outer iteration) and, on all 40 ONMF Gauss-Newton instances
+of seeds 1 and 2, an iterate of the first Newton solve, the first or
+second on 38 of them: 30 and 29 Newton iterations over the 20 solves of
+each seed, where 218 and 276 ran without the in-solve test. Every one of
+those runs ends on the partition of the rows and the objective it ended
+on without the test, in another column order on 13 of the 40.
 
 The second certificate is local. At an outer iteration whose row argmax is
 the previous one's, the driver asks whether moving one row to another
@@ -77,7 +96,9 @@ iteration would anchor. The solve stops at the first iterate it holds on
 solve's result would also have been discarded, the next iteration
 restarts from the same anchor with the same settings, so the answer is
 the same; whether it would have been is not known when the test holds,
-and on every run measured below it was. The test is not armed in the
+and on every run measured below it was. It needs the settled stop off, and
+the Newton solve's test above needs it on, so a solve is handed at most
+one of them. The test is not armed in the
 last outer iteration or once sigma exceeds 1e16, which ends the loop,
 and it builds the next iteration's model once, at the solve's start: it
 is exact for inner models that do not depend on the point they are built
@@ -88,6 +109,12 @@ iterate (the 2nd to 4th) where they had run 15-500, and none of the
 other 84: on those the test never held, and of its parts the defect test
 held on at most 4 iterates in a row (the keep and anchoring tests on up
 to 439 and 500).
+
+Under "start" the driver evaluates the anchor after the incumbent, so
+that an inner objective that keeps its last point (as K-indicators'
+keeps its Procrustes target) still has it when the iteration restarts
+from the anchor: one polar factor less per anchored K-indicators outer
+iteration.
 """
 from __future__ import annotations
 
@@ -122,29 +149,35 @@ EPS_GRAD_MIN = 1e-7
 FEAS_TOL = 1e-10
 
 
+def _row_labels(X: np.ndarray) -> np.ndarray:
+    """The row argmax of X, -1 for a row with no positive entry (which
+    rounding leaves empty): the labels of X's rounded support."""
+    arg = np.argmax(X, axis=1)
+    return np.where(X[np.arange(X.shape[0]), arg] > 0, arg, -1)
+
+
 def row_support(X: np.ndarray) -> tuple:
     """Rounded support of X and how far it is from changing.
 
-    Returns the row argmax as labels (-1 for a row with no positive entry,
-    which rounding leaves empty) and the smallest (top - second) / top over
-    the other rows: 1 when k = 1, and 0 when some column is no row's argmax,
-    since rounding then resets the point to I_{n,k}.
+    Returns the row argmax as labels (as _row_labels) and the smallest
+    (top - second) / top over the other rows: 1 when k = 1, and 0 when some
+    column is no row's argmax, since rounding then resets the point to
+    I_{n,k}.
     """
-    n, k = X.shape
-    rows = np.arange(n)
-    arg = np.argmax(X, axis=1)
-    top = X[rows, arg]
-    live = top > 0
-    labels = np.where(live, arg, -1)
-    if not np.bincount(arg[live], minlength=k).all():
+    k = X.shape[1]
+    labels = _row_labels(X)
+    live = np.flatnonzero(labels >= 0)
+    own = labels[live]
+    if not np.bincount(own, minlength=k).all():
         return labels, 0.0
     if k == 1:
         return labels, 1.0
     # each row's largest entry but the argmax's: the second on a tie too
-    rest = X.copy(order="K")
-    rest[rows, arg] = -np.inf
-    second = rest.max(axis=1)[live]
-    return labels, float(np.min((top[live] - second) / top[live]))
+    top = X[live, own]
+    rest = X[live]
+    rest[np.arange(live.size), own] = -np.inf
+    second = rest.max(axis=1)
+    return labels, float(np.min((top - second) / top))
 
 
 def _linear_sums(C, labels):
@@ -567,9 +600,15 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     for t in range(0 if start_certified else cfg.t_max):
         params_t = PenaltyParams(sigma=sigma)
         h_t = inner_factory(X, params_t)
-        # X last: an inner objective that keeps its last point starts there
-        hF = float(h_t.value(X_feas))
-        hX = float(h_t.value(X))
+        # the point the solve most likely starts at last, for an inner
+        # objective that keeps its last point: the incumbent, or under
+        # "start" the anchor (module docstring)
+        if cfg.anchor == "start":
+            hX = float(h_t.value(X))
+            hF = float(h_t.value(X_feas))
+        else:
+            hF = float(h_t.value(X_feas))
+            hX = float(h_t.value(X))
         anchored = False
         if cfg.anchor == "start" and hX > hF:
             X = X_feas
@@ -581,7 +620,13 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             "gp" if zeta(X, ctx) > cfg.zeta_switch else "newton")
 
         give_up = None
-        if (cfg.anchor == "start" and cfg.gamma2_rule is None and not settle
+        if solver == "newton" and bound_gap is not None:
+            # the first accepted iterate whose support the bound certifies
+            # ends the solve, and the settle block below ends the run on
+            # its cached verdict (module docstring)
+            def give_up(Xd, hXd):
+                return globally_certified(_row_labels(Xd))
+        elif (cfg.anchor == "start" and cfg.gamma2_rule is None and not settle
                 and solver != "newton" and t + 1 < cfg.t_max
                 and sigma <= 1e16):
             # the next outer iteration's model and anchor value, as it will
@@ -598,7 +643,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 
         def solve(h, start):
             if solver == "newton":
-                return newton_solve(h, start, eps_grad, cfg.max_inner)
+                return newton_solve(h, start, eps_grad, cfg.max_inner,
+                                    give_up=give_up)
             fixed = cfg.fixed_alpha if solver == "gp-fixed" else None
             return gradient_projection_solve(
                 h, start, eps_grad, cfg.max_inner, fixed,
@@ -657,10 +703,14 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                                       support_margin=margin)
             certified = False
             if move_gains is not None:
-                # each support's verdicts once, and none on a feasible stop:
-                # the bound first, then the row moves, which quadratic-form
-                # f asks only once the margin holds (module docstring)
-                certified = not feasible and globally_certified(labels)
+                # each support's verdicts once, and no stop test on a
+                # feasible stop: the bound first, then the row moves, which
+                # quadratic-form f asks only once the margin holds (module
+                # docstring)
+                gap = bound_gap_of(labels)
+                report.history[-1]["bound_gap"] = gap
+                certified = (not feasible and gap is not None
+                             and gap <= CERTIFY_RTOL)
                 if (not certified and not feasible and same
                         and (kind == "linear" or margin >= SETTLE_MARGIN)):
                     key = labels.tobytes()

@@ -19,7 +19,8 @@ Two families:
   or BETA2 (below); C1 and C2 are the angle and model-decrease constants;
   the curvature estimate starts at KAPPA_HAT0, doubles on each failed check
   and is capped at KAPPA_CAP. The caller sets only the stopping rule:
-  the residual tolerance and the iteration budget.
+  the residual tolerance, the iteration budget and, as for the
+  projected-gradient loop, an optional give-up test on each iterate.
 
 The per-column slice projection (onto {z : x^T z = 1, z >= 0}, in
 manifold.py) is the geometric workhorse shared by the tangent-cone
@@ -454,7 +455,7 @@ def solve_qp_subproblem(X: np.ndarray, grad_m: np.ndarray,
 
 
 def newton_solve(h: Objective, X0: np.ndarray, tol: float,
-                 max_iter: int) -> tuple:
+                 max_iter: int, give_up: Optional[Callable] = None) -> tuple:
     """Second-order solve of min h over the nonnegative oblique manifold.
 
     Iterates until the stationarity residual ||min(X, rgrad h)||_F falls to
@@ -465,6 +466,11 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
     for every screened trial, the model value, the guaranteed-decrease
     bound it was checked against, and the accept/reject outcome. X0 is
     checked and copied on entry, each accepted trial checked once.
+
+    give_up, when given, is called as give_up(X, h(X)) on each accepted
+    trial, once it is the iterate; a rejected trial is never shown to it.
+    On the first iterate it holds on, the loop stops, sets the "Abandoned"
+    flag and returns that iterate, as gradient_projection_solve does.
     """
     # a row-major copy, as every trial is (manifold._order)
     X = make_oblique(X0)
@@ -477,6 +483,7 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
     step = np.inf
     converged = False
     G_at_X = False  # G and res were evaluated at the current X
+    abandoned = False
     it = 0
     while it < max_iter:
         it += 1
@@ -583,6 +590,10 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
             step = norm(Y - X)
             X, fX = make_oblique(Y, copy=False), fY  # Y is a fresh array
             G_at_X = False
+            if give_up is not None and give_up(X, fX):
+                abandoned = True
+                flags.append("Abandoned")
+                break
         if rho >= ETA2:
             tau = BETA0 * tau
         elif rho >= ETA1:
@@ -590,7 +601,7 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
         else:
             tau = BETA2 * tau
         tau = min(max(tau, 1e-12), 1e14)
-    if not converged and it >= max_iter:
+    if not converged and not abandoned and it >= max_iter:
         flags.append("MaxIterReached")
     if not G_at_X:
         res = stationarity_residual(X, np.asarray(h.grad(X), dtype=float))

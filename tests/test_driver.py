@@ -309,8 +309,9 @@ HISTORY_KEYS = {"t", "sigma", "eps_grad", "solver", "inner_iterations",
                 "kkt_inner", "kkt_penalty", "zeta2", "h_start", "h_end",
                 "descent_ok", "anchored", "trials", "inner_flags"}
 SUPPORT_KEYS = {"support_unchanged", "support_margin"}
-# ... and the row-move certificate's verdict, where f has one
-CERTIFIED_SUPPORT_KEYS = SUPPORT_KEYS | {"support_certified"}
+# ... and, where f has a bound, the certificates' verdict and the support's
+# relative gap to the bound
+CERTIFIED_SUPPORT_KEYS = SUPPORT_KEYS | {"support_certified", "bound_gap"}
 
 
 def test_settle_constants_frozen_values():
@@ -353,12 +354,23 @@ def test_driver_settles_on_small_onmf(seed):
     assert rep.zeta == last["zeta2"] > 1e-8
 
 
+def partition(labels):
+    """labels renamed 0, 1, ... by first occurrence: one array per
+    partition of the rows, whatever the column order."""
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(first.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
 def test_driver_certifies_noise_free_onmf_before_the_row_moves():
-    # noise-free, Ky Fan's bound closes on the support of the first outer
-    # iteration, before the row-move certificate could be asked (it needs
-    # the argmax to hold for a second one): the run stops there, on the
-    # support the full continuation (to tol_feas, unrefined) rounds to.
-    # A quadratic form's start is not asked (module docstring)
+    # noise-free, Ky Fan's bound closes on the support of an early Newton
+    # iterate of the first outer iteration, before the row-move certificate
+    # could be asked (it needs the argmax to hold for a second one): the
+    # solve stops there and the run with it, on the partition the full
+    # continuation (to tol_feas, unrefined) rounds to, in a column order
+    # of its own. A quadratic form's start is not asked (module docstring)
     for seed in (0, 1):
         inst = gen_onmf(30, 60, 3, 0.0, seed=seed)
         full = solve_onmf(inst.A, 3, onmf_preset(do_postprocess=False))
@@ -370,10 +382,59 @@ def test_driver_certifies_noise_free_onmf_before_the_row_moves():
         assert [h["support_certified"] for h in rep.history] == [True]
         assert rep.history[0]["support_unchanged"] == 0
         assert rep.history[0]["solver"] == "newton"
+        assert rep.history[0]["inner_flags"] == ["Abandoned"]
         assert abs(rep.extra["bound_gap"]) <= CERTIFY_RTOL
-        assert np.array_equal(np.argmax(rep.final, axis=1),
-                              np.argmax(full.final, axis=1))
+        assert np.array_equal(partition(np.argmax(rep.final, axis=1)),
+                              partition(np.argmax(full.final, axis=1)))
+        assert rep.objective <= 1e-30 and full.objective <= 1e-30
         assert rep.extra["resi"] <= 1e-8
+
+
+def unhooked_newton(monkeypatch):
+    """Hand every Newton solve of the driver no give-up test."""
+    inner = driver.newton_solve
+
+    def newton_solve(*args, give_up=None):
+        return inner(*args)
+
+    monkeypatch.setattr(driver, "newton_solve", newton_solve)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_driver_stops_the_newton_solve_on_a_certified_support(
+        monkeypatch, seed):
+    # the solve stops at its first accepted iterate whose support the bound
+    # certifies; without the test the solve runs on (seed 2: six more outer
+    # iterations) and the run ends on the same partition, objective and
+    # residual, in a column order that may differ
+    A = gen_onmf(30, 60, 3, 0.0, seed).A
+    rep = solve_onmf(A, 3, variant="gn")
+    unhooked_newton(monkeypatch)
+    off = solve_onmf(A, 3, variant="gn")
+    assert rep.termination == off.termination == "settled"
+    assert rep.history[-1]["inner_flags"] == ["Abandoned"]
+    assert all("Abandoned" not in h["inner_flags"] for h in off.history)
+    assert rep.inner_iterations < off.inner_iterations
+    assert rep.objective == off.objective
+    assert rep.extra["resi"] == off.extra["resi"]
+    assert np.array_equal(partition(np.argmax(rep.final, axis=1)),
+                          partition(np.argmax(off.final, axis=1)))
+
+
+def test_driver_certifies_a_direct_onmf_run_before_its_columns_collapse():
+    # run to its end, the direct variant's first Newton solve leaves two
+    # columns alike, and the run stops at tol_feas with objective 0.0944;
+    # an earlier Newton iterate has a support the bound certifies, and the
+    # run stops there
+    inst = gen_onmf(100, 200, 3, 0.0, 1003)
+    rep = solve_onmf(inst.A, 3, variant="direct")
+    assert rep.termination == "settled"
+    assert rep.outer_iterations == 1
+    assert rep.history[0]["inner_flags"] == ["Abandoned"]
+    assert rep.history[0]["support_certified"]
+    assert rep.objective <= 1e-30
+    pred = np.argmax(rep.final, axis=1)
+    assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
 
 
 class GenericOpnmf(OpnmfObjective):
@@ -452,15 +513,19 @@ def test_driver_reports_the_bound_gap_only_where_a_bound_exists():
 def test_driver_never_certifies_coincident_onmf_columns():
     # two columns of the direct variant's iterate nearly coincide, so every
     # row is close to a tie (margin about 1e-15) while the row argmax holds.
-    # Its support splits a planted cluster and has no improving row move:
-    # without the margin the certificate would stop the run at outer
-    # iteration 2 with objective 0.075; with it the run recovers the factor
+    # Its support splits a planted cluster, has no improving row move and a
+    # bound gap of 0.075: without the margin the row-move certificate would
+    # stop the run at outer iteration 2 with objective 0.075. With it the
+    # run goes on until a Newton iterate's support closes the bound
     inst = gen_onmf(100, 200, 3, 0.0, 2003)
     rep = solve_onmf(inst.A, 3, variant="direct")
-    assert rep.termination == "feasibility-tol"
+    assert rep.termination == "settled"
     assert rep.history[1]["support_unchanged"] == 1
     assert rep.history[1]["support_margin"] < 1e-12
-    assert not any(h.get("support_certified") for h in rep.history)
+    assert rep.history[1]["bound_gap"] > 0.07
+    certified = [h["support_certified"] for h in rep.history]
+    assert certified == [False] * (len(certified) - 1) + [True]
+    assert abs(rep.history[-1]["bound_gap"]) <= CERTIFY_RTOL
     assert rep.objective <= 1e-20
     pred = np.argmax(rep.final, axis=1)
     assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
@@ -468,18 +533,21 @@ def test_driver_never_certifies_coincident_onmf_columns():
 
 def test_driver_feasible_stop_keeps_the_support_keys():
     # a refinable run that stops on tol_feas still records the support of
-    # its last iterate, with no certificate asked there; the bookkeeping
-    # moves no iterate: the run is the unrefinable one's, then refined
-    A = np.asfortranarray(gen_onmf(100, 200, 3, 0.0, 2003).A)
+    # its last iterate, with no certificate asked there; the bookkeeping,
+    # the Newton give-up test included, moves no iterate: the run is the
+    # unrefinable one's, then refined. The direct variant's columns
+    # collapse here, so the bound never closes
+    A = np.asfortranarray(gen_onmf(30, 60, 3, 0.0, 1).A)
     rep = solve_onmf(A, 3, variant="direct")
     X0 = svd_init(A, 3)
-    bare = ep4orth_solve(GenericOpnmf(A), make_context(100, 3), onmf_preset(),
+    bare = ep4orth_solve(GenericOpnmf(A), make_context(30, 3), onmf_preset(),
                          X0=X0, X_feas=round_point(X0))
     assert rep.termination == bare.termination == "feasibility-tol"
-    assert rep.outer_iterations == bare.outer_iterations == 229
+    assert rep.outer_iterations == bare.outer_iterations == 226
     assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
                for h in rep.history)
     assert not rep.history[-1]["support_certified"]
+    assert rep.history[-1]["bound_gap"] == rep.extra["bound_gap"] > 0.06
     assert [{key: h[key] for key in HISTORY_KEYS} for h in rep.history] \
         == bare.history
     assert np.array_equal(rep.extra["X_rounded"], bare.final)
@@ -822,6 +890,29 @@ def test_driver_does_not_certify_a_support_with_an_improving_move():
     assert rep.termination == "feasibility-tol"
 
 
+def test_driver_history_carries_each_supports_bound_gap(monkeypatch):
+    # heavy noise: the support moves between outer iterations and the bound
+    # stays open. Each entry carries its own support's gap, as the bound
+    # gives it (None while some column's s_j is 0, as in the first three
+    # here), and the last one is the report's
+    C = np.asfortranarray(gen_projection(40, 4, 1.5, seed=0).C)
+    seen = []
+
+    def recorded(X):
+        out = row_support(X)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(driver, "row_support", recorded)
+    rep = solve_projection(C)
+    # the start's support, then one per outer iteration, then the final's
+    assert len(seen) == len(rep.history) + 2
+    gaps = [h["bound_gap"] for h in rep.history]
+    assert gaps == [_linear_bound_gap(C, labels) for labels in seen[1:-1]]
+    assert gaps[-1] == rep.extra["bound_gap"]
+    assert gaps[:3] == [None] * 3 and gaps[-1] > CERTIFY_RTOL
+
+
 def fallback_rewarding_setup(n=6, k=2):
     """Objective that rewards the feasible fallback's pattern, started from
     the fully-overlapped point. With a starved inner budget the warm run
@@ -887,8 +978,10 @@ def test_driver_force_solver_paths():
     ctx = make_context(*C.shape)
     f = TargetDistanceObjective(C)
     for solver in ("gp", "newton"):
+        # unrefined: no certificate ends the run before tol_feas
         cfg = DriverConfig(sigma0=0.1, gamma2=5.0, tol_feas=1e-8,
-                           t_max=60, force_solver=solver, max_inner=300)
+                           t_max=60, force_solver=solver, max_inner=300,
+                           do_postprocess=False)
         rep = ep4orth_solve(f, ctx, cfg)
         assert rep.zeta <= 1e-8, solver
         assert all(h["solver"] == solver for h in rep.history)

@@ -816,18 +816,90 @@ def test_newton_reuses_the_gradient_at_its_final_point(max_iter):
         assert counted.grads == rep.iterations
 
 
+class RejectingEveryOther(Objective):
+    """h whose value reads 1e6 too high at every second trial point, so the
+    Newton loop rejects it; it keeps the trial arrays it inflated."""
+
+    def __init__(self, h):
+        self.h = h
+        self.calls = 0
+        self.rejected = []
+
+    def value(self, X):
+        self.calls += 1  # the first call is the start's
+        if self.calls % 2 == 1 and self.calls > 1:
+            self.rejected.append(X)
+            return self.h.value(X) + 1e6
+        return self.h.value(X)
+
+    def grad(self, X):
+        return self.h.grad(X)
+
+    def hess_at(self, X):
+        return self.h.hess_at(X)
+
+
+def newton_with_rejections(**kwargs):
+    """newton_solve on small_penalized(40), whose every second trial is
+    rejected; returns (X, report, unwrapped h, wrapper)."""
+    h, rng = small_penalized(40)
+    X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
+    wrapped = RejectingEveryOther(h)
+    X, rep = newton_solve(wrapped, X0, 1e-12, **kwargs)
+    return X, rep, h, wrapped
+
+
+def test_newton_give_up_that_never_holds_changes_nothing():
+    # the test is shown every accepted iterate, and no rejected trial
+    asked = []
+    X, rep, _, wrapped = newton_with_rejections(
+        max_iter=40, give_up=lambda X, fX: asked.append((X, fX)) or False)
+    X_ref, rep_ref, _, _ = newton_with_rejections(max_iter=40)
+    assert X.tobytes() == X_ref.tobytes()
+    assert rep.trials == rep_ref.trials
+    assert rep.flags == rep_ref.flags == ["MaxIterReached"]
+    accepted = [t for t in rep.trials if t["accepted"]]
+    assert len(asked) == len(accepted) == rep.iterations // 2
+    assert wrapped.rejected
+    assert not any(np.shares_memory(R, Xa)
+                   for R in wrapped.rejected for Xa, _ in asked)
+    assert asked[-1][0] is X and asked[-1][1] == rep.final_value
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_newton_give_up_stops_on_the_first_held_iterate(j):
+    give_up, shown = give_up_on({j, j + 1})  # call j + 1 never comes
+    X, rep, h, _ = newton_with_rejections(max_iter=200, give_up=give_up)
+    assert len(shown) == j
+    # the j-th accepted trial, at iteration 2 j - 1, ended the loop
+    assert rep.iterations == 2 * j - 1 == rep.trials[-1]["iter"]
+    assert rep.trials[-1]["accepted"]
+    assert sum(t["accepted"] for t in rep.trials) == j
+    assert X is shown[-1][0]
+    assert rep.final_value == shown[-1][1] == h.value(X)
+    assert rep.flags == ["Abandoned"] and not rep.converged
+    assert rep.kkt_residual == stationarity_residual(X, h.grad(X))
+
+
+def test_newton_give_up_on_the_last_iteration_is_no_budget_stop():
+    give_up, shown = give_up_on({2})
+    X, rep, _, _ = newton_with_rejections(max_iter=3, give_up=give_up)
+    assert rep.iterations == 3 and len(shown) == 2
+    assert rep.flags == ["Abandoned"]
+
+
 def settable(fn, fixed):
     """Names of fn's parameters after the first `fixed` ones."""
     return list(inspect.signature(fn).parameters)[fixed:]
 
 
 def test_solver_configs_hold_only_settings_callers_set():
-    # the inner solvers take the driver's tolerance and budget, plus the
-    # projected-gradient step rule; the Newton safeguards are the paper's
-    # fixed constants, not options
+    # the inner solvers take the driver's tolerance, budget and give-up
+    # test, plus the projected-gradient step rule; the Newton safeguards are
+    # the paper's fixed constants, not options
     assert settable(gradient_projection_solve, 2) == [
         "tol", "max_iter", "fixed_alpha", "line_search", "give_up"]
-    assert settable(newton_solve, 2) == ["tol", "max_iter"]
+    assert settable(newton_solve, 2) == ["tol", "max_iter", "give_up"]
     # the fallback's random stream is fixed
     assert settable(feasible_init, 1) == ["hint"]
     # the driver always minimizes the p = 1, q = 2 model without smoothing,
