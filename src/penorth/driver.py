@@ -12,13 +12,16 @@ When f has a closed-form refinement (refine_kind "linear" or
 "quadratic-form") and postprocessing is on, the refined point depends only
 on the rounded support and the data, and the continuation often fixes
 that support long before the defect reaches tol_feas. The driver then
-also stops ("settled") once the row argmax has stayed the same for
-SETTLE_WINDOW outer iterations in a row while every column is some row's
-argmax and every row's largest entry leads its second by at least
-SETTLE_MARGIN of itself; the margin keeps noisy runs, whose supports
-still move late, from stopping early.
+also stops ("settled") on a support that a certificate below holds on.
+A linear f has one such stop, the global bound; where that bound stays
+open (or is None, while some s_j below is 0) its run goes on to tol_feas
+as the paper's does. A quadratic form also stops once the row argmax has
+stayed the same for SETTLE_WINDOW outer iterations in a row while every
+column is some row's argmax and every row's largest entry leads its
+second by at least SETTLE_MARGIN of itself; the margin keeps noisy runs,
+whose supports still move late, from stopping early.
 
-Both closed forms also certify a support directly. The refined value of
+Both closed forms certify a support directly. The refined value of
 a support S is a sum over its columns: for a linear f, X_j =
 P_{S_j, j} / ||P_{S_j, j}||, P = max(refine_linear_C(), 0), lowers f as
 sum_j ||P_{S_j, j}|| grows; for a quadratic form f = const -
@@ -33,8 +36,12 @@ lambda_j = ||P_{S_j, j}|| (_linear_bound_gap, one n x k pass), and for a
 quadratic form the sum of the k largest eigenvalues of F F^T (Ky Fan;
 _quad_bound_gap, one spectrum per solve and, per support, the top
 eigenvalue of each column from the eigendecomposition the row moves
-below reuse, _quad_columns). When the support's sum is within
-CERTIFY_RTOL of the bound, its refined point is a global minimum of f
+below reuse, _quad_columns). It is a linear f's only settled stop: on 492
+heavy-noise projection runs (n 200 and 500, k 5 and 10, xi 0.5 to 1.5,
+seeds 0-19, and 2000 x 20 at xi 1.0 to 1.5, seeds 0-3) it ended 288, 233
+at the start, and the other 204 reached tol_feas, where a row-move test
+and the window stopped none of them either. When the support's sum is
+within CERTIFY_RTOL of the bound, its refined point is a global minimum of f
 over the feasible set, to that tolerance, and the driver stops
 ("settled"). It asks each outer iteration's support, each support once,
 and for a linear f also the start's, before the first inner solve; every
@@ -66,22 +73,21 @@ each seed, where 218 and 276 ran without the in-solve test. Every one of
 those runs ends on the partition of the rows and the objective it ended
 on without the test, in another column order on 13 of the 40.
 
-The second certificate is local. At an outer iteration whose row argmax is
-the previous one's, the driver asks whether moving one row to another
-column would grow that sum (_row_move_gains, one n x k pass;
-_quad_move_gains, a secular equation per move on the bound's
-eigendecompositions; _row_move_optimal), once per support. When no move gains more
-than CERTIFY_RTOL of the sum, the support is a local optimum of the
-refinement under row moves and the driver stops there ("settled") without
-waiting out the window. A quadratic form is asked only once the margin
-holds too: where two columns of the iterate coincide, the rows split
-between them tie and their support may be such a local optimum far from
-the one the continuation reaches (the direct variant on gen_onmf(100, 200,
-3, 0, 2003) would stop at outer iteration 2 with objective 0.075, not
-1e-31; the bound does not certify that support). Noisy ONMF data leave
-the bound open, and there this certificate stops the run. The window and
-margin stay the fallback, and the only route for a quadratic form whose
-factor has a negative entry.
+The second certificate is local, and a quadratic form's only. At an outer
+iteration whose row argmax is the previous one's and whose margin holds,
+the driver asks whether moving one row to another column would grow that
+sum (_quad_move_gains, a secular equation per move on the bound's
+eigendecompositions; _row_move_optimal), once per support. When no move
+gains more than CERTIFY_RTOL of the sum, the support is a local optimum
+of the refinement under row moves and the driver stops there ("settled")
+without waiting out the window. The margin is needed: where two columns
+of the iterate coincide, the rows split between them tie and their
+support may be such a local optimum far from the one the continuation
+reaches (the direct variant on gen_onmf(100, 200, 3, 0, 2003) would stop
+at outer iteration 2 with objective 0.075, not 1e-31; the bound does not
+certify that support). Noisy ONMF data leave the bound open, and there
+this certificate stops the run. The window stays the fallback, and the
+only route for a quadratic form whose factor has a negative entry.
 
 Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
@@ -178,56 +184,6 @@ def row_support(X: np.ndarray) -> tuple:
     rest[np.arange(live.size), own] = -np.inf
     second = rest.max(axis=1)
     return labels, float(np.min((top - second) / top))
-
-
-def _linear_sums(C, labels):
-    """The pieces of a support's linear refinement.
-
-    C is the linear gain (refine_linear_C()) and labels the row support as
-    row_support returns it. With P = max(C, 0), returns a new array P^2,
-    the labelled rows, their labels, their entries P_{i, label_i}^2 and
-    s_j, the sum of P_ij^2 over the rows labelled j: postprocess's refined
-    point lowers f as sum_j sqrt(s_j) grows. None when some s_j is 0,
-    where postprocess refines column j to a coordinate vector instead.
-    """
-    rows = np.flatnonzero(labels >= 0)
-    own = labels[rows]
-    P2 = np.maximum(C, 0.0)
-    np.square(P2, out=P2)
-    own_sq = P2[rows, own]
-    s = np.bincount(own, weights=own_sq, minlength=C.shape[1])
-    if not (s > 0).all():
-        return None
-    return P2, rows, own, own_sq, s
-
-
-def _row_move_gains(C, labels):
-    """Gains of the single-row moves on the linear refinement of a support.
-
-    C and labels are as _linear_sums takes them. Moving row i from column
-    a to column b changes sum_j sqrt(s_j) by
-    sqrt(s_a - P_ia^2) + sqrt(s_b + P_ib^2) - sqrt(s_a) - sqrt(s_b).
-    A row alone in its column may not move, and a row labelled -1 may only
-    join a column. Returns the (n, k) gains, -inf where there is no move,
-    and sum_j sqrt(s_j); None where _linear_sums is None.
-    """
-    sums = _linear_sums(C, labels)
-    if sums is None:
-        return None
-    G, rows, own, own_sq, s = sums
-    n, k = C.shape
-    root = np.sqrt(s)
-    # leaving a's sum; a row alone in its column stays, an empty one only joins
-    leave = np.zeros(n)
-    leave[rows] = np.sqrt(np.maximum(s[own] - own_sq, 0.0)) - root[own]
-    leave[rows[np.bincount(own, minlength=k)[own] == 1]] = -np.inf
-    # joining b's sum, then the move's gain; staying put is no move
-    G += s
-    np.sqrt(G, out=G)
-    G -= root
-    G += leave[:, None]
-    G[rows, own] = -np.inf
-    return G, float(root.sum())
 
 
 def _increasing_root(fun, x, hi, scale):
@@ -354,7 +310,8 @@ def _quad_move_gains(F, labels, columns):
 def _row_move_optimal(moves) -> bool:
     """Whether no single-row move gains more than CERTIFY_RTOL of the sum.
 
-    moves is what _row_move_gains or _quad_move_gains returns.
+    moves is what _quad_move_gains returns. A linear f has no such test:
+    its only settled stop is the global bound (module docstring).
     """
     if moves is None:
         return False
@@ -365,20 +322,26 @@ def _row_move_optimal(moves) -> bool:
 def _linear_bound_gap(C, labels):
     """Relative gap of a support's linear refinement to a bound on every one's.
 
-    C and labels are as _linear_sums takes them. With lambda_j = sqrt(s_j),
-    sqrt(s) = min over lambda > 0 of s / (2 lambda) + lambda / 2 gives, for
-    every support S,
+    C is the linear gain (refine_linear_C()) and labels the row support as
+    _row_labels returns it. With P = max(C, 0) and s_j the sum of P_ij^2
+    over the rows labelled j, postprocess's refined point lowers f as
+    sum_j lambda_j, lambda_j = sqrt(s_j), grows. sqrt(s) = min over
+    lambda > 0 of s / (2 lambda) + lambda / 2 gives, for every support S,
         sum_j ||P_{S_j, j}|| <= D = 1/2 sum_j lambda_j
                                     + 1/2 sum_i max_j P_ij^2 / lambda_j,
     and D equals the support's sum_j lambda_j exactly when every labelled
     row's label is its argmax of P_ij^2 / lambda_j and no other row has a
-    positive P_ij. One n x k pass. Returns (D - sum) / D; None where
-    _linear_sums is None.
+    positive P_ij. One n x k pass. Returns (D - sum) / D; None when some
+    s_j is 0, where postprocess refines column j to a coordinate vector
+    instead.
     """
-    sums = _linear_sums(C, labels)
-    if sums is None:
+    rows = np.flatnonzero(labels >= 0)
+    own = labels[rows]
+    P2 = np.maximum(C, 0.0)
+    np.square(P2, out=P2)
+    s = np.bincount(own, weights=P2[rows, own], minlength=C.shape[1])
+    if not (s > 0).all():
         return None
-    P2, *_, s = sums
     lam = np.sqrt(s)
     total = float(lam.sum())
     P2 /= lam
@@ -554,12 +517,11 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     # the settled stop needs a final point that depends on the support only
     kind = getattr(f, "refine_kind", "generic")
     settle = cfg.do_postprocess and kind != "generic"
-    move_gains = None  # row labels -> _row_move_optimal's input (certificate)
     bound_gap = None  # row labels -> the support's relative gap to a bound
+    move_gains = None  # row labels -> _row_move_optimal's input (quadratic)
     if settle and kind == "linear":
-        C = np.asarray(f.refine_linear_C(), dtype=float)
-        move_gains = functools.partial(_row_move_gains, C)
-        bound_gap = functools.partial(_linear_bound_gap, C)
+        bound_gap = functools.partial(
+            _linear_bound_gap, np.asarray(f.refine_linear_C(), dtype=float))
     elif settle and kind == "quadratic-form":
         F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         if (F >= 0).all():
@@ -592,7 +554,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     # docstring); a solve the bound ends there reports the start's
     # residual under sigma0
     start_certified = (kind == "linear" and bound_gap is not None
-                       and globally_certified(row_support(X)[0]))
+                       and globally_certified(_row_labels(X)))
     if start_certified:
         term = "settled"
         kkt_penalty = stationarity_residual(
@@ -702,17 +664,16 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             report.history[-1].update(support_unchanged=unchanged,
                                       support_margin=margin)
             certified = False
-            if move_gains is not None:
+            if bound_gap is not None:
                 # each support's verdicts once, and no stop test on a
-                # feasible stop: the bound first, then the row moves, which
-                # quadratic-form f asks only once the margin holds (module
-                # docstring)
+                # feasible stop: the bound first, then for a quadratic form
+                # the row moves, once the margin holds (module docstring)
                 gap = bound_gap_of(labels)
                 report.history[-1]["bound_gap"] = gap
                 certified = (not feasible and gap is not None
                              and gap <= CERTIFY_RTOL)
-                if (not certified and not feasible and same
-                        and (kind == "linear" or margin >= SETTLE_MARGIN)):
+                if (move_gains is not None and not certified and not feasible
+                        and same and margin >= SETTLE_MARGIN):
                     key = labels.tobytes()
                     if key not in refused:
                         certified = _row_move_optimal(move_gains(labels))
@@ -722,7 +683,8 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         if feasible:
             term = "feasibility-tol"
             break
-        if settle and (certified or (unchanged >= SETTLE_WINDOW
+        if settle and (certified or (kind == "quadratic-form"
+                                     and unchanged >= SETTLE_WINDOW
                                      and margin >= SETTLE_MARGIN)):
             term = "settled"
             break
@@ -763,7 +725,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     report.extra["X_rounded"] = XR
     report.extra["f_rounded"] = float(f.value(XR))
     if bound_gap is not None:
-        gap = bound_gap_of(row_support(X)[0])
+        gap = bound_gap_of(_row_labels(X))
         if gap is not None:
             report.extra["bound_gap"] = gap
     return report

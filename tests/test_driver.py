@@ -7,7 +7,7 @@ from penorth import driver, make_context, make_oblique
 from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, SETTLE_MARGIN,
                             SETTLE_WINDOW, _ky_fan_top, _linear_bound_gap,
                             _quad_bound_gap, _quad_columns, _quad_move_gains,
-                            _row_move_gains, _row_move_optimal,
+                            _row_labels, _row_move_optimal,
                             ep4orth_solve, feasible_init, kindicators_preset,
                             onmf_preset, postprocess, projection_preset,
                             row_support)
@@ -723,61 +723,6 @@ def refined_sum(C, labels):
     return sum(np.linalg.norm(P[labels == j, j]) for j in range(C.shape[1]))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_row_move_gains_match_brute_force(seed):
-    # every single-row move, recomputed from the definition: a row alone in
-    # its column has none, a row labelled -1 only joins; entries of C below
-    # 0 (clipped to 0) and rows left out of the support are both drawn
-    rng = oracles.rng_for(900 + seed)
-    n, k = 9, 3
-    C = rng.standard_normal((n, k)) + 0.5
-    labels = np.concatenate([np.arange(k), rng.integers(-1, k, size=n - k)])
-    labels[rng.integers(k, n - 1)] = -1
-    labels[labels == 2] = 0
-    labels[2] = 2  # column 2 holds one row
-    for j in range(k):
-        C[labels == j, j] = np.abs(C[labels == j, j]) + 0.1
-    C[n - 1, 0], labels[n - 1] = -0.3, 0  # in column 0, clipped to 0 there
-    G, total = _row_move_gains(C, labels)
-    base = refined_sum(C, labels)
-    assert total == pytest.approx(base, rel=1e-14)
-    counts = np.bincount(labels[labels >= 0], minlength=k)
-    for i in range(n):
-        for b in range(k):
-            a = labels[i]
-            if b == a or (a >= 0 and counts[a] == 1):
-                assert G[i, b] == -np.inf
-                continue
-            moved = labels.copy()
-            moved[i] = b
-            assert G[i, b] == pytest.approx(refined_sum(C, moved) - base,
-                                            abs=1e-13)
-    assert (labels == -1).any()
-    assert (G[labels == -1] > -np.inf).all()  # an empty row may join any
-    assert (G[2] == -np.inf).all()  # the lone row of column 2 stays
-
-
-def test_row_move_gains_need_every_column_refined():
-    # a column with no row, or only rows where C <= 0, is refined to a
-    # coordinate vector, which the gains do not describe: no certificate
-    C = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
-    assert _row_move_gains(C, np.array([0, 0, 0])) is None
-    assert _row_move_gains(C, np.array([0, -1, 1])) is None
-    assert not _row_move_optimal(_row_move_gains(C, np.array([0, -1, 1])))
-    assert _row_move_optimal(_row_move_gains(C, np.array([0, 1, 0])))
-
-
-def test_row_move_certificate_refuses_an_improving_move():
-    # row 2 gains more in column 0 than it loses in column 1
-    C = np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 0.1]])
-    G, total = _row_move_gains(C, np.array([0, 1, 1]))
-    assert G[2, 0] > CERTIFY_RTOL * total
-    assert not _row_move_optimal(_row_move_gains(C, np.array([0, 1, 1])))
-    assert _row_move_optimal(_row_move_gains(C, np.array([0, 1, 0])))
-    # a row left out of the support that could join is an improving move
-    assert not _row_move_optimal(_row_move_gains(C, np.array([0, 1, -1])))
-
-
 def labellings(n, k):
     """Every row labelling in {-1, 0, ..., k - 1}^n (-1: the row is in no
     column) that leaves no column empty."""
@@ -848,13 +793,11 @@ def test_quad_bound_needs_every_column():
                            0.0) == 0.0
 
 
-def test_driver_settles_by_row_move_certificate(monkeypatch):
+def test_driver_settles_a_linear_f_only_on_the_bound(monkeypatch):
     # the bound certifies this instance's start, so the default run has no
     # outer iteration. With the bound off, as for a support it cannot bound,
-    # the second outer iteration keeps the first one's row argmax, and its
-    # refined point has no improving row move: the run stops there, long
-    # before the window would. Both stop on the support the full
-    # continuation (to tol_feas, unrefined) rounds to
+    # nothing else stops a linear f early: the run goes on to tol_feas on
+    # the unrefined run's iterates, and refines to the bounded run's point
     inst = gen_projection(500, 10, 0.7, seed=3)
     full = solve_projection(inst.C, projection_preset(do_postprocess=False))
     bounded = solve_projection(inst.C, X_star=inst.X_star)
@@ -867,44 +810,35 @@ def test_driver_settles_by_row_move_certificate(monkeypatch):
     assert np.array_equal(bounded.final > 0, full.final > 0)
     assert "bound_gap" not in rep.extra
     assert all(set(h) == HISTORY_KEYS for h in full.history)
-    assert rep.termination == "settled"
+    assert rep.termination == "feasibility-tol"
     assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
                for h in rep.history)
-    assert [h["support_certified"] for h in rep.history] == [False, True]
-    assert rep.history[-1]["support_unchanged"] == 1 < SETTLE_WINDOW
-    assert rep.outer_iterations < full.outer_iterations
-    assert np.array_equal(rep.final > 0, full.final > 0)
+    assert not any(h["support_certified"] for h in rep.history)
+    assert [{key: h[key] for key in HISTORY_KEYS} for h in rep.history] \
+        == full.history
+    assert np.array_equal(rep.final, bounded.final)
     assert rep.extra["gap"] <= 1e-12
     assert rep.feasibility <= 1e-12
 
 
-def test_driver_does_not_certify_a_support_with_an_improving_move():
-    # heavy noise: the row argmax holds for two outer iterations, but its
-    # refined point has an improving row move, so the run goes on, its
-    # support moves, and it ends as it did without the certificate
-    inst = gen_projection(40, 4, 1.5, seed=0)
-    rep = solve_projection(inst.C)
-    unchanged = [h.get("support_unchanged") for h in rep.history]
-    assert unchanged[:5] == [0, 1, 2, 0, 1]
-    assert not any(h.get("support_certified") for h in rep.history)
-    assert rep.termination == "feasibility-tol"
-
-
 def test_driver_history_carries_each_supports_bound_gap(monkeypatch):
     # heavy noise: the support moves between outer iterations and the bound
-    # stays open. Each entry carries its own support's gap, as the bound
-    # gives it (None while some column's s_j is 0, as in the first three
-    # here), and the last one is the report's
+    # stays open, so no support is certified and the run ends at tol_feas.
+    # Each entry carries its own support's gap, as the bound gives it (None
+    # while some column's s_j is 0, as in the first three here), and the
+    # last one is the report's
     C = np.asfortranarray(gen_projection(40, 4, 1.5, seed=0).C)
     seen = []
 
     def recorded(X):
-        out = row_support(X)
-        seen.append(out[0])
-        return out
+        seen.append(_row_labels(X))
+        return seen[-1]
 
-    monkeypatch.setattr(driver, "row_support", recorded)
+    monkeypatch.setattr(driver, "_row_labels", recorded)
     rep = solve_projection(C)
+    assert rep.termination == "feasibility-tol"
+    assert not any(h["support_certified"] for h in rep.history)
+    assert [h["support_unchanged"] for h in rep.history][:5] == [0, 1, 2, 0, 1]
     # the start's support, then one per outer iteration, then the final's
     assert len(seen) == len(rep.history) + 2
     gaps = [h["bound_gap"] for h in rep.history]
