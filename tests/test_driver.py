@@ -847,6 +847,18 @@ def test_driver_history_carries_each_supports_bound_gap(monkeypatch):
     assert gaps[:3] == [None] * 3 and gaps[-1] > CERTIFY_RTOL
 
 
+def test_driver_does_not_certify_a_support_with_an_improving_move():
+    # heavy noise: the row argmax holds for two outer iterations, but its
+    # support does not attain the global bound (a row move improves it), so
+    # the run goes on, its support moves, and it ends at tol_feas
+    inst = gen_projection(40, 4, 1.5, seed=0)
+    rep = solve_projection(inst.C)
+    unchanged = [h.get("support_unchanged") for h in rep.history]
+    assert unchanged[:5] == [0, 1, 2, 0, 1]
+    assert not any(h.get("support_certified") for h in rep.history)
+    assert rep.termination == "feasibility-tol"
+
+
 def fallback_rewarding_setup(n=6, k=2):
     """Objective that rewards the feasible fallback's pattern, started from
     the fully-overlapped point. With a starved inner budget the warm run
