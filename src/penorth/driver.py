@@ -12,14 +12,16 @@ When f has a closed-form refinement (refine_kind "linear" or
 "quadratic-form") and postprocessing is on, the refined point depends only
 on the rounded support and the data, and the continuation often fixes
 that support long before the defect reaches tol_feas. The driver then
-also stops ("settled") on a support that a certificate below holds on.
+also stops ("settled") on a support that the certificate below holds on.
 A linear f has one such stop, the global bound; where that bound stays
 open (or is None, while some s_j below is 0) its run goes on to tol_feas
-as the paper's does. A quadratic form also stops once the row argmax has
-stayed the same for SETTLE_WINDOW outer iterations in a row while every
-column is some row's argmax and every row's largest entry leads its
-second by at least SETTLE_MARGIN of itself; the margin keeps noisy runs,
-whose supports still move late, from stopping early.
+as the paper's does. A quadratic form has one local stop besides: once
+the row argmax has stayed the same for SETTLE_WINDOW outer iterations in
+a row while every column is some row's argmax and every row's largest
+entry leads its second by at least SETTLE_MARGIN of itself. The margin
+keeps noisy runs, whose supports still move late, from stopping early.
+Noisy data leave the bound open, and there the window ends the run; it is
+the only route for a quadratic form whose factor has a negative entry.
 
 Both closed forms certify a support directly. The refined value of
 a support S is a sum over its columns: for a linear f, X_j =
@@ -29,14 +31,13 @@ tr(X^T F F^T X) with F >= 0 (refine_quadratic_factor()), X_j = |top
 eigenvector of F_{S_j} F_{S_j}^T| lowers f as
 sum_j lambda_max(F_{S_j} F_{S_j}^T) grows.
 
-The first certificate is global. Each form has a closed-form bound on
-that sum over every support: for a linear f the Lagrangian bound
+The certificate is global. Each form has a closed-form bound on that
+sum over every support: for a linear f the Lagrangian bound
 D = 1/2 sum_j lambda_j + 1/2 sum_i max_j P_ij^2 / lambda_j with
 lambda_j = ||P_{S_j, j}|| (_linear_bound_gap, one n x k pass), and for a
 quadratic form the sum of the k largest eigenvalues of F F^T (Ky Fan;
 _quad_bound_gap, one spectrum per solve and, per support, the top
-eigenvalue of each column from the eigendecomposition the row moves
-below reuse, _quad_columns). It is a linear f's only settled stop: on 492
+eigenvalue of each column). It is a linear f's only settled stop: on 492
 heavy-noise projection runs (n 200 and 500, k 5 and 10, xi 0.5 to 1.5,
 seeds 0-19, and 2000 x 20 at xi 1.0 to 1.5, seeds 0-3) it ended 288, 233
 at the start, and the other 204 reached tol_feas, where a row-move test
@@ -72,22 +73,6 @@ second on 38 of them: 30 and 29 Newton iterations over the 20 solves of
 each seed, where 218 and 276 ran without the in-solve test. Every one of
 those runs ends on the partition of the rows and the objective it ended
 on without the test, in another column order on 13 of the 40.
-
-The second certificate is local, and a quadratic form's only. At an outer
-iteration whose row argmax is the previous one's and whose margin holds,
-the driver asks whether moving one row to another column would grow that
-sum (_quad_move_gains, a secular equation per move on the bound's
-eigendecompositions; _row_move_optimal), once per support. When no move
-gains more than CERTIFY_RTOL of the sum, the support is a local optimum
-of the refinement under row moves and the driver stops there ("settled")
-without waiting out the window. The margin is needed: where two columns
-of the iterate coincide, the rows split between them tie and their
-support may be such a local optimum far from the one the continuation
-reaches (the direct variant on gen_onmf(100, 200, 3, 0, 2003) would stop
-at outer iteration 2 with objective 0.075, not 1e-31; the bound does not
-certify that support). Noisy ONMF data leave the bound open, and there
-this certificate stops the run. The window stays the fallback, and the
-only route for a quadratic form whose factor has a negative entry.
 
 Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
@@ -144,9 +129,8 @@ from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
 # relative row margin (top - second) / top, for a settled stop
 SETTLE_WINDOW = 5
 SETTLE_MARGIN = 0.5
-# largest gain of a single row move, relative to the refined sum
-# (_row_move_optimal), and largest gap between the refined sum and a bound
-# on every support's, relative to the bound, that still certify a support
+# largest gap between a support's refined sum and a bound on every support's,
+# relative to the bound, that still certifies the support
 CERTIFY_RTOL = 1e-12
 # floor of the inner stationarity tolerance, which decays by eta each outer
 # iteration
@@ -184,139 +168,6 @@ def row_support(X: np.ndarray) -> tuple:
     rest[np.arange(live.size), own] = -np.inf
     second = rest.max(axis=1)
     return labels, float(np.min((top - second) / top))
-
-
-def _increasing_root(fun, x, hi, scale):
-    """Roots in [0, hi] of increasing functions, one per entry.
-
-    fun(idx, x) returns the values and the derivatives at x of the
-    functions numbered idx, and x is a start in (0, hi]. A Newton step
-    that leaves the bracket the signs seen so far give is replaced by
-    bisection. An entry is done once its step, or its bracket, is at most
-    4 ulp of its scale; an entry whose hi already is that small takes hi.
-    """
-    tol = 4 * np.finfo(float).eps * scale
-    root = np.where(hi > tol, x, hi)
-    idx = np.flatnonzero(hi > tol)
-    x, lo, hi, tol = x[idx], np.zeros(idx.size), hi[idx], tol[idx]
-    while idx.size:
-        val, der = fun(idx, x)
-        lo = np.where(val < 0, x, lo)
-        hi = np.where(val > 0, x, hi)
-        step = x - val / der
-        close = np.abs(step - x) <= tol
-        inside = (step > lo) & (step < hi)
-        x = np.where(close | inside, step, 0.5 * (lo + hi))
-        root[idx] = x
-        go = ~close & (hi - lo > tol)
-        idx, x, lo, hi, tol = idx[go], x[go], lo[go], hi[go], tol[go]
-    return root
-
-
-def _quad_columns(F, labels, k):
-    """The pieces of a support's quadratic-form refinement, column by column.
-
-    F is the objective's factor (refine_quadratic_factor(), M = F F^T) and
-    labels the row support as row_support returns it. With F_j the rows of
-    F labelled j, postprocess's refined point lowers f as
-    sum_j lambda_max(F_j F_j^T) grows. Returns, for each column j, its rows
-    S, F_j and one eigendecomposition of F_j F_j^T as postprocess forms it:
-    the eigenvalues d_1 >= d_2 >= ..., clipped at 0, and the eigenvectors U
-    in that order. None when some column has no row.
-    """
-    rows = np.flatnonzero(labels >= 0)
-    own = labels[rows]
-    if not np.bincount(own, minlength=k).all():
-        return None
-    columns = []
-    for j in range(k):
-        S = rows[own == j]
-        FS = F[S]
-        d, U = np.linalg.eigh(FS @ FS.T)
-        columns.append((S, FS, np.maximum(d[::-1], 0.0), U[:, ::-1]))
-    return columns
-
-
-def _quad_move_gains(F, labels, columns):
-    """Gains of the single-row moves on the quadratic-form refinement.
-
-    F and labels are as _quad_columns takes them and columns what it
-    returns for them. Each column's eigendecomposition (eigenvalues
-    d_1 >= d_2 >= ..., eigenvectors U) turns every move's change of
-    lambda_max into the root of a secular equation in the offset from d_1
-    (Golub, SIAM Rev. 1973).
-    A row f joining column j borders F_j F_j^T with (F_j f^T, |f|^2), whose
-    top eigenvalue is d_1 + mu,
-        mu + d_1 - |f|^2 = sum_k y_k^2 / (mu + d_1 - d_k),  y = U^T F_j f^T;
-    row i leaving it deletes row and column i, whose top eigenvalue is
-    d_1 - nu, nu in [0, d_1 - d_2],
-        nu - w_1 + nu sum_{k>1} w_k / (d_1 - d_k - nu) = 0,  w = d U_i^2.
-    Solved for the offsets, a gain keeps its sign down to a few ulp of
-    the sum. A row alone in its column may not move, and a row labelled -1
-    may only join a column. F must be nonnegative: postprocess's |v|
-    attains lambda_max only when F F^T >= 0. Returns the (n, k) gains,
-    -inf where there is no move, and sum_j d_1; None where columns is None.
-    """
-    if columns is None:
-        return None
-    n, k = F.shape[0], len(columns)
-    sq = np.einsum("ij,ij->i", F, F)
-    gains = np.full((n, k), -np.inf)
-    leave = np.zeros(n)
-    top = np.empty(k)
-    for j, (S, FS, d, U) in enumerate(columns):
-        top[j] = d[0]
-        delta = d[0] - d
-
-        out = np.flatnonzero(labels != j)
-        y2 = np.square(F[out] @ (FS.T @ U))
-        c = sq[out]
-
-        def join(i, mu):
-            q = 1.0 / (mu[:, None] + delta)
-            t = y2[i] * q
-            return (mu + (d[0] - c[i]) - t.sum(axis=1),
-                    1.0 + (t * q).sum(axis=1))
-
-        # start at the offset of the bordered 2 x 2 on (d_1, y_1): a lower
-        # bound, from which Newton rises to the root (where it is 0, at the
-        # upper bound |f|^2 instead)
-        h = 0.5 * (d[0] - c)
-        a = np.abs(h) + np.sqrt(h * h + y2[:, 0])
-        mu = np.where(h > 0, y2[:, 0] / np.maximum(a, np.finfo(float).tiny), a)
-        mu = np.where(mu > 0, mu, c)
-        gains[out, j] = _increasing_root(join, mu, c, d[0] + c)
-
-        if S.size == 1:
-            leave[S] = -np.inf
-            continue
-        w = np.square(U) * d
-        gap = delta[1] if d.size > 1 else np.inf
-
-        def drop(i, nu):
-            q = 1.0 / (delta[1:] - nu[:, None])
-            t = w[i, 1:] * q
-            return (nu - w[i, 0] + nu * t.sum(axis=1),
-                    1.0 + (t * q * delta[1:]).sum(axis=1))
-
-        # start at w_1, an upper bound, from which Newton falls to the root
-        nu = np.where(w[:, 0] < gap, w[:, 0], 0.5 * gap)
-        leave[S] = -_increasing_root(drop, nu, np.minimum(w[:, 0], gap),
-                                     np.full(S.size, d[0]))
-    gains += leave[:, None]
-    return gains, float(top.sum())
-
-
-def _row_move_optimal(moves) -> bool:
-    """Whether no single-row move gains more than CERTIFY_RTOL of the sum.
-
-    moves is what _quad_move_gains returns. A linear f has no such test:
-    its only settled stop is the global bound (module docstring).
-    """
-    if moves is None:
-        return False
-    gains, total = moves
-    return bool(gains.max() <= CERTIFY_RTOL * total)
 
 
 def _linear_bound_gap(C, labels):
@@ -357,30 +208,26 @@ def _ky_fan_top(F, k):
     return float(np.maximum(d[-k:], 0.0).sum())
 
 
-def _quad_bound_gap(columns, top):
+def _quad_bound_gap(F, labels, k, top):
     """Relative gap of a support's quadratic-form refinement to Ky Fan's bound.
 
-    columns is what _quad_columns returns for the support and top is
-    _ky_fan_top(F, k), at least tr(X^T F F^T X) at every feasible X. The
-    support's refined point attains sum_j lambda_max(F_j F_j^T). Returns
-    (top - sum) / top (0 when F is 0); None where columns is None.
+    F is the objective's factor (refine_quadratic_factor(), M = F F^T),
+    labels the row support as _row_labels returns it and top
+    _ky_fan_top(F, k), at least tr(X^T F F^T X) at every feasible X. With
+    F_j the rows of F labelled j, postprocess's refined point attains
+    sum_j lambda_max(F_j F_j^T), each from the eigendecomposition of
+    F_j F_j^T as postprocess forms it, clipped at 0. Returns (top - sum) /
+    top (0 when F is 0); None when some column has no row.
     """
-    if columns is None:
+    rows = np.flatnonzero(labels >= 0)
+    own = labels[rows]
+    if not np.bincount(own, minlength=k).all():
         return None
-    total = float(sum(d[0] for _, _, d, _ in columns))
+    total = 0.0
+    for j in range(k):
+        FS = F[rows[own == j]]
+        total += max(float(np.linalg.eigh(FS @ FS.T)[0][-1]), 0.0)
     return (top - total) / top if top > 0 else 0.0
-
-
-def _last_support(fn):
-    """fn(labels), kept for the last support asked (label bytes)."""
-    last = [None, None]
-
-    def cached(labels):
-        key = labels.tobytes()
-        if key != last[0]:
-            last[:] = key, fn(labels)
-        return last[1]
-    return cached
 
 
 def feasible_init(ctx: PenaltyContext, hint=None) -> np.ndarray:
@@ -518,23 +365,14 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     kind = getattr(f, "refine_kind", "generic")
     settle = cfg.do_postprocess and kind != "generic"
     bound_gap = None  # row labels -> the support's relative gap to a bound
-    move_gains = None  # row labels -> _row_move_optimal's input (quadratic)
     if settle and kind == "linear":
         bound_gap = functools.partial(
             _linear_bound_gap, np.asarray(f.refine_linear_C(), dtype=float))
     elif settle and kind == "quadratic-form":
         F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         if (F >= 0).all():
-            # the bound and the row moves share each support's eigenpairs
-            columns = _last_support(
-                functools.partial(_quad_columns, F, k=ctx.k))
-            top = _ky_fan_top(F, ctx.k)
-
-            def move_gains(labels):
-                return _quad_move_gains(F, labels, columns(labels))
-
-            def bound_gap(labels):
-                return _quad_bound_gap(columns(labels), top)
+            bound_gap = functools.partial(_quad_bound_gap, F, k=ctx.k,
+                                          top=_ky_fan_top(F, ctx.k))
     gaps = {}  # support (label bytes) -> bound_gap, each support asked once
 
     def bound_gap_of(labels):
@@ -549,7 +387,6 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 
     support = None  # row labels of the last iterate (settle on)
     unchanged = 0  # outer iterations in a row that kept those labels
-    refused = set()  # supports (label bytes) with an improving row move
     # a linear f's start support is asked before any inner solve (module
     # docstring); a solve the bound ends there reports the start's
     # residual under sigma0
@@ -665,20 +502,10 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
                                       support_margin=margin)
             certified = False
             if bound_gap is not None:
-                # each support's verdicts once, and no stop test on a
-                # feasible stop: the bound first, then for a quadratic form
-                # the row moves, once the margin holds (module docstring)
-                gap = bound_gap_of(labels)
-                report.history[-1]["bound_gap"] = gap
-                certified = (not feasible and gap is not None
-                             and gap <= CERTIFY_RTOL)
-                if (move_gains is not None and not certified and not feasible
-                        and same and margin >= SETTLE_MARGIN):
-                    key = labels.tobytes()
-                    if key not in refused:
-                        certified = _row_move_optimal(move_gains(labels))
-                        if not certified:
-                            refused.add(key)
+                # each support's gap once, and no stop test on a feasible
+                # stop (module docstring)
+                report.history[-1]["bound_gap"] = bound_gap_of(labels)
+                certified = not feasible and globally_certified(labels)
                 report.history[-1]["support_certified"] = certified
         if feasible:
             term = "feasibility-tol"

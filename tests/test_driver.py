@@ -6,11 +6,9 @@ import pytest
 from penorth import driver, make_context, make_oblique
 from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, SETTLE_MARGIN,
                             SETTLE_WINDOW, _ky_fan_top, _linear_bound_gap,
-                            _quad_bound_gap, _quad_columns, _quad_move_gains,
-                            _row_labels, _row_move_optimal,
-                            ep4orth_solve, feasible_init, kindicators_preset,
-                            onmf_preset, postprocess, projection_preset,
-                            row_support)
+                            _quad_bound_gap, _row_labels, ep4orth_solve,
+                            feasible_init, kindicators_preset, onmf_preset,
+                            postprocess, projection_preset, row_support)
 from penorth.errors import (BadShape, EmptyColumnSupport, NotFeasible,
                             ValidationError)
 from penorth.manifold import (project_oblique_plus, project_orthogonal_group,
@@ -321,7 +319,7 @@ def test_settle_constants_frozen_values():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_driver_settles_on_small_onmf(seed):
     # light noise keeps Ky Fan's bound open (bound_gap about 3e-6), so the
-    # row-move certificate is what stops the run
+    # window is what stops the run
     inst = gen_onmf(30, 60, 3, 0.01, seed=seed)
     # unrefined, the final point round(X_T) depends on more than the
     # support: the continuation runs on to tol_feas
@@ -339,16 +337,19 @@ def test_driver_settles_on_small_onmf(seed):
     assert 1e-6 < rep.extra["bound_gap"] < 1e-5
     assert rep.extra["resi"] <= full.extra["resi"]
     assert rep.feasibility <= 1e-12
-    # the certificate is asked, and holds, at the first outer iteration
-    # that keeps the previous one's row argmax with the margin (seed 1
-    # waits two iterations for the margin), long before the window would
-    asked = [h["support_unchanged"] >= 1
-             and h["support_margin"] >= SETTLE_MARGIN for h in rep.history]
-    assert [h["support_certified"] for h in rep.history] == asked
-    assert asked.index(True) == len(asked) - 1
-    assert rep.outer_iterations == (2, 4)[seed]
+    # no support is certified: the row argmax holds from the first outer
+    # iteration on, and the window stops the run once it has held for
+    # SETTLE_WINDOW more with the margin. The refined point depends on that
+    # support only, so its residual is the same to the bit wherever the
+    # run stops
+    assert not any(h["support_certified"] for h in rep.history)
+    assert [h["support_unchanged"] for h in rep.history] == list(
+        range(SETTLE_WINDOW + 1))
+    assert rep.extra["resi"] == (0.004984508090648933,
+                                 0.005135642617171164)[seed]
+    assert rep.outer_iterations == SETTLE_WINDOW + 1
     last = rep.history[-1]
-    assert 1 <= last["support_unchanged"] < SETTLE_WINDOW
+    assert last["support_unchanged"] == SETTLE_WINDOW
     assert last["support_margin"] >= SETTLE_MARGIN
     # the report describes the last iterate before rounding
     assert rep.zeta == last["zeta2"] > 1e-8
@@ -366,8 +367,8 @@ def partition(labels):
 
 def test_driver_certifies_noise_free_onmf_before_the_row_moves():
     # noise-free, Ky Fan's bound closes on the support of an early Newton
-    # iterate of the first outer iteration, before the row-move certificate
-    # could be asked (it needs the argmax to hold for a second one): the
+    # iterate of the first outer iteration, long before the window could
+    # stop the run (it needs the argmax to hold for SETTLE_WINDOW more): the
     # solve stops there and the run with it, on the partition the full
     # continuation (to tol_feas, unrefined) rounds to, in a column order
     # of its own. A quadratic form's start is not asked (module docstring)
@@ -513,10 +514,9 @@ def test_driver_reports_the_bound_gap_only_where_a_bound_exists():
 def test_driver_never_certifies_coincident_onmf_columns():
     # two columns of the direct variant's iterate nearly coincide, so every
     # row is close to a tie (margin about 1e-15) while the row argmax holds.
-    # Its support splits a planted cluster, has no improving row move and a
-    # bound gap of 0.075: without the margin the row-move certificate would
-    # stop the run at outer iteration 2 with objective 0.075. With it the
-    # run goes on until a Newton iterate's support closes the bound
+    # Its support splits a planted cluster and has a bound gap of 0.075, and
+    # the margin keeps the window from stopping on it: the run goes on until
+    # a Newton iterate's support closes the bound
     inst = gen_onmf(100, 200, 3, 0.0, 2003)
     rep = solve_onmf(inst.A, 3, variant="direct")
     assert rep.termination == "settled"
@@ -639,84 +639,6 @@ def refined_quad_sum(F, labels, k):
                for j in range(k))
 
 
-def check_quad_move_gains(F, labels, k):
-    """Every gain of _quad_move_gains against the moved supports' eigvalsh,
-    to 1e-12 of the sum: a row alone in its column has no move, a row
-    labelled -1 joins any column."""
-    G, total = _quad_move_gains(F, labels, _quad_columns(F, labels, k))
-    base = refined_quad_sum(F, labels, k)
-    assert abs(total - base) <= 1e-13 * base
-    counts = np.bincount(labels[labels >= 0], minlength=k)
-    for i in range(F.shape[0]):
-        for b in range(k):
-            a = labels[i]
-            if b == a or (a >= 0 and counts[a] == 1):
-                assert G[i, b] == -np.inf
-                continue
-            moved = labels.copy()
-            moved[i] = b
-            gain = refined_quad_sum(F, moved, k) - base
-            assert abs(G[i, b] - gain) <= 1e-12 * base
-    return G, total
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_quad_move_gains_match_eigvalsh(seed):
-    # odd seeds: 2 data columns, fewer than the rows of column 0, so its
-    # Gram matrix is singular
-    rng = oracles.rng_for(920 + seed)
-    n, k, r = 9, 3, (5, 2)[seed % 2]
-    F = rng.random((n, r))
-    F[rng.random((n, r)) < 0.3] = 0.0  # zeros, as nonnegative data has
-    labels = np.concatenate([np.arange(k), rng.integers(-1, k, size=n - k)])
-    labels[rng.integers(k, n)] = -1
-    labels[labels == 2] = 0
-    labels[2] = 2  # column 2 holds one row
-    assert (r == 2) == ((labels == 0).sum() > r)
-    G, _ = check_quad_move_gains(F, labels, k)
-    assert (G[labels == -1] > -np.inf).all()  # an empty row may join any
-    assert (G[2] == -np.inf).all()  # the lone row of column 2 stays
-
-
-def test_quad_move_gains_on_a_repeated_top_singular_value():
-    # column 1's rows are orthogonal with equal norms: lambda_max of the
-    # column is a double eigenvalue, and either row may leave it unchanged
-    F = oracles.rng_for(930).random((7, 4))
-    F[[1, 4]] = [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]
-    labels = np.array([0, 1, 2, 0, 1, 2, -1])
-    G, _ = check_quad_move_gains(F, labels, 3)
-    for i in (1, 4):
-        gain_join = [refined_quad_sum(F, np.where(np.arange(7) == i, b,
-                                                  labels), 3)
-                     - refined_quad_sum(F, labels, 3) for b in (0, 2)]
-        assert np.allclose(G[i, [0, 2]], gain_join, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("xi", [0.0, 0.1])
-def test_quad_move_gains_on_onmf_data(xi):
-    # planted rank-one clusters (xi = 0) and noisy ones, with a few rows
-    # moved off their cluster: every gain to 1e-12 of the sum, and the
-    # planted support has no improving move, the moved one has
-    inst = gen_onmf(60, 80, 3, xi, seed=4)
-    labels = inst.labels.copy()
-    labels[[3, 17, 40]] = (labels[[3, 17, 40]] + 1) % 3
-    G, total = check_quad_move_gains(inst.A, labels, 3)
-    assert not _row_move_optimal((G, total))
-    assert _row_move_optimal(_quad_move_gains(
-        inst.A, inst.labels, _quad_columns(inst.A, inst.labels, 3)))
-
-
-def test_quad_move_gains_need_every_column():
-    F = oracles.rng_for(931).random((6, 4))
-    labels = np.array([0, 1, 2, 0, 1, 2])
-    assert _quad_move_gains(F, labels, _quad_columns(F, labels, 3)) is not None
-    # an empty column: no certificate
-    labels = np.array([0, 1, 1, 0, 1, -1])
-    assert _quad_columns(F, labels, 3) is None
-    assert _quad_move_gains(F, labels, None) is None
-    assert not _row_move_optimal(_quad_move_gains(F, labels, None))
-
-
 def refined_sum(C, labels):
     """sum_j ||C+_{S_j, j}|| over the rows S_j labelled j, by definition."""
     P = np.maximum(C, 0.0)
@@ -771,7 +693,7 @@ def test_bounds_match_brute_force(seed):
             if gap <= CERTIFY_RTOL:
                 assert lin >= best_linear * (1 - 2 * CERTIFY_RTOL)
                 certified[0] += 1
-        gap = _quad_bound_gap(_quad_columns(F, labels, k), top)
+        gap = _quad_bound_gap(F, labels, k, top)
         assert abs(top * (1 - gap) - qua) <= 1e-13 * top
         if gap <= CERTIFY_RTOL:
             assert qua >= best_quad * (1 - 2 * CERTIFY_RTOL)
@@ -786,11 +708,10 @@ def test_quad_bound_needs_every_column():
     assert top == pytest.approx(np.sum(np.linalg.svd(F)[1][:3] ** 2),
                                 rel=1e-14)
     labels = np.array([0, 1, 1, 0, 1, -1])
-    assert _quad_bound_gap(_quad_columns(F, labels, 3), top) is None
+    assert _quad_bound_gap(F, labels, 3, top) is None
     # a zero factor: every support is optimal
     labels = np.array([0, 1, 2, 0, 1, 2])
-    assert _quad_bound_gap(_quad_columns(np.zeros((6, 4)), labels, 3),
-                           0.0) == 0.0
+    assert _quad_bound_gap(np.zeros((6, 4)), labels, 3, 0.0) == 0.0
 
 
 def test_driver_settles_a_linear_f_only_on_the_bound(monkeypatch):

@@ -962,8 +962,8 @@ def test_readme_python_blocks_run():
         if "ep4orth_solve(" in code:  # later blocks reuse its C
             driver_ns = dict(ns)
     assert ns["rep"].termination == "settled"
-    # the driver example's refined point has no improving row move: it
-    # stops early, on the support the full continuation rounds to
+    # the bound certifies the driver example's support: it stops early, on
+    # the support the full continuation rounds to
     full = ep4orth_solve(TargetDistanceObjective(driver_ns["C"]),
                          driver_ns["ctx"], dataclasses.replace(
                              driver_ns["cfg"], do_postprocess=False))
