@@ -53,26 +53,30 @@ different termination on runs that stop feasible at their first outer
 iteration and of svd_init's column order in place of the continuation's.
 
 Inside a Newton solve the bound is asked too: the driver hands
-newton_solve give_up(X) = "the bound certifies X's support" (_row_labels),
-asked on each accepted iterate. The solve stops at the first iterate it
-holds on ("Abandoned" in the history entry's inner_flags), and the outer
-iteration then finds that verdict cached and stops "settled". No feasible
-point has a lower f than that support's refined point, to CERTIFY_RTOL,
-so a run that solved on could at best tie it. Where the bound stays open
-the test costs about 4 % of the solve (gen_onmf(200, 600, 5, 0.1, seed),
-seeds 0-4: 0.64 of 17.2 s, 0.46 of it for the bound on the 253 supports
-the outer iterations would not have asked). The projected-gradient path
-is not asked: its iterations are cheap, and asking it there made bench
-table-proj --xi 1.2 --xi 1.5 take 5.0-8.1 s against 3.8-5.9 s (3
-alternating runs).
+newton_solve give_up(X) = "the bound certifies X's support" (_row_labels).
+newton_solve asks it on each accepted iterate and, inside each of its
+semismooth-Newton QPs, on each QP iterate's full-step candidate
+_project_ob_plus_raw(X + D). The solve stops at the first point it holds
+on and returns that point ("Abandoned" in the history entry's
+inner_flags), and the outer iteration then finds that verdict cached and
+stops "settled". A QP candidate is not screened, so its h may exceed the
+start's; the driver takes it anyway, with neither the descent check nor
+the rerun from the fallback, because the run ends on its support's
+refined point: no feasible point has a lower f, to CERTIFY_RTOL, so a run
+that solved on could at best tie it. Where the bound stays open the test
+is paid on every accepted iterate and QP iterate: a row argmax each (and
+the projection that forms a QP iterate's candidate), and the bound once
+per new support. The projected-gradient path is not asked: its iterations are cheap, and
+asking it there made bench table-proj --xi 1.2 --xi 1.5 take 5.0-8.1 s
+against 3.8-5.9 s (3 alternating runs).
 
 On the benchmark the bound certifies the start of every projection
 instance (no outer iteration) and, on all 40 ONMF Gauss-Newton instances
-of seeds 1 and 2, an iterate of the first Newton solve, the first or
-second on 38 of them: 30 and 29 Newton iterations over the 20 solves of
-each seed, where 218 and 276 ran without the in-solve test. Every one of
-those runs ends on the partition of the rows and the objective it ended
-on without the test, in another column order on 13 of the 40.
+of seeds 1 and 2, a point of the first Newton solve: 30 and 25 Newton
+iterations over the 20 solves of each seed (218 and 276 when only each
+outer iteration's support is asked). Every one of those runs ends on the
+partition of the rows and the objective it ends on when only accepted
+iterates are asked, in another column order on 5 of the 40.
 
 Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
@@ -215,8 +219,9 @@ def _quad_bound_gap(F, labels, k, top):
     labels the row support as _row_labels returns it and top
     _ky_fan_top(F, k), at least tr(X^T F F^T X) at every feasible X. With
     F_j the rows of F labelled j, postprocess's refined point attains
-    sum_j lambda_max(F_j F_j^T), each from the eigendecomposition of
-    F_j F_j^T as postprocess forms it, clipped at 0. Returns (top - sum) /
+    sum_j lambda_max(F_j F_j^T), each from the eigenvalues of F_j F_j^T as
+    postprocess forms it (eigvalsh: no eigenvectors, so the last bits may
+    differ from postprocess's eigh), clipped at 0. Returns (top - sum) /
     top (0 when F is 0); None when some column has no row.
     """
     rows = np.flatnonzero(labels >= 0)
@@ -226,7 +231,7 @@ def _quad_bound_gap(F, labels, k, top):
     total = 0.0
     for j in range(k):
         FS = F[rows[own == j]]
-        total += max(float(np.linalg.eigh(FS @ FS.T)[0][-1]), 0.0)
+        total += max(float(np.linalg.eigvalsh(FS @ FS.T)[-1]), 0.0)
     return (top - total) / top if top > 0 else 0.0
 
 
@@ -419,11 +424,12 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             "gp" if zeta(X, ctx) > cfg.zeta_switch else "newton")
 
         give_up = None
-        if solver == "newton" and bound_gap is not None:
-            # the first accepted iterate whose support the bound certifies
-            # ends the solve, and the settle block below ends the run on
-            # its cached verdict (module docstring)
-            def give_up(Xd, hXd):
+        settling = solver == "newton" and bound_gap is not None
+        if settling:
+            # the first accepted iterate or QP candidate whose support the
+            # bound certifies ends the solve, and the settle block below
+            # ends the run on its cached verdict (module docstring)
+            def give_up(Xd):
                 return globally_certified(_row_labels(Xd))
         elif (cfg.anchor == "start" and cfg.gamma2_rule is None and not settle
                 and solver != "newton" and t + 1 < cfg.t_max
@@ -458,11 +464,14 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         # both subsolvers report h at the point they return
         hN = irep.final_value
         descent_ok = hN <= hX + 1e-12 * max(1.0, abs(hX))
-        if not descent_ok:
+        # a certified support ends the run on its refinement, whatever h
+        # says of the point that carries it: no fallback to weigh it against
+        certified_exit = settling and "Abandoned" in irep.flags
+        if not descent_ok and not certified_exit:
             Xn, hN = X, hX  # keep the incumbent; subsolvers should not ascend
             if "InnerAscent" not in report.flags:
                 report.flags.append("InnerAscent")
-        if hN > hF:
+        if hN > hF and not certified_exit:
             # warm-started branch ended worse than the feasible fallback
             # under this outer model: redo the solve from the fallback and
             # accept that instead, so the accepted outer value never

@@ -20,7 +20,20 @@ Two families:
   the curvature estimate starts at KAPPA_HAT0, doubles on each failed check
   and is capped at KAPPA_CAP. The caller sets only the stopping rule:
   the residual tolerance, the iteration budget and, as for the
-  projected-gradient loop, an optional give-up test on each iterate.
+  projected-gradient loop, an optional give-up test, asked on each iterate
+  and on each QP iterate's full-step candidate.
+
+The semismooth-Newton QP (solve_qp_subproblem) has three exits besides
+its budget. It converges when its fixed-point residual reaches its
+tolerance (1e-8). It stops on the forcing term when that residual is at
+most forcing times its first one: newton_solve asks each QP for
+min(FORCING_MAX, sqrt(res)) of it, res its own stationarity residual, so
+the QPs are loose far from a stationary point and tight near one, the
+inexact-Newton rule of Dembo, Eisenstat and Steihaug (SIAM J. Numer.
+Anal. 1982) with the forcing term of Eisenstat and Walker (SIAM J. Sci.
+Comput. 1996). And it stops certified on the first iterate whose
+direction a give-up test holds on: newton_solve hands it its own test,
+asked on the iterate's full-step candidate, and returns that candidate.
 
 The per-column slice projection (onto {z : x^T z = 1, z >= 0}, in
 manifold.py) is the geometric workhorse shared by the tangent-cone
@@ -227,6 +240,10 @@ C1 = 0.1
 C2 = 0.5
 KAPPA_HAT0 = 10.0
 KAPPA_CAP = 1e12
+# each QP is solved to the forcing term min(FORCING_MAX, sqrt(res)) of its
+# first residual, res the Newton iterate's stationarity residual (Eisenstat
+# and Walker, SIAM J. Sci. Comput. 1996: a superlinear rate as res -> 0)
+FORCING_MAX = 0.5
 
 
 @dataclasses.dataclass
@@ -390,20 +407,31 @@ class _SSNJacobian:
 def solve_qp_subproblem(X: np.ndarray, grad_m: np.ndarray,
                         hess_m_apply: Callable[[np.ndarray], np.ndarray],
                         alpha: float, tol: float = 1e-8,
-                        max_iter: int = 50) -> tuple:
+                        max_iter: int = 50, forcing: float = 0.0,
+                        give_up: Optional[Callable] = None) -> tuple:
     """Solve min <grad_m, D> + (1/2) <D, hess_m[D]> over the tangent cone
     T(X) = {D : x_j^T d_j = 0, x_j + d_j >= 0} by semismooth Newton.
 
     Works in the shifted variable Z = X + D over the per-column slices
     {z : x_j^T z = 1, z >= 0} and drives the projected fixed-point residual
         F(Z) = Z - proj(Z - alpha * (grad_m + hess_m[Z - X]))
-    to ||F|| <= tol. Newton steps use the projection's generalized
-    (support-masked) Jacobian and a matrix-free Krylov solve; steps that do
-    not cut the residual by 10 percent fall back to the fixed-point map.
+    down. Newton steps use the projection's generalized (support-masked)
+    Jacobian and a matrix-free Krylov solve; steps that do not cut the
+    residual by 10 percent fall back to the fixed-point map.
 
-    Returns (D, info) with D exactly in T(X). info["converged"] is False
-    with "MaxIterReached" in info["flags"] when the budget runs out;
-    callers validate directions independently, so this is not fatal.
+    Returns (D, info) with D exactly in T(X); info["exit"] names which of
+    four exits ended the solve, after info["iterations"] iterates:
+    * "converged": ||F|| <= tol at the projected point returned;
+    * "forcing": ||F|| <= forcing * r_1, above tol, with r_1 the first
+      iterate's residual: the inexact-Newton stop of Dembo, Eisenstat and
+      Steihaug (SIAM J. Numer. Anal. 1982), for a caller that needs the
+      direction only to that relative accuracy (forcing 0 turns it off);
+    * "certified": give_up, when given, is called as give_up(D) with the
+      direction D of each iterate that meets neither test above, and this
+      is the first D it held on;
+    * "max-iter": the budget ran out; "MaxIterReached" is in info["flags"].
+    info["converged"] is True on the first two. Callers validate directions
+    independently, so no exit is fatal.
     """
     X = np.asarray(X, dtype=float)
     n, k = X.shape
@@ -417,14 +445,22 @@ def solve_qp_subproblem(X: np.ndarray, grad_m: np.ndarray,
     Z = fixed_point(X)  # one projected-gradient step from D = 0
     PC = fixed_point(Z)  # kept equal to fixed_point(Z) as Z moves
     flags = []
-    info = {"converged": False, "residual": np.inf, "iterations": 0, "flags": flags}
+    info = {"converged": False, "residual": np.inf, "iterations": 0,
+            "flags": flags, "exit": "max-iter"}
+    stop = tol
     for it in range(1, max_iter + 1):
         # convergence is certified at the projected point, which lies in the
         # slices exactly and is what we return
         PPC = fixed_point(PC)
         resP = norm(PC - PPC)
-        if resP <= tol:
-            info.update(converged=True, residual=resP, iterations=it)
+        if it == 1:
+            stop = max(tol, forcing * resP)
+        if resP <= stop:
+            info.update(converged=True, residual=resP, iterations=it,
+                        exit="converged" if resP <= tol else "forcing")
+            return PC - X, info
+        if give_up is not None and give_up(PC - X):
+            info.update(residual=resP, iterations=it, exit="certified")
             return PC - X, info
         F = Z - PC
         nF = norm(F)
@@ -467,10 +503,21 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
     bound it was checked against, and the accept/reject outcome. X0 is
     checked and copied on entry, each accepted trial checked once.
 
-    give_up, when given, is called as give_up(X, h(X)) on each accepted
-    trial, once it is the iterate; a rejected trial is never shown to it.
-    On the first iterate it holds on, the loop stops, sets the "Abandoned"
-    flag and returns that iterate, as gradient_projection_solve does.
+    Each QP is solved only to the forcing term min(FORCING_MAX, sqrt(res))
+    of its first residual, res the current stationarity residual, or to
+    1e-8 if that is looser; each trials entry also records the SSN
+    iterations its iteration's QPs took (ssn_iterations) and the last
+    QP's exit (qp_exit, as solve_qp_subproblem's info["exit"]).
+
+    give_up, when given, is called as give_up(Y) on two kinds of point:
+    each accepted trial, once it is the iterate (a rejected trial is never
+    shown to it), and, inside each QP, every SSN iterate's full-step
+    candidate Y = _project_ob_plus_raw(X + D), the first trial point the
+    screening below would try for that direction. On the first point it
+    holds on, the loop stops, sets the "Abandoned" flag and returns that
+    point, unscreened if it is a QP candidate: the caller's test says what
+    it needs of the point it gets back. A candidate's iteration gets a
+    trials entry with qp_exit "certified", no model and accepted False.
     """
     # a row-major copy, as every trial is (manifold._order)
     X = make_oblique(X0)
@@ -509,18 +556,36 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
             # of R^{n x k}
             return np.asarray(hess(W), dtype=float) - W * radial
 
+        held = []  # the QP candidate give_up held on
+
+        def qp_give_up(Dq):
+            Yq = _project_ob_plus_raw(X + Dq)
+            if give_up(Yq):
+                held.append(Yq)
+                return True
+            return False
+
         # -- direction: semismooth Newton, angle-validated ------------------
         D = None
         c1_eff = C1
         used = "ssn"
+        forcing = min(FORCING_MAX, math.sqrt(res))
+        ssn = 0
+        qp_exit = None
         while True:
             alpha_qp = 1.0 / (kappa + tau)
             tau_now = tau
             try:
-                Dc, _ = solve_qp_subproblem(
-                    X, rg, lambda W: hess_r(W) + tau_now * W, alpha_qp)
+                Dc, qp = solve_qp_subproblem(
+                    X, rg, lambda W: hess_r(W) + tau_now * W, alpha_qp,
+                    forcing=forcing,
+                    give_up=None if give_up is None else qp_give_up)
+                ssn += qp["iterations"]
+                qp_exit = qp["exit"]
             except SolverError:
                 Dc = None
+            if held:
+                break
             if Dc is not None:
                 nD = norm(Dc)
                 if nD > 0 and inner(rg, Dc) <= -C1 * npg * nD:
@@ -534,6 +599,18 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
                 c1_eff = 1.0
                 used = "pg"
                 break
+        if held:
+            trials.append({"iter": it, "model": None, "bound": None,
+                           "direction": used, "rho": None, "accepted": False,
+                           "satisfied": False, "tau": tau, "kappa": kappa,
+                           "ssn_iterations": ssn, "qp_exit": qp_exit})
+            step = norm(held[0] - X)
+            X = make_oblique(held[0], copy=False)  # a fresh array
+            fX = float(h.value(X))
+            G_at_X = False
+            abandoned = True
+            flags.append("Abandoned")
+            break
 
         # -- trial point screened against the model-decrease bound ----------
         def m_val(Y):
@@ -577,7 +654,8 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
             tau *= BETA2  # no certified trial; tighten the model and retry
             trials.append({"iter": it, "model": None, "bound": bound,
                            "direction": used, "rho": None, "accepted": False,
-                           "satisfied": False, "tau": tau, "kappa": kappa})
+                           "satisfied": False, "tau": tau, "kappa": kappa,
+                           "ssn_iterations": ssn, "qp_exit": qp_exit})
             continue
 
         fY = float(h.value(Y))
@@ -585,12 +663,13 @@ def newton_solve(h: Objective, X0: np.ndarray, tol: float,
         accepted = rho >= ETA1
         trials.append({"iter": it, "model": mY, "bound": bound,
                        "direction": used, "rho": rho, "accepted": accepted,
-                       "satisfied": True, "tau": tau, "kappa": kappa})
+                       "satisfied": True, "tau": tau, "kappa": kappa,
+                       "ssn_iterations": ssn, "qp_exit": qp_exit})
         if accepted:
             step = norm(Y - X)
             X, fX = make_oblique(Y, copy=False), fY  # Y is a fresh array
             G_at_X = False
-            if give_up is not None and give_up(X, fX):
+            if give_up is not None and give_up(X):
                 abandoned = True
                 flags.append("Abandoned")
                 break

@@ -892,12 +892,6 @@ def test_cli_degenerate_inputs_solve_or_exit_2(tmp_path, name, command):
     sol = str(tmp_path / "X.mtx")
     args = DEGENERATE_COMMANDS[command] + [
         "--in", data, "--save-solution", sol, "--out", str(tmp_path / "rep.json")]
-    if command != "kindicators":
-        # inner solves bounded to 5 iterations: with the default 100, opnmf
-        # spends about 70 s in its first Newton solve on the 30 x 3 file
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_inner": 5}))
-        args += ["--config", str(cfg)]
     r = invoke(args)
     if (name, command) in DEGENERATE_REJECTED:
         assert r.exit_code == 2, r.output

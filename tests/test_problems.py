@@ -420,6 +420,20 @@ def test_solve_onmf_gn_survives_cancelling_tangent_projection():
     assert rep.extra["resi"] <= resi(inst.A, inst.B) + 1e-8
 
 
+def test_solve_onmf_direct_recovers_every_noise_free_seed():
+    # run to its end, the direct variant's first Newton solve used to leave
+    # two columns alike on half of these seeds; its QPs now stop on the
+    # first point whose support Ky Fan's bound certifies, and every seed
+    # ends at its first outer iteration on the planted partition, at f = 0
+    for seed in range(1000, 1008):
+        inst = gen_onmf(100, 200, 3, 0.0, seed)
+        rep = solve_onmf(inst.A, 3, variant="direct")
+        assert rep.termination == "settled" and rep.outer_iterations == 1
+        assert rep.objective <= 1e-30
+        pred = np.argmax(rep.final, axis=1)
+        assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
+
+
 def test_solve_onmf_direct_variant_and_bad_variant():
     inst = gen_onmf(18, 8, 2, xi=0.0, seed=54)
     rep = solve_onmf(inst.A, 2, variant="direct")

@@ -6,7 +6,9 @@ models, so agreement here certifies the fixed-point machinery end to end.
 """
 
 import dataclasses
+import hashlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -632,6 +634,81 @@ def test_qp_residual_is_of_returned_point(monkeypatch, max_iter, converged):
     assert float(np.linalg.norm(P - fixed)) == info["residual"]
 
 
+def indefinite_model(seed, n=8, k=3):
+    """A QP whose model has negative curvature: the SSN line search then
+    often fails, as on ONMF's stalled QPs."""
+    rng = oracles.rng_for(seed)
+    X = make_oblique(oracles.random_unit_columns(rng, n, k))
+    m = n * k
+    R = rng.standard_normal((m, m))
+    M = R @ R.T / m - 0.5 * np.eye(m)
+    g = rng.standard_normal((n, k))
+    alpha = 1.0 / (np.abs(np.linalg.eigvalsh(M)).max() + 1)
+    return X, g, lambda W: (M @ W.ravel()).reshape(n, k), alpha
+
+
+def shown_directions(calls):
+    """A QP give_up test that holds on the calls numbered in calls (from 1);
+    it records each direction it is shown."""
+    shown = []
+
+    def give_up(D):
+        shown.append(D)
+        return len(shown) in calls
+    return give_up, shown
+
+
+# seed: (exit, iterations, residual, sha256 of D's bytes, first 16 digits),
+# all as the QP gave them before it had a forcing term or a give-up test
+QP_BEFORE = {60: ("converged", 34, 4.522673956367813e-16, "864c84284688e88f"),
+             61: ("max-iter", 50, 0.022002134590269805, "9020a04a7fec94e9")}
+
+
+@pytest.mark.parametrize("seed", sorted(QP_BEFORE))
+def test_qp_without_forcing_or_a_held_give_up_keeps_its_bits(seed):
+    X, g, hess, alpha = indefinite_model(seed)
+    give_up, shown = shown_directions(set())
+    D, info = solve_qp_subproblem(X, g, hess, alpha, forcing=0.0,
+                                  give_up=give_up)
+    exit_, iterations, residual, digest = QP_BEFORE[seed]
+    assert (info["exit"], info["iterations"]) == (exit_, iterations)
+    assert info["residual"] == residual
+    assert hashlib.sha256(D.tobytes()).hexdigest()[:16] == digest
+    assert len(shown) == iterations - (exit_ == "converged")
+    D0, info0 = solve_qp_subproblem(X, g, hess, alpha)
+    assert D0.tobytes() == D.tobytes() and info0 == info
+
+
+@pytest.mark.parametrize("j", [1, 3, 50])
+def test_qp_give_up_stops_on_the_first_held_iterate(j):
+    X, g, hess, alpha = indefinite_model(61)
+    never, every = shown_directions(set())
+    solve_qp_subproblem(X, g, hess, alpha, give_up=never)
+    give_up, shown = shown_directions({j, j + 1})  # call j + 1 never comes
+    D, info = solve_qp_subproblem(X, g, hess, alpha, give_up=give_up)
+    assert len(shown) == info["iterations"] == j
+    assert info["exit"] == "certified" and not info["converged"]
+    assert "MaxIterReached" not in info["flags"]
+    # the same iterates as the solve that ran on, up to the held one
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(shown, every))
+    assert D.tobytes() == shown[-1].tobytes()
+
+
+def test_qp_forcing_exit_cuts_the_same_iterates_short():
+    X, g, hess, alpha = indefinite_model(60)
+    never, every = shown_directions(set())
+    solve_qp_subproblem(X, g, hess, alpha, give_up=never)
+    r1 = solve_qp_subproblem(X, g, hess, alpha, tol=np.inf)[1]["residual"]
+    D, info = solve_qp_subproblem(X, g, hess, alpha, forcing=0.5)
+    assert info["exit"] == "forcing" and info["converged"]
+    assert 1e-8 < info["residual"] <= 0.5 * r1
+    assert 1 < info["iterations"] < QP_BEFORE[60][1]
+    assert D.tobytes() == every[info["iterations"] - 1].tobytes()
+    # the residual tolerance still wins where it is looser
+    Dt, infot = solve_qp_subproblem(X, g, hess, alpha, tol=r1, forcing=0.5)
+    assert infot["exit"] == "converged" and infot["iterations"] == 1
+
+
 def test_qp_hessian_only_sees_float_arrays():
     # every Hessian product of the QP solve, GMRES's included, is on a
     # float array: no product is spent probing the operator's dtype
@@ -849,43 +926,144 @@ def newton_with_rejections(**kwargs):
     return X, rep, h, wrapped
 
 
-def test_newton_give_up_that_never_holds_changes_nothing():
-    # the test is shown every accepted iterate, and no rejected trial
-    asked = []
-    X, rep, _, wrapped = newton_with_rejections(
-        max_iter=40, give_up=lambda X, fX: asked.append((X, fX)) or False)
+def recorded_qps(monkeypatch):
+    """Record each solve_qp_subproblem call's forcing term and info."""
+    calls = []
+    inner = subsolvers.solve_qp_subproblem
+
+    def solve_qp_subproblem(*args, **kwargs):
+        D, info = inner(*args, **kwargs)
+        calls.append((kwargs["forcing"], info))
+        return D, info
+
+    monkeypatch.setattr(subsolvers, "solve_qp_subproblem", solve_qp_subproblem)
+    return calls
+
+
+def give_up_on_iterates(calls):
+    """A Newton give_up test that holds on the accepted iterates numbered in
+    calls (from 1) and on no QP candidate. An accepted iterate is read-only
+    when it is shown, a QP candidate a fresh writeable array. Records every
+    point shown, and the iterates apart."""
+    shown, iterates = [], []
+
+    def give_up(Y):
+        shown.append(Y)
+        if Y.flags.writeable:
+            return False
+        iterates.append(Y)
+        return len(iterates) in calls
+    return give_up, shown, iterates
+
+
+def test_newton_give_up_that_never_holds_changes_nothing(monkeypatch):
+    # the test is shown every accepted iterate, no rejected trial, and each
+    # QP iterate's full-step candidate that does not end its QP
+    qps = recorded_qps(monkeypatch)
+    give_up, shown, iterates = give_up_on_iterates(set())
+    X, rep, _, wrapped = newton_with_rejections(max_iter=40, give_up=give_up)
+    asked_qps = list(qps)
+    qps.clear()
     X_ref, rep_ref, _, _ = newton_with_rejections(max_iter=40)
     assert X.tobytes() == X_ref.tobytes()
     assert rep.trials == rep_ref.trials
     assert rep.flags == rep_ref.flags == ["MaxIterReached"]
+    assert [info for _, info in asked_qps] == [info for _, info in qps]
     accepted = [t for t in rep.trials if t["accepted"]]
-    assert len(asked) == len(accepted) == rep.iterations // 2
+    assert len(iterates) == len(accepted) == rep.iterations // 2
+    assert len(shown) - len(iterates) == sum(
+        info["iterations"] - info["converged"] for _, info in asked_qps)
     assert wrapped.rejected
     assert not any(np.shares_memory(R, Xa)
-                   for R in wrapped.rejected for Xa, _ in asked)
-    assert asked[-1][0] is X and asked[-1][1] == rep.final_value
+                   for R in wrapped.rejected for Xa in iterates)
+    assert iterates[-1] is X
 
 
 @pytest.mark.parametrize("j", [1, 3])
 def test_newton_give_up_stops_on_the_first_held_iterate(j):
-    give_up, shown = give_up_on({j, j + 1})  # call j + 1 never comes
+    give_up, _, iterates = give_up_on_iterates({j, j + 1})  # j + 1 never comes
     X, rep, h, _ = newton_with_rejections(max_iter=200, give_up=give_up)
-    assert len(shown) == j
+    assert len(iterates) == j
     # the j-th accepted trial, at iteration 2 j - 1, ended the loop
     assert rep.iterations == 2 * j - 1 == rep.trials[-1]["iter"]
     assert rep.trials[-1]["accepted"]
     assert sum(t["accepted"] for t in rep.trials) == j
-    assert X is shown[-1][0]
-    assert rep.final_value == shown[-1][1] == h.value(X)
+    assert X is iterates[-1]
+    assert rep.final_value == h.value(X)
     assert rep.flags == ["Abandoned"] and not rep.converged
     assert rep.kkt_residual == stationarity_residual(X, h.grad(X))
 
 
 def test_newton_give_up_on_the_last_iteration_is_no_budget_stop():
-    give_up, shown = give_up_on({2})
+    give_up, _, iterates = give_up_on_iterates({2})
     X, rep, _, _ = newton_with_rejections(max_iter=3, give_up=give_up)
-    assert rep.iterations == 3 and len(shown) == 2
+    assert rep.iterations == 3 and len(iterates) == 2
     assert rep.flags == ["Abandoned"]
+
+
+@pytest.mark.parametrize("j", [1, 4])
+def test_newton_give_up_stops_on_a_qp_candidate(monkeypatch, j):
+    # the j-th QP candidate shown ends the QP and the loop: the solve
+    # returns that candidate unscreened, with a trials entry of its own
+    qps = recorded_qps(monkeypatch)
+    shown, candidates = [], []
+
+    def give_up(Y):
+        shown.append(Y)
+        if Y.flags.writeable:  # not an accepted iterate
+            candidates.append(Y)
+        return len(candidates) == j and candidates[-1] is Y
+
+    X, rep, h, _ = newton_with_rejections(max_iter=200, give_up=give_up)
+    assert shown[-1].flags.writeable is False  # frozen as it is returned
+    assert X is shown[-1]
+    assert rep.flags == ["Abandoned"] and not rep.converged
+    assert rep.final_value == h.value(X)
+    assert rep.kkt_residual == stationarity_residual(X, h.grad(X))
+    last = rep.trials[-1]
+    assert last["iter"] == rep.iterations and last["qp_exit"] == "certified"
+    assert last["model"] is None and last["rho"] is None
+    assert not last["accepted"] and not last["satisfied"]
+    assert qps[-1][1]["exit"] == "certified"
+    assert last["ssn_iterations"] >= qps[-1][1]["iterations"]
+    assert sum(t["ssn_iterations"] for t in rep.trials) == sum(
+        info["iterations"] for _, info in qps)
+    assert len([t for t in rep.trials if t["iter"] == rep.iterations]) == 1
+
+
+def test_newton_trials_record_their_qps(monkeypatch):
+    # each entry carries its iteration's SSN iterations and its last QP's
+    # exit, and each QP is asked to the forcing term min(FORCING_MAX,
+    # sqrt(res)) of its first residual. An iteration whose direction fails
+    # the angle test solves its QP again: the gradient count tells the
+    # iterations apart
+    h, rng = small_penalized(40)
+    X0 = make_oblique(oracles.random_unit_columns(rng, 6, 2))
+    counted = CountingGrad(RejectingEveryOther(h))
+    qps = []
+    inner = subsolvers.solve_qp_subproblem
+
+    def solve_qp_subproblem(X, rg, *args, **kwargs):
+        D, info = inner(X, rg, *args, **kwargs)
+        res = float(np.linalg.norm(np.minimum(X, rg)))
+        qps.append((counted.grads, kwargs["forcing"], res, info))
+        return D, info
+
+    monkeypatch.setattr(subsolvers, "solve_qp_subproblem", solve_qp_subproblem)
+    X, rep = newton_solve(counted, X0, 1e-12, 40)
+    assert [forcing for _, forcing, _, _ in qps] == [
+        min(subsolvers.FORCING_MAX, math.sqrt(res)) for _, _, res, _ in qps]
+    exits = {info["exit"] for *_, info in qps}
+    assert exits <= {"converged", "forcing", "max-iter"} and "forcing" in exits
+    assert len(qps) > len(rep.trials)  # some angle test failed
+    by_iteration = {}
+    for it, _, _, info in qps:
+        by_iteration.setdefault(it, []).append(info)
+    assert sorted(by_iteration) == [t["iter"] for t in rep.trials]
+    for t in rep.trials:
+        infos = by_iteration[t["iter"]]
+        assert t["ssn_iterations"] == sum(info["iterations"] for info in infos)
+        assert t["qp_exit"] == infos[-1]["exit"]
 
 
 def settable(fn, fixed):
@@ -917,7 +1095,9 @@ def test_solver_configs_hold_only_settings_callers_set():
 def test_no_runtime_path_imports_scipy(tmp_path):
     # GMRES is penorth's own, so no solver needs scipy: in a fresh process
     # where every scipy import fails, each application and the CLI run,
-    # and the ONMF solve takes Newton steps, whose QPs call GMRES
+    # and the ONMF solve takes Newton steps, whose QPs call GMRES: its light
+    # noise keeps Ky Fan's bound open, so no QP ends on a certified support
+    # before its first Newton step
     code = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None  # any "import scipy..." raises
@@ -928,7 +1108,7 @@ def test_no_runtime_path_imports_scipy(tmp_path):
                                       gen_projection, kindicators_solve,
                                       solve_onmf, solve_projection)
         solve_projection(gen_projection(30, 3, 0.5, seed=1).C)
-        A = gen_onmf(20, 10, 3, xi=0.0, seed=13).A
+        A = gen_onmf(20, 10, 3, xi=0.05, seed=13).A
         from penorth import subsolvers
         own_gmres, calls = subsolvers.gmres, []
 
@@ -939,6 +1119,7 @@ def test_no_runtime_path_imports_scipy(tmp_path):
         subsolvers.gmres = gmres
         rep = solve_onmf(A, 3, variant="gn")
         assert any(h["solver"] == "newton" for h in rep.history) and calls
+        assert rep.extra["bound_gap"] > 1e-12
         solve_onmf(A, 3, variant="direct")
         kindicators_solve(gen_kindicators(40, 3, 0.3, seed=2).U)
         data, out = sys.argv[1] + "/A.mtx", sys.argv[1] + "/rep.json"
