@@ -36,12 +36,14 @@ sum over every support: for a linear f the Lagrangian bound
 D = 1/2 sum_j lambda_j + 1/2 sum_i max_j P_ij^2 / lambda_j with
 lambda_j = ||P_{S_j, j}|| (_linear_bound_gap, one n x k pass), and for a
 quadratic form the sum of the k largest eigenvalues of F F^T (Ky Fan;
-_quad_bound_gap, one spectrum per solve and, per support, the top
-eigenvalue of each column). It is a linear f's only settled stop: on 492
-heavy-noise projection runs (n 200 and 500, k 5 and 10, xi 0.5 to 1.5,
-seeds 0-19, and 2000 x 20 at xi 1.0 to 1.5, seeds 0-3) it ended 288, 233
-at the start, and the other 204 reached tol_feas, where a row-move test
-and the window stopped none of them either. When the support's sum is
+_ky_fan_top, from f.refine_quadratic_spectrum(), which OpnmfObjective
+computes once per solve and shares with solve_onmf's start; per support,
+_quad_bound_gap takes the top eigenvalue of each column). It is a linear
+f's only settled stop: on 492 heavy-noise projection runs (n 200 and 500,
+k 5 and 10, xi 0.5 to 1.5, seeds 0-19, and 2000 x 20 at xi 1.0 to 1.5,
+seeds 0-3) it ended 288, 233 at the start, and the other 204 reached
+tol_feas, where a row-move test and the window stopped none of them
+either. When the support's sum is
 within CERTIFY_RTOL of the bound, its refined point is a global minimum of f
 over the feasible set, to that tolerance, and the driver stops
 ("settled"). It asks each outer iteration's support, each support once,
@@ -204,11 +206,13 @@ def _linear_bound_gap(C, labels):
     return (bound - total) / bound
 
 
-def _ky_fan_top(F, k):
-    """Sum of the k largest eigenvalues of F F^T: the largest
-    tr(X^T F F^T X) over X with orthonormal columns (Ky Fan, PNAS 1949).
-    From the smaller of F F^T and F^T F, whose other eigenvalues are 0."""
-    d = np.linalg.eigvalsh(F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F)
+def _ky_fan_top(f, k):
+    """Sum of the k largest eigenvalues of F F^T, F =
+    f.refine_quadratic_factor(), clipped at 0: the largest tr(X^T F F^T X)
+    over X with orthonormal columns (Ky Fan, PNAS 1949). Read from
+    f.refine_quadratic_spectrum(), the smaller of F F^T and F^T F, whose
+    other eigenvalues are 0."""
+    d = f.refine_quadratic_spectrum()[0]
     return float(np.maximum(d[-k:], 0.0).sum())
 
 
@@ -217,7 +221,7 @@ def _quad_bound_gap(F, labels, k, top):
 
     F is the objective's factor (refine_quadratic_factor(), M = F F^T),
     labels the row support as _row_labels returns it and top
-    _ky_fan_top(F, k), at least tr(X^T F F^T X) at every feasible X. With
+    _ky_fan_top(f, k), at least tr(X^T F F^T X) at every feasible X. With
     F_j the rows of F labelled j, postprocess's refined point attains
     sum_j lambda_max(F_j F_j^T), each from the eigenvalues of F_j F_j^T as
     postprocess forms it (eigvalsh: no eigenvectors, so the last bits may
@@ -267,6 +271,15 @@ def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
 
     Raises EmptyColumnSupport when a rounded column has no support at all.
     """
+    return _refine(Xr, f)[0]
+
+
+def _refine(Xr: np.ndarray, f: Objective) -> tuple:
+    """postprocess(Xr, f) with the values it compared: (X, f(X), f(Xr)).
+
+    Both values are None when f has no structure to refine with, since
+    then nothing was evaluated.
+    """
     H = Xr > 0
     if not H.any(axis=0).all():
         j = int(np.argmin(H.any(axis=0)))
@@ -297,11 +310,12 @@ def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
             nv = np.linalg.norm(v)
             out[idx, j] = v / nv if nv > 0 else Xr[idx, j]
     else:
-        return Xr
-    if float(f.value(out)) > float(f.value(Xr)):
-        return Xr
+        return Xr, None, None
+    f_out, f_r = float(f.value(out)), float(f.value(Xr))
+    if f_out > f_r:
+        return Xr, f_r, f_r
     out.setflags(write=False)
-    return out
+    return out, f_out, f_r
 
 
 def ep4orth_solve(f: Objective, ctx: PenaltyContext,
@@ -377,7 +391,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         if (F >= 0).all():
             bound_gap = functools.partial(_quad_bound_gap, F, k=ctx.k,
-                                          top=_ky_fan_top(F, ctx.k))
+                                          top=_ky_fan_top(f, ctx.k))
     gaps = {}  # support (label bytes) -> bound_gap, each support asked once
 
     def bound_gap_of(labels):
@@ -537,16 +551,17 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         eps_grad = max(cfg.eta * eps_grad, EPS_GRAD_MIN)
 
     XR = rounding.round(X)
-    Xfinal = XR
+    Xfinal, f_final, f_rounded = XR, None, None
     if cfg.do_postprocess:
         try:
-            Xfinal = postprocess(XR, f)
+            Xfinal, f_final, f_rounded = _refine(XR, f)
         except EmptyColumnSupport:
             report.flags.append("EmptyColumnSupport")
-            Xfinal = XR
+    if f_rounded is None:  # not refined: the final point is XR
+        f_final = f_rounded = float(f.value(XR))
 
     report.final = Xfinal
-    report.objective = float(f.value(Xfinal))
+    report.objective = f_final
     if not np.isfinite(report.objective):
         raise NonFiniteObjective(
             f"objective at the final point is {report.objective!r}")
@@ -559,7 +574,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     report.seconds = time.perf_counter() - t0
     report.extra["X_preround"] = X
     report.extra["X_rounded"] = XR
-    report.extra["f_rounded"] = float(f.value(XR))
+    report.extra["f_rounded"] = f_rounded
     if bound_gap is not None:
         gap = bound_gap_of(_row_labels(X))
         if gap is not None:

@@ -168,13 +168,16 @@ class OpnmfObjective(Objective):
     """Projective factorization objective f(X) = ||A - X X^T A||_F^2.
 
     Quartic in X. All products keep the n-by-r data matrix on the outside,
-    so no n-by-n intermediate is ever formed.
+    so no n-by-n intermediate is ever formed. The spectrum of A's smaller
+    Gram matrix is computed on first use and kept (read-only): the driver's
+    bound and solve_onmf's start share it.
     """
 
     refine_kind = "quadratic-form"
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
+        self._spectrum = None
 
     def _wx(self, Z):
         return self.A @ (self.A.T @ Z)
@@ -207,6 +210,14 @@ class OpnmfObjective(Objective):
 
     def refine_quadratic_factor(self):
         return self.A
+
+    def refine_quadratic_spectrum(self):
+        if self._spectrum is None:
+            d, Q = super().refine_quadratic_spectrum()
+            d.setflags(write=False)
+            Q.setflags(write=False)
+            self._spectrum = d, Q
+        return self._spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +413,43 @@ def drop_zero_columns(A: np.ndarray) -> np.ndarray:
 
 
 def svd_init(A: np.ndarray, k: int):
-    """Start point from the magnitudes of the top-k left singular vectors."""
+    """Start point from the magnitudes of the top-k left singular vectors.
+
+    project_oblique_plus(|U_k|) for A's top-k left singular vectors U_k, in
+    descending order, read from the eigendecomposition of A's smaller Gram
+    matrix (OpnmfObjective.refine_quadratic_spectrum). Raises BadShape
+    unless A is a finite matrix and 1 <= k <= min(A.shape).
+    """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if not (1 <= k <= min(A.shape)):
+    if A.ndim != 2:
+        raise BadShape("A must be a matrix")
+    if not np.isfinite(A).all():
+        raise BadShape("A contains non-finite entries")
+    return _spectral_start(OpnmfObjective(A), k)
+
+
+def _spectral_start(f: OpnmfObjective, k: int) -> np.ndarray:
+    """svd_init from the spectrum f keeps, for a finite matrix A = f.A.
+
+    With A n x r: for n <= r the top-k eigenvectors of A A^T are U_k; for
+    n > r, A V_k with V_k those of A^T A has U_k's directions (scaled by
+    the singular values, which the projection's normalization removes).
+    Where one of the top k eigenvalues of A^T A is zero to rounding, its
+    column of A V_k is no direction, and U_k comes from the SVD of A.
+    """
+    A = f.A
+    n, r = A.shape
+    if not (1 <= k <= min(n, r)):
         raise BadShape(f"need 1 <= k <= min(A.shape), got k={k}")
-    U, _, _ = np.linalg.svd(A, full_matrices=False)
-    return project_oblique_plus(np.abs(U[:, :k]))
+    d, Q = f.refine_quadratic_spectrum()
+    top = Q[:, ::-1][:, :k]
+    if n <= r:
+        U = top
+    elif d[-k] > np.finfo(float).eps * max(n, r) * d[-1]:
+        U = A @ top
+    else:
+        U = np.linalg.svd(A, full_matrices=False)[0][:, :k]
+    return project_oblique_plus(np.abs(U))
 
 
 def onmf_gauss_newton_Y(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -466,7 +507,8 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else onmf_preset()
     f_true = OpnmfObjective(A)
-    X0 = svd_init(A, k)
+    # the start and the driver's bound read one spectrum, which f_true keeps
+    X0 = _spectral_start(f_true, k)
     X_feas = rounding.round(X0)
 
     factory = None

@@ -166,7 +166,9 @@ class Objective:
         refine_kind == "generic":         no structure; the rounded point is kept.
 
     With a nonnegative F the driver can also certify a rounded support
-    without forming M (driver module docstring).
+    without forming M (driver module docstring). Its bound reads
+    refine_quadratic_spectrum(), which an objective may compute once and
+    keep.
     """
 
     refine_kind: str = "generic"
@@ -188,6 +190,13 @@ class Objective:
 
     def refine_quadratic_factor(self) -> np.ndarray:
         raise NotImplementedError
+
+    def refine_quadratic_spectrum(self) -> tuple:
+        """(d, Q) = eigh of the smaller of F F^T and F^T F, F =
+        refine_quadratic_factor(): eigenvalues ascending, eigenvectors in
+        Q's columns. The two products share their nonzero eigenvalues."""
+        F = np.asarray(self.refine_quadratic_factor(), dtype=float)
+        return np.linalg.eigh(F @ F.T if F.shape[0] <= F.shape[1] else F.T @ F)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -681,7 +681,7 @@ def test_bounds_match_brute_force(seed):
     linear = [refined_sum(C, labels) for labels in supports]
     quad = [refined_quad_sum(F, labels, k) for labels in supports]
     best_linear, best_quad = max(linear), max(quad)
-    top = _ky_fan_top(F, k)
+    top = _ky_fan_top(OpnmfObjective(F), k)
     assert top >= best_quad * (1 - 1e-14)
     certified = [0, 0]
     for labels, lin, qua in zip(supports, linear, quad):
@@ -706,7 +706,7 @@ def test_bounds_match_brute_force(seed):
 
 def test_quad_bound_needs_every_column():
     F = oracles.rng_for(932).random((6, 4))
-    top = _ky_fan_top(F, 3)
+    top = _ky_fan_top(OpnmfObjective(F), 3)
     assert top == pytest.approx(np.sum(np.linalg.svd(F)[1][:3] ** 2),
                                 rel=1e-14)
     labels = np.array([0, 1, 1, 0, 1, -1])
@@ -714,6 +714,45 @@ def test_quad_bound_needs_every_column():
     # a zero factor: every support is optimal
     labels = np.array([0, 1, 2, 0, 1, 2])
     assert _quad_bound_gap(np.zeros((6, 4)), labels, 3, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(30, 60), (60, 30)])
+def test_ky_fan_top_reads_the_kept_spectrum(shape):
+    # the eigenvalues solve_onmf's start reads give the bound that
+    # eigvalsh of the smaller Gram matrix gives
+    A = oracles.rng_for(933).random(shape)
+    f = OpnmfObjective(A)
+    gram = A @ A.T if shape[0] <= shape[1] else A.T @ A
+    assert _ky_fan_top(f, 3) == pytest.approx(
+        np.linalg.eigvalsh(gram)[-3:].sum(), rel=1e-12)
+    assert f.refine_quadratic_spectrum() is f.refine_quadratic_spectrum()
+
+
+@pytest.mark.parametrize("variant", ["gn", "direct"])
+@pytest.mark.parametrize("n, r", [(40, 80), (80, 40)])
+def test_solve_onmf_decomposes_the_data_once(monkeypatch, variant, n, r):
+    # the start and Ky Fan's bound share one eigendecomposition of the
+    # smaller Gram matrix, and nothing takes an SVD of the data
+    A = np.asfortranarray(gen_onmf(n, r, 3, 0.0, seed=4).A)
+    gram = A @ A.T if n <= r else A.T @ A
+    calls = {"svd": 0, "gram": 0}
+    real = {name: getattr(np.linalg, name)
+            for name in ("svd", "eigh", "eigvalsh")}
+
+    def counted(name):
+        def call(M, *args, **kwargs):
+            if name == "svd":
+                calls["svd"] += 1
+            elif M.shape == gram.shape and np.allclose(M, gram):
+                calls["gram"] += 1
+            return real[name](M, *args, **kwargs)
+        return call
+
+    for name in real:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rep = solve_onmf(A, 3, variant=variant)
+    assert calls == {"svd": 0, "gram": 1}
+    assert "bound_gap" in rep.extra
 
 
 def test_driver_settles_a_linear_f_only_on_the_bound(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from penorth import io as pio
 from penorth import driver, make_context, make_oblique
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
-from penorth.manifold import project_orthogonal_group
+from penorth.manifold import project_oblique_plus, project_orthogonal_group
 from penorth.problems import (KindicatorsInstance, KindicatorsModel,
                               KindicatorsObjective, LinearObjective,
                               OnmfInstance, OnmfQuadObjective, OpnmfObjective,
@@ -399,6 +399,48 @@ def test_svd_init_feasible_shape_and_guard():
     assert np.allclose(np.linalg.norm(X0, axis=0), 1.0)
     with pytest.raises(BadShape):
         svd_init(A, 9)
+
+
+@pytest.mark.parametrize("shape", [(30, 60), (60, 30), (40, 40)])
+def test_svd_init_matches_the_svd_start(shape):
+    # A's top-k left singular vectors, read off the smaller Gram matrix's
+    # eigenvectors (A V_k for a tall A), give the SVD's start to rounding
+    # where the singular values are separated
+    rng = oracles.rng_for(970)
+    m, k = min(shape), 4
+    Q1 = np.linalg.qr(rng.standard_normal((shape[0], m)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((shape[1], m)))[0]
+    A = (Q1 * (2.0 - np.arange(m) / m)) @ Q2.T
+    U = np.linalg.svd(A, full_matrices=False)[0]
+    start = svd_init(A, k)
+    assert np.abs(start - project_oblique_plus(np.abs(U[:, :k]))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["rank-2 tall", "zero tall", "zero wide"])
+def test_svd_init_rank_deficient_start_has_distinct_columns(name):
+    # a zero eigenvalue among the top k: no column of the start is lost
+    rng = oracles.rng_for(971)
+    A = {"rank-2 tall": rng.random((12, 2)) @ rng.random((2, 5)),
+         "zero tall": np.zeros((12, 5)), "zero wide": np.zeros((5, 12))}[name]
+    X = svd_init(A, 3)
+    assert X.shape == (A.shape[0], 3)
+    assert np.allclose(np.linalg.norm(X, axis=0), 1.0)
+    assert min(np.abs(X[:, i] - X[:, j]).max()
+               for i in range(3) for j in range(i)) > 1e-3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svd_init_rejects_non_finite_before_factoring(monkeypatch, bad):
+    # checked first: a single inf can keep LAPACK's SVD from returning
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factored non-finite data")
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_factoring)
+    A = oracles.rng_for(972).random((6, 8))
+    A[2, 5] = bad
+    with pytest.raises(BadShape, match="non-finite"):
+        svd_init(A, 2)
 
 
 def test_solve_onmf_clean_instance_reaches_planted_span():
