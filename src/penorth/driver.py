@@ -12,16 +12,10 @@ When f has a closed-form refinement (refine_kind "linear" or
 "quadratic-form") and postprocessing is on, the refined point depends only
 on the rounded support and the data, and the continuation often fixes
 that support long before the defect reaches tol_feas. The driver then
-also stops ("settled") on a support that the certificate below holds on.
-A linear f has one such stop, the global bound; where that bound stays
-open (or is None, while some s_j below is 0) its run goes on to tol_feas
-as the paper's does. A quadratic form has one local stop besides: once
-the row argmax has stayed the same for SETTLE_WINDOW outer iterations in
-a row while every column is some row's argmax and every row's largest
-entry leads its second by at least SETTLE_MARGIN of itself. The margin
-keeps noisy runs, whose supports still move late, from stopping early.
-Noisy data leave the bound open, and there the window ends the run; it is
-the only route for a quadratic form whose factor has a negative entry.
+also stops ("settled") on a support that the global bound below
+certifies. That is its only early stop: where the bound stays open (or is
+None: while some s_j below is 0, or for a quadratic form whose factor has
+a negative entry) the run goes on to tol_feas as the paper's does.
 
 Both closed forms certify a support directly. The refined value of
 a support S is a sum over its columns: for a linear f, X_j =
@@ -38,21 +32,17 @@ lambda_j = ||P_{S_j, j}|| (_linear_bound_gap, one n x k pass), and for a
 quadratic form the sum of the k largest eigenvalues of F F^T (Ky Fan;
 _ky_fan_top, from f.refine_quadratic_spectrum(), which OpnmfObjective
 computes once per solve and shares with solve_onmf's start; per support,
-_quad_bound_gap takes the top eigenvalue of each column). It is a linear
-f's only settled stop: on 492 heavy-noise projection runs (n 200 and 500,
-k 5 and 10, xi 0.5 to 1.5, seeds 0-19, and 2000 x 20 at xi 1.0 to 1.5,
-seeds 0-3) it ended 288, 233 at the start, and the other 204 reached
-tol_feas, where a row-move test and the window stopped none of them
-either. When the support's sum is
-within CERTIFY_RTOL of the bound, its refined point is a global minimum of f
-over the feasible set, to that tolerance, and the driver stops
-("settled"). It asks each outer iteration's support, each support once,
-and for a linear f also the start's, before the first inner solve; every
-history entry carries its support's gap as bound_gap. A quadratic form's
-start is not asked: on the benchmark's ONMF Gauss-Newton sets it would
-end 1 of 20 solves per seed one outer iteration sooner, at the price of a
-different termination on runs that stop feasible at their first outer
-iteration and of svd_init's column order in place of the continuation's.
+_quad_bound_gap takes the top eigenvalue of each column). When the
+support's sum is within CERTIFY_RTOL of the bound, its refined point is a
+global minimum of f over the feasible set, to that tolerance, and the
+driver stops ("settled"). It asks each outer iteration's support, each
+support once, and for a linear f also the start's, before the first inner
+solve; every history entry carries its support's gap as bound_gap. A
+quadratic form's start is not asked: on the benchmark's ONMF Gauss-Newton
+sets it would end 1 of 20 solves per seed one outer iteration sooner, at
+the price of a different termination on runs that stop feasible at their
+first outer iteration and of svd_init's column order in place of the
+continuation's.
 
 Inside a Newton solve the bound is asked too: the driver hands
 newton_solve give_up(X) = "the bound certifies X's support" (_row_labels).
@@ -131,10 +121,6 @@ from .subsolvers import gradient_projection_solve, newton_solve
 from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
                     SolveReport, make_oblique)
 
-# outer iterations in a row the row argmax must hold, and the smallest
-# relative row margin (top - second) / top, for a settled stop
-SETTLE_WINDOW = 5
-SETTLE_MARGIN = 0.5
 # largest gap between a support's refined sum and a bound on every support's,
 # relative to the bound, that still certifies the support
 CERTIFY_RTOL = 1e-12
@@ -150,30 +136,6 @@ def _row_labels(X: np.ndarray) -> np.ndarray:
     rounding leaves empty): the labels of X's rounded support."""
     arg = np.argmax(X, axis=1)
     return np.where(X[np.arange(X.shape[0]), arg] > 0, arg, -1)
-
-
-def row_support(X: np.ndarray) -> tuple:
-    """Rounded support of X and how far it is from changing.
-
-    Returns the row argmax as labels (as _row_labels) and the smallest
-    (top - second) / top over the other rows: 1 when k = 1, and 0 when some
-    column is no row's argmax, since rounding then resets the point to
-    I_{n,k}.
-    """
-    k = X.shape[1]
-    labels = _row_labels(X)
-    live = np.flatnonzero(labels >= 0)
-    own = labels[live]
-    if not np.bincount(own, minlength=k).all():
-        return labels, 0.0
-    if k == 1:
-        return labels, 1.0
-    # each row's largest entry but the argmax's: the second on a tie too
-    top = X[live, own]
-    rest = X[live]
-    rest[np.arange(live.size), own] = -np.inf
-    second = rest.max(axis=1)
-    return labels, float(np.min((top - second) / top))
 
 
 def _linear_bound_gap(C, labels):
@@ -380,14 +342,14 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     kkt_penalty = np.nan
     zeta2 = zeta(X, ctx)
     outer_done = 0
-    # the settled stop needs a final point that depends on the support only
+    # the settled stop needs a final point that depends on the support
+    # only, and a bound on every support's: it is on where bound_gap is set
     kind = getattr(f, "refine_kind", "generic")
-    settle = cfg.do_postprocess and kind != "generic"
     bound_gap = None  # row labels -> the support's relative gap to a bound
-    if settle and kind == "linear":
+    if cfg.do_postprocess and kind == "linear":
         bound_gap = functools.partial(
             _linear_bound_gap, np.asarray(f.refine_linear_C(), dtype=float))
-    elif settle and kind == "quadratic-form":
+    elif cfg.do_postprocess and kind == "quadratic-form":
         F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         if (F >= 0).all():
             bound_gap = functools.partial(_quad_bound_gap, F, k=ctx.k,
@@ -404,8 +366,6 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         gap = bound_gap_of(labels)
         return gap is not None and gap <= CERTIFY_RTOL
 
-    support = None  # row labels of the last iterate (settle on)
-    unchanged = 0  # outer iterations in a row that kept those labels
     # a linear f's start support is asked before any inner solve (module
     # docstring); a solve the bound ends there reports the start's
     # residual under sigma0
@@ -445,9 +405,9 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             # ends the run on its cached verdict (module docstring)
             def give_up(Xd):
                 return globally_certified(_row_labels(Xd))
-        elif (cfg.anchor == "start" and cfg.gamma2_rule is None and not settle
-                and solver != "newton" and t + 1 < cfg.t_max
-                and sigma <= 1e16):
+        elif (cfg.anchor == "start" and cfg.gamma2_rule is None
+                and bound_gap is None and solver != "newton"
+                and t + 1 < cfg.t_max and sigma <= 1e16):
             # the next outer iteration's model and anchor value, as it will
             # compute them (module docstring)
             params_n = PenaltyParams(sigma=sigma * cfg.gamma2)
@@ -515,27 +475,19 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         X = Xn
         outer_done = t + 1
         feasible = zeta2 <= cfg.tol_feas
-        if settle:
-            # every entry gets the support keys, the last one too
-            labels, margin = row_support(X)
-            same = support is not None and np.array_equal(labels, support)
-            unchanged = unchanged + 1 if same else 0
-            support = labels
-            report.history[-1].update(support_unchanged=unchanged,
-                                      support_margin=margin)
-            certified = False
-            if bound_gap is not None:
-                # each support's gap once, and no stop test on a feasible
-                # stop (module docstring)
-                report.history[-1]["bound_gap"] = bound_gap_of(labels)
-                certified = not feasible and globally_certified(labels)
-                report.history[-1]["support_certified"] = certified
+        certified = False
+        if bound_gap is not None:
+            # every entry gets its support's gap, the last one too, each
+            # support's once, and no stop test on a feasible stop (module
+            # docstring)
+            labels = _row_labels(X)
+            report.history[-1]["bound_gap"] = bound_gap_of(labels)
+            certified = not feasible and globally_certified(labels)
+            report.history[-1]["support_certified"] = certified
         if feasible:
             term = "feasibility-tol"
             break
-        if settle and (certified or (kind == "quadratic-form"
-                                     and unchanged >= SETTLE_WINDOW
-                                     and margin >= SETTLE_MARGIN)):
+        if certified:
             term = "settled"
             break
         if sigma > 1e16:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from penorth import driver, make_context, make_oblique
-from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, SETTLE_MARGIN,
-                            SETTLE_WINDOW, _ky_fan_top, _linear_bound_gap,
-                            _quad_bound_gap, _row_labels, ep4orth_solve,
-                            feasible_init, kindicators_preset, onmf_preset,
-                            postprocess, projection_preset, row_support)
+from penorth.driver import (CERTIFY_RTOL, EPS_GRAD_MIN, _ky_fan_top,
+                            _linear_bound_gap, _quad_bound_gap, _row_labels,
+                            ep4orth_solve, feasible_init, kindicators_preset,
+                            onmf_preset, postprocess, projection_preset)
 from penorth.errors import (BadShape, EmptyColumnSupport, NotFeasible,
                             ValidationError)
 from penorth.manifold import (project_oblique_plus, project_orthogonal_group,
@@ -302,58 +301,42 @@ def test_driver_stalled_when_sigma_explodes():
     assert rep.feasibility <= 1e-12
 
 
-# keys every history entry has; the settled stop adds the support_* pair
+# keys every history entry has
 HISTORY_KEYS = {"t", "sigma", "eps_grad", "solver", "inner_iterations",
                 "kkt_inner", "kkt_penalty", "zeta2", "h_start", "h_end",
                 "descent_ok", "anchored", "trials", "inner_flags"}
-SUPPORT_KEYS = {"support_unchanged", "support_margin"}
-# ... and, where f has a bound, the certificates' verdict and the support's
+# ... and, where f has a bound, the certificate's verdict and the support's
 # relative gap to the bound
-CERTIFIED_SUPPORT_KEYS = SUPPORT_KEYS | {"support_certified", "bound_gap"}
-
-
-def test_settle_constants_frozen_values():
-    assert (SETTLE_WINDOW, SETTLE_MARGIN) == (5, 0.5)
+CERTIFIED_SUPPORT_KEYS = {"support_certified", "bound_gap"}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_driver_settles_on_small_onmf(seed):
-    # light noise keeps Ky Fan's bound open (bound_gap about 3e-6), so the
-    # window is what stops the run
+    # light noise keeps Ky Fan's bound open (bound_gap about 3e-6), so
+    # nothing settles the run: it goes on to tol_feas on the unrefined
+    # run's iterates, asks the bound on every outer iteration's support
+    # without moving an iterate, and refines the point that run rounds to
     inst = gen_onmf(30, 60, 3, 0.01, seed=seed)
-    # unrefined, the final point round(X_T) depends on more than the
-    # support: the continuation runs on to tol_feas
     full = solve_onmf(inst.A, 3, onmf_preset(do_postprocess=False))
     rep = solve_onmf(inst.A, 3)
-    assert full.termination == "feasibility-tol"
+    assert full.termination == rep.termination == "feasibility-tol"
     assert all(set(h) == HISTORY_KEYS for h in full.history)
     assert "bound_gap" not in full.extra
-    assert rep.termination == "settled"
     assert all(set(h) == HISTORY_KEYS | CERTIFIED_SUPPORT_KEYS
                for h in rep.history)
-    assert rep.outer_iterations < full.outer_iterations
-    assert np.array_equal(np.argmax(rep.final, axis=1),
-                          np.argmax(full.final, axis=1))
-    assert 1e-6 < rep.extra["bound_gap"] < 1e-5
-    assert rep.extra["resi"] <= full.extra["resi"]
-    assert rep.feasibility <= 1e-12
-    # no support is certified: the row argmax holds from the first outer
-    # iteration on (seed 1: from the second, its first Newton solve's
-    # inexact QPs end on another support), and the window stops the run
-    # once it has held for SETTLE_WINDOW more with the margin. The refined
-    # point depends on that support only, so its residual is the same to
-    # the bit wherever the run stops
     assert not any(h["support_certified"] for h in rep.history)
-    assert [h["support_unchanged"] for h in rep.history] == [0] * seed + list(
-        range(SETTLE_WINDOW + 1))
+    assert rep.outer_iterations == full.outer_iterations == (117, 129)[seed]
+    assert [{key: h[key] for key in HISTORY_KEYS} for h in rep.history] \
+        == full.history
+    assert np.array_equal(rep.extra["X_rounded"], full.final)
+    assert 1e-6 < rep.extra["bound_gap"] < 1e-5
+    # the refined point depends on the final support only
     assert rep.extra["resi"] == (0.004984508090648933,
                                  0.005135642617171164)[seed]
-    assert rep.outer_iterations == SETTLE_WINDOW + 1 + seed
-    last = rep.history[-1]
-    assert last["support_unchanged"] == SETTLE_WINDOW
-    assert last["support_margin"] >= SETTLE_MARGIN
+    assert rep.extra["resi"] <= full.extra["resi"]
+    assert rep.feasibility <= 1e-12
     # the report describes the last iterate before rounding
-    assert rep.zeta == last["zeta2"] > 1e-8
+    assert rep.zeta == rep.history[-1]["zeta2"] <= 1e-8
 
 
 def partition(labels):
@@ -368,11 +351,10 @@ def partition(labels):
 
 def test_driver_certifies_noise_free_onmf_before_the_row_moves():
     # noise-free, Ky Fan's bound closes on the support of an early Newton
-    # iterate of the first outer iteration, long before the window could
-    # stop the run (it needs the argmax to hold for SETTLE_WINDOW more): the
-    # solve stops there and the run with it, on the partition the full
-    # continuation (to tol_feas, unrefined) rounds to, in a column order
-    # of its own. A quadratic form's start is not asked (module docstring)
+    # iterate of the first outer iteration: the solve stops there and the
+    # run with it, on the partition the full continuation (to tol_feas,
+    # unrefined) rounds to, in a column order of its own. A quadratic
+    # form's start is not asked (module docstring)
     for seed in (0, 1):
         inst = gen_onmf(30, 60, 3, 0.0, seed=seed)
         full = solve_onmf(inst.A, 3, onmf_preset(do_postprocess=False))
@@ -382,7 +364,6 @@ def test_driver_certifies_noise_free_onmf_before_the_row_moves():
         assert rep.termination == "settled"
         assert rep.outer_iterations == 1
         assert [h["support_certified"] for h in rep.history] == [True]
-        assert rep.history[0]["support_unchanged"] == 0
         assert rep.history[0]["solver"] == "newton"
         assert rep.history[0]["inner_flags"] == ["Abandoned"]
         assert abs(rep.extra["bound_gap"]) <= CERTIFY_RTOL
@@ -464,9 +445,11 @@ def test_driver_settles_only_with_a_closed_form_refinement():
 
 def test_driver_settles_by_window_without_a_nonnegative_factor():
     # with a negative entry in the factor (postprocess's |v| then need not
-    # attain lambda_max) the quadratic-form run is never asked for the
-    # certificate and waits out the window; the nonnegative run stops
-    # earlier, on the support the window reaches for it
+    # attain lambda_max) the quadratic form has no bound, so nothing
+    # settles its run: like a generic f's, it goes on to tol_feas, its
+    # history entries carry no support keys, and it refines the point the
+    # generic run rounds to. The nonnegative run is certified at its first
+    # outer iteration, on the partition the generic run ends on
     inst = gen_onmf(40, 80, 4, 0.0, seed=0)
     ctx = make_context(40, 4)
     X0 = svd_init(inst.A, 4)
@@ -474,18 +457,21 @@ def test_driver_settles_by_window_without_a_nonnegative_factor():
     reps = [ep4orth_solve(OpnmfObjective(A), ctx, cfg, X0=X0,
                           X_feas=round_point(X0))
             for A in (inst.A, inst.A - 0.01)]
-    window = ep4orth_solve(GenericOpnmf(inst.A), ctx, cfg, X0=X0,
-                           X_feas=round_point(X0))
-    assert [rep.termination for rep in reps] == ["settled"] * 2
+    generic = [ep4orth_solve(GenericOpnmf(A), ctx, cfg, X0=X0,
+                             X_feas=round_point(X0))
+               for A in (inst.A, inst.A - 0.01)]
+    assert [rep.termination for rep in reps] == ["settled", "feasibility-tol"]
     assert reps[0].history[-1]["support_certified"]
-    assert reps[0].outer_iterations < SETTLE_WINDOW + 1
-    assert all(set(h) == HISTORY_KEYS | SUPPORT_KEYS
-               for h in reps[1].history)
-    assert reps[1].outer_iterations == SETTLE_WINDOW + 1
-    assert reps[1].history[-1]["support_unchanged"] == SETTLE_WINDOW
-    assert window.termination == "feasibility-tol"
+    assert reps[0].outer_iterations == 1
     assert np.array_equal(np.argmax(reps[0].final, axis=1),
-                          np.argmax(window.final, axis=1))
+                          np.argmax(generic[0].final, axis=1))
+    assert "bound_gap" not in reps[1].extra
+    assert reps[1].history == generic[1].history
+    assert reps[1].outer_iterations == generic[1].outer_iterations == 135
+    assert np.array_equal(reps[1].extra["X_rounded"], generic[1].final)
+    assert np.array_equal(reps[1].final,
+                          postprocess(generic[1].final,
+                                      OpnmfObjective(inst.A - 0.01)))
 
 
 def test_driver_reports_the_bound_gap_only_where_a_bound_exists():
@@ -514,17 +500,13 @@ def test_driver_reports_the_bound_gap_only_where_a_bound_exists():
 
 def test_driver_never_certifies_coincident_onmf_columns():
     # two columns of the direct variant's iterate nearly coincide, so every
-    # row is close to a tie (margin about 5e-13) while the row argmax holds.
-    # Its support splits a planted cluster and has a bound gap of 0.083, and
-    # the margin keeps the window from stopping on it: the run goes on until
-    # a later support closes the bound
+    # row is close to a tie while the row argmax holds. Its support splits a
+    # planted cluster and has a bound gap of 0.083, so the bound does not
+    # stop the run there: it goes on until a later support closes the bound
     inst = gen_onmf(100, 200, 3, 0.0, 2032)
     rep = solve_onmf(inst.A, 3, variant="direct")
     assert rep.termination == "settled"
-    assert rep.history[1]["support_unchanged"] == 1
-    assert rep.history[1]["support_margin"] < 1e-12
     assert rep.history[1]["bound_gap"] > 0.08
-    assert max(h["support_margin"] for h in rep.history[:-1]) < 1e-10
     certified = [h["support_certified"] for h in rep.history]
     assert certified == [False] * (len(certified) - 1) + [True]
     assert abs(rep.history[-1]["bound_gap"]) <= CERTIFY_RTOL
@@ -576,63 +558,12 @@ def test_driver_never_freezes_or_writes_the_callers_arrays(order, solver):
             assert A.tobytes(order="A") == K.tobytes(order="A")
 
 
-def test_driver_never_settles_on_coincident_columns():
-    # the iterate keeps its two columns identical, so its support never
-    # moves but every row is a tie: the margin gate holds the stop back
-    f, X0 = anti_anchor_objective(5, 2, scale=1e18)
-    ctx = make_context(5, 2)
-    cfg = DriverConfig(sigma0=1.0, gamma2=50.0, tol_feas=1e-30, t_max=300,
-                       force_solver="gp", max_inner=5)
-    rep = ep4orth_solve(f, ctx, cfg, X0=X0)
-    assert rep.termination == "stalled"
-    assert max(h["support_unchanged"] for h in rep.history) >= SETTLE_WINDOW
-    assert all(h["support_margin"] == 0.0 for h in rep.history)
-
-
 def test_row_support_labels_live_rows_and_sees_ties():
-    X = np.array([[0.8, 0.2], [0.0, 0.0], [0.3, 0.6]])
-    labels, margin = row_support(X)
-    assert labels.tolist() == [0, -1, 1]  # the empty row has no label
-    assert margin == pytest.approx(0.5)  # row 3: (0.6 - 0.3) / 0.6
-    assert row_support(np.array([[0.5, 0.5], [0.0, 1.0]]))[1] == 0.0  # tie
-    assert row_support(np.ones((3, 1)))[1] == 1.0  # k = 1
-    # column 1 is no row's argmax, so rounding would reset the point
-    assert row_support(np.array([[0.9, 0.1], [0.8, 0.2]]))[1] == 0.0
-    assert row_support(np.zeros((3, 2)))[1] == 0.0  # no live row
-
-
-def partition_margin(X):
-    """The smallest (top - second) / top over the rows with a positive
-    entry, the second largest entry taken by np.partition."""
-    n = X.shape[0]
-    top = X[np.arange(n), np.argmax(X, axis=1)]
-    live = top > 0
-    second = np.partition(X[live], -2, axis=1)[:, -2]
-    return float(np.min((top[live] - second) / top[live]))
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_row_support_margin_matches_the_partition_formula(order):
-    # small random iterates (the minimum falls on a different row each
-    # time), k = 2 to 5, rows with no positive entry, ties for the top,
-    # and one iterate of the projection benchmark's size: the same bits
-    rng = oracles.rng_for(910)
-    cases = []
-    for trial in range(40):
-        k = 2 + trial % 4
-        X = rng.random((12, k))
-        X[rng.random(12) < 0.2] = 0.0  # rows with no positive entry
-        X[np.arange(k), np.arange(k)] = 2.0  # every column is an argmax
-        if trial % 5 == 0:
-            X[7, :2] = 3.0  # a two-way tie for the top
-        cases.append(X)
-    cases.append(rng.random((5000, 20)))
-    for X in cases:
-        X = np.array(X, order=order)
-        labels, margin = row_support(X)
-        assert margin == partition_margin(X)
-        assert np.array_equal(labels >= 0, X.max(axis=1) > 0)
-    assert sum(row_support(X)[1] == 0.0 for X in cases) == 8  # the ties
+    # _row_labels: the row argmax, the first column on a tie, and -1 for a
+    # row with no positive entry, which rounding leaves empty
+    X = np.array([[0.8, 0.2], [0.0, 0.0], [0.3, 0.6], [0.5, 0.5]])
+    assert _row_labels(X).tolist() == [0, -1, 1, 0]
+    assert _row_labels(np.zeros((3, 2))).tolist() == [-1] * 3
 
 
 def refined_quad_sum(F, labels, k):
@@ -800,7 +731,6 @@ def test_driver_history_carries_each_supports_bound_gap(monkeypatch):
     rep = solve_projection(C)
     assert rep.termination == "feasibility-tol"
     assert not any(h["support_certified"] for h in rep.history)
-    assert [h["support_unchanged"] for h in rep.history][:5] == [0, 1, 2, 0, 1]
     # the start's support, then one per outer iteration, then the final's
     assert len(seen) == len(rep.history) + 2
     gaps = [h["bound_gap"] for h in rep.history]
@@ -810,14 +740,13 @@ def test_driver_history_carries_each_supports_bound_gap(monkeypatch):
 
 
 def test_driver_does_not_certify_a_support_with_an_improving_move():
-    # heavy noise: the row argmax holds for two outer iterations, but its
-    # support does not attain the global bound (a row move improves it), so
-    # the run goes on, its support moves, and it ends at tol_feas
+    # heavy noise: the run holds its supports for several outer iterations,
+    # but none attains the global bound (a row move improves each), so no
+    # support is certified and the run ends at tol_feas
     inst = gen_projection(40, 4, 1.5, seed=0)
     rep = solve_projection(inst.C)
-    unchanged = [h.get("support_unchanged") for h in rep.history]
-    assert unchanged[:5] == [0, 1, 2, 0, 1]
     assert not any(h.get("support_certified") for h in rep.history)
+    assert rep.history[-1]["bound_gap"] > CERTIFY_RTOL
     assert rep.termination == "feasibility-tol"
 
 

@@ -5,6 +5,7 @@ against central differences; the clipped normal-equations update is checked
 against a least-squares oracle; metric functions are pinned on hand-sized
 examples where the answer is computable by inspection.
 """
+import itertools
 import math
 
 import numpy as np
@@ -476,6 +477,21 @@ def test_solve_onmf_direct_recovers_every_noise_free_seed():
         assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
 
 
+def test_solve_onmf_recovers_k8_once_the_bound_alone_settles_it():
+    # noise-free k = 8: the run holds one support (NMI 0.916) for its first
+    # 15 outer iterations, with Ky Fan's gap open at 0.030, and the
+    # continuation then moves it on; the bound certifies the planted
+    # partition at outer iteration 17
+    inst = gen_onmf(200, 600, 8, 0.0, 0)
+    rep = solve_onmf(inst.A, 8)
+    assert rep.termination == "settled"
+    assert rep.outer_iterations == 17
+    assert rep.history[14]["bound_gap"] > 0.03
+    assert abs(rep.extra["bound_gap"]) <= driver.CERTIFY_RTOL
+    pred = np.argmax(rep.final, axis=1)
+    assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
+
+
 def test_solve_onmf_direct_variant_and_bad_variant():
     inst = gen_onmf(18, 8, 2, xi=0.0, seed=54)
     rep = solve_onmf(inst.A, 2, variant="direct")
@@ -553,6 +569,53 @@ def test_clustering_metrics_perfect_and_permuted():
     mp = clustering_metrics(perm, true)
     assert mp["purity"] == 1.0
     assert mp["nmi"] == pytest.approx(1.0)
+
+
+def nested_loop_nmi(pred, true):
+    """The NMI as a plain sum of p_ij log2(p_ij / (p_i p_j)) over the
+    contingency table's cells in row-major order: a reference whose last
+    bits follow the numbering of the clusters."""
+    table = np.zeros((true.max() + 1, pred.max() + 1))
+    np.add.at(table, (true, pred), 1.0)
+    n = table.sum()
+
+    def entropy(p):
+        p = p[p > 0]
+        return float(-(p * np.log2(p)).sum())
+
+    sizes = table.sum(axis=0)
+    mi = 0.0
+    for i, j in itertools.product(*map(range, table.shape)):
+        if table[i, j] > 0:
+            mi += (table[i, j] / n) * np.log2(
+                n * table[i, j] / (table[i].sum() * sizes[j]))
+    return mi / max(entropy(table.sum(axis=1) / n), entropy(sizes / n))
+
+
+def test_clustering_metrics_nmi_ignores_cluster_numbering():
+    # 200 random partitions of 60 rows into k = 5 clusters, every fourth a
+    # relabelling of the true one and every fourth but one the true one with
+    # a fifth of its rows redrawn: each of the 120 relabellings of the
+    # predicted clusters gives one NMI, exactly 1 where the partition is the
+    # true one, and within 5e-16 of the nested-loop formula's
+    rng = oracles.rng_for(76)
+    perms = [np.array(perm) for perm in itertools.permutations(range(5))]
+    for trial in range(200):
+        true = rng.integers(0, 5, 60)
+        pred = rng.integers(0, 5, 60)
+        if trial % 4 == 0:
+            pred = perms[trial % 120][true]
+        elif trial % 4 == 1:
+            pred = true.copy()
+            redraw = rng.random(60) < 0.2
+            pred[redraw] = rng.integers(0, 5, redraw.sum())
+        nmi = {clustering_metrics(perm[pred], true)["nmi"] for perm in perms}
+        assert len(nmi) == 1
+        (value,) = nmi
+        if trial % 4 == 0:
+            assert value == 1.0
+        assert abs(value - nested_loop_nmi(pred, true)) <= 5e-16
+        assert 0.0 <= value <= 1.0
 
 
 def test_clustering_metrics_rejects_bad_labels():
@@ -822,9 +885,9 @@ def test_solves_do_not_depend_on_the_input_layout(solve, make):
 
 
 # the seeded input, the solve, and the bound on its traced peak in n x k
-# doubles. Measured 8.52 (K-indicators) and 7.53 (projection, stopped by
-# the row-move certificate after two outer iterations; 7.54 over the six
-# the settled window took); the bounds leave 0.48 and 2.67 of one n x k
+# doubles. Measured 8.52 (K-indicators) and 4.46 (projection: the bound
+# certifies its start, so no outer iteration runs; 7.53 where the
+# continuation ran two); the bounds leave 0.48 and 5.74 of one n x k
 # array of room, and both lie below the 12.17 and 11.22 of the loop that
 # held the previous iterate and gradient, the projection's separate
 # squares and output arrays, each iterate's C / sigma, and a stationarity
