@@ -6,7 +6,12 @@ against a least-squares oracle; metric functions are pinned on hand-sized
 examples where the answer is computable by inspection.
 """
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -28,6 +33,8 @@ from penorth.problems import (KindicatorsInstance, KindicatorsModel,
 from penorth.rounding import feasibility_violation
 
 import oracles
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # --------------------------------------------------------------------------
@@ -481,15 +488,37 @@ def test_solve_onmf_recovers_k8_once_the_bound_alone_settles_it():
     # noise-free k = 8: the run holds one support (NMI 0.916) for its first
     # 15 outer iterations, with Ky Fan's gap open at 0.030, and the
     # continuation then moves it on; the bound certifies the planted
-    # partition at outer iteration 17
-    inst = gen_onmf(200, 600, 8, 0.0, 0)
-    rep = solve_onmf(inst.A, 8)
-    assert rep.termination == "settled"
-    assert rep.outer_iterations == 17
-    assert rep.history[14]["bound_gap"] > 0.03
-    assert abs(rep.extra["bound_gap"]) <= driver.CERTIFY_RTOL
-    pred = np.argmax(rep.final, axis=1)
-    assert clustering_metrics(pred, inst.labels)["nmi"] == 1.0
+    # partition at outer iteration 17. The iterates depend on the BLAS
+    # thread count, so the solve runs in a child process on one thread
+    # (as perfbench runs it); under two OpenBLAS threads this instance
+    # ends at tol_feas with NMI 0.923 instead
+    code = textwrap.dedent("""
+        import json
+        import numpy as np
+        from penorth.problems import clustering_metrics, gen_onmf, solve_onmf
+        inst = gen_onmf(200, 600, 8, 0.0, 0)
+        rep = solve_onmf(inst.A, 8)
+        pred = np.argmax(rep.final, axis=1)
+        print(json.dumps({
+            "termination": rep.termination,
+            "outer_iterations": rep.outer_iterations,
+            "gap_14": rep.history[14]["bound_gap"],
+            "bound_gap": rep.extra["bound_gap"],
+            "nmi": clustering_metrics(pred, inst.labels)["nmi"]}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driver.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(dict.fromkeys(BLAS_ENV, "1"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout.splitlines()[-1])
+    assert rep["termination"] == "settled"
+    assert rep["outer_iterations"] == 17
+    assert rep["gap_14"] > 0.03
+    assert abs(rep["bound_gap"]) <= driver.CERTIFY_RTOL
+    assert rep["nmi"] == 1.0
 
 
 def test_solve_onmf_direct_variant_and_bad_variant():
