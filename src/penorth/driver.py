@@ -38,8 +38,7 @@ global minimum of f over the feasible set, to that tolerance, and the
 driver stops ("settled"). It asks each outer iteration's support, each
 support once, and for a linear f also the start's, before the first inner
 solve; every history entry carries its support's gap as bound_gap. A
-quadratic form's start is not asked: on the benchmark's ONMF Gauss-Newton
-sets it would end 1 of 20 solves per seed one outer iteration sooner, at
+quadratic form's start is not asked: it would end few solves sooner, at
 the price of a different termination on runs that stop feasible at their
 first outer iteration and of svd_init's column order in place of the
 continuation's.
@@ -58,17 +57,10 @@ refined point: no feasible point has a lower f, to CERTIFY_RTOL, so a run
 that solved on could at best tie it. Where the bound stays open the test
 is paid on every accepted iterate and QP iterate: a row argmax each (and
 the projection that forms a QP iterate's candidate), and the bound once
-per new support. The projected-gradient path is not asked: its iterations are cheap, and
-asking it there made bench table-proj --xi 1.2 --xi 1.5 take 5.0-8.1 s
-against 3.8-5.9 s (3 alternating runs).
-
-On the benchmark the bound certifies the start of every projection
-instance (no outer iteration) and, on all 40 ONMF Gauss-Newton instances
-of seeds 1 and 2, a point of the first Newton solve: 30 and 25 Newton
-iterations over the 20 solves of each seed (218 and 276 when only each
-outer iteration's support is asked). Every one of those runs ends on the
-partition of the rows and the objective it ends on when only accepted
-iterates are asked, in another column order on 5 of the 40.
+per new support. The projected-gradient path is not asked: its
+iterations are cheap, and the test slowed heavy-noise projection solves.
+Asking inside the Newton solve lets a run stop within its first Newton
+solve rather than at the end of an outer iteration.
 
 Under the anchor policy "start" with a fixed growth factor (gamma2_rule
 unset) and no settled stop, the next outer iteration's anchor test is
@@ -83,19 +75,13 @@ iteration would anchor. The solve stops at the first iterate it holds on
 solve's result would also have been discarded, the next iteration
 restarts from the same anchor with the same settings, so the answer is
 the same; whether it would have been is not known when the test holds,
-and on every run measured below it was. It needs the settled stop off, and
-the Newton solve's test above needs it on, so a solve is handed at most
-one of them. The test is not armed in the
-last outer iteration or once sigma exceeds 1e16, which ends the loop,
-and it builds the next iteration's model once, at the solve's start: it
-is exact for inner models that do not depend on the point they are built
-at, as K-indicators' does not. On 84 K-indicators runs off the benchmark
-(scripts/bit_identity.py --kindicators-grid) it was armed on 117 solves.
-It stopped all 33 that the driver then discarded, at their first held
-iterate (the 2nd to 4th) where they had run 15-500, and none of the
-other 84: on those the test never held, and of its parts the defect test
-held on at most 4 iterates in a row (the keep and anchoring tests on up
-to 439 and 500).
+so scripts/bit_identity.py --kindicators-grid checks the answers against
+a tree without the test. It needs the settled stop off, and the Newton
+solve's test above needs it on, so a solve is handed at most one of
+them. The test is not armed in the last outer iteration or once sigma
+exceeds 1e16, which ends the loop, and it builds the next iteration's
+model once, at the solve's start: it is exact for inner models that do
+not depend on the point they are built at, as K-indicators' does not.
 
 Under "start" the driver evaluates the anchor after the incumbent, so
 that an inner objective that keeps its last point (as K-indicators'
@@ -505,10 +491,9 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     XR = rounding.round(X)
     Xfinal, f_final, f_rounded = XR, None, None
     if cfg.do_postprocess:
-        try:
-            Xfinal, f_final, f_rounded = _refine(XR, f)
-        except EmptyColumnSupport:
-            report.flags.append("EmptyColumnSupport")
+        # round() leaves a positive entry in every column, so _refine's
+        # empty-support check cannot fire here
+        Xfinal, f_final, f_rounded = _refine(XR, f)
     if f_rounded is None:  # not refined: the final point is XR
         f_final = f_rounded = float(f.value(XR))
 

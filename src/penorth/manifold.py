@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadShape, InfeasibleSupport, NegativeEntry, NotTangent
-from .types import make_oblique
+from .types import _as_float_matrix, make_oblique
 
 # Tangency tolerances: strict when constructing, looser when consuming.
 TANGENT_BUILD_TOL = 1e-10
@@ -107,14 +107,8 @@ def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
 def project_oblique_plus(C) -> np.ndarray:
     """Project columnwise onto the nonnegative unit sphere (see
     _project_ob_plus_raw); the result is checked and read-only."""
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2:
-        raise BadShape("project_oblique_plus needs a matrix")
-    n, k = C.shape
-    if k < 1 or n < k:  # make_oblique's rule, checked before projecting
-        raise BadShape(f"need n >= k >= 1, got shape ({n}, {k})")
-    if not np.isfinite(C).all():
-        raise BadShape("matrix contains non-finite entries")
+    # make_oblique's shape rule, checked before projecting
+    C = _as_float_matrix(C, tall=True)
     return make_oblique(_project_ob_plus_raw(C), copy=False)
 
 
@@ -277,11 +271,9 @@ def project_orthogonal_group(M) -> np.ndarray:
     positive, with the matching sign flip applied to the right vectors.
     M = 0 returns the identity.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise BadShape("project_orthogonal_group needs a square matrix")
-    if not np.isfinite(M).all():
-        raise BadShape("matrix contains non-finite entries")
+    M = _as_float_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise BadShape(f"matrix must be square, got shape {M.shape}")
     if not M.any():
         return np.eye(M.shape[0])
     U, _, Wt = np.linalg.svd(M)

@@ -29,7 +29,7 @@ from .manifold import (_order, inner, norm, project_oblique_plus,
 from .penalty import PenalizedObjective
 from .rounding import feasibility_violation
 from .types import (DriverConfig, Objective, PenaltyContext, SolveReport,
-                    make_context)
+                    _as_float_matrix, make_context)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +340,7 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     C); an X_star of another shape than C raises DimensionMismatch before
     the solve.
     """
-    C = np.asarray(C, dtype=float, order="F")
-    if C.ndim != 2:
-        raise BadShape("C must be a matrix")
-    if not np.isfinite(C).all():
-        raise BadShape("C contains non-finite entries")
+    C = _as_float_matrix(C, "C", order="F", tall=True)
     if X_star is not None and np.shape(X_star) != C.shape:
         raise DimensionMismatch(f"X_star shape {np.shape(X_star)} != "
                                 f"C shape {C.shape}")
@@ -421,12 +417,7 @@ def svd_init(A: np.ndarray, k: int):
     matrix (OpnmfObjective.refine_quadratic_spectrum). Raises BadShape
     unless A is a finite matrix and 1 <= k <= min(A.shape).
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise BadShape("A must be a matrix")
-    if not np.isfinite(A).all():
-        raise BadShape("A contains non-finite entries")
-    return _spectral_start(OpnmfObjective(A), k)
+    return _spectral_start(OpnmfObjective(_as_float_matrix(A, "A")), k)
 
 
 def _spectral_start(f: OpnmfObjective, k: int) -> np.ndarray:
@@ -499,11 +490,7 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
     """
     if variant not in ("gn", "direct"):
         raise BadShape(f"unknown variant {variant!r}")
-    A = np.asarray(A, dtype=float, order="F")
-    if A.ndim != 2:
-        raise BadShape("A must be a matrix")
-    if not np.isfinite(A).all():
-        raise BadShape("A contains non-finite entries")
+    A = _as_float_matrix(A, "A", order="F")
     n = A.shape[0]
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else onmf_preset()
@@ -554,36 +541,34 @@ def _plogp(counts, n):
 def clustering_metrics(pred, true, k: Optional[int] = None) -> dict:
     """Purity, normalized entropy and NMI of a predicted clustering.
 
-    Entropy is normalized by log2(k) (k defaults to the number of
-    predicted clusters); NMI uses max(H(pred), H(true)) and is 0 when
-    either entropy vanishes. All three lie in [0, 1]. H(true), H(pred)
-    and the mutual information H(true) + H(pred) - H(joint) are each one
-    exactly rounded sum (math.fsum) of p log2 p over table cells, so
-    relabelling the clusters of either partition keeps the NMI's bits,
-    and a perfect partition reads exactly 1.
+    Entropy is H(true | pred) normalized by log2(k) (k defaults to the
+    number of predicted clusters), so it lies in [0, log2(t) / log2(k)]
+    for t true classes: above 1 when there are more true classes than k.
+    NMI uses max(H(pred), H(true)) and is 0 when either entropy vanishes;
+    purity and NMI lie in [0, 1]. H(true), H(pred), the conditional
+    entropy H(joint) - H(pred) and the mutual information H(true) +
+    H(pred) - H(joint) are each one exactly rounded sum (math.fsum) of
+    p log2 p over table cells, so relabelling the clusters of either
+    partition keeps every bit, and a perfect partition reads exactly 1.
     """
     table = _contingency(pred, true)
     n = table.sum()
     if k is None:
         k = table.shape[1]
     purity = float(table.max(axis=0).sum() / n)
-    cluster_sizes = table.sum(axis=0)
+    t_joint = _plogp(table, n)
+    t_true = _plogp(table.sum(axis=1), n)
+    t_pred = _plogp(table.sum(axis=0), n)
     ent = 0.0
     if k > 1:
-        for j in range(table.shape[1]):
-            col = table[:, j]
-            pos = col > 0
-            if pos.any():
-                ent += float((col[pos] * np.log2(col[pos] / cluster_sizes[j])).sum())
-        ent = 0.0 - ent / (n * np.log2(k))  # +0.0, not -0.0, at zero
-    t_true = _plogp(table.sum(axis=1), n)
-    t_pred = _plogp(cluster_sizes, n)
+        # +0.0, not -0.0, when the sum cancels
+        ent = math.fsum(t_pred + [-v for v in t_joint]) / math.log2(k) + 0.0
     h_true, h_pred = -math.fsum(t_true), -math.fsum(t_pred)
     # one sum, not three: H(true) + H(pred) nearly cancels H(joint)
-    mi = math.fsum(_plogp(table, n) + [-v for v in t_true + t_pred])
+    mi = math.fsum(t_joint + [-v for v in t_true + t_pred])
     hmax = max(h_true, h_pred)
     nmi = min(max(mi / hmax, 0.0), 1.0) if hmax > 0 else 0.0
-    return {"purity": purity, "entropy": float(ent), "nmi": nmi}
+    return {"purity": purity, "entropy": ent, "nmi": nmi}
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +682,7 @@ def kindicators_solve(U: np.ndarray,
     not).
     """
     t0 = time.perf_counter()
-    U = np.asarray(U, dtype=float, order="F")
-    if U.ndim != 2 or U.shape[0] < U.shape[1]:
-        raise BadShape("U must be n x k with n >= k")
-    if not np.isfinite(U).all():
-        raise BadShape("U contains non-finite entries")
+    U = _as_float_matrix(U, "U", order="F", tall=True)
     n, k = U.shape
     orth_dev = float(np.linalg.norm(U.T @ U - np.eye(k)))
     if not orth_dev <= 1e-8:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadShape
-from .types import PenaltyContext
+from .types import PenaltyContext, _as_float_matrix
 
 
 def feasibility_violation(X) -> float:
@@ -37,14 +37,8 @@ def round(X) -> np.ndarray:  # noqa: A001 - deliberate, mirrors numpy's naming
     for inputs off the nonnegative manifold), return the reset I_{n,k}.
     Returns a new read-only (n, k) array.
     """
-    Xd = np.asarray(X, dtype=float)
-    if Xd.ndim != 2:
-        raise BadShape("round needs a matrix")
+    Xd = _as_float_matrix(X, tall=True)
     n, k = Xd.shape
-    if n < k or k < 1:
-        raise BadShape(f"need n >= k >= 1, got shape ({n}, {k})")
-    if not np.isfinite(Xd).all():
-        raise BadShape("matrix contains non-finite entries")
 
     jstar = np.argmax(Xd, axis=1)
     masked = np.zeros_like(Xd)

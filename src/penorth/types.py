@@ -26,10 +26,19 @@ COL_NORM_TOL = 1e-12
 SUPPORT_ZERO_TOL = 1e-10
 
 
-def _as_float_matrix(data, name="matrix"):
-    arr = np.asarray(data, dtype=float)
+def _as_float_matrix(data, name="matrix", *, order=None, tall=False):
+    """data as a float array, in memory order `order` (np.asarray's).
+
+    The one input check of every entry point that takes a data matrix:
+    BadShape, naming the argument, unless it is 2-d, n >= k >= 1 when
+    tall, and finite. Shapes are checked before the entries are scanned.
+    """
+    arr = np.asarray(data, dtype=float, order=order)
     if arr.ndim != 2:
         raise BadShape(f"{name} must be 2-d, got ndim={arr.ndim}")
+    if tall and not arr.shape[0] >= arr.shape[1] >= 1:
+        raise BadShape(f"{name} must be n x k with n >= k >= 1, "
+                       f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise BadShape(f"{name} contains non-finite entries")
     return arr
@@ -47,10 +56,7 @@ def make_oblique(data, *, copy: bool = True) -> np.ndarray:
         NegativeEntry: any strictly negative entry.
         NonUnitColumn: any column norm off 1 by more than COL_NORM_TOL.
     """
-    arr = _as_float_matrix(data)
-    n, k = arr.shape
-    if k < 1 or n < k:
-        raise BadShape(f"need n >= k >= 1, got shape ({n}, {k})")
+    arr = _as_float_matrix(data, tall=True)
     if (arr < 0).any():
         i, j = np.argwhere(arr < 0)[0]
         raise NegativeEntry(f"entry ({i}, {j}) is negative: {arr[i, j]!r}")

@@ -647,6 +647,23 @@ def test_clustering_metrics_nmi_ignores_cluster_numbering():
         assert 0.0 <= value <= 1.0
 
 
+def test_clustering_metrics_entropy_ignores_cluster_numbering():
+    # the entropy of 40 random partitions of 60 rows into k = 5 clusters
+    # takes one value over the 120 relabellings of the predicted clusters;
+    # it is H(true | pred) / log2(k), which exceeds 1 when there are more
+    # true classes than k
+    rng = oracles.rng_for(77)
+    perms = [np.array(perm) for perm in itertools.permutations(range(5))]
+    for _ in range(40):
+        true = rng.integers(0, 5, 60)
+        pred = rng.integers(0, 5, 60)
+        assert len({clustering_metrics(perm[pred], true)["entropy"]
+                    for perm in perms}) == 1
+    m = clustering_metrics(np.array([0, 0, 0, 0, 1, 1, 1, 1]),
+                           np.array([0, 1, 2, 3, 0, 1, 2, 3]))
+    assert m["entropy"] == 2.0
+
+
 def test_clustering_metrics_rejects_bad_labels():
     with pytest.raises(BadLabels):
         clustering_metrics(np.array([0.5, 1.0]), np.array([0, 1]))

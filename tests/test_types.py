@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from penorth import make_context, make_oblique
+from penorth import (kindicators_solve, make_context, make_oblique,
+                     project_oblique_plus, round, solve_onmf,
+                     solve_projection, svd_init)
 from penorth.errors import (BadShape, NegativeEntry, NonUnitColumn,
                             ValidationError)
+from penorth.manifold import project_orthogonal_group
 from penorth.types import DriverConfig, PenaltyParams, SolveReport
 
 
@@ -23,6 +26,42 @@ def test_make_oblique_rejects_bad_inputs():
         make_oblique(np.ones((2, 3)))  # wide
     with pytest.raises(ValidationError):
         make_oblique(np.array([[np.nan], [1.0]]))
+
+
+# every entry point that takes a data matrix: (call, the argument's name in
+# its messages, whether it needs n >= k >= 1)
+ENTRY_POINTS = {
+    "solve_projection": (solve_projection, "C", True),
+    "solve_onmf": (lambda A: solve_onmf(A, 2), "A", False),
+    "svd_init": (lambda A: svd_init(A, 2), "A", False),
+    "kindicators_solve": (kindicators_solve, "U", True),
+    "project_oblique_plus": (project_oblique_plus, "matrix", True),
+    "round": (round, "matrix", True),
+    "make_oblique": (make_oblique, "matrix", True),
+    "project_orthogonal_group": (project_orthogonal_group, "matrix", False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_bad_matrices_in_one_wording(entry):
+    call, name, tall = ENTRY_POINTS[entry]
+    with_nan = np.eye(3)
+    with_nan[1, 2] = np.nan
+    bad = [(np.ones(4), f"{name} must be 2-d, got ndim=1"),
+           (with_nan, f"{name} contains non-finite entries")]
+    if tall:
+        bad.append((np.ones((2, 3)), f"{name} must be n x k with "
+                    "n >= k >= 1, got shape (2, 3)"))
+    for data, message in bad:
+        with pytest.raises(BadShape) as err:
+            call(data)
+        assert str(err.value) == message
+
+
+def test_project_orthogonal_group_rejects_a_non_square_matrix():
+    with pytest.raises(BadShape, match=r"^matrix must be square, got shape "
+                                       r"\(3, 2\)$"):
+        project_orthogonal_group(np.ones((3, 2)))
 
 
 def test_make_oblique_data_is_read_only():
