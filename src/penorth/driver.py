@@ -6,7 +6,10 @@ orthogonality defect ||X V||_F^2 - 1 falls below tol_feas. A fixed
 feasible anchor point guards every outer iteration: when the incumbent's
 penalty value exceeds the anchor's, the inner solve restarts from the
 anchor. The final iterate is rounded onto the feasible set and, by
-default, refined over the rounded support without ever increasing f.
+default, refined over the rounded support without ever increasing f. A
+run that ends on the anchor itself, checked at entry, takes it as the
+rounded point without rounding it again (when each of its rows has at
+most one positive entry, round() would only renormalize its columns).
 
 When f has a closed-form refinement (refine_kind "linear" or
 "quadratic-form") and postprocessing is on, the refined point depends only
@@ -100,12 +103,12 @@ import numpy as np
 from . import rounding
 from .errors import (BadShape, EmptyColumnSupport, NonFiniteObjective,
                      NotFeasible)
-from .manifold import project_oblique_plus, stationarity_residual
+from .manifold import _project_ob_plus_raw, norm, stationarity_residual
 from .penalty import PenalizedObjective, zeta
 from .rounding import feasibility_violation
 from .subsolvers import gradient_projection_solve, newton_solve
 from .types import (DriverConfig, Objective, PenaltyContext, PenaltyParams,
-                    SolveReport, make_oblique)
+                    SolveReport, _as_float_matrix, make_oblique)
 
 # largest gap between a support's refined sum and a bound on every support's,
 # relative to the bound, that still certifies the support
@@ -198,10 +201,18 @@ def feasible_init(ctx: PenaltyContext, hint=None) -> np.ndarray:
         hint = np.asarray(hint, dtype=float)
         if hint.shape != (ctx.n, ctx.k):
             raise BadShape(f"hint shape {hint.shape} != ({ctx.n}, {ctx.k})")
+        hint = _as_float_matrix(hint, tall=True)
     else:
         rng = np.random.default_rng(np.random.Philox(0))
         hint = rng.random((ctx.n, ctx.k))
-    return rounding.round(project_oblique_plus(hint))
+    return _round_projection(hint)
+
+
+def _round_projection(C: np.ndarray) -> np.ndarray:
+    """feasible_init from a finite (n, k) hint C: round() of C's projection
+    onto the nonnegative oblique manifold, which is not checked again (it
+    lies on the manifold by construction, and round() checks its input)."""
+    return rounding.round(_project_ob_plus_raw(C))
 
 
 def postprocess(Xr: np.ndarray, f: Objective) -> np.ndarray:
@@ -236,17 +247,22 @@ def _refine(Xr: np.ndarray, f: Objective) -> tuple:
     kind = getattr(f, "refine_kind", "generic")
     if kind == "linear":
         C = np.asarray(f.refine_linear_C(), dtype=float)
-        out = np.zeros((n, k))
-        for j in range(k):
-            pos = np.where(H[:, j], np.maximum(C[:, j], 0.0), 0.0)
-            nrm = np.linalg.norm(pos)
-            if nrm > 0:
-                out[:, j] = pos / nrm
-            else:
-                # all supported entries of c_j are <= 0: best unit vector on
-                # the support is the coordinate at the largest c_j entry
-                idx = np.nonzero(H[:, j])[0]
-                out[idx[int(np.argmax(C[idx, j]))], j] = 1.0
+        # max(C, 0) on the support and 0 off it, in one array laid out in
+        # _order(Xr, C) (np.where's rule), divided in place by the norm of
+        # each column's contiguous copy
+        out = np.where(H, C, 0.0)
+        np.maximum(out, 0.0, out=out)
+        nrm = np.array([norm(out[:, j]) for j in range(k)])
+        zero = np.flatnonzero(~(nrm > 0))
+        nrm[zero] = 1.0  # exact: these columns are redone below
+        out /= nrm
+        for j in zero:
+            # all supported entries of c_j are <= 0 (or one is NaN): best
+            # unit vector on the support is the coordinate at the largest
+            # c_j entry
+            out[:, j] = 0.0
+            idx = np.nonzero(H[:, j])[0]
+            out[idx[int(np.argmax(C[idx, j]))], j] = 1.0
     elif kind == "quadratic-form":
         F = np.asarray(f.refine_quadratic_factor(), dtype=float)
         out = np.zeros((n, k))
@@ -289,7 +305,9 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
 
     Returns a SolveReport whose final matrix is exactly feasible (rounded,
     then refined unless cfg.do_postprocess is off). extra carries the
-    pre-rounding iterate and the rounded point for diagnostics.
+    pre-rounding iterate and the rounded point for diagnostics; a run that
+    ends on X_feas, with at most one positive entry in each row, reports
+    X_feas itself as the rounded point.
 
     Raises BadShape when X_feas or X0 is not (n, k), NotFeasible when
     X_feas is off the feasible set by more than FEAS_TOL, and make_oblique's
@@ -352,11 +370,14 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         gap = bound_gap_of(labels)
         return gap is not None and gap <= CERTIFY_RTOL
 
-    # a linear f's start support is asked before any inner solve (module
+    # _row_labels(X) where the bound needs it, each point's once. A linear
+    # f's start support is asked before any inner solve (module
     # docstring); a solve the bound ends there reports the start's
     # residual under sigma0
-    start_certified = (kind == "linear" and bound_gap is not None
-                       and globally_certified(_row_labels(X)))
+    labels = None
+    if kind == "linear" and bound_gap is not None:
+        labels = _row_labels(X)
+    start_certified = labels is not None and globally_certified(labels)
     if start_certified:
         term = "settled"
         kkt_penalty = stationarity_residual(
@@ -488,11 +509,20 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
         sigma *= factor
         eps_grad = max(cfg.eta * eps_grad, EPS_GRAD_MIN)
 
-    XR = rounding.round(X)
+    if X is X_feas and labels is None:
+        labels = _row_labels(X)
+    # the fallback, checked at entry, is its own rounding when each row has
+    # at most one positive entry (make_oblique let no negative one through):
+    # round() would only divide its unit columns by their norms again
+    if X is X_feas and np.count_nonzero(X) == np.count_nonzero(labels >= 0):
+        XR = X_feas
+    else:
+        XR = rounding.round(X)
     Xfinal, f_final, f_rounded = XR, None, None
     if cfg.do_postprocess:
-        # round() leaves a positive entry in every column, so _refine's
-        # empty-support check cannot fire here
+        # round() leaves a positive entry in every column, as the checked
+        # fallback's unit columns do, so _refine's empty-support check
+        # cannot fire here
         Xfinal, f_final, f_rounded = _refine(XR, f)
     if f_rounded is None:  # not refined: the final point is XR
         f_final = f_rounded = float(f.value(XR))
@@ -513,7 +543,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
     report.extra["X_rounded"] = XR
     report.extra["f_rounded"] = f_rounded
     if bound_gap is not None:
-        gap = bound_gap_of(_row_labels(X))
+        gap = bound_gap_of(labels)
         if gap is not None:
             report.extra["bound_gap"] = gap
     return report

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import BadShape, NonFiniteObjective, NotFeasible, SingularCurvature
 from .manifold import _order, inner, norm, riemannian_grad
 from .rounding import feasibility_violation
-from .types import SUPPORT_ZERO_TOL, Objective, PenaltyContext, PenaltyParams
+from .types import (SUPPORT_ZERO_TOL, Objective, PenaltyContext, PenaltyParams,
+                    _as_float_matrix)
 
 
 def _penalty_scalars(X, ctx: PenaltyContext, params: PenaltyParams):
@@ -144,14 +145,12 @@ def check_stationarity_original(X, f: Objective,
     by orthogonality, not by the bound).
 
     Raises BadShape unless tol is finite and nonnegative (a NaN would make
-    every comparison false), NotFeasible unless
+    every comparison false) and X is a finite matrix, NotFeasible unless
     ||X^T X - I||_F + ||min(X,0)||_F <= 1e-10.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise BadShape(f"tol must be finite and nonnegative, got {tol!r}")
-    Xd = np.asarray(X, dtype=float)
-    if Xd.ndim != 2:
-        raise BadShape("check_stationarity_original needs a matrix")
+    Xd = _as_float_matrix(X, "X")
     viol = feasibility_violation(Xd)
     if not viol <= 1e-10:
         raise NotFeasible(f"feasibility violation {viol!r} exceeds 1e-10")

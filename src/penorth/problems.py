@@ -15,12 +15,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import weakref
 from typing import Optional
 
 import numpy as np
 
 from . import rounding
-from .driver import (ep4orth_solve, feasible_init, kindicators_preset,
+from .driver import (_round_projection, ep4orth_solve, kindicators_preset,
                      onmf_preset, postprocess, projection_preset)
 from .errors import (BadLabels, BadShape, DimensionMismatch, NotFeasible,
                      SingularGram, ZeroColumn)
@@ -71,7 +72,9 @@ class TargetDistanceObjective(Objective):
         return inner(R, R)
 
     def grad(self, X):
-        return 2.0 * (X - self.C)
+        G = np.subtract(X, self.C)
+        G *= 2.0
+        return G
 
     def hess_apply(self, X, D):
         return 2.0 * np.asarray(D, dtype=float)
@@ -129,16 +132,25 @@ class ScaledLinearPenalty(Objective):
         return np.asarray(D, dtype=float) @ self.ctx.vvt
 
 
+def _sq_rows(A: np.ndarray) -> float:
+    """||A||_F^2 summed in row-major order whatever A's layout (one
+    row-major copy of a column-major A)."""
+    A_rows = np.ascontiguousarray(A)
+    return inner(A_rows, A_rows)
+
+
 class OnmfQuadObjective(Objective):
     """f(X) = ||A - X Y^T||_F^2 for a fixed nonnegative Y (quadratic in X).
 
     At feasible X (X^T X = I) it is ||A||^2 + ||Y||^2 - 2 <A Y, X>, linear
-    in X, so its refinement is the linear one with gain A Y.
+    in X, so its refinement is the linear one with gain A Y. _a_sq, when
+    given, is _sq_rows(A), which solve_onmf forms once for all its outer
+    iterations.
     """
 
     refine_kind = "linear"
 
-    def __init__(self, A, Y):
+    def __init__(self, A, Y, *, _a_sq=None):
         self.A = np.asarray(A, dtype=float)
         self.Y = np.asarray(Y, dtype=float)
         if self.A.shape[1] != self.Y.shape[0]:
@@ -146,10 +158,7 @@ class OnmfQuadObjective(Objective):
                 f"A has {self.A.shape[1]} columns but Y has {self.Y.shape[0]} rows")
         self._yty = self.Y.T @ self.Y
         self._ay = self.A @ self.Y
-        # ||A||^2 summed in row-major order whatever A's layout, one copy
-        # of the column-major A solve_onmf passes
-        A_rows = np.ascontiguousarray(self.A)
-        self._a_sq = inner(A_rows, A_rows)
+        self._a_sq = _sq_rows(self.A) if _a_sq is None else _a_sq
 
     def value(self, X):
         return (self._a_sq - 2.0 * inner(self._ay, X)
@@ -348,7 +357,7 @@ def solve_projection(C, cfg: Optional[DriverConfig] = None,
     ctx = make_context(n, k)
     cfg = cfg if cfg is not None else projection_preset()
     f = TargetDistanceObjective(C)
-    X_feas = feasible_init(ctx, hint=C)
+    X_feas = _round_projection(C)  # feasible_init's, C checked above
 
     def factory(X, params):
         return ScaledLinearPenalty(C, ctx, params.sigma)
@@ -501,9 +510,12 @@ def solve_onmf(A: np.ndarray, k: int, cfg: Optional[DriverConfig] = None,
 
     factory = None
     if variant == "gn":
+        a_sq = _sq_rows(A)
+
         def factory(X, params):
             Y = onmf_gauss_newton_Y(A, X)
-            return PenalizedObjective(OnmfQuadObjective(A, Y), ctx, params)
+            return PenalizedObjective(OnmfQuadObjective(A, Y, _a_sq=a_sq),
+                                      ctx, params)
 
     report = ep4orth_solve(f_true, ctx, cfg, X0=X0, X_feas=X_feas,
                            inner_factory=factory)
@@ -644,9 +656,11 @@ class KindicatorsModel(Objective):
     At each X, h and its gradient are those of the ScaledLinearPenalty at
     the target f.target(X), so a projected-gradient step on h is one
     alternating step of K-indicators: Procrustes refit, then a step in X.
-    The model holds no array of its own: its target is f's, which f keeps
-    for the last array evaluated, so value and then grad at an iterate
-    build it once.
+    The model holds no n x k array of its own: its target is f's, which f
+    keeps for the last array evaluated, so value and then grad at an
+    iterate build it once. It keeps X V (n x r) for the last X, so value
+    and grad at one iterate form that once too, and refers to that X
+    weakly, so it keeps no iterate alive.
 
     It is a class of its own, not a ScaledLinearPenalty with a callable
     target: that penalty would have to keep C / sigma per target array
@@ -658,9 +672,15 @@ class KindicatorsModel(Objective):
     def __init__(self, f: KindicatorsObjective, ctx: PenaltyContext,
                  sigma: float):
         self.f, self.ctx, self.sigma = f, ctx, sigma
+        self._last = None  # (weak reference to X, X V)
 
     def _at(self, X):
-        return ScaledLinearPenalty(self.f.target(X), self.ctx, self.sigma)
+        model = ScaledLinearPenalty(self.f.target(X), self.ctx, self.sigma)
+        if self._last is not None and self._last[0]() is X:
+            model._X, model._XV = X, self._last[1]
+        else:
+            self._last = weakref.ref(X), model._xv(X)
+        return model
 
     def value(self, X):
         return self._at(X).value(X)
@@ -703,9 +723,10 @@ def kindicators_solve(U: np.ndarray,
                            inner_factory=factory)
     X = report.extra["X_preround"]
     XR = report.extra["X_rounded"]
-    Y = project_orthogonal_group(U.T @ X)
+    UtX = U.T @ X
+    Y = project_orthogonal_group(UtX)
     UY = U @ Y
-    GY = 2.0 * (Y - U.T @ X)
+    GY = 2.0 * (Y - UtX)
     res_y = float(np.linalg.norm(Y - project_orthogonal_group(Y - GY)))
     if cfg.do_postprocess:
         # f has no refine structure, so the driver returned XR as it was

@@ -19,13 +19,19 @@ from .types import PenaltyContext, _as_float_matrix
 
 
 def feasibility_violation(X) -> float:
-    """||X^T X - I||_F + ||min(X, 0)||_F; zero exactly on the feasible set."""
+    """||X^T X - I||_F + ||min(X, 0)||_F; zero exactly on the feasible set.
+
+    NaN when X has a NaN entry. The second term is 0 without forming
+    min(X, 0) when no entry is negative.
+    """
     Xd = np.asarray(X, dtype=float)
     if Xd.ndim != 2:
         raise BadShape("feasibility_violation needs a matrix")
     k = Xd.shape[1]
-    return float(np.linalg.norm(Xd.T @ Xd - np.eye(k))
-                 + np.linalg.norm(np.minimum(Xd, 0.0)))
+    viol = float(np.linalg.norm(Xd.T @ Xd - np.eye(k)))
+    if Xd.size and Xd.min() >= 0:  # False on a NaN
+        return viol
+    return viol + float(np.linalg.norm(np.minimum(Xd, 0.0)))
 
 
 def round(X) -> np.ndarray:  # noqa: A001 - deliberate, mirrors numpy's naming

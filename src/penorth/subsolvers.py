@@ -346,7 +346,8 @@ def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
             fn = float(h.value(Xn))
             if bb:
                 ss = inner(S, S)
-        step = norm(S)
+        # <S, S> and norm(S) sum a contiguous S in one order: one dot
+        step = math.sqrt(ss) if bb else norm(S)
         X, fX = Xn, fn
         if bb:
             Gn = np.asarray(h.grad(X), dtype=float)

@@ -731,10 +731,11 @@ def test_driver_history_carries_each_supports_bound_gap(monkeypatch):
     rep = solve_projection(C)
     assert rep.termination == "feasibility-tol"
     assert not any(h["support_certified"] for h in rep.history)
-    # the start's support, then one per outer iteration, then the final's
-    assert len(seen) == len(rep.history) + 2
+    # the start's support, then one per outer iteration; the final point is
+    # the last iteration's, whose labels are not taken again
+    assert len(seen) == len(rep.history) + 1
     gaps = [h["bound_gap"] for h in rep.history]
-    assert gaps == [_linear_bound_gap(C, labels) for labels in seen[1:-1]]
+    assert gaps == [_linear_bound_gap(C, labels) for labels in seen[1:]]
     assert gaps[-1] == rep.extra["bound_gap"]
     assert gaps[:3] == [None] * 3 and gaps[-1] > CERTIFY_RTOL
 
@@ -873,6 +874,105 @@ def test_driver_report_extras_for_inspection():
     assert "X_preround" in rep.extra and "X_rounded" in rep.extra
     ctx2 = make_context(*C.shape)
     assert zeta(rep.extra["X_preround"], ctx2) == pytest.approx(rep.zeta)
+
+
+def counting_round(monkeypatch):
+    """Patch rounding.round, which every caller looks up at call time, to
+    record each array it returns; return that list."""
+    returned = []
+
+    def counted(X):
+        returned.append(round_point(X))
+        return returned[-1]
+
+    monkeypatch.setattr(driver.rounding, "round", counted)
+    return returned
+
+
+def test_a_run_ending_on_its_fallback_reports_it_as_rounded(monkeypatch):
+    # the bound certifies the start, so the run ends on its fallback: the
+    # fallback is rounded once, when solve_projection makes it, and the
+    # driver reports that array as the rounded point
+    returned = counting_round(monkeypatch)
+    C = np.asfortranarray(gen_projection(60, 4, 0.7, seed=3).C)
+    rep = solve_projection(C)
+    assert rep.termination == "settled" and rep.outer_iterations == 0
+    assert len(returned) == 1
+    assert rep.extra["X_rounded"] is returned[0] is rep.extra["X_preround"]
+
+
+def test_a_fallback_with_an_overlap_is_rounded_at_the_end(monkeypatch):
+    # a stray entry inside the feasibility tolerance: the fallback passes
+    # the entry check, but it is not its own rounding, so the run that ends
+    # on it rounds it, and the rounded point has disjoint supports again
+    C = np.asfortranarray(gen_projection(60, 4, 0.7, seed=3).C)
+    X_feas = np.array(round_point(project_oblique_plus(C)))
+    i = int(np.flatnonzero(X_feas[:, 0] == 0)[0])
+    X_feas[i, 0] = 1e-13
+    assert feasibility_violation(X_feas) <= driver.FEAS_TOL
+    returned = counting_round(monkeypatch)
+    rep = ep4orth_solve(TargetDistanceObjective(C), make_context(60, 4),
+                        projection_preset(), X_feas=X_feas)
+    assert rep.termination == "settled" and rep.outer_iterations == 0
+    assert len(returned) == 1
+    assert rep.extra["X_rounded"] is returned[0]
+    assert ((rep.extra["X_rounded"] > 0).sum(axis=1) <= 1).all()
+    assert ((rep.final > 0).sum(axis=1) <= 1).all()
+
+
+class FlatLinear:
+    """A linear refinement with gain C whose value ties every point, so
+    _refine returns the refined point as it forms it."""
+
+    refine_kind = "linear"
+
+    def __init__(self, C):
+        self.C = C
+
+    def refine_linear_C(self):
+        return self.C
+
+    def value(self, X):
+        return 0.0
+
+
+def linear_refinement_columnwise(Xr, C):
+    """The linear refinement one column at a time into a zero row-major
+    array, the formula _refine's in-place one must reproduce bit for bit."""
+    H = Xr > 0
+    n, k = Xr.shape
+    out = np.zeros((n, k))
+    for j in range(k):
+        pos = np.where(H[:, j], np.maximum(C[:, j], 0.0), 0.0)
+        nrm = np.linalg.norm(pos)
+        if nrm > 0:
+            out[:, j] = pos / nrm
+        else:
+            idx = np.nonzero(H[:, j])[0]
+            out[idx[int(np.argmax(C[idx, j]))], j] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n,k", [(50, 4), (5000, 20)])
+def test_linear_refinement_matches_the_columnwise_formula(order, n, k):
+    rng = oracles.rng_for(70 + n)
+    for trial in range(3):
+        Xr = np.asarray(oracles.random_feasible(rng, n, k), order=order)
+        C = np.asarray(rng.standard_normal((n, k)), order=order)
+        H = Xr > 0
+        # column 0 has no positive supported entry (the coordinate-vector
+        # branch); non-finite entries off the support are zeroed, not
+        # multiplied by the mask
+        C[H[:, 0], 0] = -np.abs(C[H[:, 0], 0])
+        off = np.argwhere(~H)
+        C[tuple(off[trial])] = np.nan
+        C[tuple(off[-1 - trial])] = np.inf
+        out, _, _ = driver._refine(Xr, FlatLinear(C))
+        want = linear_refinement_columnwise(Xr, C)
+        assert out.tobytes() == want.tobytes()
+        # laid out as both operands when they share a layout
+        assert out.flags.f_contiguous == (order == "F")
 
 
 # --------------------------------------------------------------------------

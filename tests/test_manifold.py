@@ -231,6 +231,15 @@ def test_projected_step_resets_dead_column_at_argmax_of_step():
         assert np.array_equal(got[:, 0], want)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_norm_is_the_root_of_inner_on_a_contiguous_array(order):
+    # the BB step takes its step norm from <S, S>: one dot, one order
+    rng = oracles.rng_for(36)
+    for n, k in ((1, 1), (6, 1), (7, 3), (5000, 20)):
+        S = np.asarray(rng.standard_normal((n, k)), order=order)
+        assert float(np.sqrt(inner(S, S))) == norm(S)
+
+
 def test_stationarity_residual_matches_expression_bit_for_bit():
     """norm(min(X, riemannian_grad(X, G))) in one buffer sums in the
     memory order the expression's result has, for every layout pairing."""

@@ -204,8 +204,9 @@ def test_stationarity_check_requires_feasible_input():
     with pytest.raises(NotFeasible):
         check_stationarity_original(X, LinearObjective(np.zeros((4, 2))))
     # a NaN violation fails every comparison, so "above the tolerance" alone
-    # would classify an all-NaN point as stationary
-    with pytest.raises(NotFeasible):
+    # would classify an all-NaN point as stationary; the shared input check
+    # refuses it before the feasibility test
+    with pytest.raises(BadShape, match="X contains non-finite entries"):
         check_stationarity_original(np.full((4, 2), np.nan),
                                     LinearObjective(np.zeros((4, 2))))
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from penorth import io as pio
-from penorth import driver, make_context, make_oblique
+from penorth import driver, make_context, make_oblique, problems
 from penorth.errors import (BadLabels, BadShape, NotFeasible, ZeroColumn)
 from penorth.manifold import project_oblique_plus, project_orthogonal_group
 from penorth.problems import (KindicatorsInstance, KindicatorsModel,
@@ -270,6 +270,29 @@ def test_onmf_quad_objective_matches_residual_and_fd():
         h = 1e-3
         hd = (f.grad(X + h * D) - f.grad(X - h * D)) / (2 * h)
         assert np.allclose(f.hess_apply(X, D), hd, atol=1e-8)
+
+
+def test_onmf_objective_of_a_later_outer_iteration_keeps_its_value_bits(
+        monkeypatch):
+    # solve_onmf forms ||A||^2 once; an objective its factory builds later
+    # gives the value bits of one built from scratch
+    built = []
+
+    class Recorded(OnmfQuadObjective):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(problems, "OnmfQuadObjective", Recorded)
+    A = gen_onmf(30, 60, 3, 0.1, 4).A
+    rep = solve_onmf(A, 3)
+    assert rep.outer_iterations >= 2 and len(built) >= 2
+    rng = oracles.rng_for(34)
+    X = rng.standard_normal((30, 3))
+    for q in built[1:]:
+        fresh = OnmfQuadObjective(q.A, q.Y)
+        assert q.value(X).hex() == fresh.value(X).hex()
+        assert q.value(rep.final).hex() == fresh.value(rep.final).hex()
 
 
 def test_opnmf_objective_fd():
@@ -869,6 +892,34 @@ def test_kindicators_kept_targets_match_fresh_objects():
     lin = ScaledLinearPenalty(f.target(X2), ctx, 3.0)
     assert h.value(X2) == lin.value(X2)
     assert np.array_equal(h.grad(X2), lin.grad(X2))
+
+
+def test_kindicators_model_forms_x_v_once_per_point(monkeypatch):
+    # value then grad at one point share one X V, and the model holds no
+    # iterate: a point the caller drops is freed
+    formed = []
+    xv = ScaledLinearPenalty._xv
+
+    def counted(self, X):
+        if X is not self._X:
+            formed.append(id(X))
+        return xv(self, X)
+
+    monkeypatch.setattr(ScaledLinearPenalty, "_xv", counted)
+    U, X1 = kindicators_point(67)
+    _, X2 = kindicators_point(68)
+    ctx = make_context(*X1.shape)
+    h = KindicatorsModel(KindicatorsObjective(U), ctx, sigma=3.0)
+    for X in (X1, X1, X2):
+        lin = ScaledLinearPenalty(h.f.target(X), ctx, 3.0)
+        assert h.value(X) == lin.value(X)
+        assert np.array_equal(h.grad(X), lin.grad(X))
+    # the model forms X1 V once over both visits and X2 V once; each fresh
+    # lin forms its own
+    assert formed == [id(X1), id(X1), id(X1), id(X2), id(X2)]
+    h.f = KindicatorsObjective(U)  # the objective no longer keeps X2
+    del X, X2, lin
+    assert h._last[0]() is None
 
 
 def test_kindicators_solve_rejects_nonorthonormal():

@@ -20,6 +20,20 @@ def test_round_output_is_feasible():
         assert ((R > 0).sum(axis=1) <= 1).all()
 
 
+@pytest.mark.parametrize("entry", [None, -0.25, -0.0, np.nan, np.inf, -np.inf])
+def test_feasibility_violation_keeps_its_formula(entry):
+    # the negative part is not formed when no entry is negative; the value
+    # is the formula's, NaN for a NaN or infinite entry
+    X = oracles.random_unit_columns(oracles.rng_for(25), 40, 3)
+    if entry is not None:
+        X[5, 1] = entry
+    want = float(np.linalg.norm(X.T @ X - np.eye(3))
+                 + np.linalg.norm(np.minimum(X, 0.0)))
+    got = feasibility_violation(X)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert feasibility_violation(np.zeros((3, 0))) == 0.0
+
+
 def test_round_keeps_feasible_points_fixed():
     rng = oracles.rng_for(21)
     X = oracles.random_feasible(rng, 8, 3)
