@@ -275,6 +275,7 @@ def _refine(Xr: np.ndarray, f: Objective) -> tuple:
             out[idx, j] = v / nv if nv > 0 else Xr[idx, j]
     else:
         return Xr, None, None
+    del H  # not held through the evaluations
     f_out, f_r = float(f.value(out)), float(f.value(Xr))
     if f_out > f_r:
         return Xr, f_r, f_r
@@ -458,14 +459,16 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             # accept that instead, so the accepted outer value never
             # exceeds the fallback's value
             anchored = True
+            # neither the discarded branch nor its start is held through
+            # the redo
+            X = X_feas
+            del Xn
             h_t = inner_factory(X_feas, params_t)
             hF = float(h_t.value(X_feas))
-            Xa, irep2 = solve(h_t, X_feas)
+            Xn, irep2 = solve(h_t, X_feas)
             total_inner += irep2.iterations
-            hA = irep2.final_value
-            if hA <= hF:
-                Xn, hN = Xa, hA
-            else:
+            hN = irep2.final_value
+            if not hN <= hF:
                 Xn, hN = X_feas, hF
 
         kkt_penalty = stationarity_residual(
@@ -480,6 +483,7 @@ def ep4orth_solve(f: Objective, ctx: PenaltyContext,
             "trials": irep.trials, "inner_flags": irep.flags,
         })
         X = Xn
+        del Xn  # X alone holds the point: a restart from X_feas frees it
         outer_done = t + 1
         feasible = zeta2 <= cfg.tol_feas
         certified = False

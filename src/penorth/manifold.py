@@ -7,7 +7,7 @@ nonnegativity constraint is handled by the projections, not the metric.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,23 +60,33 @@ SS_MIN = 2.0 ** -900
 SS_MAX = 2.0 ** 900
 
 
-def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
+def _project_ob_plus_raw(C: np.ndarray,
+                         column: Optional[Callable] = None) -> np.ndarray:
     """Project a float matrix columnwise onto the nonnegative unit sphere.
 
     Each column: clip negatives to zero, normalize. A column whose positive
     part vanishes (peak not > 0, NaN included) projects to the coordinate
     vector at the largest entry of its column of C (smallest index on
     ties), which is a valid closest point. No input checks or wrapping,
-    for hot loops; C is not written.
+    for hot loops. C is not written, unless column is given: then C is the
+    caller's own temporary, clipped and normalized in place and returned,
+    and column(j) gives its column j as it was before clipping, read only
+    for a dead column.
 
     One pass in C's own layout: y = max(C, 0) in a new array laid out like
-    C, its column sums of squares ss_j by einsum, and each column with
-    SS_MIN <= ss_j <= SS_MAX divided in place by sqrt(ss_j). The other
-    columns (squares that underflow or overflow, dead and NaN columns) are
-    scaled by their peak first and normalized by the pairwise sum of the
-    scaled squares.
+    C (or in C itself), its column sums of squares ss_j by einsum, and each
+    column with SS_MIN <= ss_j <= SS_MAX divided in place by sqrt(ss_j).
+    The other columns (squares that underflow or overflow, dead and NaN
+    columns) are scaled by their peak first and normalized by the pairwise
+    sum of the scaled squares.
     """
-    y = np.maximum(C, 0.0)
+    if column is None:
+        y = np.maximum(C, 0.0)
+
+        def column(j):
+            return C[:, j]
+    else:
+        y = np.maximum(C, 0.0, out=C)
     ss = np.einsum("ij,ij->j", y, y)
     fallback = np.flatnonzero(~((ss >= SS_MIN) & (ss <= SS_MAX)))
     np.sqrt(ss, out=ss)
@@ -90,18 +100,24 @@ def _project_ob_plus_raw(C: np.ndarray) -> np.ndarray:
             col /= np.sqrt(np.add.reduce(col * col))
         else:
             col[:] = 0.0
-            col[int(np.argmax(C[:, j]))] = 1.0
+            col[int(np.argmax(column(j)))] = 1.0
     return y
 
 
 def projected_step(X: np.ndarray, alpha: float, G: np.ndarray) -> np.ndarray:
     """_project_ob_plus_raw(X - alpha * G), with X - alpha * G built in one
-    temporary in _order(X, G), which the projection keeps. Two n x k
-    arrays are live at the peak: the temporary and the projection's result.
+    temporary in _order(X, G), which the projection clips and normalizes in
+    place and returns: one n x k array is live at the peak. A dead column's
+    reset index is the argmax of its column of the step before clipping,
+    formed again from X and G by the same elementwise operations, so with
+    the same bits.
     """
-    T = np.multiply(alpha, G, order=_order(X, G))
+    # a fresh result with a unit axis gets row-major strides whatever its
+    # operands' (numpy's rule), and the step's result is laid out as the
+    # expression's fresh projection would be
+    T = np.multiply(alpha, G, order="C" if 1 in X.shape else _order(X, G))
     np.subtract(X, T, out=T)
-    return _project_ob_plus_raw(T)
+    return _project_ob_plus_raw(T, lambda j: X[:, j] - alpha * G[:, j])
 
 
 def project_oblique_plus(C) -> np.ndarray:

@@ -97,8 +97,12 @@ class ScaledLinearPenalty(Objective):
     (X V) V^T - C / sigma is the sum over the r columns v_l of V of the
     rank-one products (X v_l) v_l^T, one product for the default r = 1,
     formed in _order(X). Its constant term C / sigma is formed
-    at the first gradient and kept for the next ones; a model used for
-    one gradient holds it no longer.
+    at the first gradient and kept for the next ones, which then take no
+    division: a fixed-step solve asks for a gradient at every step (on
+    bench table-proj --xi 1.2 --xi 1.5, the sum of each solve's fastest
+    of 4 runs was 17 % longer with KindicatorsModel's form, which
+    divides in every gradient). KindicatorsModel, whose C moves with
+    every iterate, forms the same bits without keeping it.
     """
 
     def __init__(self, C, ctx: PenaltyContext, sigma: float):
@@ -662,11 +666,12 @@ class KindicatorsModel(Objective):
     and grad at one iterate form that once too, and refers to that X
     weakly, so it keeps no iterate alive.
 
-    It is a class of its own, not a ScaledLinearPenalty with a callable
-    target: that penalty would have to keep C / sigma per target array
-    (on 5000 x 40, the traced kindicators_solve peak rose from 9.12 to
-    10.07 n x k arrays) or divide by sigma on every call (one more n x k
-    division per projection step).
+    Its gradient has the penalty's bits, formed in one n x k array with no
+    C / sigma array (_grad_in_one_array): C moves with every iterate, so
+    there is no C / sigma to keep (kept per target array, it raised the
+    traced kindicators_solve peak on 5000 x 40 from 9.12 to 10.07 n x k
+    arrays), and forming it whole would hold one more n x k array beside
+    the gradient.
     """
 
     def __init__(self, f: KindicatorsObjective, ctx: PenaltyContext,
@@ -686,7 +691,40 @@ class KindicatorsModel(Objective):
         return self._at(X).value(X)
 
     def grad(self, X):
-        return self._at(X).grad(X)
+        model = self._at(X)
+        return _grad_in_one_array(model.C, self.sigma, model._xv(X),
+                                  self.ctx.V, _order(X))
+
+
+# entries of one block of the rank-r term in _grad_in_one_array: its
+# temporary is this many doubles (128 kB), not an n x k array
+GRAD_BLOCK = 1 << 14
+
+
+def _grad_in_one_array(C, sigma, XV, V, order):
+    """ScaledLinearPenalty's gradient (X V) V^T - C / sigma, the same bits,
+    in one n x k array laid out in order, with no C / sigma array.
+
+    The array is first C / (-sigma); the rank-r term, the sum over the
+    columns v_l of V of the rank-one products (X v_l) v_l^T, is added in
+    blocks of about GRAD_BLOCK entries along the array's contiguous axis
+    (row blocks of a row-major array, column blocks of a column-major
+    one), each block's sum over l formed before it is added. Since
+    C / (-sigma) = -(C / sigma) and p + (-c) = p - c exactly, these are
+    the bits of the penalty's formula, and one block's temporary is all
+    that lives beside the gradient.
+    """
+    G = np.divide(C, -sigma, order=order)
+    # G^T = V (X V)^T: a column-major G is a row-major G^T
+    Gr, A, B = (G.T, V, XV) if order == "F" else (G, XV, V)
+    rows = max(1, GRAD_BLOCK // Gr.shape[1])
+    for i in range(0, Gr.shape[0], rows):
+        blk = slice(i, i + rows)
+        P = A[blk, :1] * B[:, 0]
+        for j in range(1, B.shape[1]):
+            P += A[blk, j:j + 1] * B[:, j]
+        Gr[blk] += P
+    return G
 
 
 def kindicators_solve(U: np.ndarray,

@@ -74,7 +74,7 @@ import numpy as np
 from .errors import SolverError
 # project_delta_cols is unused here but stays importable from this module:
 # perfbench/spans.py looks it up on subsolvers to trace the slice projection
-from .manifold import (_project_ob_plus_raw, inner, norm,  # noqa: F401
+from .manifold import (_order, _project_ob_plus_raw, inner, norm,  # noqa: F401
                        project_delta_cols, project_tangent_T, projected_step,
                        slice_projector, stationarity_residual)
 from .types import Objective, make_oblique, SUPPORT_ZERO_TOL
@@ -292,10 +292,14 @@ def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
     Few n x k arrays are live at once: the step S = X_new - X is formed
     once, for the step norm, the Armijo test and the BB step, and of the
     BB differences S and Z = G_new - G only the scalars <S, S> and
-    |<S, Z>| are carried to the next step, so the previous iterate and
-    gradient are dropped as soon as the new gradient exists. The
-    fixed-step rule drops the old gradient once the step is taken, before
-    it asks for the new one.
+    |<S, Z>| are carried to the next step, so the previous iterate is
+    dropped once the new one exists. Z is formed as (-G) + G_new, which
+    is G_new - G to the bit: -G goes into an array of the loop's own
+    before h.grad is asked, so the old gradient is freed before the new
+    one exists, and G_new is added into it (never into G, which h may
+    own: LinearObjective.grad returns its target). The fixed-step rule
+    drops the old gradient once the step is taken, before it asks for
+    the new one.
     """
     X = X0  # iterates are new arrays, never written in place
     if not isinstance(X, np.ndarray) or X.flags.writeable:
@@ -350,9 +354,18 @@ def gradient_projection_solve(h: Objective, X0: np.ndarray, tol: float,
         step = math.sqrt(ss) if bb else norm(S)
         X, fX = Xn, fn
         if bb:
-            Gn = np.asarray(h.grad(X), dtype=float)
-            sz = abs(inner(S, Gn - G))  # Z = Gn - G lives for this product
-            G = Gn
+            # Z = G_new - G as (-G) + G_new, to the bit, in an array of the
+            # loop's own (never in G, which h may still own): the old
+            # gradient is freed before the new one exists
+            Z = np.negative(G)
+            del G
+            G = np.asarray(h.grad(X), dtype=float)
+            if _order(Z, G) == _order(Z):
+                np.add(Z, G, out=Z)
+            else:  # a column-major Z, a row-major G: G_new - G is row-major
+                Z = np.add(Z, G)
+            sz = abs(inner(S, Z))
+            del Z
         else:
             G = np.asarray(h.grad(X), dtype=float)
         del S  # not held through the next step

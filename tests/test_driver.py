@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -786,6 +788,51 @@ def test_driver_start_anchor_resets_before_solving():
     # reset happens before the solve: the recorded start is the fallback's
     assert first["h_start"] == pytest.approx(f.value(Xf), abs=1e-12)
     assert rep.termination == "feasibility-tol"
+
+
+def solves_recording_discarded_points(monkeypatch):
+    """Wrap the driver's gradient_projection_solve: a call that starts from
+    none of the points earlier calls returned (a restart or a redo from the
+    feasible fallback) checks, after a collection, that none of those points
+    is alive. Returns the list of those checks: how many points each found
+    dead."""
+    real = driver.gradient_projection_solve
+    returned, checks = [], []
+
+    def solve(h, X0, *args, **kwargs):
+        if returned and not any(X0 is r() for r in returned):
+            gc.collect()
+            assert all(r() is None for r in returned), "a discarded point is held"
+            checks.append(len(returned))
+        X, rep = real(h, X0, *args, **kwargs)
+        if X is not X0:
+            returned.append(weakref.ref(X))
+        return X, rep
+
+    monkeypatch.setattr(driver, "gradient_projection_solve", solve)
+    return checks
+
+
+def test_driver_holds_no_discarded_point_through_a_restart(monkeypatch):
+    # anchor "start": both outer iterations restart from the fallback, so
+    # the second solve runs while the first one's point is discarded
+    checks = solves_recording_discarded_points(monkeypatch)
+    rep = kindicators_solve(gen_kindicators(1500, 30, 0.3, 0).U)
+    assert [h["anchored"] for h in rep.history] == [True, True]
+    assert checks == [1]
+
+
+def test_driver_holds_no_discarded_point_through_a_redo(monkeypatch):
+    # anchor "result": a warm solve that ends worse than the fallback is
+    # redone from it, and neither that solve's point nor its start is held
+    # through the redo
+    checks = solves_recording_discarded_points(monkeypatch)
+    f, Xf, X0 = fallback_rewarding_setup()
+    cfg = DriverConfig(sigma0=1.0, gamma2=5.0, tol_feas=1e-8, t_max=50,
+                       force_solver="gp", max_inner=1, anchor="result")
+    rep = ep4orth_solve(f, make_context(6, 2), cfg, X0=X0.copy(), X_feas=Xf)
+    assert any(h["anchored"] for h in rep.history)
+    assert checks
 
 
 def test_driver_rejects_unknown_anchor_policy():

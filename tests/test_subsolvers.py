@@ -25,8 +25,8 @@ from penorth.manifold import (project_delta_cols, projected_step,
                               stationarity_residual)
 from penorth.penalty import PenalizedObjective
 from penorth.problems import (KindicatorsModel, KindicatorsObjective,
-                              ScaledLinearPenalty, TargetDistanceObjective,
-                              gen_kindicators)
+                              LinearObjective, ScaledLinearPenalty,
+                              TargetDistanceObjective, gen_kindicators)
 from penorth import subsolvers
 from penorth.subsolvers import (gradient_projection_solve, newton_solve,
                                 solve_qp_subproblem)
@@ -851,6 +851,60 @@ def test_gp_returns_a_read_only_start_without_a_copy():
         X, rep = gradient_projection_solve(h, X0, np.inf, 50, fixed_alpha=1.0)
         assert rep.converged and rep.iterations == 1
         assert X is X0 and rep.final_value == h.value(X0)
+
+
+@pytest.mark.parametrize("line_search", [True, False])
+def test_gp_bb_leaves_a_linear_objectives_target_unwritten(line_search):
+    # LinearObjective.grad returns its own target: the BB difference
+    # G_new - G must go into an array of the loop's, never into G
+    rng = oracles.rng_for(47)
+    for order in ("C", "F"):
+        C = np.asarray(rng.standard_normal((30, 3)), order=order)
+        C.setflags(write=True)
+        keep = C.copy()
+        h = LinearObjective(C)
+        X0 = make_oblique(oracles.random_unit_columns(rng, 30, 3))
+        X, rep = gradient_projection_solve(h, X0, 1e-12, 20,
+                                           line_search=line_search)
+        assert h.C is C and h.grad(X) is C
+        assert C.tobytes() == keep.tobytes()
+        assert rep.iterations > 1  # BB steps formed differences
+
+
+class AlternatingLayout(Objective):
+    """Delegates to h, returning its gradients column-major and row-major
+    in turn."""
+
+    def __init__(self, h):
+        self.h = h
+        self.grads = 0
+
+    def value(self, X):
+        return self.h.value(X)
+
+    def grad(self, X):
+        self.grads += 1
+        order = "F" if self.grads % 2 else "C"
+        return np.array(self.h.grad(X), order=order)
+
+
+@pytest.mark.parametrize("line_search", [True, False])
+def test_gp_bb_difference_keeps_its_bits_when_the_gradient_changes_layout(
+        line_search):
+    # G_new - G is row-major unless both are column-major; <S, Z> sums in
+    # that order, so a column-major -G that receives a row-major G_new
+    # in place would move the BB step's bits
+    make_h = _kindicators_model(60, 4, 3, 10.0)
+    X0 = make_oblique(np.asfortranarray(gp_start()), copy=False)
+    kwargs = dict(tol=1e-5, max_iter=60, line_search=line_search)
+    X, rep = gradient_projection_solve(AlternatingLayout(make_h()), X0,
+                                       **kwargs)
+    X_ref, rep_ref = oracles.gradient_projection_reference(
+        AlternatingLayout(make_h()), X0, **kwargs)
+    assert X.tobytes() == X_ref.tobytes() and X.strides == X_ref.strides
+    for field in ("iterations", "final_value", "step_norm", "kkt_residual"):
+        assert getattr(rep, field) == getattr(rep_ref, field)
+    assert rep.iterations > 4
 
 
 class CountingGrad(Objective):
