@@ -31,6 +31,7 @@ from .problems import (LinearObjective, TargetDistanceObjective,
                        clustering_metrics, drop_zero_columns, gen_onmf,
                        gen_projection, kindicators_solve, resi, solve_onmf,
                        solve_projection)
+from .rounding import _row_argmax
 from .types import DriverConfig
 
 
@@ -225,7 +226,7 @@ def _onmf_command(name: str, variant: str, doc: str):
         report = solve_onmf(A, k, cfg, variant=variant)
         if labels_path:
             true = _read_labels(labels_path)
-            pred = np.argmax(report.final, axis=1)
+            pred = _row_argmax(report.final)[0]
             report.extra["metrics"] = clustering_metrics(pred, true)
         manifest = {"command": name,
                     "params": {"in": os.path.basename(inp), "k": k,
@@ -314,7 +315,7 @@ def _onmf_job(args):
     inst = gen_onmf(n, r, k, xi, seed)
     rep = solve_onmf(inst.A, k)
     ref = resi(inst.A, inst.B)
-    pred = np.argmax(rep.final, axis=1)
+    pred = _row_argmax(rep.final)[0]
     return {"n": n, "r": r, "k": k, "xi": xi, "seed": seed,
             "resi": rep.extra["resi"], "resi_reference": ref,
             "nmi": clustering_metrics(pred, inst.labels)["nmi"],

@@ -58,10 +58,12 @@ start's; the driver takes it anyway, with neither the descent check nor
 the rerun from the fallback, because the run ends on its support's
 refined point: no feasible point has a lower f, to CERTIFY_RTOL, so a run
 that solved on could at best tie it. Where the bound stays open the test
-is paid on every accepted iterate and QP iterate: a row argmax each (and
-the projection that forms a QP iterate's candidate), and the bound once
-per new support. The projected-gradient path is not asked: its
-iterations are cheap, and the test slowed heavy-noise projection solves.
+is paid on every accepted iterate and QP iterate: a row argmax each
+(rounding._row_argmax: a column-by-column pass on a column-major point
+of 512 rows or more, np.argmax otherwise), the projection that forms a
+QP iterate's candidate, and the bound once per new support. The
+projected-gradient path is not asked: its iterations are cheap, and the
+test slowed heavy-noise projection solves.
 Asking inside the Newton solve lets a run stop within its first Newton
 solve rather than at the end of an outer iteration.
 
@@ -123,8 +125,8 @@ FEAS_TOL = 1e-10
 def _row_labels(X: np.ndarray) -> np.ndarray:
     """The row argmax of X, -1 for a row with no positive entry (which
     rounding leaves empty): the labels of X's rounded support."""
-    arg = np.argmax(X, axis=1)
-    return np.where(X[np.arange(X.shape[0]), arg] > 0, arg, -1)
+    arg, top = rounding._row_argmax(X)
+    return np.where(top > 0, arg, -1)
 
 
 def _linear_bound_gap(C, labels):

@@ -773,7 +773,7 @@ def kindicators_solve(U: np.ndarray,
     report.kkt_residual = max(report.kkt_residual, res_y)
     report.feasibility = feasibility_violation(report.final)
     report.seconds = time.perf_counter() - t0
-    report.extra["labels"] = np.argmax(XR, axis=1)
+    report.extra["labels"] = rounding._row_argmax(XR)[0]
     report.extra["Y"] = Y
     report.extra["max_iterate_dev"] = max(
         float(np.abs(np.linalg.norm(X, axis=0) - 1.0).max()),

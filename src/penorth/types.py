@@ -57,14 +57,18 @@ def make_oblique(data, *, copy: bool = True) -> np.ndarray:
         NonUnitColumn: any column norm off 1 by more than COL_NORM_TOL.
     """
     arr = _as_float_matrix(data, tall=True)
-    if (arr < 0).any():
+    if arr.min() < 0:
         i, j = np.argwhere(arr < 0)[0]
         raise NegativeEntry(f"entry ({i}, {j}) is negative: {arr[i, j]!r}")
-    norms = np.linalg.norm(arr, axis=0)
-    bad = np.abs(norms - 1.0) > COL_NORM_TOL
+    # the column sums of squares without an n x k temporary; their order
+    # of summation is einsum's, so a norm within an ulp or two of
+    # 1 +- COL_NORM_TOL may be judged the other way than by
+    # np.linalg.norm, which the message reports
+    bad = np.abs(np.sqrt(np.einsum("ij,ij->j", arr, arr)) - 1.0) > COL_NORM_TOL
     if bad.any():
         j = int(np.argmax(bad))
-        raise NonUnitColumn(f"column {j} has norm {norms[j]!r}")
+        norm = np.linalg.norm(arr, axis=0)[j]
+        raise NonUnitColumn(f"column {j} has norm {norm!r}")
     if copy:
         arr = arr.copy()
     arr.setflags(write=False)

@@ -487,6 +487,35 @@ def test_cli_onmf_with_labels_metrics(tmp_path):
     assert rep["manifest"]["command"] == "onmf"
 
 
+def test_cli_scores_the_row_argmax_of_the_solution(tmp_path, monkeypatch):
+    # the onmf command's --labels and bench table-onmf's jobs score the
+    # row argmax of the solution, as np.argmax takes it
+    import penorth.cli as cli
+    from penorth.problems import gen_onmf
+    scored = []
+    metrics = cli.clustering_metrics
+    monkeypatch.setattr(cli, "clustering_metrics", lambda pred, true: (
+        scored.append(pred), metrics(pred, true))[1])
+    inst = gen_onmf(60, 10, 3, xi=0.05, seed=23)
+    data, truth = str(tmp_path / "A.mtx"), str(tmp_path / "true.csv")
+    pio.write_matrix(data, inst.A)
+    with open(truth, "w") as fh:
+        fh.write("\n".join(str(int(v)) for v in inst.labels) + "\n")
+    sol = str(tmp_path / "X.mtx")
+    r = invoke(["onmf", "--in", data, "--k", "3", "--labels", truth,
+                "--save-solution", sol])
+    assert r.exit_code == 0, r.output
+    want = np.argmax(pio.read_matrix(sol), axis=1)
+    assert scored[-1].dtype == want.dtype
+    assert np.array_equal(scored[-1], want)
+    finals = []
+    solve = cli.solve_onmf
+    monkeypatch.setattr(cli, "solve_onmf", lambda *a, **kw: (
+        finals.append(solve(*a, **kw)), finals[-1])[1])
+    cli._onmf_job((60, 10, 3, 0.05, 23))
+    assert np.array_equal(scored[-1], np.argmax(finals[-1].final, axis=1))
+
+
 @pytest.mark.parametrize("command", ["onmf", "opnmf"])
 def test_cli_onmf_keeps_zero_data_rows(tmp_path, command):
     from penorth.problems import gen_onmf

@@ -750,6 +750,19 @@ def test_kindicators_solve_recovers_planted_clusters():
     assert rep.termination == "feasibility-tol"
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_kindicators_labels_are_the_row_argmax_of_the_rounded_point(order):
+    # a column-major U gives a column-major rounded point, labelled by the
+    # column-by-column row argmax
+    inst = gen_kindicators(600, 4, noise=0.5, seed=63)
+    rep = kindicators_solve(np.asarray(inst.U, order=order))
+    XR = rep.extra["X_rounded"]
+    assert XR.flags.f_contiguous or order == "C"
+    want = np.argmax(XR, axis=1)
+    assert rep.extra["labels"].dtype == want.dtype
+    assert np.array_equal(rep.extra["labels"], want)
+
+
 # the three instances other tests solve, then four noisier small ones
 KINDICATORS_CASES = [(40, 3, 0.1, 62), (500, 10, 0.1, 0), (25, 3, 0.1, 17),
                      (200, 5, 0.3, 101), (250, 6, 0.5, 102),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,44 @@ def test_make_oblique_no_silent_normalization():
     X[0, 0] = 1.0 + 1e-6
     with pytest.raises(NonUnitColumn):
         make_oblique(X)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_make_oblique_errors_name_the_same_entry_and_column(order):
+    # the first negative entry in row-major order, and the first column off
+    # by more than the tolerance with np.linalg.norm's value, as before
+    rng = np.random.default_rng(7)
+    X = rng.random((300, 5))
+    X /= np.linalg.norm(X, axis=0)
+    neg = X.copy()
+    for i, j in [(40, 3), (40, 1), (12, 4), (200, 0)]:
+        neg[i, j] = -1e-3 * (i + j)
+    with pytest.raises(NegativeEntry) as err:
+        make_oblique(np.asarray(neg, order=order))
+    assert str(err.value) == f"entry (12, 4) is negative: {neg[12, 4]!r}"
+    off = X.copy()
+    off[:, 3] *= 1.5
+    off[:, 1] *= 1.0 + 1e-9
+    want = repr(np.linalg.norm(off, axis=0)[1])
+    with pytest.raises(NonUnitColumn) as err:
+        make_oblique(np.asarray(off, order=order))
+    assert str(err.value) == f"column 1 has norm {want}"
+    # -0.0 is not negative
+    assert make_oblique(np.array([[1.0], [-0.0]])).shape == (2, 1)
+
+
+def test_make_oblique_checks_without_a_matrix_temporary():
+    # the isfinite scan's n x k bools are the largest temporary left
+    X = np.asfortranarray(np.random.default_rng(8).random((5000, 20)))
+    X /= np.linalg.norm(X, axis=0)
+    make_oblique(X, copy=False)
+    tracemalloc.start()
+    try:
+        make_oblique(X, copy=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * X.nbytes
 
 
 def test_make_context_default_direction():
